@@ -62,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output prefix; writes <out>.dhat.csv, <out>.khat.csv, "
                           "<out>.embedding.csv and <out>.diag.json")
     est.add_argument("--lambda-grid",
-                     help="comma-separated penalties; loops the fit and writes "
-                          "one output set per value, suffixed _lam<value>")
+                     help="comma-separated distinct penalties; loops the fit "
+                          "and writes one output set per value, suffixed "
+                          "_lam<value> in Python's shortest round-trip form")
     _add_penalty_args(est, required=False)
     _add_dykstra_args(est)
 
@@ -75,8 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use the bundled helix geometry with N points "
                           "instead of --input")
     sim.add_argument("--helix-turns", type=float, default=3.0)
-    sim.add_argument("--helix-radius", type=float, default=2.0)
-    sim.add_argument("--helix-pitch", type=float, default=2.0)
+    sim.add_argument("--helix-radius", type=float,
+                     help="helix radius (default: that of helix_coords, 0.3)")
+    sim.add_argument("--helix-pitch", type=float,
+                     help="height per turn (default: that of helix_coords, 0.3)")
     sim.add_argument("--noise", choices=("gaussian", "gamma"), default="gaussian")
     sim.add_argument("--sigma2", type=float,
                      help="gaussian noise variance (required for gaussian)")
@@ -146,6 +149,8 @@ def _cmd_estimate(args) -> int:
     cfg = _dykstra_config(args)
     if args.lambda_grid is not None:
         penalties = [float(tok) for tok in args.lambda_grid.split(",")]
+        if len(set(penalties)) != len(penalties):
+            raise ValueError("--lambda-grid repeats a penalty")
     elif args.lam is not None:
         penalties = [args.lam]
     else:
@@ -153,7 +158,7 @@ def _cmd_estimate(args) -> int:
         penalties = [recommended_lambda(x.n, args.sigma)]
     multiple = len(penalties) > 1
     for lam in penalties:
-        prefix = f"{args.out}_lam{lam:g}" if multiple else args.out
+        prefix = f"{args.out}_lam{lam!r}" if multiple else args.out
         fit = distance_shrinkage(x, lam, cfg)
         _write_fit(fit, args.rank, prefix)
     return EXIT_OK
@@ -163,8 +168,10 @@ def _cmd_simulate(args) -> int:
     if (args.input is None) == (args.helix is None):
         raise ValueError("give exactly one of --input or --helix")
     if args.helix is not None:
-        coords = helix_coords(args.helix, turns=args.helix_turns,
-                              radius=args.helix_radius, pitch=args.helix_pitch)
+        geometry = {key: val for key, val in (("radius", args.helix_radius),
+                                              ("pitch", args.helix_pitch))
+                    if val is not None}
+        coords = helix_coords(args.helix, turns=args.helix_turns, **geometry)
     else:
         coords = fileio.load_coords(args.input, args.format)
     if args.noise == "gaussian":

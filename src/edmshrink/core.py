@@ -137,12 +137,30 @@ class SymHollowMatrix:
         return self.entries.shape[0]
 
 
+def _psd_rank(vals: np.ndarray, tol: float) -> tuple[bool, int]:
+    """PSD test and rank of an ascending spectrum, relative to its top.
+
+    PSD holds iff every eigenvalue is >= -tol * max(gamma_max, 0); the rank
+    counts eigenvalues > tol * gamma_max (zero when gamma_max <= 0).
+    """
+    top = vals[-1]
+    ok = bool(vals[0] >= -tol * max(top, 0.0))
+    if top <= 0.0:
+        return ok, 0
+    return ok, int(np.count_nonzero(vals > tol * top))
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric positive semidefinite (Gram) matrix."""
+    """Symmetric positive semidefinite (Gram) matrix.
+
+    ``rank`` counts the eigenvalues above ``psd_tol`` times the largest,
+    from the same spectrum that the PSD test reads.
+    """
 
     entries: np.ndarray
     psd_tol: float = 1e-8
+    rank: int = field(init=False, compare=False)
 
     def __post_init__(self):
         a = _as_square(self.entries)
@@ -151,11 +169,13 @@ class KernelMatrix:
         if self.psd_tol <= 0:
             raise ValueError("psd_tol must be positive")
         vals = np.linalg.eigvalsh(a)
-        if vals[0] < -self.psd_tol * max(vals[-1], 0.0):
+        ok, rank = _psd_rank(vals, self.psd_tol)
+        if not ok:
             raise ValueError(
                 f"matrix is not PSD within tolerance: min eigenvalue "
                 f"{vals[0]:.3e} vs largest {vals[-1]:.3e}")
         object.__setattr__(self, "entries", _frozen(a))
+        object.__setattr__(self, "rank", rank)
 
     @property
     def n(self) -> int:
@@ -222,13 +242,18 @@ class Embedding:
 class EdmMatrix:
     """A SymHollowMatrix certified, within tolerance, to be an EDM.
 
-    ``embed_dim`` is the rank of -J D J / 2 at threshold ``cert_tol``,
-    i.e. the smallest dimension admitting a realizing point configuration.
+    Certification is the Schoenberg test: D is an EDM exactly when its
+    minimum-trace kernel -J D J / 2 is PSD. The type runs that test once,
+    by building ``kernel`` at ``psd_tol = cert_tol``, and reads
+    ``embed_dim`` -- the rank of the kernel at threshold ``cert_tol``, i.e.
+    the smallest dimension admitting a realizing point configuration --
+    from the same spectrum.
     """
 
     base: SymHollowMatrix
-    embed_dim: int
     cert_tol: float = 1e-8
+    kernel: MinTraceKernel = field(init=False, repr=False, compare=False)
+    embed_dim: int = field(init=False)
 
     def __post_init__(self):
         if self.cert_tol <= 0:
@@ -237,15 +262,14 @@ class EdmMatrix:
         off = d[~np.eye(self.base.n, dtype=bool)]
         if off.size and off.min() < -self.cert_tol:
             raise ValueError(f"negative squared distance {off.min():.3e}")
-        ok, dim = _edm_spectrum(d, self.cert_tol)
-        if not ok:
-            raise ValueError("matrix is not an EDM within cert_tol")
-        if dim != self.embed_dim:
-            raise ValueError(
-                f"embed_dim {self.embed_dim} does not match rank {dim} "
-                f"at threshold {self.cert_tol}")
-        if self.embed_dim > self.base.n - 1:
+        try:
+            kernel = MinTraceKernel(entries=center_gram(d), psd_tol=self.cert_tol)
+        except ValueError as exc:
+            raise ValueError(f"matrix is not an EDM within cert_tol: {exc}") from None
+        if kernel.rank > self.base.n - 1:
             raise ValueError("embedding dimension cannot exceed n - 1")
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "embed_dim", kernel.rank)
 
     @property
     def entries(self) -> np.ndarray:
@@ -290,21 +314,6 @@ def similarity_to_dissimilarity(s) -> SymHollowMatrix:
     return SymHollowMatrix(x)
 
 
-def _edm_spectrum(d: np.ndarray, tol: float) -> tuple[bool, int]:
-    """Schoenberg test on the spectrum of -J d J / 2.
-
-    Returns (is_edm, embed_dim). Membership holds iff every eigenvalue is
-    >= -tol * gamma_max, with gamma_max the largest eigenvalue; embed_dim
-    counts eigenvalues > tol * gamma_max (zero when gamma_max <= 0).
-    """
-    vals = np.linalg.eigvalsh(center_gram(d))
-    gamma_max = vals[-1]
-    ok = bool(vals[0] >= -tol * gamma_max)
-    if gamma_max <= 0.0:
-        return ok, 0
-    return ok, int(np.count_nonzero(vals > tol * gamma_max))
-
-
 def is_edm(m: SymHollowMatrix, tol: float = 1e-8) -> tuple[bool, int]:
     """Test EDM membership and report the embedding dimension.
 
@@ -324,27 +333,22 @@ def is_edm(m: SymHollowMatrix, tol: float = 1e-8) -> tuple[bool, int]:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _edm_spectrum(m.entries, tol)
+    return _psd_rank(np.linalg.eigvalsh(center_gram(m.entries)), tol)
 
 
 def certify_edm(m: SymHollowMatrix, tol: float = 1e-8) -> EdmMatrix:
     """Wrap a hollow symmetric matrix as an EdmMatrix, or raise ValueError."""
-    ok, dim = is_edm(m, tol)
-    if not ok:
-        raise ValueError("matrix is not an EDM within tolerance")
-    return EdmMatrix(base=m, embed_dim=dim, cert_tol=tol)
+    return EdmMatrix(base=m, cert_tol=tol)
 
 
 def min_trace_kernel(d: EdmMatrix) -> MinTraceKernel:
     """The unique minimum-trace kernel -J D J / 2 realizing an EDM.
 
     The result is PSD with zero row sums, and
-    distances_from_kernel(min_trace_kernel(D)) reproduces D. Raises
-    ValueError if the PSD check fails beyond the certification tolerance,
-    which signals that ``d`` was mis-certified.
+    distances_from_kernel(min_trace_kernel(D)) reproduces D. It is the
+    kernel that certified ``d``, so no spectrum is computed here.
     """
-    k = center_gram(d.entries)
-    return MinTraceKernel(entries=k, psd_tol=max(d.cert_tol, 1e-10))
+    return d.kernel
 
 
 def extract_embedding(k: MinTraceKernel, r: int, tol: float = 1e-8) -> Embedding:
@@ -399,20 +403,14 @@ def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
 def average_squared_loss(a: SymHollowMatrix, b: SymHollowMatrix) -> float:
     """Averaged squared error over pairs: 2/(n(n-1)) * sum_{i<j} (a_ij-b_ij)^2.
 
-    Agrees with ||A - B||_F^2 / (n(n-1)) for hollow symmetric inputs; both
-    are computed and cross-checked to 1e-12 relative.
+    For hollow symmetric inputs this equals ||A - B||_F^2 / (n(n-1)).
     """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
     diff = a.entries - b.entries
     iu = np.triu_indices(n, k=1)
-    pair_sum = float(np.sum(diff[iu] ** 2))
-    loss = 2.0 * pair_sum / (n * (n - 1))
-    fro = float(np.sum(diff ** 2)) / (n * (n - 1))
-    if abs(loss - fro) > 1e-12 * max(abs(loss), abs(fro), 1e-300):
-        raise ArithmeticError("pairwise and Frobenius loss forms disagree")
-    return loss
+    return 2.0 * float(np.sum(diff[iu] ** 2)) / (n * (n - 1))
 
 
 def kruskal_stress(est: SymHollowMatrix, truth: SymHollowMatrix) -> float:

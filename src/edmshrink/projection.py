@@ -7,10 +7,11 @@ matrices:
   C2 = { M : diag(M) = 0 }
 
 Both admit closed-form projections. C2 zeroes the diagonal. For C1,
-conjugating by a symmetric orthogonal Householder reflection Q that sends
-the ones vector to -sqrt(n) e_n turns the constraint into negative
-semidefiniteness of the leading (n-1) x (n-1) block of Q M Q, which is
-projected by clipping positive eigenvalues of that block to zero.
+M -> J M J is an orthogonal projector on symmetric matrices, so only the
+part J A J of an input A is constrained, and the projection removes its
+positive spectrum (Hayden and Wells, Linear Algebra Appl. 109, 1988):
+
+  Pi_C1(A) = A - Pi_PSD(J A J),   with J A J = -2 center_gram(A).
 
 Dykstra's alternating projection algorithm, with its correction
 increments, combines the two into the exact projection onto the
@@ -27,7 +28,6 @@ from .core import (
     EdmMatrix,
     SymHollowMatrix,
     _as_square,
-    _edm_spectrum,
     center_gram,
     certify_edm,
     symmetrize,
@@ -68,10 +68,10 @@ class DykstraConfig:
 class ProjectionDiagnostics:
     """Convergence record of one Dykstra run.
 
-    c1_residual is the largest positive eigenvalue (clipped at zero) of
-    the Householder block of the final iterate; c2_residual is the largest
-    diagonal magnitude of the final C1-feasible iterate before the closing
-    hollowing step.
+    c1_residual is the largest eigenvalue of J X J on the centered plane
+    (the orthogonal complement of the ones vector), clipped at zero, for
+    the final iterate X; c2_residual is the largest diagonal magnitude of
+    the final C1-feasible iterate before the closing hollowing step.
     """
 
     cycles: int
@@ -85,78 +85,16 @@ class ProjectionDiagnostics:
             raise ValueError("residuals must be nonnegative")
 
 
-@dataclass(frozen=True)
-class HouseholderQ:
-    """Symmetric orthogonal reflection sending the ones vector to -sqrt(n) e_n."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        a = _as_square(self.q)
-        n = a.shape[0]
-        if np.abs(a - a.T).max() > 1e-12:
-            raise ValueError("Q must be symmetric")
-        if np.abs(a @ a - np.eye(n)).max() > 1e-12:
-            raise ValueError("Q must be an involution")
-        image = a @ np.ones(n)
-        target = np.zeros(n)
-        target[-1] = -np.sqrt(n)
-        if np.abs(image - target).max() > 1e-12:
-            raise ValueError("Q must send the ones vector to -sqrt(n) e_n")
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-
-def _reflector(n: int) -> np.ndarray:
-    """Unit-free reflector vector u with Q = I - u u^T and ||u||^2 = 2."""
-    v = np.ones(n)
-    v[-1] = 1.0 + np.sqrt(n)
-    return v / np.sqrt(n + np.sqrt(n))
-
-
-def _conjugate(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Q a Q for Q = I - u u^T, via rank-one updates (O(n^2), not O(n^3))."""
-    au = a @ u
-    uau = float(u @ au)
-    return a - np.outer(u, au) - np.outer(au, u) + uau * np.outer(u, u)
-
-
-def householder_q(n: int) -> HouseholderQ:
-    """Reflection Q = I - v v^T / (n + sqrt(n)) with v = [1, ..., 1, 1 + sqrt(n)].
-
-    The denominator is v^T v / 2, which makes Q an involution; it maps the
-    ones vector onto -sqrt(n) e_n, exposing the centered subspace as the
-    leading (n-1) x (n-1) block under conjugation.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    u = _reflector(n)
-    q = np.eye(n) - np.outer(u, u)
-    return HouseholderQ(q=symmetrize(q))
-
-
-def _clip_block_nsd(b11: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(b11)
-    return symmetrize((vecs * np.minimum(vals, 0.0)) @ vecs.T)
-
-
-def project_c1(a, u: np.ndarray | None = None) -> np.ndarray:
+def project_c1(a) -> np.ndarray:
     """Projection onto C1 = { M : J M J negative semidefinite }.
 
-    Conjugates by the Householder reflection, projects the leading block
-    onto the negative semidefinite cone by eigenvalue clipping, and leaves
-    the remaining row/column untouched. ``u`` is the precomputed reflector
-    vector; it is derived from the size when omitted.
+    Subtracts the positive part of J a J from the symmetrized input: the
+    eigenpairs of J a J = -2 center_gram(a) with positive eigenvalues are
+    exactly what violates the constraint.
     """
     a = symmetrize(_as_square(a))
-    n = a.shape[0]
-    if u is None:
-        u = _reflector(n)
-    b = _conjugate(a, u)
-    b[:-1, :-1] = _clip_block_nsd(b[:-1, :-1])
-    return symmetrize(_conjugate(b, u))
+    vals, vecs = np.linalg.eigh(-2.0 * center_gram(a))
+    return symmetrize(a - (vecs * np.maximum(vals, 0.0)) @ vecs.T)
 
 
 def project_c2(a) -> np.ndarray:
@@ -166,11 +104,9 @@ def project_c2(a) -> np.ndarray:
     return out
 
 
-def _block_residual(x: np.ndarray, u: np.ndarray) -> float:
-    """Largest positive eigenvalue of the leading block of Q x Q, clipped at 0."""
-    b11 = _conjugate(x, u)[:-1, :-1]
-    top = float(np.linalg.eigvalsh(symmetrize(b11))[-1])
-    return max(top, 0.0)
+def _c1_residual(x: np.ndarray) -> float:
+    """Largest eigenvalue of J x J = -2 center_gram(x), clipped at 0."""
+    return max(-2.0 * float(np.linalg.eigvalsh(center_gram(x))[0]), 0.0)
 
 
 def project_edm_cone(
@@ -207,8 +143,6 @@ def project_edm_cone(
         a = symmetrize(a)
     if cfg is None:
         cfg = DykstraConfig()
-    n = a.shape[0]
-    u = _reflector(n)
     scale = max(1.0, float(np.linalg.norm(a)))
 
     x = a.copy()
@@ -219,22 +153,24 @@ def project_edm_cone(
     cycles = 0
 
     for cycles in range(1, cfg.max_cycles + 1):
-        s = project_c1(x + p, u)
+        s = project_c1(x + p)
         p = x + p - s
         x_new = project_c2(s + q_inc)
         q_inc = s + q_inc - x_new
         delta = float(np.linalg.norm(x_new - x))
         x = x_new
         if delta <= cfg.tol * scale:
+            # the C2 residual is free; the C1 residual costs a spectrum
             c2_res = float(np.abs(s.diagonal()).max())
-            c1_res = _block_residual(x, u)
-            if c1_res <= cfg.feas_tol and c2_res <= cfg.feas_tol:
-                converged = True
-                break
+            if c2_res <= cfg.feas_tol:
+                c1_res = _c1_residual(x)
+                if c1_res <= cfg.feas_tol:
+                    converged = True
+                    break
 
     if not converged:
         c2_res = float(np.abs(s.diagonal()).max())
-        c1_res = _block_residual(x, u)
+        c1_res = _c1_residual(x)
     diag = ProjectionDiagnostics(
         cycles=cycles,
         delta_last=delta,
@@ -258,9 +194,10 @@ def project_edm_cone(
             f"below -feas_tol", diag)
 
     hollow = SymHollowMatrix(out)
-    ok, _ = _edm_spectrum(out, 1e-8)
-    if ok:
+    try:
         return certify_edm(hollow, 1e-8), diag
+    except ValueError:
+        pass
     # When the iterate sits near the cone boundary (e.g. a projection that
     # is almost the zero matrix), eigenvalue noise that is tiny in absolute
     # terms can be large relative to the spectrum. Feasibility was enforced
@@ -294,9 +231,10 @@ class Dim3Analysis:
         delta_x = sqrt(2 [ (x12-x13)^2 + (x12-x23)^2 + (x13-x23)^2 ]).
 
     alpha1 = (s + delta_x)/3 and alpha2 = (s - delta_x)/3 are the
-    eigenvalues of the negated Householder block, and the embedding
-    dimension of the projection is 2, 1 or 0 according to whether s
-    exceeds delta_x, lies in (-delta_x/2, delta_x], or is smaller.
+    eigenvalues of -J X J on the centered plane (its third eigenvalue, on
+    the ones vector, is 0), and the embedding dimension of the projection
+    is 2, 1 or 0 according to whether s exceeds delta_x, lies in
+    (-delta_x/2, delta_x], or is smaller.
 
     Shrinking all off-diagonals by a constant eta lowers s by 3 eta while
     leaving delta_x unchanged, so the projection's dimension drops at two

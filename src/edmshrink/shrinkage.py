@@ -22,11 +22,9 @@ from .core import (
     MinTraceKernel,
     SymHollowMatrix,
     center_gram,
-    certify_edm,
-    distances_from_kernel,
+    edm_from_coords,
     eigh_descending,
     min_trace_kernel,
-    symmetrize,
 )
 from .projection import DykstraConfig, ProjectionDiagnostics, project_edm_cone
 
@@ -130,21 +128,18 @@ def risk_bound(n: int, sigma: float, r: int) -> float:
     return 36.0 * n * sigma**2 * (r + 1)
 
 
-def _rank_r_fit(kernel: np.ndarray, r: int, psd_tol: float) -> RankTruncatedFit:
+def _rank_r_fit(kernel: np.ndarray, r: int) -> RankTruncatedFit:
     """Top-r eigen-truncation of a (near) centered kernel, as EDM + coords.
 
-    Coordinates are centered exactly before the truncated kernel is
-    rebuilt from them, so the kernel, the coordinates and the distance
-    matrix stay mutually consistent to machine precision even when the
-    input kernel is degenerate.
+    Coordinates are centered exactly and the distance matrix is built and
+    certified from them, so the coordinates and the distance matrix stay
+    consistent to machine precision even when the input kernel is
+    degenerate.
     """
     vals, vecs = eigh_descending(kernel)
     kept = np.clip(vals[:r], 0.0, None)
     coords = Embedding.from_points(vecs[:, :r] * np.sqrt(kept))
-    k_r = symmetrize(coords.coords @ coords.coords.T)
-    d = distances_from_kernel(MinTraceKernel(entries=k_r, psd_tol=psd_tol))
-    return RankTruncatedFit(
-        r=r, d_hat_r=certify_edm(d, 1e-8), embedding=coords)
+    return RankTruncatedFit(r=r, d_hat_r=edm_from_coords(coords), embedding=coords)
 
 
 def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:
@@ -157,7 +152,7 @@ def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:
     n = fit.d_hat.n
     if not 1 <= r <= n - 1:
         raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
-    return _rank_r_fit(fit.k_hat.entries, r, max(fit.k_hat.psd_tol, 1e-8))
+    return _rank_r_fit(fit.k_hat.entries, r)
 
 
 def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
@@ -170,28 +165,9 @@ def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
     n = x.n
     if not 1 <= r <= n - 1:
         raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
-    return _rank_r_fit(center_gram(x.entries), r, 1e-8)
+    return _rank_r_fit(center_gram(x.entries), r)
 
 
-def spectral_norm(a, tol: float = 1e-6, max_iter: int = 1000) -> float:
-    """Spectral norm of a symmetric matrix by deterministic power iteration.
-
-    Iterates v <- A(Av) / ||A(Av)|| from the normalized all-ones vector so
-    that eigenvalue sign ties cannot stall progress; stops when successive
-    norm estimates agree to ``tol`` relative.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    est = 0.0
-    for _ in range(max_iter):
-        w = a @ (a @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_est = float(np.linalg.norm(a @ v))
-        if abs(new_est - est) <= tol * max(new_est, 1.0):
-            return new_est
-        est = new_est
-    return est
+def spectral_norm(a) -> float:
+    """Spectral norm of a symmetric matrix: its largest |eigenvalue|."""
+    return float(np.abs(np.linalg.eigvalsh(np.asarray(a, dtype=float))).max())

@@ -50,6 +50,20 @@ class TestEstimate:
         assert (tmp_path / "fit_lam0.1.dhat.csv").exists()
         assert (tmp_path / "fit_lam0.5.dhat.csv").exists()
 
+    def test_lambda_grid_keeps_close_penalties_apart(self, noisy_matrix, tmp_path):
+        out = tmp_path / "fit"
+        assert main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda-grid", "1234567,1234568", "--out", str(out)]) == 0
+        lams = sorted(json.loads(path.read_text())["lambda"]
+                      for path in tmp_path.glob("fit_lam*.diag.json"))
+        assert lams == [1234567.0, 1234568.0]
+
+    def test_lambda_grid_rejects_repeats(self, noisy_matrix, tmp_path):
+        code = main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda-grid", "0.5,0.5", "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert not list(tmp_path.glob("f*"))
+
     def test_needs_exactly_one_penalty(self, noisy_matrix, tmp_path):
         code = main(["estimate", "--input", str(noisy_matrix),
                      "--out", str(tmp_path / "f")])
@@ -87,6 +101,15 @@ class TestSimulate:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_helix_geometry_defaults_to_helix_coords(self, tmp_path):
+        args = ["simulate", "--helix", "12", "--sigma2", "0.05", "--reps", "1",
+                "--seed", "2", "--sigma", "0.223", "--out-format", "json"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--helix-radius", "0.3", "--helix-pitch", "0.3",
+                            "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_coordinate_file_input(self, tmp_path):

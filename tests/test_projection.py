@@ -1,4 +1,4 @@
-"""Cone projections: Householder block form, Dykstra, and 3-point analytics."""
+"""Cone projections: the closed-form C1 projection, Dykstra, and 3-point analytics."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from edmshrink import (
     center_gram,
     centering_matrix,
     certify_edm,
-    householder_q,
-    is_edm,
     project_c1,
     project_c2,
     project_edm_cone,
@@ -25,32 +23,26 @@ def hollow(rows) -> SymHollowMatrix:
     return SymHollowMatrix(np.array(rows, dtype=float))
 
 
-class TestHouseholder:
-    def test_three_point_closed_form(self):
-        s3 = np.sqrt(3.0)
-        want = np.array([
-            [2 + s3, -1, -(1 + s3)],
-            [-1, 2 + s3, -(1 + s3)],
-            [-(1 + s3), -(1 + s3), -(1 + s3)],
-        ]) / (3 + s3)
-        assert np.allclose(householder_q(3).q, want, atol=1e-14)
+class TestProjectC1Moreau:
+    """Moreau decomposition A = P + (A - P) of the C1 projection P.
+
+    C1 is the polar cone of { M : M PSD, M 1 = 0 }, so A - P must lie in
+    that cone and be orthogonal to P; with JPJ NSD this characterizes P.
+    """
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
-    def test_involution(self, n):
-        q = householder_q(n).q
-        assert np.abs(q @ q - np.eye(n)).max() <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
-    def test_sends_ones_to_last_axis(self, n):
-        q = householder_q(n).q
-        image = q @ np.ones(n)
-        want = np.zeros(n)
-        want[-1] = -np.sqrt(n)
-        assert np.abs(image - want).max() <= 1e-12
-
-    def test_rejects_n1(self):
-        with pytest.raises(ValueError):
-            householder_q(1)
+    def test_decomposition(self, rng, n):
+        j = centering_matrix(n)
+        for _ in range(5):
+            a = rng.normal(size=(n, n), scale=3.0)
+            a = (a + a.T) / 2
+            p = project_c1(a)
+            r = a - p
+            tol = 1e-10 * np.linalg.norm(a)
+            assert np.linalg.eigvalsh(j @ p @ j)[-1] <= tol
+            assert np.linalg.eigvalsh(r)[0] >= -tol
+            assert np.abs(r @ np.ones(n)).max() <= tol
+            assert abs(float(np.sum(p * r))) <= tol * np.linalg.norm(a)
 
 
 class TestProjectC1:
@@ -204,10 +196,12 @@ class TestDim3Analysis:
             assert a.alpha1 + a.alpha2 == pytest.approx(2 * s / 3, abs=1e-12)
             assert a.alpha1 >= a.alpha2
             assert a.eta_to_dim1 <= a.eta_to_dim0
-            # alphas are the eigenvalues of the negated Householder block
-            q = householder_q(3).q
-            block = -(q @ x.entries @ q)[:2, :2]
-            vals = np.linalg.eigvalsh((block + block.T) / 2)
+            # alphas are the eigenvalues of -J X J on the centered plane:
+            # drop the eigenpair along the ones vector
+            j = centering_matrix(3)
+            vals, vecs = np.linalg.eigh(-(j @ x.entries @ j))
+            ones_axis = np.argmax(np.abs(vecs.sum(axis=0)))
+            vals = np.delete(vals, ones_axis)
             assert vals[1] == pytest.approx(a.alpha1, abs=1e-10)
             assert vals[0] == pytest.approx(a.alpha2, abs=1e-10)
 

@@ -1,5 +1,8 @@
 """Shrinkage estimator, rank truncation, classical-scaling baseline, bounds."""
 
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,44 @@ class TestClassicalMds:
     def test_rank_validation(self, rng):
         with pytest.raises(ValueError):
             classical_mds(random_hollow(rng, 5), 5)
+
+
+@contextmanager
+def eig_counts():
+    """Counts of numpy.linalg.eigh and eigvalsh calls made inside the block."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with ExitStack() as patches:
+        for name in calls:
+            patches.enter_context(mock.patch.object(
+                np.linalg, name, counted(name, getattr(np.linalg, name))))
+        yield calls
+
+
+class TestEigensolverCalls:
+    """One eigh per Dykstra cycle, one spectrum per certification."""
+
+    def test_converged_fit(self, rng):
+        d = random_edm(rng, 30, 3, scale=3.0)
+        x = add_noise(d, NoiseModel("gaussian", 0.25), seed=5, replicate=0)
+        with eig_counts() as calls:
+            fit = distance_shrinkage(x, recommended_lambda(30, 0.5))
+        assert fit.diagnostics.converged
+        assert fit.d_hat.cert_tol == 1e-8
+        assert calls["eigh"] == fit.diagnostics.cycles
+        assert calls["eigvalsh"] <= 2
+
+    def test_classical_mds(self, rng):
+        x = random_hollow(rng, 12, scale=2.0)
+        with eig_counts() as calls:
+            classical_mds(x, 3)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 class TestSpectralNorm:

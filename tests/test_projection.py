@@ -1,4 +1,4 @@
-"""Cone projections: the closed-form C1 projection, Dykstra, and 3-point analytics."""
+"""Cone projections: the closed-form C1 projection (checked against the Householder block form), Dykstra, and 3-point analytics."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,77 @@ from conftest import random_edm, random_hollow
 
 def hollow(rows) -> SymHollowMatrix:
     return SymHollowMatrix(np.array(rows, dtype=float))
+
+
+def householder_reference(n: int) -> np.ndarray:
+    """Q = I - v v^T / (n + sqrt(n)), v = [1, ..., 1, 1 + sqrt(n)].
+
+    The symmetric reflection sending the ones vector to -sqrt(n) e_n; under
+    conjugation by Q the centered plane is the leading (n-1) x (n-1) block.
+    """
+    v = np.ones(n)
+    v[-1] = 1.0 + np.sqrt(n)
+    return np.eye(n) - np.outer(v, v) / (n + np.sqrt(n))
+
+
+def householder_block_projection(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C1 projection in the Householder block form (Glunt et al., 1990).
+
+    Clips the positive eigenvalues of the leading block of Q a Q and
+    leaves its last row and column untouched.
+    """
+    b = q @ a @ q
+    vals, vecs = np.linalg.eigh(b[:-1, :-1])
+    b[:-1, :-1] = (vecs * np.minimum(vals, 0.0)) @ vecs.T
+    return q @ b @ q
+
+
+def random_symmetric(rng, n, scale=3.0) -> np.ndarray:
+    a = rng.normal(size=(n, n), scale=scale)
+    return (a + a.T) / 2
+
+
+class TestHouseholder:
+    """The closed form of project_c1 against the Householder block form."""
+
+    def test_three_point_closed_form(self, rng):
+        s3 = np.sqrt(3.0)
+        q = np.array([
+            [2 + s3, -1, -(1 + s3)],
+            [-1, 2 + s3, -(1 + s3)],
+            [-(1 + s3), -(1 + s3), -(1 + s3)],
+        ]) / (3 + s3)
+        assert np.allclose(householder_reference(3), q, atol=1e-14)
+        for _ in range(10):
+            a = random_symmetric(rng, 3)
+            want = householder_block_projection(a, q)
+            assert np.abs(project_c1(a) - want).max() <= (
+                1e-12 * np.linalg.norm(a))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
+    def test_involution(self, rng, n):
+        q = householder_reference(n)
+        assert np.abs(q @ q - np.eye(n)).max() <= 1e-12
+        # Q is its own inverse, so conjugating back recovers the projection
+        for _ in range(5):
+            a = random_symmetric(rng, n)
+            want = householder_block_projection(a, q)
+            assert np.abs(project_c1(a) - want).max() <= (
+                1e-12 * np.linalg.norm(a))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
+    def test_sends_ones_to_last_axis(self, rng, n):
+        q = householder_reference(n)
+        image = q @ np.ones(n)
+        want = np.zeros(n)
+        want[-1] = -np.sqrt(n)
+        assert np.abs(image - want).max() <= 1e-12
+        # the projection leaves the ones axis, the last row and column of
+        # Q a Q, untouched
+        for _ in range(5):
+            a = random_symmetric(rng, n)
+            moved = q @ (a - project_c1(a)) @ q
+            assert np.abs(moved[-1, :]).max() <= 1e-12 * np.linalg.norm(a)
 
 
 class TestProjectC1Moreau:

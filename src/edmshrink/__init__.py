@@ -1,59 +1,49 @@
 """Distance shrinkage estimation for Euclidean distance matrices.
 
 All distance matrices in this package hold squared Euclidean distances.
-The estimator subtracts a constant from every observed squared distance
-and projects onto the EDM cone with Dykstra's alternating projections,
-which solves the trace-penalized kernel estimation problem exactly.
+The estimator subtracts lambda/(2n) from every observed squared distance
+and projects the result once onto the EDM cone, which solves the
+trace-penalized kernel estimation problem exactly. The projection runs
+Dykstra's alternating projections between the two cones whose
+intersection is the EDM cone.
+
+``__all__`` lists the paper-facing API: the matrix types and their
+transforms and metrics, the noise model, the projection and its three-point
+analysis, the estimator with its classical-scaling baseline and penalty
+rule, and the simulation study. Building blocks such as ``project_c1``,
+``project_c2``, ``pair_stream`` and ``eigh_descending``, and the result
+types, stay importable from their modules.
 """
 
 from .core import (
     EdmMatrix,
     Embedding,
-    KernelMatrix,
     MinTraceKernel,
     SymHollowMatrix,
-    TruncationWarning,
     average_squared_loss,
     center_gram,
-    centering_matrix,
     certify_edm,
-    distances_from_kernel,
     edm_from_coords,
-    eigh_descending,
-    extract_embedding,
-    gram_matrix,
-    is_edm,
     kruskal_stress,
-    min_trace_kernel,
     similarity_to_dissimilarity,
 )
-from .noise import NoiseModel, add_noise, pair_stream
+from .noise import NoiseModel, add_noise
 from .projection import (
-    Dim3Analysis,
     DykstraConfig,
     NotConvergedError,
-    ProjectionDiagnostics,
     analyze_dim3,
-    project_c1,
-    project_c2,
     project_edm_cone,
 )
 from .shrinkage import (
-    RankTruncatedFit,
-    ShrinkageFit,
     classical_mds,
     distance_shrinkage,
     objective_value,
     recommended_lambda,
     risk_bound,
-    spectral_norm,
     truncate_rank,
 )
 from .simulate import (
-    MethodStats,
-    ReplicateRecord,
     SimConfig,
-    StressReport,
     helix_coords,
     report_csv,
     report_json,
@@ -64,52 +54,32 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EdmMatrix",
-    "Embedding",
-    "KernelMatrix",
-    "MinTraceKernel",
     "SymHollowMatrix",
-    "TruncationWarning",
-    "average_squared_loss",
+    "EdmMatrix",
+    "MinTraceKernel",
+    "Embedding",
     "center_gram",
-    "centering_matrix",
     "certify_edm",
-    "distances_from_kernel",
     "edm_from_coords",
-    "eigh_descending",
-    "extract_embedding",
-    "gram_matrix",
-    "is_edm",
-    "kruskal_stress",
-    "min_trace_kernel",
     "similarity_to_dissimilarity",
+    "kruskal_stress",
+    "average_squared_loss",
     "NoiseModel",
     "add_noise",
-    "pair_stream",
-    "Dim3Analysis",
     "DykstraConfig",
     "NotConvergedError",
-    "ProjectionDiagnostics",
-    "analyze_dim3",
-    "project_c1",
-    "project_c2",
     "project_edm_cone",
-    "RankTruncatedFit",
-    "ShrinkageFit",
-    "classical_mds",
+    "analyze_dim3",
     "distance_shrinkage",
+    "classical_mds",
+    "truncate_rank",
     "objective_value",
     "recommended_lambda",
     "risk_bound",
-    "spectral_norm",
-    "truncate_rank",
-    "MethodStats",
-    "ReplicateRecord",
     "SimConfig",
-    "StressReport",
     "helix_coords",
-    "report_csv",
-    "report_json",
-    "report_write",
     "run_experiment",
+    "report_json",
+    "report_csv",
+    "report_write",
 ]

@@ -22,7 +22,8 @@ from . import fileio
 from .core import SymHollowMatrix, similarity_to_dissimilarity
 from .noise import NoiseModel
 from .projection import DykstraConfig, NotConvergedError, analyze_dim3
-from .shrinkage import classical_mds, distance_shrinkage, truncate_rank
+from .shrinkage import (check_penalty, classical_mds, distance_shrinkage,
+                        truncate_rank)
 from .simulate import SimConfig, helix_coords, report_write, run_experiment
 
 EXIT_OK = 0
@@ -156,6 +157,8 @@ def _cmd_estimate(args) -> int:
     else:
         from .shrinkage import recommended_lambda
         penalties = [recommended_lambda(x.n, args.sigma)]
+    for lam in penalties:
+        check_penalty(lam)  # a rejected grid writes no files
     multiple = len(penalties) > 1
     for lam in penalties:
         prefix = f"{args.out}_lam{lam!r}" if multiple else args.out
@@ -179,7 +182,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError("gaussian noise requires --sigma2")
         noise = NoiseModel(kind="gaussian", sigma2=args.sigma2)
     else:
-        noise = NoiseModel(kind="gamma")
+        noise = NoiseModel(kind="gamma", sigma2=args.sigma2)
     cfg = SimConfig(reps=args.reps, seed=args.seed, noise=noise,
                     rank_r=args.rank, lam=args.lam, sigma=args.sigma,
                     dykstra=_dykstra_config(args))

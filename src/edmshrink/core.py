@@ -4,29 +4,27 @@ Every matrix of "distances" in this package holds SQUARED Euclidean
 distances: an n x n Euclidean distance matrix (EDM) D has entries
 d_ij = ||p_i - p_j||^2 for some point configuration p_1, ..., p_n.
 
-The two transforms at the heart of everything:
+Two maps connect distances and kernels (Gram matrices):
 
-  distances_from_kernel(K)  maps a Gram (kernel) matrix K to the distance
-                            matrix d_ij = k_ii + k_jj - 2 k_ij.
-  min_trace_kernel(D)       maps an EDM back to the unique minimum-trace
-                            kernel -J D J / 2, where J = I - 11^T/n.
+  d_ij = g_ii + g_jj - 2 g_ij   sends a Gram-like matrix G to distances;
+                                it backs similarity_to_dissimilarity and
+                                edm_from_coords.
+  center_gram(D) = -J D J / 2   sends an EDM to its unique minimum-trace
+                                kernel, where J = I - 11^T/n.
 
-Composing them round-trips: distances_from_kernel(min_trace_kernel(D)) == D
-for every hollow symmetric D. The minimum-trace kernel is the Gram matrix
+The first undoes the second: for every hollow symmetric D the distances of
+-J D J / 2 are D again. D is an EDM exactly when -J D J / 2 is PSD
+(Schoenberg); ``EdmMatrix`` runs that test once and keeps the kernel as
+``EdmMatrix.kernel``, a ``MinTraceKernel``. That kernel is the Gram matrix
 of the centered point configuration realizing D and has the all-ones
 vector in its null space.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class TruncationWarning(UserWarning):
-    """Raised when an eigen-truncation discards non-negligible spectrum."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +49,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Exactly symmetric part (a + a.T) / 2."""
     return (a + a.T) / 2.0
-
-
-def centering_matrix(n: int) -> np.ndarray:
-    """J = I - 11^T/n, the projector onto the complement of the ones vector."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
 def center_gram(d: np.ndarray) -> np.ndarray:
@@ -151,11 +144,15 @@ def _psd_rank(vals: np.ndarray, tol: float) -> tuple[bool, int]:
 
 
 @dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetric positive semidefinite (Gram) matrix.
+class MinTraceKernel:
+    """Kernel with the smallest trace among all kernels sharing its EDM.
 
-    ``rank`` counts the eigenvalues above ``psd_tol`` times the largest,
-    from the same spectrum that the PSD test reads.
+    Equivalently the Gram matrix of a centered configuration: a symmetric
+    PSD matrix with the all-ones vector in its null space, K 1 = 0. Both
+    conditions are checked at ``psd_tol``, relative to the largest
+    eigenvalue and to the trace. ``rank`` counts the eigenvalues above
+    ``psd_tol`` times the largest, from the same spectrum that the PSD
+    test reads.
     """
 
     entries: np.ndarray
@@ -174,6 +171,12 @@ class KernelMatrix:
             raise ValueError(
                 f"matrix is not PSD within tolerance: min eigenvalue "
                 f"{vals[0]:.3e} vs largest {vals[-1]:.3e}")
+        row_sums = np.abs(a.sum(axis=1))
+        tr = float(np.trace(a))
+        if row_sums.size and row_sums.max() > self.psd_tol * max(tr, 0.0):
+            raise ValueError(
+                f"row sums not zero: max |K 1| = {row_sums.max():.3e} "
+                f"vs trace {tr:.3e}")
         object.__setattr__(self, "entries", _frozen(a))
         object.__setattr__(self, "rank", rank)
 
@@ -183,24 +186,6 @@ class KernelMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries))
-
-
-@dataclass(frozen=True)
-class MinTraceKernel(KernelMatrix):
-    """Kernel with the smallest trace among all kernels sharing its EDM.
-
-    Equivalently the Gram matrix of a centered configuration: the all-ones
-    vector lies in the null space, K 1 = 0.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        row_sums = np.abs(self.entries.sum(axis=1))
-        tr = self.trace()
-        if row_sums.size and row_sums.max() > self.psd_tol * max(tr, 0.0):
-            raise ValueError(
-                f"row sums not zero: max |K 1| = {row_sums.max():.3e} "
-                f"vs trace {tr:.3e}")
 
 
 @dataclass(frozen=True)
@@ -284,98 +269,31 @@ class EdmMatrix:
 # transforms
 # ---------------------------------------------------------------------------
 
-def distances_from_kernel(k: KernelMatrix) -> SymHollowMatrix:
-    """Squared distances d_ij = k_ii + k_jj - 2 k_ij implied by a kernel.
-
-    Total on symmetric input; when the kernel is PSD the result is an EDM.
-    """
-    a = k.entries
-    diag = a.diagonal()
-    d = diag[:, None] + diag[None, :] - 2.0 * a
-    d = symmetrize(d)
+def _distances_from_gram(g: np.ndarray) -> np.ndarray:
+    """Squared distances d_ij = g_ii + g_jj - 2 g_ij, exactly symmetric and
+    hollow."""
+    diag = g.diagonal()
+    d = symmetrize(diag[:, None] + diag[None, :] - 2.0 * g)
     np.fill_diagonal(d, 0.0)
-    return SymHollowMatrix(d)
+    return d
 
 
 def similarity_to_dissimilarity(s) -> SymHollowMatrix:
     """Convert a symmetric similarity matrix to dissimilarity scores.
 
-    x_ij = s_ii + s_jj - 2 s_ij. Unlike :func:`distances_from_kernel`,
-    no PSD requirement: the output need not be an EDM (alignment-score
-    matrices typically are not).
+    x_ij = s_ii + s_jj - 2 s_ij. No PSD requirement: the output is an EDM
+    exactly when ``s`` is PSD on the complement of the ones vector, and
+    alignment-score matrices typically are not.
     """
     a = _as_square(s)
     if not np.array_equal(a, a.T):
         raise ValueError("similarity matrix must be symmetric")
-    diag = a.diagonal()
-    x = diag[:, None] + diag[None, :] - 2.0 * a
-    x = symmetrize(x)
-    np.fill_diagonal(x, 0.0)
-    return SymHollowMatrix(x)
-
-
-def is_edm(m: SymHollowMatrix, tol: float = 1e-8) -> tuple[bool, int]:
-    """Test EDM membership and report the embedding dimension.
-
-    Parameters
-    ----------
-    m : SymHollowMatrix
-        Candidate matrix of squared distances.
-    tol : float
-        Relative eigenvalue tolerance: membership requires every
-        eigenvalue of -J m J / 2 to be >= -tol * (largest eigenvalue).
-
-    Returns
-    -------
-    (bool, int)
-        Membership flag and the rank of -J m J / 2 at the same threshold
-        (meaningful as an embedding dimension only when the flag is true).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _psd_rank(np.linalg.eigvalsh(center_gram(m.entries)), tol)
+    return SymHollowMatrix(_distances_from_gram(a))
 
 
 def certify_edm(m: SymHollowMatrix, tol: float = 1e-8) -> EdmMatrix:
     """Wrap a hollow symmetric matrix as an EdmMatrix, or raise ValueError."""
     return EdmMatrix(base=m, cert_tol=tol)
-
-
-def min_trace_kernel(d: EdmMatrix) -> MinTraceKernel:
-    """The unique minimum-trace kernel -J D J / 2 realizing an EDM.
-
-    The result is PSD with zero row sums, and
-    distances_from_kernel(min_trace_kernel(D)) reproduces D. It is the
-    kernel that certified ``d``, so no spectrum is computed here.
-    """
-    return d.kernel
-
-
-def extract_embedding(k: MinTraceKernel, r: int, tol: float = 1e-8) -> Embedding:
-    """Coordinates from the top-r eigenpairs of a minimum-trace kernel.
-
-    coords = U_r diag(sqrt(g_1), ..., sqrt(g_r)) with eigenvalues sorted
-    descending and negative eigenvalues clipped to zero. Warns (without
-    failing) when the discarded eigenvalue g_{r+1} exceeds tol * g_1,
-    signaling truncation error.
-    """
-    n = k.n
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
-    vals, vecs = eigh_descending(k.entries)
-    if vals[0] > 0 and r < n and vals[r] > tol * vals[0]:
-        warnings.warn(
-            f"truncation to rank {r} discards eigenvalue {vals[r]:.3e} "
-            f"(> {tol:.1e} of the leading {vals[0]:.3e})",
-            TruncationWarning, stacklevel=2)
-    coords = vecs[:, :r] * np.sqrt(np.clip(vals[:r], 0.0, None))
-    return Embedding.from_points(coords)
-
-
-def gram_matrix(e: Embedding) -> MinTraceKernel:
-    """Gram matrix P P^T of a centered embedding (a minimum-trace kernel)."""
-    k = symmetrize(e.coords @ e.coords.T)
-    return MinTraceKernel(entries=k, psd_tol=1e-8)
 
 
 def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
@@ -387,12 +305,8 @@ def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
     coords = p.coords if isinstance(p, Embedding) else np.asarray(p, dtype=float)
     if coords.ndim != 2:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
-    g = coords @ coords.T
-    sq = g.diagonal()
-    d = sq[:, None] + sq[None, :] - 2.0 * g
-    d = symmetrize(d)
+    d = _distances_from_gram(coords @ coords.T)
     np.clip(d, 0.0, None, out=d)  # roundoff can leave tiny negatives
-    np.fill_diagonal(d, 0.0)
     return certify_edm(SymHollowMatrix(d), cert_tol)
 
 

@@ -38,8 +38,10 @@ class NoiseModel:
         if self.kind not in ("gaussian", "gamma"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.sigma2 is None or self.sigma2 < 0:
-                raise ValueError("gaussian noise requires sigma2 >= 0")
+            if self.sigma2 is None or not (np.isfinite(self.sigma2)
+                                           and self.sigma2 >= 0):
+                raise ValueError("gaussian noise requires a finite sigma2 >= 0, "
+                                 f"got {self.sigma2!r}")
         elif self.sigma2 is not None:
             raise ValueError("gamma noise takes no parameter")
 

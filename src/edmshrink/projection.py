@@ -13,9 +13,14 @@ positive spectrum (Hayden and Wells, Linear Algebra Appl. 109, 1988):
 
   Pi_C1(A) = A - Pi_PSD(J A J),   with J A J = -2 center_gram(A).
 
-Dykstra's alternating projection algorithm, with its correction
-increments, combines the two into the exact projection onto the
-intersection (plain alternation would only find some point in it).
+Dykstra's alternating projection algorithm combines the two into the
+exact projection onto the intersection (plain alternation would only find
+some point in it). It carries a correction increment for C1 only. C2 is a
+linear subspace, and the increment Dykstra would keep for it, the part of
+the iterate that the C2 projection removes, is a diagonal matrix, which
+lies in the orthogonal complement of C2. Adding it back before the next C2
+projection changes only the diagonal that projection zeroes, so it never
+alters an iterate (Boyle and Dykstra, 1986; Gaffke and Mathar, 1989).
 """
 
 from __future__ import annotations
@@ -88,11 +93,12 @@ class ProjectionDiagnostics:
 def project_c1(a) -> np.ndarray:
     """Projection onto C1 = { M : J M J negative semidefinite }.
 
-    Subtracts the positive part of J a J from the symmetrized input: the
-    eigenpairs of J a J = -2 center_gram(a) with positive eigenvalues are
-    exactly what violates the constraint.
+    Subtracts the positive part of J a J from the input and symmetrizes:
+    the eigenpairs of J a J = -2 center_gram(a) with positive eigenvalues
+    are exactly what violates the constraint. ``center_gram`` validates
+    ``a`` and symmetrizes its own result, so an asymmetric input projects
+    as its symmetric part does.
     """
-    a = symmetrize(_as_square(a))
     vals, vecs = np.linalg.eigh(-2.0 * center_gram(a))
     return symmetrize(a - (vecs * np.maximum(vals, 0.0)) @ vecs.T)
 
@@ -115,8 +121,12 @@ def project_edm_cone(
     """Frobenius-nearest Euclidean distance matrix to a symmetric input.
 
     Runs Dykstra's alternating projections between C1 and C2, keeping the
-    correction increments that make the limit the true projection onto the
-    intersection. A cycle applies the C1 projection then the C2 projection;
+    correction increment of C1 that makes the limit the true projection
+    onto the intersection. C2, the hollow matrices, is a linear subspace
+    and needs no increment (see the module docstring). A cycle is
+
+        s = Pi_C1(x + p),   p = x + p - s,   x = Pi_C2(s);
+
     iteration stops once the cycle-to-cycle change is below
     tol * max(1, ||a||_F) and both feasibility residuals are below
     feas_tol, or raises :class:`NotConvergedError` at max_cycles.
@@ -147,7 +157,6 @@ def project_edm_cone(
 
     x = a.copy()
     p = np.zeros_like(a)
-    q_inc = np.zeros_like(a)
     delta = np.inf
     converged = False
     cycles = 0
@@ -155,8 +164,7 @@ def project_edm_cone(
     for cycles in range(1, cfg.max_cycles + 1):
         s = project_c1(x + p)
         p = x + p - s
-        x_new = project_c2(s + q_inc)
-        q_inc = s + q_inc - x_new
+        x_new = project_c2(s)
         delta = float(np.linalg.norm(x_new - x))
         x = x_new
         if delta <= cfg.tol * scale:

@@ -24,7 +24,6 @@ from .core import (
     center_gram,
     edm_from_coords,
     eigh_descending,
-    min_trace_kernel,
 )
 from .projection import DykstraConfig, ProjectionDiagnostics, project_edm_cone
 
@@ -66,6 +65,12 @@ class RankTruncatedFit:
             raise ValueError("embedding must have exactly r columns")
 
 
+def check_penalty(lam: float) -> None:
+    """Raise ValueError unless the penalty ``lam`` is finite and >= 0."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
+
+
 def distance_shrinkage(
     x: SymHollowMatrix, lam: float, cfg: DykstraConfig | None = None
 ) -> ShrinkageFit:
@@ -76,17 +81,17 @@ def distance_shrinkage(
     is projected onto the EDM cone. The fit minimizes
     (1/2)||X - M||_F^2 + lam * trace(-J M J / 2) over EDMs M.
 
-    Raises NotConvergedError if the projection does not converge.
+    Raises ValueError for a penalty that is negative or not finite, and
+    NotConvergedError if the projection does not converge.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_penalty(lam)
     n = x.n
     eta = lam / (2 * n)
     shrunk = x.entries - eta * (1.0 - np.eye(n))
     d_hat, diag = project_edm_cone(shrunk, cfg)
     return ShrinkageFit(
         d_hat=d_hat,
-        k_hat=min_trace_kernel(d_hat),
+        k_hat=d_hat.kernel,
         lam=lam,
         eta=eta,
         diagnostics=diag,
@@ -109,8 +114,8 @@ def recommended_lambda(n: int, sigma: float) -> float:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     return 4.0 * sigma * (np.sqrt(n) + 1.0)
 
 
@@ -166,8 +171,3 @@ def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
     if not 1 <= r <= n - 1:
         raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
     return _rank_r_fit(center_gram(x.entries), r)
-
-
-def spectral_norm(a) -> float:
-    """Spectral norm of a symmetric matrix: its largest |eigenvalue|."""
-    return float(np.abs(np.linalg.eigvalsh(np.asarray(a, dtype=float))).max())

@@ -11,6 +11,16 @@ import pytest
 from edmshrink import EdmMatrix, SymHollowMatrix, edm_from_coords
 
 
+def centering(n):
+    """J = I - 11^T/n, the projector onto the complement of the ones vector."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def spectral_norm(a):
+    """||a||_2 of a symmetric matrix: its largest |eigenvalue|."""
+    return float(np.abs(np.linalg.eigvalsh(a)).max())
+
+
 def random_cloud(rng, n, k, scale=1.0):
     """Centered Gaussian points, the oracle generator for exact EDMs."""
     p = rng.normal(scale=scale, size=(n, k))

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from edmshrink import (
-    KernelMatrix,
     NoiseModel,
     SimConfig,
     SymHollowMatrix,
@@ -26,16 +25,15 @@ from edmshrink import (
     center_gram,
     certify_edm,
     distance_shrinkage,
-    distances_from_kernel,
     edm_from_coords,
     fileio,
     helix_coords,
-    min_trace_kernel,
     objective_value,
     project_edm_cone,
     recommended_lambda,
     risk_bound,
     run_experiment,
+    similarity_to_dissimilarity,
     truncate_rank,
 )
 
@@ -142,7 +140,7 @@ def test_criterion_03_minimum_trace():
             k = int(rng.integers(1, 4))
             p = centered_cloud(rng, n, k)
             d = edm_from_coords(p)
-            t0 = min_trace_kernel(d).trace()
+            t0 = d.kernel.trace()
             for _ in range(100):
                 c = rng.normal(scale=rng.uniform(0.0, 3.0), size=k)
                 shifted = p + c[None, :]
@@ -154,8 +152,7 @@ def test_criterion_03_minimum_trace():
             a = rng.normal(size=(n, n))
             m = a @ a.T
             m = (m + m.T) / 2.0
-            d = certify_edm(distances_from_kernel(KernelMatrix(m, psd_tol=1e-6)))
-            got = min_trace_kernel(d).trace()
+            got = certify_edm(similarity_to_dissimilarity(m)).kernel.trace()
             want = np.trace(m) - m.sum() / n
             assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
 

@@ -1,0 +1,38 @@
+"""The public surface: every exported name resolves, and every function the
+benchmark's tracer patches by name still exists and runs on the fit path."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import edmshrink
+from edmshrink import shrinkage
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "edmbench"))
+import tracing  # noqa: E402
+
+from conftest import random_hollow  # noqa: E402
+
+
+def test_all_names_resolve():
+    assert len(set(edmshrink.__all__)) == len(edmshrink.__all__)
+    for name in edmshrink.__all__:
+        assert hasattr(edmshrink, name), name
+
+
+@pytest.mark.parametrize("make", [tracing.Tracer, tracing.EigCounter])
+def test_benchmark_patches_install(make):
+    make().install().close()
+
+
+def test_fit_path_calls_traced_names(rng):
+    tracer = tracing.Tracer()
+    with tracer.install():
+        fit = shrinkage.distance_shrinkage(random_hollow(rng, 6), 0.5)
+        shrinkage.truncate_rank(fit, 2)
+    seen = set(tracer.totals())
+    for name in ("shrinkage.distance_shrinkage", "shrinkage.truncate_rank",
+                 "projection.project_edm_cone", "projection.project_c1",
+                 "core.certify_edm", "core.center_gram", "linalg.eigh"):
+        assert name in seen, name

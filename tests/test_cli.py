@@ -64,6 +64,15 @@ class TestEstimate:
         assert code == 2
         assert not list(tmp_path.glob("f*"))
 
+    @pytest.mark.parametrize("grid", ["1.0,nan", "1.0,inf", "1.0,-1"])
+    def test_lambda_grid_rejects_bad_penalty_before_any_fit(
+            self, noisy_matrix, tmp_path, capsys, grid):
+        code = main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda-grid", grid, "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert "lam must be finite and nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.glob("f*"))
+
     def test_needs_exactly_one_penalty(self, noisy_matrix, tmp_path):
         code = main(["estimate", "--input", str(noisy_matrix),
                      "--out", str(tmp_path / "f")])
@@ -128,6 +137,12 @@ class TestSimulate:
         code = main(["simulate", "--helix", "5", "--input", "x.csv",
                      "--sigma2", "0.1", "--sigma", "0.3"])
         assert code == 2
+
+    def test_gamma_rejects_sigma2(self, capsys):
+        code = main(["simulate", "--helix", "5", "--noise", "gamma",
+                     "--sigma2", "0.1", "--sigma", "0.3", "--reps", "1"])
+        assert code == 2
+        assert "gamma noise takes no parameter" in capsys.readouterr().err
 
     def test_gaussian_requires_sigma2(self):
         code = main(["simulate", "--helix", "5", "--sigma", "0.3"])

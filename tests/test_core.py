@@ -5,25 +5,18 @@ import pytest
 
 from edmshrink import (
     Embedding,
-    KernelMatrix,
     MinTraceKernel,
     SymHollowMatrix,
-    TruncationWarning,
     average_squared_loss,
-    centering_matrix,
     certify_edm,
-    distances_from_kernel,
+    classical_mds,
     edm_from_coords,
-    eigh_descending,
-    extract_embedding,
-    gram_matrix,
-    is_edm,
     kruskal_stress,
-    min_trace_kernel,
     similarity_to_dissimilarity,
 )
+from edmshrink.core import eigh_descending
 
-from conftest import random_cloud, random_edm, random_hollow
+from conftest import centering, random_cloud, random_edm, random_hollow
 
 
 def hollow(rows) -> SymHollowMatrix:
@@ -64,7 +57,7 @@ class TestTypes:
 
     def test_kernel_rejects_indefinite(self):
         with pytest.raises(ValueError, match="PSD"):
-            KernelMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            MinTraceKernel(np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
     def test_min_trace_rejects_uncentered(self):
         with pytest.raises(ValueError, match="row sums"):
@@ -78,35 +71,36 @@ class TestTypes:
 
 
 class TestDistancesFromKernel:
+    """d_ij = k_ii + k_jj - 2 k_ij on kernels, the one distance formula."""
+
     def test_identity_kernel(self):
-        out = distances_from_kernel(KernelMatrix(np.eye(2)))
+        out = similarity_to_dissimilarity(np.eye(2))
         assert np.array_equal(out.entries, [[0.0, 2.0], [2.0, 0.0]])
 
     def test_rank_one_kernel(self):
-        k = KernelMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert np.array_equal(distances_from_kernel(k).entries,
+        k = MinTraceKernel(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.array_equal(similarity_to_dissimilarity(k.entries).entries,
                               [[0.0, 4.0], [4.0, 0.0]])
 
     def test_zero_kernel(self):
-        out = distances_from_kernel(KernelMatrix(np.zeros((3, 3))))
+        out = similarity_to_dissimilarity(np.zeros((3, 3)))
         assert np.array_equal(out.entries, np.zeros((3, 3)))
 
 
 class TestMinTraceKernel:
     def test_two_point_value(self):
         # direct evaluation of -J D J / 2 by hand
-        d = certify_edm(hollow([[0, 4], [4, 0]]))
-        k = min_trace_kernel(d)
+        k = certify_edm(hollow([[0, 4], [4, 0]])).kernel
         assert np.allclose(k.entries, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
 
     def test_zero_matrix(self):
         d = certify_edm(hollow([[0, 0], [0, 0]]))
-        assert np.array_equal(min_trace_kernel(d).entries, np.zeros((2, 2)))
+        assert np.array_equal(d.kernel.entries, np.zeros((2, 2)))
 
     def test_equilateral_is_half_centering(self):
         # J D0 J = -J so the kernel is J/2: diagonal 1/3, off-diagonal -1/6
-        k = min_trace_kernel(certify_edm(D0_3))
-        assert np.allclose(k.entries, centering_matrix(3) / 2.0, atol=1e-14)
+        k = certify_edm(D0_3).kernel
+        assert np.allclose(k.entries, centering(3) / 2.0, atol=1e-14)
         assert k.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_reproduces_edm(self, rng):
@@ -114,14 +108,14 @@ class TestMinTraceKernel:
             n = int(rng.integers(2, 12))
             k = int(rng.integers(1, min(n, 5)))
             d = random_edm(rng, n, k)
-            back = distances_from_kernel(min_trace_kernel(d))
+            back = similarity_to_dissimilarity(d.kernel.entries)
             assert np.allclose(back.entries, d.entries,
                                rtol=1e-10, atol=1e-12 * d.entries.max())
 
     def test_null_vector_property(self, rng):
         for _ in range(20):
             d = random_edm(rng, int(rng.integers(3, 15)), 3)
-            k = min_trace_kernel(d)
+            k = d.kernel
             assert np.abs(k.entries.sum(axis=1)).max() <= 1e-10 * k.trace()
 
     def test_minimum_trace_among_preimage(self, rng):
@@ -130,14 +124,13 @@ class TestMinTraceKernel:
             n = int(rng.integers(3, 10))
             p = random_cloud(rng, n, 3)
             d = edm_from_coords(p)
-            t0 = min_trace_kernel(d).trace()
+            t0 = d.kernel.trace()
             for _ in range(20):
                 c = rng.normal(size=3)
                 shifted = p + c[None, :]
                 m = shifted @ shifted.T
                 assert np.allclose(
-                    distances_from_kernel(KernelMatrix(((m + m.T) / 2),
-                                                       psd_tol=1e-6)).entries,
+                    similarity_to_dissimilarity((m + m.T) / 2).entries,
                     d.entries, rtol=1e-8, atol=1e-10)
                 slack = np.trace(m) - t0
                 assert slack >= -1e-10 * max(t0, 1.0)
@@ -151,29 +144,28 @@ class TestMinTraceKernel:
             a = rng.normal(size=(n, n))
             m = a @ a.T
             m = (m + m.T) / 2.0
-            d = certify_edm(distances_from_kernel(KernelMatrix(m, psd_tol=1e-6)))
-            got = min_trace_kernel(d).trace()
+            got = certify_edm(similarity_to_dissimilarity(m)).kernel.trace()
             want = np.trace(m) - m.sum() / n
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 class TestIsEdm:
+    """The Schoenberg test as certify_edm runs it: membership by raising,
+    the embedding dimension as ``embed_dim``."""
+
     def test_two_points(self):
-        ok, dim = is_edm(hollow([[0, 1], [1, 0]]))
-        assert ok and dim == 1
+        assert certify_edm(hollow([[0, 1], [1, 0]])).embed_dim == 1
 
     def test_triangle_violator(self):
         # alpha2 = (12 - 18)/3 = -2 < 0
-        ok, _ = is_edm(hollow([[0, 1, 10], [1, 0, 1], [10, 1, 0]]))
-        assert not ok
+        with pytest.raises(ValueError, match="not an EDM"):
+            certify_edm(hollow([[0, 1, 10], [1, 0, 1], [10, 1, 0]]))
 
     def test_equilateral(self):
-        ok, dim = is_edm(D0_3)
-        assert ok and dim == 2
+        assert certify_edm(D0_3).embed_dim == 2
 
     def test_zero_matrix_dimension_zero(self):
-        ok, dim = is_edm(hollow(np.zeros((4, 4))))
-        assert ok and dim == 0
+        assert certify_edm(hollow(np.zeros((4, 4)))).embed_dim == 0
 
     def test_line_of_three(self):
         d = edm_from_coords(np.array([[0.0], [1.0], [2.0]]))
@@ -184,29 +176,26 @@ class TestIsEdm:
 
 
 class TestEmbeddingExtraction:
+    """Coordinates from the top eigenpairs of a minimum-trace kernel, as
+    classical_mds extracts them from an EDM."""
+
     def test_two_point_coords(self):
-        k = MinTraceKernel(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        e = extract_embedding(k, 1)
-        # eigenpair (2, (1,-1)/sqrt(2)): coordinates are +-1 up to sign
+        # kernel [[1, -1], [-1, 1]], eigenpair (2, (1,-1)/sqrt(2)):
+        # coordinates are +-1 up to sign
+        e = classical_mds(hollow([[0, 4], [4, 0]]), 1).embedding
         assert np.allclose(np.abs(e.coords.ravel()), [1.0, 1.0])
         assert e.coords[0, 0] * e.coords[1, 0] == pytest.approx(-1.0)
 
     def test_zero_kernel(self):
-        e = extract_embedding(MinTraceKernel(np.zeros((3, 3))), 2)
+        e = classical_mds(hollow(np.zeros((3, 3))), 2).embedding
         assert np.array_equal(e.coords, np.zeros((3, 2)))
-
-    def test_truncation_warns(self, rng):
-        d = random_edm(rng, 8, 3)
-        k = min_trace_kernel(d)
-        with pytest.warns(TruncationWarning):
-            extract_embedding(k, 1)
 
     def test_full_rank_round_trip(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 12))
             d = random_edm(rng, n, int(rng.integers(1, 4)))
-            e = extract_embedding(min_trace_kernel(d), n - 1)
-            back = distances_from_kernel(gram_matrix(e))
+            e = classical_mds(d.base, n - 1).embedding
+            back = edm_from_coords(e)
             assert np.allclose(back.entries, d.entries,
                                rtol=1e-8, atol=1e-10 * max(d.entries.max(), 1))
 
@@ -285,14 +274,13 @@ class TestSimilarityConversion:
     def test_psd_similarity_gives_edm(self, rng):
         a = rng.normal(size=(6, 4))
         s = a @ a.T
-        ok, _ = is_edm(similarity_to_dissimilarity((s + s.T) / 2.0))
-        assert ok
+        certify_edm(similarity_to_dissimilarity((s + s.T) / 2.0))
 
     def test_non_psd_similarity_need_not_be_edm(self):
         s = np.array([[0.0, 4.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         x = similarity_to_dissimilarity(s)
-        ok, _ = is_edm(x)
-        assert not ok
+        with pytest.raises(ValueError):
+            certify_edm(x)
 
 
 class TestEighContract:

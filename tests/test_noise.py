@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from edmshrink import NoiseModel, SymHollowMatrix, add_noise, certify_edm, pair_stream
+from edmshrink import NoiseModel, SymHollowMatrix, add_noise, certify_edm
+from edmshrink.noise import pair_stream
 
 from conftest import random_edm
 
@@ -19,6 +20,9 @@ class TestNoiseModel:
             NoiseModel("gaussian")
         with pytest.raises(ValueError):
             NoiseModel("gaussian", -1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma2"):
+                NoiseModel("gaussian", bad)
 
     def test_gamma_takes_no_parameter(self):
         with pytest.raises(ValueError):

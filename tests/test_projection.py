@@ -9,14 +9,12 @@ from edmshrink import (
     SymHollowMatrix,
     analyze_dim3,
     center_gram,
-    centering_matrix,
     certify_edm,
-    project_c1,
-    project_c2,
     project_edm_cone,
 )
+from edmshrink.projection import project_c1, project_c2
 
-from conftest import random_edm, random_hollow
+from conftest import centering, random_edm, random_hollow
 
 
 def hollow(rows) -> SymHollowMatrix:
@@ -103,7 +101,7 @@ class TestProjectC1Moreau:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
     def test_decomposition(self, rng, n):
-        j = centering_matrix(n)
+        j = centering(n)
         for _ in range(5):
             a = rng.normal(size=(n, n), scale=3.0)
             a = (a + a.T) / 2
@@ -124,12 +122,12 @@ class TestProjectC1:
 
     def test_centering_matrix_clips_to_zero_block(self):
         # Q J Q has identity leading block, which is clipped entirely
-        out = project_c1(centering_matrix(3))
-        jj = centering_matrix(3)
+        out = project_c1(centering(3))
+        jj = centering(3)
         assert np.abs(jj @ out @ jj).max() <= 1e-12
 
     def test_negative_centering_unchanged(self):
-        j = centering_matrix(3)
+        j = centering(3)
         assert np.abs(project_c1(-j) - (-j)).max() <= 1e-12
 
     def test_idempotent(self, rng):
@@ -144,7 +142,7 @@ class TestProjectC1:
             n = int(rng.integers(2, 12))
             a = rng.normal(size=(n, n), scale=3.0)
             out = project_c1(a)
-            j = centering_matrix(n)
+            j = centering(n)
             vals = np.linalg.eigvalsh((j @ out @ j + (j @ out @ j).T) / 2)
             assert vals[-1] <= 1e-10 * max(np.abs(vals).max(), 1.0)
 
@@ -269,7 +267,7 @@ class TestDim3Analysis:
             assert a.eta_to_dim1 <= a.eta_to_dim0
             # alphas are the eigenvalues of -J X J on the centered plane:
             # drop the eigenpair along the ones vector
-            j = centering_matrix(3)
+            j = centering(3)
             vals, vecs = np.linalg.eigh(-(j @ x.entries @ j))
             ones_axis = np.argmax(np.abs(vecs.sum(axis=0)))
             vals = np.delete(vals, ones_axis)

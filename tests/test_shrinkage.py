@@ -16,17 +16,16 @@ from edmshrink import (
     certify_edm,
     classical_mds,
     distance_shrinkage,
-    distances_from_kernel,
     edm_from_coords,
-    min_trace_kernel,
+    helix_coords,
     objective_value,
     recommended_lambda,
     risk_bound,
-    spectral_norm,
+    similarity_to_dissimilarity,
     truncate_rank,
 )
 
-from conftest import random_cloud, random_edm, random_hollow
+from conftest import random_cloud, random_edm, random_hollow, spectral_norm
 
 
 def hollow(rows) -> SymHollowMatrix:
@@ -61,17 +60,22 @@ class TestDistanceShrinkage:
         with pytest.raises(ValueError):
             distance_shrinkage(random_hollow(rng, 4), -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rejects_non_finite_penalty(self, rng, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            distance_shrinkage(random_hollow(rng, 4), lam)
+
     def test_fit_internal_consistency(self, rng):
         for _ in range(5):
             x = random_hollow(rng, 8, scale=2.0)
             lam = float(rng.uniform(0.0, 5.0))
             fit = distance_shrinkage(x, lam)
             assert fit.eta == lam / 16.0
-            back = distances_from_kernel(fit.k_hat)
+            back = similarity_to_dissimilarity(fit.k_hat.entries)
             scale = max(np.abs(fit.d_hat.entries).max(), 1e-12)
             assert np.abs(back.entries - fit.d_hat.entries).max() <= 1e-10 * scale
             assert np.allclose(fit.k_hat.entries,
-                               min_trace_kernel(fit.d_hat).entries, atol=1e-14)
+                               center_gram(fit.d_hat.entries), atol=1e-14)
 
     def test_kernel_row_sums_vanish(self, rng):
         for _ in range(5):
@@ -80,6 +84,34 @@ class TestDistanceShrinkage:
             tr = fit.k_hat.trace()
             if tr > 0:
                 assert np.abs(fit.k_hat.entries.sum(axis=1)).max() <= 1e-9 * tr
+
+
+class TestPermutationEquivariance:
+    """Relabelling the objects relabels the fit: the fit of P X P^T is
+    P D_hat P^T, with the same embedding dimension."""
+
+    @staticmethod
+    def assert_equivariant(x, lam, rng):
+        fit = distance_shrinkage(x, lam)
+        for _ in range(2):
+            p = rng.permutation(x.n)
+            moved = distance_shrinkage(
+                SymHollowMatrix(x.entries[np.ix_(p, p)]), lam)
+            want = fit.d_hat.entries[np.ix_(p, p)]
+            err = np.linalg.norm(moved.d_hat.entries - want)
+            assert err <= 1e-9 * np.linalg.norm(want)
+            assert moved.d_hat.embed_dim == fit.d_hat.embed_dim
+
+    def test_random_hollow(self, rng):
+        for n in (5, 12, 30):
+            self.assert_equivariant(random_hollow(rng, n, scale=2.0),
+                                    float(rng.uniform(0.0, 3.0)), rng)
+
+    def test_noisy_helix(self, rng):
+        n, sigma2 = 40, 0.25
+        d = edm_from_coords(helix_coords(n))
+        x = add_noise(d, NoiseModel("gaussian", sigma2), seed=0)
+        self.assert_equivariant(x, recommended_lambda(n, np.sqrt(sigma2)), rng)
 
 
 class TestObjective:
@@ -135,6 +167,9 @@ class TestPenaltyAndBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             recommended_lambda(1, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                recommended_lambda(10, bad)
         with pytest.raises(ValueError):
             risk_bound(10, -1.0, 2)
 
@@ -153,11 +188,11 @@ class TestTruncateRank:
         u2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6)
         k = 3 * np.outer(u1, u1) + np.outer(u2, u2)
         k = (k + k.T) / 2
-        d = certify_edm(distances_from_kernel(MinTraceKernel(k)))
+        d = certify_edm(similarity_to_dissimilarity(MinTraceKernel(k).entries))
         fit = distance_shrinkage(d.base, 0.0)
         tr = truncate_rank(fit, 1)
-        want = distances_from_kernel(MinTraceKernel(
-            (lambda a: (a + a.T) / 2)(3 * np.outer(u1, u1))))
+        want = similarity_to_dissimilarity(MinTraceKernel(
+            (lambda a: (a + a.T) / 2)(3 * np.outer(u1, u1))).entries)
         assert np.allclose(tr.d_hat_r.entries, want.entries, atol=1e-7)
 
     def test_embedding_reproduces_truncated_edm(self, rng):
@@ -252,19 +287,6 @@ class TestEigensolverCalls:
         with eig_counts() as calls:
             classical_mds(x, 3)
         assert calls == {"eigh": 1, "eigvalsh": 1}
-
-
-class TestSpectralNorm:
-    def test_matches_eigh(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 30))
-            a = rng.normal(size=(n, n))
-            a = (a + a.T) / 2
-            want = np.abs(np.linalg.eigvalsh(a)).max()
-            assert spectral_norm(a) == pytest.approx(want, rel=1e-4)
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
 class TestShrinkagePath:

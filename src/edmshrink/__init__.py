@@ -3,9 +3,9 @@
 All distance matrices in this package hold squared Euclidean distances.
 The estimator subtracts lambda/(2n) from every observed squared distance
 and projects the result once onto the EDM cone, which solves the
-trace-penalized kernel estimation problem exactly. The projection runs
-Dykstra's alternating projections between the two cones whose
-intersection is the EDM cone.
+trace-penalized kernel estimation problem exactly. The projection solves
+its n-dimensional dual, one multiplier per diagonal entry, by a
+semismooth Newton method.
 
 ``__all__`` lists the paper-facing API: the matrix types and their
 transforms and metrics, the noise model, the projection and its three-point

@@ -31,11 +31,15 @@ EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _add_dykstra_args(p: argparse.ArgumentParser) -> None:
+def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="relative convergence tolerance (default 1e-9)")
+                   help="bound on the norm of the dual gradient of the EDM "
+                        "projection, relative to max(1, ||input||_F) "
+                        "(default 1e-9)")
     p.add_argument("--max-cycles", type=int, default=5000,
-                   help="Dykstra cycle limit (default 5000)")
+                   help="limit on the dual evaluations of the EDM "
+                        "projection, one eigendecomposition each "
+                        "(default 5000)")
     p.add_argument("--feas-tol", type=float, default=1e-7,
                    help="feasibility residual tolerance (default 1e-7)")
 
@@ -67,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "and writes one output set per value, suffixed "
                           "_lam<value> in Python's shortest round-trip form")
     _add_penalty_args(est, required=False)
-    _add_dykstra_args(est)
+    _add_solver_args(est)
 
     sim = sub.add_parser("simulate", help="replicated noise experiment")
     sim.add_argument("--input", help="coordinate file of the true structure")
@@ -90,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="report path (stdout when omitted)")
     sim.add_argument("--out-format", choices=("csv", "json"), default="json")
     _add_penalty_args(sim)
-    _add_dykstra_args(sim)
+    _add_solver_args(sim)
 
     mds = sub.add_parser("mds", help="classical-scaling baseline only")
     mds.add_argument("--input", required=True, help="square dissimilarity CSV")
@@ -110,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dykstra_config(args) -> DykstraConfig:
+def _solver_config(args) -> DykstraConfig:
     return DykstraConfig(tol=args.tol, max_cycles=args.max_cycles,
                          feas_tol=args.feas_tol)
 
@@ -147,7 +151,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError("give exactly one of --lambda, --sigma or "
                          "--lambda-grid")
     x = fileio.load_dissimilarity(args.input)
-    cfg = _dykstra_config(args)
+    cfg = _solver_config(args)
     if args.lambda_grid is not None:
         penalties = [float(tok) for tok in args.lambda_grid.split(",")]
         if len(set(penalties)) != len(penalties):
@@ -185,7 +189,7 @@ def _cmd_simulate(args) -> int:
         noise = NoiseModel(kind="gamma", sigma2=args.sigma2)
     cfg = SimConfig(reps=args.reps, seed=args.seed, noise=noise,
                     rank_r=args.rank, lam=args.lam, sigma=args.sigma,
-                    dykstra=_dykstra_config(args))
+                    dykstra=_solver_config(args))
     report = run_experiment(coords, cfg)
     if args.out:
         report_write(report, args.out, args.out_format)

@@ -6,21 +6,31 @@ matrices:
   C1 = { M : J M J is negative semidefinite },  J = I - 11^T/n
   C2 = { M : diag(M) = 0 }
 
-Both admit closed-form projections. C2 zeroes the diagonal. For C1,
-M -> J M J is an orthogonal projector on symmetric matrices, so only the
-part J A J of an input A is constrained, and the projection removes its
-positive spectrum (Hayden and Wells, Linear Algebra Appl. 109, 1988):
+C1 has a closed-form projection. M -> J M J is an orthogonal projector on
+symmetric matrices, so only the part J A J of an input A is constrained,
+and the projection removes its positive spectrum (Hayden and Wells,
+Linear Algebra Appl. 109, 1988):
 
   Pi_C1(A) = A - Pi_PSD(J A J),   with J A J = -2 center_gram(A).
 
-Dykstra's alternating projection algorithm combines the two into the
-exact projection onto the intersection (plain alternation would only find
-some point in it). It carries a correction increment for C1 only. C2 is a
-linear subspace, and the increment Dykstra would keep for it, the part of
-the iterate that the C2 projection removes, is a diagonal matrix, which
-lies in the orthogonal complement of C2. Adding it back before the next C2
-projection changes only the diagonal that projection zeroes, so it never
-alters an iterate (Boyle and Dykstra, 1986; Gaffke and Mathar, 1989).
+C2 is the linear subspace of hollow matrices, so the nearest EDM to A,
+
+  minimize (1/2) ||M - A||_F^2  over M in C1 with diag(M) = 0,
+
+has one multiplier per diagonal entry. Its dual is the smooth convex
+problem in n variables (Malick, SIAM J. Matrix Anal. Appl. 26, 2004)
+
+  minimize theta(y) = (1/2) ||Pi_C1(A + Diag y)||_F^2,
+  grad theta(y) = diag Pi_C1(A + Diag y),
+
+and M* = Pi_C1(A + Diag y*) at its minimizer. The gradient is strongly
+semismooth, and a generalized Hessian of theta is read off the
+eigenpairs that Pi_C1 computes anyway, so a semismooth Newton method
+converges quadratically (Qi, SIAM J. Matrix Anal. Appl. 34, 2013). Each
+evaluation of theta costs one eigendecomposition; the Newton systems are
+solved by conjugate gradients on Hessian-vector products of O(n^2 k)
+work, where k is the smaller of the counts of positive and non-positive
+eigenvalues of J (A + Diag y) J.
 """
 
 from __future__ import annotations
@@ -38,9 +48,22 @@ from .core import (
     symmetrize,
 )
 
+# Newton-CG constants. The system (H + eps I) d = -g is solved to the
+# relative residual min(CG_RTOL, |g| / scale) with eps = min(REG_MAX,
+# |g| / scale), both shrinking with the gradient for quadratic convergence.
+CG_RTOL = 1e-2
+CG_MAX_ITER = 200
+REG_MAX = 1e-2
+# Backtracking line search: a step t d is accepted on the Armijo decrease
+# theta(y + t d) <= theta(y) + ARMIJO t g.d, or when it halves |g|, since
+# near the optimum the decrease of theta falls below its rounding error.
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 30
+
 
 class NotConvergedError(RuntimeError):
-    """Dykstra iteration hit the cycle limit before meeting tolerances.
+    """The projection hit its evaluation limit before meeting tolerances.
 
     Carries the final :class:`ProjectionDiagnostics` in ``diagnostics``.
     """
@@ -52,12 +75,15 @@ class NotConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class DykstraConfig:
-    """Stopping rules for the alternating projection iteration.
+    """Stopping rules of the EDM projection (its dual Newton solver).
 
-    tol is relative: the cycle-to-cycle iterate change must fall below
-    tol * max(1, ||input||_F). feas_tol bounds both feasibility residuals
-    (absolute) and is also the clipping threshold applied to stray
-    negative off-diagonal entries of the final iterate.
+    tol is relative: the dual gradient diag Pi_C1(A + Diag y), which is
+    the diagonal the hollow constraint removes, must fall below
+    tol * max(1, ||A||_F) in Euclidean norm. max_cycles caps the
+    evaluations of the dual function, one eigendecomposition each.
+    feas_tol bounds both feasibility residuals (absolute) and is also the
+    clipping threshold applied to stray negative off-diagonal entries of
+    the result.
     """
 
     tol: float = 1e-9
@@ -65,18 +91,22 @@ class DykstraConfig:
     feas_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.tol <= 0 or self.feas_tol <= 0 or self.max_cycles <= 0:
-            raise ValueError("all DykstraConfig fields must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0
+                and np.isfinite(self.feas_tol) and self.feas_tol > 0
+                and self.max_cycles > 0):
+            raise ValueError(
+                "all DykstraConfig fields must be finite and positive")
 
 
 @dataclass(frozen=True)
 class ProjectionDiagnostics:
-    """Convergence record of one Dykstra run.
+    """Convergence record of one EDM projection.
 
-    c1_residual is the largest eigenvalue of J X J on the centered plane
-    (the orthogonal complement of the ones vector), clipped at zero, for
-    the final iterate X; c2_residual is the largest diagonal magnitude of
-    the final C1-feasible iterate before the closing hollowing step.
+    cycles counts evaluations of the dual function (one eigendecomposition
+    each) and delta_last is the Euclidean norm of the last dual step.
+    c1_residual is the largest eigenvalue of J X J, clipped at zero, for
+    the hollow result X; c2_residual is the largest diagonal magnitude of
+    the C1 projection before the closing hollowing step.
     """
 
     cycles: int
@@ -90,7 +120,7 @@ class ProjectionDiagnostics:
             raise ValueError("residuals must be nonnegative")
 
 
-def project_c1(a) -> np.ndarray:
+def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projection onto C1 = { M : J M J negative semidefinite }.
 
     Subtracts the positive part of J a J from the input and symmetrizes:
@@ -98,9 +128,15 @@ def project_c1(a) -> np.ndarray:
     are exactly what violates the constraint. ``center_gram`` validates
     ``a`` and symmetrizes its own result, so an asymmetric input projects
     as its symmetric part does.
+
+    Returns the projection together with the ascending eigenvalues and
+    the eigenvectors of J a J, from which the dual solver of
+    :func:`project_edm_cone` builds its Newton systems.
     """
     vals, vecs = np.linalg.eigh(-2.0 * center_gram(a))
-    return symmetrize(a - (vecs * np.maximum(vals, 0.0)) @ vecs.T)
+    pos = vals > 0.0
+    w = vecs[:, pos]
+    return symmetrize(a - (w * vals[pos]) @ w.T), vals, vecs
 
 
 def project_c2(a) -> np.ndarray:
@@ -115,25 +151,94 @@ def _c1_residual(x: np.ndarray) -> float:
     return max(-2.0 * float(np.linalg.eigvalsh(center_gram(x))[0]), 0.0)
 
 
+def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
+    """Regularized generalized Hessian H + eps I of theta at y.
+
+    With B = A + Diag y and J B J = V diag(l) V^T (ascending l), an
+    element of the generalized Jacobian of h -> diag Pi_C1(B + Diag h) is
+
+        H h = h - diag L(J Diag(h) J),   L(X) = V (Omega o V^T X V) V^T,
+
+    the derivative of Pi_PSD at J B J: Omega_ij is 1 where l_i, l_j > 0,
+    0 where both are <= 0, and l_i / (l_i - l_j) where l_i > 0 >= l_j.
+    Let S be the smaller side of that sign split. On the positive side,
+    diag L(X) = 2 diag(V_S W V^T) with W = Omega_S o (V_S^T X V), the S
+    rows of Omega with the S x S block halved. Otherwise L(X) = X - L'(X),
+    where L' is the derivative of the projection onto the NSD matrices
+    and has the same form on the non-positive side, with Omega_ij =
+    l_i / (l_i - l_j) for l_i <= 0 < l_j. Either way a product costs
+    O(n^2 |S|). V is replaced by J V, which differs only in the rounding
+    of eigenvectors along the ones vector, whose eigenvalue is 0.
+
+    Returns the product h -> (H + eps I) h and the diagonal of H + eps I,
+    the preconditioner of the conjugate gradients.
+    """
+    n = vals.size
+    u = vecs - vecs.mean(axis=0)
+    pos = vals > 0.0
+    positive_side = 2 * np.count_nonzero(pos) <= n
+    side = pos if positive_side else ~pos
+    lam_s = vals[side]
+    omega = np.full((lam_s.size, n), 0.5)
+    omega[:, ~side] = lam_s[:, None] / (lam_s[:, None] - vals[~side])
+    u_s = u[:, side]
+
+    def side_diag(h):
+        w = omega * (u_s.T @ (h[:, None] * u))
+        return 2.0 * np.einsum("ij,ij->i", u_s @ w, u)
+
+    u2 = u * u
+    diag = 2.0 * np.einsum("ij,ij->i", u2[:, side] @ omega, u2)
+    if positive_side:
+        return (lambda h: (1.0 + eps) * h - side_diag(h),
+                np.maximum(1.0 - diag, 0.0) + eps)
+    # diag(J Diag(h) J) = (1 - 2/n) h + sum(h) / n^2
+    return (lambda h: (2.0 / n + eps) * h - h.sum() / n**2 + side_diag(h),
+            np.maximum((2.0 - 1.0 / n) / n + diag, 0.0) + eps)
+
+
+def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+    """Conjugate gradients for apply(x) = b from x = 0, with the diagonal
+    preconditioner ``precond``, to the relative residual ``rtol``."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / precond
+    p = z.copy()
+    rz = float(r @ z)
+    stop = rtol * float(np.linalg.norm(b))
+    for _ in range(CG_MAX_ITER):
+        q = apply(p)
+        pq = float(p @ q)
+        if pq <= 0.0:
+            break
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= stop:
+            break
+        z = r / precond
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x
+
+
 def project_edm_cone(
     a, cfg: DykstraConfig | None = None
 ) -> tuple[EdmMatrix, ProjectionDiagnostics]:
     """Frobenius-nearest Euclidean distance matrix to a symmetric input.
 
-    Runs Dykstra's alternating projections between C1 and C2, keeping the
-    correction increment of C1 that makes the limit the true projection
-    onto the intersection. C2, the hollow matrices, is a linear subspace
-    and needs no increment (see the module docstring). A cycle is
+    Minimizes the dual theta(y) = (1/2) ||Pi_C1(A + Diag y)||_F^2 from
+    y = 0 by semismooth Newton-CG (see the module docstring): each step
+    solves (H + eps I) d = -g by conjugate gradients, with g = grad theta
+    and H a generalized Hessian, then backtracks along d. Iteration stops
+    once |g| <= tol * max(1, ||a||_F) and both feasibility residuals are
+    below feas_tol, or raises :class:`NotConvergedError` at max_cycles
+    evaluations of theta or when no step along d is accepted.
 
-        s = Pi_C1(x + p),   p = x + p - s,   x = Pi_C2(s);
-
-    iteration stops once the cycle-to-cycle change is below
-    tol * max(1, ||a||_F) and both feasibility residuals are below
-    feas_tol, or raises :class:`NotConvergedError` at max_cycles.
-
-    The returned matrix is exactly hollow; off-diagonal entries in
-    [-feas_tol, 0) are clipped to zero, and an iterate that is zero to
-    within feas_tol is snapped to the zero matrix before certification.
+    The result is Pi_C1(A + Diag y) with its diagonal, which is g, zeroed;
+    off-diagonal entries in [-feas_tol, 0) are clipped to zero, and a
+    result that is zero to within feas_tol is snapped to the zero matrix
+    before certification.
 
     Parameters
     ----------
@@ -155,30 +260,53 @@ def project_edm_cone(
         cfg = DykstraConfig()
     scale = max(1.0, float(np.linalg.norm(a)))
 
-    x = a.copy()
-    p = np.zeros_like(a)
-    delta = np.inf
-    converged = False
-    cycles = 0
+    def evaluate(y):
+        m, vals, vecs = project_c1(a + np.diag(y))
+        return m, m.diagonal().copy(), 0.5 * float(np.vdot(m, m)), vals, vecs
 
-    for cycles in range(1, cfg.max_cycles + 1):
-        s = project_c1(x + p)
-        p = x + p - s
-        x_new = project_c2(s)
-        delta = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if delta <= cfg.tol * scale:
+    y = np.zeros(a.shape[0])
+    m, g, theta, vals, vecs = evaluate(y)
+    cycles = 1
+    delta = 0.0
+    converged = stalled = False
+
+    while True:
+        gnorm = float(np.linalg.norm(g))
+        c2_res = float(np.abs(g).max())
+        if gnorm <= cfg.tol * scale and c2_res <= cfg.feas_tol:
             # the C2 residual is free; the C1 residual costs a spectrum
-            c2_res = float(np.abs(s.diagonal()).max())
-            if c2_res <= cfg.feas_tol:
-                c1_res = _c1_residual(x)
-                if c1_res <= cfg.feas_tol:
-                    converged = True
-                    break
+            c1_res = _c1_residual(project_c2(m))
+            if c1_res <= cfg.feas_tol:
+                converged = True
+                break
+        if cycles >= cfg.max_cycles:
+            break
+        rel = gnorm / scale
+        d = _cg(*_newton_system(vals, vecs, min(REG_MAX, rel)), -g,
+                min(CG_RTOL, rel))
+        slope = float(g @ d)
+        if not slope < 0.0:
+            d, slope = -g, -gnorm**2
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = evaluate(y + t * d)
+            cycles += 1
+            _, g_t, theta_t, _, _ = trial
+            if (theta_t <= theta + ARMIJO * t * slope
+                    or np.linalg.norm(g_t) <= 0.5 * gnorm):
+                y = y + t * d
+                m, g, theta, vals, vecs = trial
+                delta = t * float(np.linalg.norm(d))
+                break
+            if cycles >= cfg.max_cycles:
+                break
+            t *= BACKTRACK
+        else:
+            stalled = True
+            break
 
     if not converged:
-        c2_res = float(np.abs(s.diagonal()).max())
-        c1_res = _c1_residual(x)
+        c1_res = _c1_residual(project_c2(m))
     diag = ProjectionDiagnostics(
         cycles=cycles,
         delta_last=delta,
@@ -187,12 +315,13 @@ def project_edm_cone(
         converged=converged,
     )
     if not converged:
+        reason = ("no accepted step" if stalled
+                  else f"no convergence in {cfg.max_cycles} cycles")
         raise NotConvergedError(
-            f"no convergence in {cfg.max_cycles} cycles "
-            f"(delta {delta:.3e}, residuals {c1_res:.3e}/{c2_res:.3e})",
-            diag)
+            f"{reason} (gradient {float(np.linalg.norm(g)):.3e}, "
+            f"residuals {c1_res:.3e}/{c2_res:.3e})", diag)
 
-    out = x.copy()
+    out = project_c2(m)
     np.copyto(out, 0.0, where=(out < 0) & (out >= -cfg.feas_tol))
     if np.abs(out).max() <= cfg.feas_tol:
         out = np.zeros_like(out)

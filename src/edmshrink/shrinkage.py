@@ -106,6 +106,11 @@ def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
     return fit + lam * float(np.trace(center_gram(m.entries)))
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+
+
 def recommended_lambda(n: int, sigma: float) -> float:
     """Penalty level 4 sigma (sqrt(n) + 1) for i.i.d. noise of std dev sigma.
 
@@ -114,8 +119,7 @@ def recommended_lambda(n: int, sigma: float) -> float:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    _check_sigma(sigma)
     return 4.0 * sigma * (np.sqrt(n) + 1.0)
 
 
@@ -128,8 +132,7 @@ def risk_bound(n: int, sigma: float, r: int) -> float:
     """
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_sigma(sigma)
     return 36.0 * n * sigma**2 * (r + 1)
 
 

@@ -83,6 +83,14 @@ class TestEstimate:
                      "--lambda", "1", "--out", str(tmp_path / "f")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--tol", "--feas-tol"])
+    def test_non_finite_tolerance_is_input_error(self, noisy_matrix, tmp_path,
+                                                 flag):
+        code = main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda", "0.5", flag, "nan",
+                     "--out", str(tmp_path / "f")])
+        assert code == 2
+
     def test_non_convergence_exit_code(self, noisy_matrix, tmp_path):
         code = main(["estimate", "--input", str(noisy_matrix),
                      "--lambda", "3.0", "--tol", "1e-15",

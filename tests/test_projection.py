@@ -1,4 +1,6 @@
-"""Cone projections: the closed-form C1 projection (checked against the Householder block form), Dykstra, and 3-point analytics."""
+"""Cone projections: the closed-form C1 projection (checked against the
+Householder block form), the EDM projection (checked against a Dykstra
+reference), and 3-point analytics."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from edmshrink import (
     certify_edm,
     project_edm_cone,
 )
-from edmshrink.projection import project_c1, project_c2
+from edmshrink.projection import _newton_system, project_c1, project_c2
 
 from conftest import centering, random_edm, random_hollow
 
@@ -44,6 +46,28 @@ def householder_block_projection(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q @ b @ q
 
 
+def dykstra_reference(a: np.ndarray, tol: float) -> np.ndarray:
+    """Nearest EDM to a symmetric ``a`` by Dykstra's alternating projections.
+
+    The reference oracle for project_edm_cone (Gaffke and Mathar, 1989):
+    alternate the C1 and C2 projections, keeping the correction increment
+    p of C1 only, since C2 is a subspace (Boyle and Dykstra, 1986). A cycle
+    is s = Pi_C1(x + p), p = x + p - s, x = Pi_C2(s); the loop stops once
+    a cycle moves x by at most tol * max(1, ||a||_F).
+    """
+    x = a.copy()
+    p = np.zeros_like(a)
+    stop = tol * max(1.0, np.linalg.norm(a))
+    for _ in range(1_000_000):
+        s = project_c1(x + p)[0]
+        p = x + p - s
+        x_new = project_c2(s)
+        if np.linalg.norm(x_new - x) <= stop:
+            return x_new
+        x = x_new
+    raise AssertionError("Dykstra reference did not converge")
+
+
 def random_symmetric(rng, n, scale=3.0) -> np.ndarray:
     a = rng.normal(size=(n, n), scale=scale)
     return (a + a.T) / 2
@@ -63,7 +87,7 @@ class TestHouseholder:
         for _ in range(10):
             a = random_symmetric(rng, 3)
             want = householder_block_projection(a, q)
-            assert np.abs(project_c1(a) - want).max() <= (
+            assert np.abs(project_c1(a)[0] - want).max() <= (
                 1e-12 * np.linalg.norm(a))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
@@ -74,7 +98,7 @@ class TestHouseholder:
         for _ in range(5):
             a = random_symmetric(rng, n)
             want = householder_block_projection(a, q)
-            assert np.abs(project_c1(a) - want).max() <= (
+            assert np.abs(project_c1(a)[0] - want).max() <= (
                 1e-12 * np.linalg.norm(a))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
@@ -88,7 +112,7 @@ class TestHouseholder:
         # Q a Q, untouched
         for _ in range(5):
             a = random_symmetric(rng, n)
-            moved = q @ (a - project_c1(a)) @ q
+            moved = q @ (a - project_c1(a)[0]) @ q
             assert np.abs(moved[-1, :]).max() <= 1e-12 * np.linalg.norm(a)
 
 
@@ -105,7 +129,7 @@ class TestProjectC1Moreau:
         for _ in range(5):
             a = rng.normal(size=(n, n), scale=3.0)
             a = (a + a.T) / 2
-            p = project_c1(a)
+            p = project_c1(a)[0]
             r = a - p
             tol = 1e-10 * np.linalg.norm(a)
             assert np.linalg.eigvalsh(j @ p @ j)[-1] <= tol
@@ -117,31 +141,40 @@ class TestProjectC1Moreau:
 class TestProjectC1:
     def test_edm_is_fixed_point(self, rng):
         d = random_edm(rng, 8, 3)
-        out = project_c1(d.entries)
+        out = project_c1(d.entries)[0]
         assert np.abs(out - d.entries).max() <= 1e-10 * max(d.entries.max(), 1)
 
     def test_centering_matrix_clips_to_zero_block(self):
         # Q J Q has identity leading block, which is clipped entirely
-        out = project_c1(centering(3))
+        out = project_c1(centering(3))[0]
         jj = centering(3)
         assert np.abs(jj @ out @ jj).max() <= 1e-12
 
     def test_negative_centering_unchanged(self):
         j = centering(3)
-        assert np.abs(project_c1(-j) - (-j)).max() <= 1e-12
+        assert np.abs(project_c1(-j)[0] - (-j)).max() <= 1e-12
 
     def test_idempotent(self, rng):
         for _ in range(10):
             a = rng.normal(size=(6, 6))
-            once = project_c1(a)
-            twice = project_c1(once)
+            once = project_c1(a)[0]
+            twice = project_c1(once)[0]
             assert np.abs(twice - once).max() <= 1e-10
+
+    def test_returns_spectrum_of_jaj(self, rng):
+        for n in (2, 5, 12):
+            a = random_symmetric(rng, n)
+            _, vals, vecs = project_c1(a)
+            j = centering(n)
+            assert np.all(np.diff(vals) >= 0)
+            assert np.abs((vecs * vals) @ vecs.T - j @ a @ j).max() <= (
+                1e-12 * np.linalg.norm(a))
 
     def test_output_in_c1(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 12))
             a = rng.normal(size=(n, n), scale=3.0)
-            out = project_c1(a)
+            out = project_c1(a)[0]
             j = centering(n)
             vals = np.linalg.eigvalsh((j @ out @ j + (j @ out @ j).T) / 2)
             assert vals[-1] <= 1e-10 * max(np.abs(vals).max(), 1.0)
@@ -158,6 +191,49 @@ class TestProjectC2:
     def test_example(self):
         out = project_c2(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
+
+
+class TestNewtonSystem:
+    """The generalized Hessian of the dual against finite differences of its
+    gradient y -> diag Pi_C1(A + Diag y), on either side of the split
+    between the positive and non-positive eigenvalues of J A J."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [4, 15, 30])
+    def test_matches_finite_differences(self, rng, sign, n):
+        a = sign * random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
+        y = rng.normal(size=n)
+
+        def grad(y):
+            return project_c1(a + np.diag(y))[0].diagonal()
+
+        _, vals, vecs = project_c1(a + np.diag(y))
+        eps = 1e-3
+        hess, diag = _newton_system(vals, vecs, eps)
+        full = np.array([hess(e) for e in np.eye(n)])
+        assert np.abs(np.diag(full) - diag).max() <= 1e-12
+        for _ in range(3):
+            h = rng.normal(size=n)
+            step = 1e-6
+            fd = (grad(y + step * h) - grad(y - step * h)) / (2 * step)
+            assert np.abs(hess(h) - eps * h - fd).max() <= 1e-6 * np.linalg.norm(h)
+
+
+class TestDykstraReference:
+    """project_edm_cone against the Dykstra oracle run at a tight tolerance."""
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_dykstra(self, rng, n):
+        for _ in range(3):
+            # hollow, mostly positive entries, so the projection is not 0
+            a = rng.normal(loc=1.0, size=(n, n)) * rng.uniform(0.1, 10.0)
+            a = (a + a.T) / 2
+            np.fill_diagonal(a, 0.0)
+            want = dykstra_reference(a, 1e-12)
+            got, diag = project_edm_cone(a)
+            assert diag.converged
+            assert np.linalg.norm(got.entries - want) <= (
+                1e-6 * np.linalg.norm(want))
 
 
 class TestProjectEdmCone:
@@ -194,6 +270,12 @@ class TestProjectEdmCone:
             project_edm_cone(x, cfg)
         assert exc.value.diagnostics.cycles == 2
         assert not exc.value.diagnostics.converged
+
+    @pytest.mark.parametrize("field", ["tol", "feas_tol"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_config_rejects_bad_tolerance(self, field, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DykstraConfig(**{field: bad})
 
     def test_residuals_within_feas_tol(self, rng):
         cfg = DykstraConfig()

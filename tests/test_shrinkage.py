@@ -114,6 +114,49 @@ class TestPermutationEquivariance:
         self.assert_equivariant(x, recommended_lambda(n, np.sqrt(sigma2)), rng)
 
 
+def kkt_residuals(x: SymHollowMatrix, d_hat: np.ndarray, lam: float):
+    """Dual infeasibility and complementarity of a fit, relative to ||X||_F.
+
+    D_hat solves the penalized problem iff G = D_hat - X + eta (11^T - I),
+    with a zero diagonal, has a PSD Laplacian Diag(G1) - G (G lies in the
+    dual of the EDM cone) and <G, D_hat> = 0.
+    """
+    n = x.n
+    g = d_hat - x.entries + lam / (2.0 * n) * (1.0 - np.eye(n))
+    np.fill_diagonal(g, 0.0)
+    laplacian = np.diag(g.sum(axis=1)) - g
+    scale = np.linalg.norm(x.entries)
+    dual = max(0.0, -float(np.linalg.eigvalsh(laplacian)[0])) / scale
+    return dual, abs(float(np.sum(g * d_hat))) / scale**2
+
+
+class TestKktCertificate:
+    """Each fit satisfies the optimality conditions of the penalized problem
+    to 1e-9 of ||X||_F."""
+
+    @pytest.mark.parametrize("n", [5, 20, 60])
+    def test_noisy_edm(self, rng, n):
+        d = random_edm(rng, n, 3, scale=2.0)
+        for rep, factor in enumerate((0.0, 0.5, 1.0, 2.0)):
+            x = add_noise(d, NoiseModel("gaussian", 0.25), seed=3,
+                          replicate=rep)
+            lam = factor * recommended_lambda(n, 0.5)
+            dual, comp = kkt_residuals(x, distance_shrinkage(x, lam).d_hat.entries,
+                                       lam)
+            assert dual <= 1e-9 and comp <= 1e-9
+
+    def test_noisy_helix(self):
+        n, sigma2 = 40, 0.25
+        d = edm_from_coords(helix_coords(n))
+        lam = recommended_lambda(n, np.sqrt(sigma2))
+        for rep in range(3):
+            x = add_noise(d, NoiseModel("gaussian", sigma2), seed=0,
+                          replicate=rep)
+            dual, comp = kkt_residuals(
+                x, distance_shrinkage(x, lam).d_hat.entries, lam)
+            assert dual <= 1e-9 and comp <= 1e-9
+
+
 class TestObjective:
     def test_zero_at_truth_without_penalty(self, rng):
         d = random_edm(rng, 6, 2)
@@ -172,6 +215,9 @@ class TestPenaltyAndBound:
                 recommended_lambda(10, bad)
         with pytest.raises(ValueError):
             risk_bound(10, -1.0, 2)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                risk_bound(10, bad, 2)
 
 
 class TestTruncateRank:
@@ -270,7 +316,8 @@ def eig_counts():
 
 
 class TestEigensolverCalls:
-    """One eigh per Dykstra cycle, one spectrum per certification."""
+    """One eigh per evaluation of the projection's dual, one spectrum per
+    certification."""
 
     def test_converged_fit(self, rng):
         d = random_edm(rng, 30, 3, scale=3.0)
@@ -280,7 +327,23 @@ class TestEigensolverCalls:
         assert fit.diagnostics.converged
         assert fit.d_hat.cert_tol == 1e-8
         assert calls["eigh"] == fit.diagnostics.cycles
+        assert fit.diagnostics.cycles <= 30
         assert calls["eigvalsh"] <= 2
+
+    def test_unit_helix_fits_certify_tightly(self):
+        # n = 40 helix at sigma^2 = 0.25: every fit is certified at the
+        # tight EDM tolerance, with no fallback certificate
+        n, sigma2 = 40, 0.25
+        d = edm_from_coords(helix_coords(n))
+        lam = recommended_lambda(n, np.sqrt(sigma2))
+        for rep in range(5):
+            x = add_noise(d, NoiseModel("gaussian", sigma2), seed=0,
+                          replicate=rep)
+            for factor in (0.5, 1.0, 2.0):
+                with eig_counts() as calls:
+                    fit = distance_shrinkage(x, factor * lam)
+                assert fit.d_hat.cert_tol == 1e-8
+                assert calls["eigvalsh"] <= 2
 
     def test_classical_mds(self, rng):
         x = random_hollow(rng, 12, scale=2.0)

@@ -29,8 +29,8 @@ from .core import (
 )
 from .noise import NoiseModel, add_noise
 from .projection import (
-    DykstraConfig,
     NotConvergedError,
+    SolverConfig,
     analyze_dim3,
     project_edm_cone,
 )
@@ -66,7 +66,7 @@ __all__ = [
     "average_squared_loss",
     "NoiseModel",
     "add_noise",
-    "DykstraConfig",
+    "SolverConfig",
     "NotConvergedError",
     "project_edm_cone",
     "analyze_dim3",

@@ -21,7 +21,7 @@ import sys
 from . import fileio
 from .core import SymHollowMatrix, similarity_to_dissimilarity
 from .noise import NoiseModel
-from .projection import DykstraConfig, NotConvergedError, analyze_dim3
+from .projection import NotConvergedError, SolverConfig, analyze_dim3
 from .shrinkage import (check_penalty, classical_mds, distance_shrinkage,
                         truncate_rank)
 from .simulate import SimConfig, helix_coords, report_write, run_experiment
@@ -34,14 +34,12 @@ EXIT_NOT_CONVERGED = 3
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-9,
                    help="bound on the norm of the dual gradient of the EDM "
-                        "projection, relative to max(1, ||input||_F) "
+                        "projection, relative to ||input||_F "
                         "(default 1e-9)")
     p.add_argument("--max-cycles", type=int, default=5000,
                    help="limit on the dual evaluations of the EDM "
                         "projection, one eigendecomposition each "
                         "(default 5000)")
-    p.add_argument("--feas-tol", type=float, default=1e-7,
-                   help="feasibility residual tolerance (default 1e-7)")
 
 
 def _add_penalty_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -114,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_config(args) -> DykstraConfig:
-    return DykstraConfig(tol=args.tol, max_cycles=args.max_cycles,
-                         feas_tol=args.feas_tol)
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(tol=args.tol, max_cycles=args.max_cycles)
 
 
 def _write_fit(fit, rank: int, prefix: str) -> None:
@@ -189,7 +186,7 @@ def _cmd_simulate(args) -> int:
         noise = NoiseModel(kind="gamma", sigma2=args.sigma2)
     cfg = SimConfig(reps=args.reps, seed=args.seed, noise=noise,
                     rank_r=args.rank, lam=args.lam, sigma=args.sigma,
-                    dykstra=_solver_config(args))
+                    solver=_solver_config(args))
     report = run_experiment(coords, cfg)
     if args.out:
         report_write(report, args.out, args.out_format)

@@ -49,8 +49,8 @@ from .core import (
 )
 
 # Newton-CG constants. The system (H + eps I) d = -g is solved to the
-# relative residual min(CG_RTOL, |g| / scale) with eps = min(REG_MAX,
-# |g| / scale), both shrinking with the gradient for quadratic convergence.
+# relative residual min(CG_RTOL, |g| / ||A||_F) with eps = min(REG_MAX,
+# |g| / ||A||_F), both shrinking with the gradient for quadratic convergence.
 CG_RTOL = 1e-2
 CG_MAX_ITER = 200
 REG_MAX = 1e-2
@@ -63,7 +63,9 @@ MAX_BACKTRACKS = 30
 
 
 class NotConvergedError(RuntimeError):
-    """The projection hit its evaluation limit before meeting tolerances.
+    """The projection stopped without a certified result: it hit its
+    evaluation limit or accepted no step before |g| <= tol * ||A||_F, or
+    its converged iterate broke a bound that convergence implies.
 
     Carries the final :class:`ProjectionDiagnostics` in ``diagnostics``.
     """
@@ -74,28 +76,24 @@ class NotConvergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DykstraConfig:
+class SolverConfig:
     """Stopping rules of the EDM projection (its dual Newton solver).
 
     tol is relative: the dual gradient diag Pi_C1(A + Diag y), which is
     the diagonal the hollow constraint removes, must fall below
-    tol * max(1, ||A||_F) in Euclidean norm. max_cycles caps the
-    evaluations of the dual function, one eigendecomposition each.
-    feas_tol bounds both feasibility residuals (absolute) and is also the
-    clipping threshold applied to stray negative off-diagonal entries of
-    the result.
+    tol * ||A||_F in Euclidean norm. The rule is free of units, so
+    scaling the input by c > 0 scales the result by c. max_cycles caps
+    the evaluations of the dual function, one eigendecomposition each.
     """
 
     tol: float = 1e-9
     max_cycles: int = 5000
-    feas_tol: float = 1e-7
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0
-                and np.isfinite(self.feas_tol) and self.feas_tol > 0
                 and self.max_cycles > 0):
             raise ValueError(
-                "all DykstraConfig fields must be finite and positive")
+                "all SolverConfig fields must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,11 @@ class ProjectionDiagnostics:
 
     cycles counts evaluations of the dual function (one eigendecomposition
     each) and delta_last is the Euclidean norm of the last dual step.
-    c1_residual is the largest eigenvalue of J X J, clipped at zero, for
-    the hollow result X; c2_residual is the largest diagonal magnitude of
-    the C1 projection before the closing hollowing step.
+    c2_residual is the largest diagonal magnitude max|g| of the C1
+    projection M before the closing hollowing step X = M - Diag g.
+    c1_residual is a bound on the largest eigenvalue of J X J, not a
+    measurement: J M J is negative semidefinite, so by Weyl's inequality
+    that eigenvalue is at most ||J Diag(g) J||_2 <= max|g|.
     """
 
     cycles: int
@@ -144,11 +144,6 @@ def project_c2(a) -> np.ndarray:
     out = _as_square(a).copy()
     np.fill_diagonal(out, 0.0)
     return out
-
-
-def _c1_residual(x: np.ndarray) -> float:
-    """Largest eigenvalue of J x J = -2 center_gram(x), clipped at 0."""
-    return max(-2.0 * float(np.linalg.eigvalsh(center_gram(x))[0]), 0.0)
 
 
 def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
@@ -223,7 +218,7 @@ def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def project_edm_cone(
-    a, cfg: DykstraConfig | None = None
+    a, cfg: SolverConfig | None = None
 ) -> tuple[EdmMatrix, ProjectionDiagnostics]:
     """Frobenius-nearest Euclidean distance matrix to a symmetric input.
 
@@ -231,21 +226,26 @@ def project_edm_cone(
     y = 0 by semismooth Newton-CG (see the module docstring): each step
     solves (H + eps I) d = -g by conjugate gradients, with g = grad theta
     and H a generalized Hessian, then backtracks along d. Iteration stops
-    once |g| <= tol * max(1, ||a||_F) and both feasibility residuals are
-    below feas_tol, or raises :class:`NotConvergedError` at max_cycles
-    evaluations of theta or when no step along d is accepted.
+    once |g| <= tol * ||a||_F, or raises :class:`NotConvergedError` at
+    max_cycles evaluations of theta or when no step along d is accepted.
+    Every test is relative to ||a||_F, so projecting c * a gives c times
+    the projection of a for any c > 0.
 
-    The result is Pi_C1(A + Diag y) with its diagonal, which is g, zeroed;
-    off-diagonal entries in [-feas_tol, 0) are clipped to zero, and a
-    result that is zero to within feas_tol is snapped to the zero matrix
-    before certification.
+    The result X is M = Pi_C1(A + Diag y) with its diagonal g zeroed.
+    J M J is negative semidefinite, so by Weyl's inequality J X J has no
+    eigenvalue above max|g| <= tol * ||a||_F and no off-diagonal entry of
+    X lies below -tol * ||a||_F; negative entries are clipped to zero,
+    and one below that bound raises NotConvergedError. A result no larger
+    than tol * ||a||_F becomes the zero matrix. The same bound certifies
+    X, with no further spectrum, at cert_tol = max(1e-8, 2 max|g| /
+    (s - max|g|)), where s is the largest eigenvalue of -J (A + Diag y) J.
 
     Parameters
     ----------
     a : array or SymHollowMatrix
         Symmetric input; hollowness is not required.
-    cfg : DykstraConfig, optional
-        Stopping rules; defaults are suitable for O(1)-scale inputs.
+    cfg : SolverConfig, optional
+        Stopping rules.
 
     Returns
     -------
@@ -257,8 +257,9 @@ def project_edm_cone(
     if np.abs(a - a.T).max() > 0.0:
         a = symmetrize(a)
     if cfg is None:
-        cfg = DykstraConfig()
-    scale = max(1.0, float(np.linalg.norm(a)))
+        cfg = SolverConfig()
+    scale = float(np.linalg.norm(a))
+    floor = cfg.tol * scale
 
     def evaluate(y):
         m, vals, vecs = project_c1(a + np.diag(y))
@@ -272,13 +273,9 @@ def project_edm_cone(
 
     while True:
         gnorm = float(np.linalg.norm(g))
-        c2_res = float(np.abs(g).max())
-        if gnorm <= cfg.tol * scale and c2_res <= cfg.feas_tol:
-            # the C2 residual is free; the C1 residual costs a spectrum
-            c1_res = _c1_residual(project_c2(m))
-            if c1_res <= cfg.feas_tol:
-                converged = True
-                break
+        if gnorm <= floor:
+            converged = True
+            break
         if cycles >= cfg.max_cycles:
             break
         rel = gnorm / scale
@@ -305,13 +302,12 @@ def project_edm_cone(
             stalled = True
             break
 
-    if not converged:
-        c1_res = _c1_residual(project_c2(m))
+    g_max = float(np.abs(g).max())
     diag = ProjectionDiagnostics(
         cycles=cycles,
         delta_last=delta,
-        c1_residual=c1_res,
-        c2_residual=c2_res,
+        c1_residual=g_max,
+        c2_residual=g_max,
         converged=converged,
     )
     if not converged:
@@ -319,39 +315,25 @@ def project_edm_cone(
                   else f"no convergence in {cfg.max_cycles} cycles")
         raise NotConvergedError(
             f"{reason} (gradient {float(np.linalg.norm(g)):.3e}, "
-            f"residuals {c1_res:.3e}/{c2_res:.3e})", diag)
+            f"bound tol * ||A||_F = {floor:.3e})", diag)
 
     out = project_c2(m)
-    np.copyto(out, 0.0, where=(out < 0) & (out >= -cfg.feas_tol))
-    if np.abs(out).max() <= cfg.feas_tol:
+    if out.min() < -floor:
+        raise NotConvergedError(
+            f"converged iterate has off-diagonal {out.min():.3e} below "
+            f"-tol * ||A||_F = {-floor:.3e}", diag)
+    np.maximum(out, 0.0, out=out)
+    cert_tol = 1e-8
+    if out.max() <= floor:
         out = np.zeros_like(out)
-    if out.min() < 0:
-        raise NotConvergedError(
-            f"converged iterate has off-diagonal {out.min():.3e} "
-            f"below -feas_tol", diag)
-
-    hollow = SymHollowMatrix(out)
-    try:
-        return certify_edm(hollow, 1e-8), diag
-    except ValueError:
-        pass
-    # When the iterate sits near the cone boundary (e.g. a projection that
-    # is almost the zero matrix), eigenvalue noise that is tiny in absolute
-    # terms can be large relative to the spectrum. Feasibility was enforced
-    # absolutely, so accept an absolute defect consistent with the achieved
-    # residuals and record the correspondingly wider relative certificate.
-    vals = np.linalg.eigvalsh(center_gram(out))
-    neg = max(0.0, float(-vals[0]))
-    if neg > 2.0 * max(c1_res, cfg.feas_tol) or vals[-1] <= 0.0:
-        raise NotConvergedError(
-            f"iterate is too far from the cone to certify (absolute "
-            f"eigenvalue defect {neg:.3e})", diag)
-    gamma_scale = float(np.abs(vals).max())
-    cert = max(1e-8, 2.0 * neg / gamma_scale)
-    if cert >= 0.5:
-        raise NotConvergedError(
-            "iterate spectrum is dominated by numerical noise", diag)
-    return certify_edm(hollow, cert), diag
+    else:
+        top = -float(vals[0]) - g_max
+        if top <= 0.0:
+            raise NotConvergedError(
+                f"converged iterate has spectrum {-float(vals[0]):.3e} "
+                f"within max|g| = {g_max:.3e} of zero", diag)
+        cert_tol = max(cert_tol, 2.0 * g_max / top)
+    return certify_edm(SymHollowMatrix(out), cert_tol), diag
 
 
 # ---------------------------------------------------------------------------

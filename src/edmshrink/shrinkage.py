@@ -25,7 +25,7 @@ from .core import (
     edm_from_coords,
     eigh_descending,
 )
-from .projection import DykstraConfig, ProjectionDiagnostics, project_edm_cone
+from .projection import ProjectionDiagnostics, SolverConfig, project_edm_cone
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def check_penalty(lam: float) -> None:
 
 
 def distance_shrinkage(
-    x: SymHollowMatrix, lam: float, cfg: DykstraConfig | None = None
+    x: SymHollowMatrix, lam: float, cfg: SolverConfig | None = None
 ) -> ShrinkageFit:
     """Shrink all observed squared distances by lam/(2n), then project.
 

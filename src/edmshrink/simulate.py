@@ -18,7 +18,7 @@ import numpy as np
 from .core import EdmMatrix, SymHollowMatrix, edm_from_coords, kruskal_stress
 from .fileio import dumps_json
 from .noise import NoiseModel, add_noise
-from .projection import DykstraConfig, NotConvergedError
+from .projection import NotConvergedError, SolverConfig
 from .shrinkage import classical_mds, distance_shrinkage, recommended_lambda
 
 
@@ -37,7 +37,7 @@ class SimConfig:
     rank_r: int = 3
     lam: float | None = None
     sigma: float | None = None
-    dykstra: DykstraConfig = field(default_factory=DykstraConfig)
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.reps < 1:
@@ -122,10 +122,9 @@ def _config_echo(cfg: SimConfig) -> dict:
         "rank_r": cfg.rank_r,
         "lambda": cfg.lam,
         "sigma": cfg.sigma,
-        "dykstra": {
-            "tol": cfg.dykstra.tol,
-            "max_cycles": cfg.dykstra.max_cycles,
-            "feas_tol": cfg.dykstra.feas_tol,
+        "solver": {
+            "tol": cfg.solver.tol,
+            "max_cycles": cfg.solver.max_cycles,
         },
     }
 
@@ -153,7 +152,7 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
         mds_fit = classical_mds(x, cfg.rank_r)
         mds_stress = kruskal_stress(mds_fit.d_hat_r.base, d_true.base)
         try:
-            fit = distance_shrinkage(x, lam, cfg.dykstra)
+            fit = distance_shrinkage(x, lam, cfg.solver)
         except NotConvergedError as exc:
             failed.append(rep)
             records.append(ReplicateRecord(

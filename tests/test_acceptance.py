@@ -78,7 +78,7 @@ def test_criterion_01_projection_fixed_points():
 # 2: three-point closed form
 # ---------------------------------------------------------------------------
 
-def _dykstra_dim(entries):
+def _projected_dim(entries):
     out, _ = project_edm_cone(entries)
     return out.embed_dim
 
@@ -87,7 +87,7 @@ def _bisect_transition(x, d0, lo, hi, above_dim):
     """Smallest eta where the projected dimension drops below above_dim."""
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if _dykstra_dim(x - mid * d0) >= above_dim:
+        if _projected_dim(x - mid * d0) >= above_dim:
             lo = mid
         else:
             hi = mid
@@ -95,7 +95,8 @@ def _bisect_transition(x, d0, lo, hi, above_dim):
 
 
 def test_criterion_02_three_point_closed_form():
-    with criterion(2, "Dykstra matches the n=3 classification and thresholds"):
+    with criterion(2, "the EDM projection matches the n=3 classification "
+                      "and thresholds"):
         rng = np.random.default_rng(202)
         start = time.time()
 
@@ -110,7 +111,7 @@ def test_criterion_02_three_point_closed_form():
                     abs(info.eta_to_dim1), abs(info.eta_to_dim0))
             if min(gaps) < 1e-6:  # knife edge, excluded
                 continue
-            assert _dykstra_dim(x.entries) == info.dim
+            assert _projected_dim(x.entries) == info.dim
             checked += 1
 
         d0 = 1.0 - np.eye(3)

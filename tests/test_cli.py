@@ -83,7 +83,7 @@ class TestEstimate:
                      "--lambda", "1", "--out", str(tmp_path / "f")])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--tol", "--feas-tol"])
+    @pytest.mark.parametrize("flag", ["--tol"])
     def test_non_finite_tolerance_is_input_error(self, noisy_matrix, tmp_path,
                                                  flag):
         code = main(["estimate", "--input", str(noisy_matrix),
@@ -93,8 +93,7 @@ class TestEstimate:
 
     def test_non_convergence_exit_code(self, noisy_matrix, tmp_path):
         code = main(["estimate", "--input", str(noisy_matrix),
-                     "--lambda", "3.0", "--tol", "1e-15",
-                     "--feas-tol", "1e-15", "--max-cycles", "2",
+                     "--lambda", "3.0", "--tol", "1e-15", "--max-cycles", "2",
                      "--out", str(tmp_path / "f")])
         assert code == 3
 

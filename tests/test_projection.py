@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from edmshrink import (
-    DykstraConfig,
     NotConvergedError,
+    SolverConfig,
     SymHollowMatrix,
     analyze_dim3,
     center_gram,
@@ -265,27 +265,29 @@ class TestProjectEdmCone:
 
     def test_not_converged_carries_diagnostics(self, rng):
         x = random_hollow(rng, 8, scale=4.0)
-        cfg = DykstraConfig(tol=1e-12, max_cycles=2, feas_tol=1e-12)
+        cfg = SolverConfig(tol=1e-12, max_cycles=2)
         with pytest.raises(NotConvergedError) as exc:
             project_edm_cone(x, cfg)
         assert exc.value.diagnostics.cycles == 2
         assert not exc.value.diagnostics.converged
 
-    @pytest.mark.parametrize("field", ["tol", "feas_tol"])
+    @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_config_rejects_bad_tolerance(self, field, bad):
         with pytest.raises(ValueError, match="finite and positive"):
-            DykstraConfig(**{field: bad})
+            SolverConfig(**{field: bad})
 
     def test_residuals_within_feas_tol(self, rng):
-        cfg = DykstraConfig()
+        # both residuals are bounded by max|g| <= |g| <= tol * ||A||_F
+        cfg = SolverConfig()
         for _ in range(15):
             n = int(rng.integers(2, 12))
             x = random_hollow(rng, n, scale=2.0)
             _, diag = project_edm_cone(x, cfg)
             assert diag.converged
-            assert diag.c1_residual <= cfg.feas_tol
-            assert diag.c2_residual <= cfg.feas_tol
+            bound = cfg.tol * np.linalg.norm(x.entries)
+            assert diag.c1_residual <= bound
+            assert diag.c2_residual <= bound
 
     def test_kolmogorov_criterion(self, rng):
         # the projection P(A) satisfies <M - P(A), A - P(A)> <= 0 for EDMs M
@@ -301,7 +303,7 @@ class TestProjectEdmCone:
                 assert lhs <= bound
 
     def test_non_expansive(self, rng):
-        cfg = DykstraConfig()
+        cfg = SolverConfig()
         for _ in range(15):
             n = int(rng.integers(3, 10))
             a = random_hollow(rng, n, scale=2.0).entries
@@ -309,7 +311,8 @@ class TestProjectEdmCone:
             pa, _ = project_edm_cone(a, cfg)
             pb, _ = project_edm_cone(b, cfg)
             lhs = np.linalg.norm(pa.entries - pb.entries)
-            assert lhs <= np.linalg.norm(a - b) + 2 * cfg.feas_tol
+            slack = 2 * cfg.tol * max(np.linalg.norm(a), np.linalg.norm(b))
+            assert lhs <= np.linalg.norm(a - b) + slack
 
 
 class TestDim3Analysis:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from edmshrink import (
-    DykstraConfig,
     NoiseModel,
     SimConfig,
+    SolverConfig,
     edm_from_coords,
     helix_coords,
     report_csv,
@@ -91,8 +91,8 @@ class TestRunExperiment:
 
     def test_failed_replicates_recorded_and_excluded(self, truth):
         # cycle budget of 1 cannot converge on noisy input
-        strangled = DykstraConfig(tol=1e-12, max_cycles=1, feas_tol=1e-12)
-        rep = run_experiment(truth, small_cfg(dykstra=strangled))
+        strangled = SolverConfig(tol=1e-12, max_cycles=1)
+        rep = run_experiment(truth, small_cfg(solver=strangled))
         assert len(rep.failed) == 3
         assert rep.shrinkage.stresses == ()
         assert all(not r.converged for r in rep.replicates)
@@ -121,8 +121,8 @@ class TestSerialization:
             float(row["stress"])  # parses
 
     def test_csv_failed_replicate_is_nan(self, truth):
-        strangled = DykstraConfig(tol=1e-12, max_cycles=1, feas_tol=1e-12)
-        rep = run_experiment(truth, small_cfg(reps=1, dykstra=strangled))
+        strangled = SolverConfig(tol=1e-12, max_cycles=1)
+        rep = run_experiment(truth, small_cfg(reps=1, solver=strangled))
         rows = list(csv.DictReader(io.StringIO(report_csv(rep))))
         shrink_row = next(r for r in rows if r["method"] == "shrinkage")
         assert shrink_row["stress"] == "nan"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import fileio
 from .core import SymHollowMatrix, similarity_to_dissimilarity
@@ -116,25 +117,26 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(tol=args.tol, max_cycles=args.max_cycles)
 
 
+def _rank(r: int, n: int) -> int:
+    """The embedding rank for n objects: r, capped at n - 1."""
+    if r < 1:
+        raise ValueError(f"--rank must be at least 1, got {r}")
+    return min(r, n - 1)
+
+
 def _write_fit(fit, rank: int, prefix: str) -> None:
     fileio.save_square_matrix(fit.d_hat.entries, f"{prefix}.dhat.csv")
     fileio.save_square_matrix(
         fit.k_hat.entries, f"{prefix}.khat.csv",
         header="# minimum-trace kernel (Gram matrix of centered coordinates)")
-    rank = min(rank, fit.d_hat.n - 1)
     trunc = truncate_rank(fit, rank)
     fileio.save_embedding(trunc.embedding.coords, f"{prefix}.embedding.csv")
-    d = fit.diagnostics
     payload = {
         "lambda": fit.lam,
         "eta": fit.eta,
         "embed_dim": fit.d_hat.embed_dim,
         "cert_tol": fit.d_hat.cert_tol,
-        "cycles": d.cycles,
-        "delta_last": d.delta_last,
-        "c1_residual": d.c1_residual,
-        "c2_residual": d.c2_residual,
-        "converged": d.converged,
+        **asdict(fit.diagnostics),
     }
     with open(f"{prefix}.diag.json", "w", encoding="utf-8") as fh:
         fh.write(fileio.dumps_json(payload))
@@ -148,6 +150,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError("give exactly one of --lambda, --sigma or "
                          "--lambda-grid")
     x = fileio.load_dissimilarity(args.input)
+    rank = _rank(args.rank, x.n)
     cfg = _solver_config(args)
     if args.lambda_grid is not None:
         penalties = [float(tok) for tok in args.lambda_grid.split(",")]
@@ -164,7 +167,7 @@ def _cmd_estimate(args) -> int:
     for lam in penalties:
         prefix = f"{args.out}_lam{lam!r}" if multiple else args.out
         fit = distance_shrinkage(x, lam, cfg)
-        _write_fit(fit, args.rank, prefix)
+        _write_fit(fit, rank, prefix)
     return EXIT_OK
 
 
@@ -185,8 +188,8 @@ def _cmd_simulate(args) -> int:
     else:
         noise = NoiseModel(kind="gamma", sigma2=args.sigma2)
     cfg = SimConfig(reps=args.reps, seed=args.seed, noise=noise,
-                    rank_r=args.rank, lam=args.lam, sigma=args.sigma,
-                    solver=_solver_config(args))
+                    rank_r=_rank(args.rank, len(coords)), lam=args.lam,
+                    sigma=args.sigma, solver=_solver_config(args))
     report = run_experiment(coords, cfg)
     if args.out:
         report_write(report, args.out, args.out_format)
@@ -199,7 +202,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mds(args) -> int:
     x = fileio.load_dissimilarity(args.input)
-    fit = classical_mds(x, min(args.rank, x.n - 1))
+    fit = classical_mds(x, _rank(args.rank, x.n))
     fileio.save_square_matrix(fit.d_hat_r.entries, f"{args.out}.dhat_r.csv")
     fileio.save_embedding(fit.embedding.coords, f"{args.out}.embedding.csv")
     return EXIT_OK
@@ -209,16 +212,7 @@ def _cmd_dim3(args) -> int:
     x = fileio.load_dissimilarity(args.input)
     if x.n != 3:
         raise ValueError(f"dim3 needs a 3x3 matrix, got {x.n}x{x.n}")
-    a = analyze_dim3(x)
-    payload = {
-        "delta_x": a.delta_x,
-        "alpha1": a.alpha1,
-        "alpha2": a.alpha2,
-        "dim": a.dim,
-        "eta_to_dim1": a.eta_to_dim1,
-        "eta_to_dim0": a.eta_to_dim0,
-    }
-    text = fileio.dumps_json(payload)
+    text = fileio.dumps_json(asdict(analyze_dim3(x)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

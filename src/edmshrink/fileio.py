@@ -9,6 +9,10 @@ Square-matrix CSV: n data rows of n comma-separated floats, with an
 optional single leading header line that starts with '#'. Symmetry and
 hollowness are validated on load with absolute tolerance 1e-9; a matrix
 within tolerance is symmetrized by averaging, anything worse is rejected.
+Matrices and embeddings are written with ``np.savetxt`` at ``%.17g``,
+which reads back exactly. Reading parses line by line, rather than with
+``np.loadtxt``, so that errors name the file line and a '#' line below
+the data is rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ EMBEDDING_HEADER = "# squared-distance convention; centered coordinates"
 # square matrices
 # ---------------------------------------------------------------------------
 
-def _read_rows(path) -> list[list[float]]:
+def _read_rows(path) -> list[np.ndarray]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -40,7 +44,7 @@ def _read_rows(path) -> list[list[float]]:
                         f"{path}:{lineno}: header line allowed only at the top")
                 continue
             try:
-                rows.append([float(tok) for tok in text.split(",")])
+                rows.append(np.array(text.split(","), dtype=float))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows
@@ -79,30 +83,29 @@ def load_dissimilarity(path, tol: float = 1e-9) -> SymHollowMatrix:
     return SymHollowMatrix(load_square_matrix(path, hollow=True, tol=tol))
 
 
+def _save_csv(a, path, header: str) -> None:
+    # An open handle, not the path: given a path ending in .gz, .bz2 or
+    # .xz, np.savetxt would compress the file.
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, np.asarray(a, dtype=float), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
+
+
 def save_square_matrix(a, path, header: str = SQUARED_CONVENTION) -> None:
     """Write a square matrix as CSV with 17-significant-digit floats."""
-    a = np.asarray(a, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        for row in a:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    _save_csv(a, path, header)
 
 
 def save_embedding(coords, path) -> None:
     """Write n x r coordinates as CSV under the embedding header."""
-    coords = np.asarray(coords, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(EMBEDDING_HEADER + "\n")
-        for row in coords:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    _save_csv(coords, path, EMBEDDING_HEADER)
 
 
 # ---------------------------------------------------------------------------
 # coordinate files
 # ---------------------------------------------------------------------------
 
-def _finish_coords(points: list[list[float]], path) -> np.ndarray:
+def _finish_coords(points: list, path) -> np.ndarray:
     if len(points) < 2:
         raise ValueError(f"{path}: need at least 2 points, got {len(points)}")
     widths = {len(p) for p in points}

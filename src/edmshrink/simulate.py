@@ -11,7 +11,7 @@ so a report is a pure function of its configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -118,14 +118,11 @@ def _config_echo(cfg: SimConfig) -> dict:
     return {
         "reps": cfg.reps,
         "seed": int(cfg.seed),
-        "noise": {"kind": cfg.noise.kind, "sigma2": cfg.noise.sigma2},
+        "noise": asdict(cfg.noise),
         "rank_r": cfg.rank_r,
         "lambda": cfg.lam,
         "sigma": cfg.sigma,
-        "solver": {
-            "tol": cfg.solver.tol,
-            "max_cycles": cfg.solver.max_cycles,
-        },
+        "solver": asdict(cfg.solver),
     }
 
 
@@ -200,16 +197,7 @@ def _report_payload(report: StressReport) -> dict:
             "shrinkage": method(report.shrinkage),
             "classical_mds": method(report.classical_mds),
         },
-        "replicates": [
-            {
-                "index": r.index,
-                "shrinkage_stress": r.shrinkage_stress,
-                "mds_stress": r.mds_stress,
-                "cycles": r.cycles,
-                "converged": r.converged,
-            }
-            for r in report.replicates
-        ],
+        "replicates": [asdict(r) for r in report.replicates],
         "failed": list(report.failed),
     }
 

@@ -335,11 +335,15 @@ def test_criterion_10_determinism(tmp_path):
                  "--noise", "gaussian", "--reps", "3", "--seed", "4242",
                  "--sigma", "0.31622776601683794", "--rank", "3",
                  "--out-format", "json"]
+        # pytest's pythonpath setting does not reach a child process
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         for out in (out_a, out_b):
             proc = subprocess.run(
                 [sys.executable, "-m", "edmshrink.cli", *flags,
                  "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
         bytes_a, bytes_b = out_a.read_bytes(), out_b.read_bytes()
         assert bytes_a == bytes_b

@@ -73,6 +73,19 @@ class TestEstimate:
         assert "lam must be finite and nonnegative" in capsys.readouterr().err
         assert not list(tmp_path.glob("f*"))
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--lambda", "0.5", "--rank", "0"],
+        ["estimate", "--lambda-grid", "0.1,0.5", "--rank", "-1"],
+        ["mds", "--rank", "0"],
+    ])
+    def test_bad_rank_writes_no_files(self, noisy_matrix, tmp_path, capsys,
+                                      argv):
+        code = main([*argv, "--input", str(noisy_matrix),
+                     "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert "--rank must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("f*"))
+
     def test_needs_exactly_one_penalty(self, noisy_matrix, tmp_path):
         code = main(["estimate", "--input", str(noisy_matrix),
                      "--out", str(tmp_path / "f")])
@@ -139,6 +152,13 @@ class TestSimulate:
                      "--out", str(out), "--out-format", "csv"])
         assert code == 0
         assert out.read_text().startswith("method,replicate")
+
+    def test_rank_capped_at_n_minus_one(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--helix", "3", "--sigma2", "0.05",
+                     "--reps", "1", "--sigma", "0.223",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["rank_r"] == 2
 
     def test_rejects_both_inputs(self, tmp_path):
         code = main(["simulate", "--helix", "5", "--input", "x.csv",

@@ -18,6 +18,27 @@ class TestSquareMatrixCsv:
         back = fileio.load_square_matrix(path)
         assert np.array_equal(back, a)
 
+    @pytest.mark.parametrize("kwargs, first", [
+        ({}, "# squared-distance convention\n"),
+        ({"header": ""}, ""),
+    ])
+    def test_exact_bytes(self, tmp_path, kwargs, first):
+        a = [[0.0, -0.0, 5e-324], [1e300, 2.0**60, 1 / 3], [-1 / 3, 1.5, -2.0]]
+        path = tmp_path / "m.csv"
+        fileio.save_square_matrix(a, path, **kwargs)
+        assert path.read_bytes() == (
+            first
+            + "0,-0,4.9406564584124654e-324\n"
+            "1.0000000000000001e+300,1.152921504606847e+18,0.33333333333333331\n"
+            "-0.33333333333333331,1.5,-2\n").encode()
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_rejects_non_finite(self, tmp_path, token):
+        path = tmp_path / "m.csv"
+        path.write_text(f"0,{token}\n{token},0\n")
+        with pytest.raises(ValueError, match="non-finite entries"):
+            fileio.load_square_matrix(path)
+
     def test_header_line_optional(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1\n1,0\n")
@@ -146,6 +167,16 @@ class TestEmbeddingWriter:
         lines = path.read_text().splitlines()
         assert lines[0] == "# squared-distance convention; centered coordinates"
         assert lines[1].split(",")[0] == "0.5"
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "e.csv"
+        fileio.save_embedding([[1 / 3, -0.0], [2.0**60, 5e-324], [1e300, 0.0]],
+                              path)
+        assert path.read_bytes() == (
+            b"# squared-distance convention; centered coordinates\n"
+            b"0.33333333333333331,-0\n"
+            b"1.152921504606847e+18,4.9406564584124654e-324\n"
+            b"1.0000000000000001e+300,0\n")
 
 
 class TestJsonEmitter:

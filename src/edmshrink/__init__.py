@@ -5,14 +5,17 @@ The estimator subtracts lambda/(2n) from every observed squared distance
 and projects the result once onto the EDM cone, which solves the
 trace-penalized kernel estimation problem exactly. The projection solves
 its n-dimensional dual, one multiplier per diagonal entry, by a
-semismooth Newton method.
+semismooth Newton method. Penalties shift that dual without changing its
+spectrum, so a grid of penalties is fitted as one path, each fit started
+from the last (``shrinkage_path``).
 
 ``__all__`` lists the paper-facing API: the matrix types and their
 transforms and metrics, the noise model, the projection and its three-point
-analysis, the estimator with its classical-scaling baseline and penalty
-rule, and the simulation study. Building blocks such as ``project_c1``,
-``project_c2``, ``pair_stream`` and ``eigh_descending``, and the result
-types, stay importable from their modules.
+analysis, the estimator and its path over a penalty grid with the
+classical-scaling baseline and penalty rule, and the simulation study.
+Building blocks such as ``project_c1``, ``project_c2``, ``pair_stream``
+and ``eigh_descending``, and the result types, stay importable from their
+modules.
 """
 
 from .core import (
@@ -40,6 +43,7 @@ from .shrinkage import (
     objective_value,
     recommended_lambda,
     risk_bound,
+    shrinkage_path,
     truncate_rank,
 )
 from .simulate import (
@@ -71,6 +75,7 @@ __all__ = [
     "project_edm_cone",
     "analyze_dim3",
     "distance_shrinkage",
+    "shrinkage_path",
     "classical_mds",
     "truncate_rank",
     "objective_value",

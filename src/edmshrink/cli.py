@@ -23,8 +23,8 @@ from . import fileio
 from .core import SymHollowMatrix, similarity_to_dissimilarity
 from .noise import NoiseModel
 from .projection import NotConvergedError, SolverConfig, analyze_dim3
-from .shrinkage import (check_penalty, classical_mds, distance_shrinkage,
-                        truncate_rank)
+from .shrinkage import (classical_mds, distance_shrinkage, recommended_lambda,
+                        shrinkage_path, truncate_rank)
 from .simulate import SimConfig, helix_coords, report_write, run_experiment
 
 EXIT_OK = 0
@@ -66,9 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output prefix; writes <out>.dhat.csv, <out>.khat.csv, "
                           "<out>.embedding.csv and <out>.diag.json")
     est.add_argument("--lambda-grid",
-                     help="comma-separated distinct penalties; loops the fit "
-                          "and writes one output set per value, suffixed "
-                          "_lam<value> in Python's shortest round-trip form")
+                     help="comma-separated distinct penalties, fitted in "
+                          "ascending order along one path, each fit started "
+                          "from the last; writes one output set per value, "
+                          "suffixed _lam<value> in Python's shortest "
+                          "round-trip form, as soon as it is fitted. A grid "
+                          "fit agrees with the --lambda fit of its value to "
+                          "within the solver tolerance, not bit for bit; "
+                          "the smallest value's fit is the same")
     _add_penalty_args(est, required=False)
     _add_solver_args(est)
 
@@ -156,18 +161,16 @@ def _cmd_estimate(args) -> int:
         penalties = [float(tok) for tok in args.lambda_grid.split(",")]
         if len(set(penalties)) != len(penalties):
             raise ValueError("--lambda-grid repeats a penalty")
-    elif args.lam is not None:
-        penalties = [args.lam]
-    else:
-        from .shrinkage import recommended_lambda
-        penalties = [recommended_lambda(x.n, args.sigma)]
-    for lam in penalties:
-        check_penalty(lam)  # a rejected grid writes no files
-    multiple = len(penalties) > 1
-    for lam in penalties:
-        prefix = f"{args.out}_lam{lam!r}" if multiple else args.out
-        fit = distance_shrinkage(x, lam, cfg)
-        _write_fit(fit, rank, prefix)
+        # shrinkage_path checks every penalty before the first fit, so a
+        # rejected grid writes no files
+        multiple = len(penalties) > 1
+        for fit in shrinkage_path(x, penalties, cfg):
+            _write_fit(fit, rank,
+                       f"{args.out}_lam{fit.lam!r}" if multiple else args.out)
+        return EXIT_OK
+    lam = (args.lam if args.lam is not None
+           else recommended_lambda(x.n, args.sigma))
+    _write_fit(distance_shrinkage(x, lam, cfg), rank, args.out)
     return EXIT_OK
 
 

@@ -46,6 +46,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_tol(name: str, value: float) -> None:
+    """Raise ValueError unless the tolerance ``value`` is finite and > 0.
+
+    A NaN or infinite tolerance would pass every comparison against it
+    and accept any input.
+    """
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Exactly symmetric part (a + a.T) / 2."""
     return (a + a.T) / 2.0
@@ -116,6 +126,7 @@ class SymHollowMatrix:
         diagonal is zeroed; deviations beyond ``tol`` (absolute) are
         rejected.
         """
+        check_tol("tol", tol)
         a = _as_square(entries)
         if np.abs(a - a.T).max() > tol:
             raise ValueError(f"asymmetry exceeds tolerance {tol}")
@@ -163,8 +174,7 @@ class MinTraceKernel:
         a = _as_square(self.entries)
         if not np.array_equal(a, a.T):
             raise ValueError("kernel matrix must be exactly symmetric")
-        if self.psd_tol <= 0:
-            raise ValueError("psd_tol must be positive")
+        check_tol("psd_tol", self.psd_tol)
         vals = np.linalg.eigvalsh(a)
         ok, rank = _psd_rank(vals, self.psd_tol)
         if not ok:
@@ -241,8 +251,7 @@ class EdmMatrix:
     embed_dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.cert_tol <= 0:
-            raise ValueError("cert_tol must be positive")
+        check_tol("cert_tol", self.cert_tol)
         d = self.base.entries
         off = d[~np.eye(self.base.n, dtype=bool)]
         if off.size and off.min() < -self.cert_tol:

@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from .core import SymHollowMatrix, symmetrize
+from .core import SymHollowMatrix, check_tol, symmetrize
 
 SQUARED_CONVENTION = "# squared-distance convention"
 EMBEDDING_HEADER = "# squared-distance convention; centered coordinates"
@@ -56,6 +56,7 @@ def load_square_matrix(path, hollow: bool = True, tol: float = 1e-9) -> np.ndarr
     With ``hollow=True`` the diagonal must vanish within ``tol`` and is
     zeroed; similarity matrices are loaded with ``hollow=False``.
     """
+    check_tol("tol", tol)
     rows = _read_rows(path)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -36,6 +36,7 @@ eigenvalues of J (A + Diag y) J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .core import (
     _as_square,
     center_gram,
     certify_edm,
+    check_tol,
     symmetrize,
 )
 
@@ -90,18 +92,22 @@ class SolverConfig:
     max_cycles: int = 5000
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0
-                and self.max_cycles > 0):
+        check_tol("tol", self.tol)
+        if not self.max_cycles > 0:
             raise ValueError(
-                "all SolverConfig fields must be finite and positive")
+                f"max_cycles must be positive, got {self.max_cycles!r}")
 
 
 @dataclass(frozen=True)
 class ProjectionDiagnostics:
     """Convergence record of one EDM projection.
 
-    cycles counts evaluations of the dual function (one eigendecomposition
-    each) and delta_last is the Euclidean norm of the last dual step.
+    cycles counts the evaluations of the dual function that this
+    projection made, one eigendecomposition each, and delta_last is the
+    Euclidean norm of its last dual step (0 if it took none). A fit warm
+    started along a penalty path (``shrinkage_path``) begins from the
+    previous fit's last evaluation, so it counts only the
+    eigendecompositions it made itself, which can be 0.
     c2_residual is the largest diagonal magnitude max|g| of the C1
     projection M before the closing hollowing step X = M - Diag g.
     c1_residual is a bound on the largest eigenvalue of J X J, not a
@@ -217,6 +223,39 @@ def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
     return x
 
 
+class _DualPoint(NamedTuple):
+    """One evaluation of the dual at y: M = Pi_C1(A + Diag y), its diagonal
+    g = grad theta(y), theta(y) = ||M||_F^2 / 2, and the ascending
+    eigenpairs (vals, vecs) of J (A + Diag y) J."""
+
+    y: np.ndarray
+    m: np.ndarray
+    g: np.ndarray
+    theta: float
+    vals: np.ndarray
+    vecs: np.ndarray
+
+    def shifted(self, c: float) -> "_DualPoint":
+        """The same evaluation for the input A - c (11^T - I) at y - c 1.
+
+        That point is B - c 11^T with B = A + Diag y. J 1 = 0, so J B J,
+        its eigenpairs and the positive part that Pi_C1 removes are
+        unchanged, and Pi_C1(B - c 11^T) = Pi_C1(B) - c 11^T: no
+        eigendecomposition is needed.
+        """
+        return _dual_point(self.y - c, self.m - c, self.vals, self.vecs)
+
+
+def _dual_point(y, m, vals, vecs) -> _DualPoint:
+    return _DualPoint(y, m, m.diagonal().copy(), 0.5 * float(np.vdot(m, m)),
+                      vals, vecs)
+
+
+def _evaluate(a: np.ndarray, y: np.ndarray) -> _DualPoint:
+    """theta and its gradient at y: one C1 projection, one eigh."""
+    return _dual_point(y, *project_c1(a + np.diag(y)))
+
+
 def project_edm_cone(
     a, cfg: SolverConfig | None = None
 ) -> tuple[EdmMatrix, ProjectionDiagnostics]:
@@ -251,6 +290,19 @@ def project_edm_cone(
     -------
     (EdmMatrix, ProjectionDiagnostics)
     """
+    d_hat, diag, _ = _project_from(a, cfg)
+    return d_hat, diag
+
+
+def _project_from(
+    a, cfg: SolverConfig | None = None, start: _DualPoint | None = None
+) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint]:
+    """:func:`project_edm_cone` started at the dual point ``start`` of
+    this input instead of at y = 0, returning its last dual point too.
+
+    ``start`` costs no evaluation, so a fit from a point that already
+    meets the stopping rule makes no eigendecomposition.
+    """
     if isinstance(a, SymHollowMatrix):
         a = a.entries
     a = _as_square(a)
@@ -261,38 +313,33 @@ def project_edm_cone(
     scale = float(np.linalg.norm(a))
     floor = cfg.tol * scale
 
-    def evaluate(y):
-        m, vals, vecs = project_c1(a + np.diag(y))
-        return m, m.diagonal().copy(), 0.5 * float(np.vdot(m, m)), vals, vecs
-
-    y = np.zeros(a.shape[0])
-    m, g, theta, vals, vecs = evaluate(y)
-    cycles = 1
+    if start is None:
+        pt, cycles = _evaluate(a, np.zeros(a.shape[0])), 1
+    else:
+        pt, cycles = start, 0
     delta = 0.0
     converged = stalled = False
 
     while True:
-        gnorm = float(np.linalg.norm(g))
+        gnorm = float(np.linalg.norm(pt.g))
         if gnorm <= floor:
             converged = True
             break
         if cycles >= cfg.max_cycles:
             break
         rel = gnorm / scale
-        d = _cg(*_newton_system(vals, vecs, min(REG_MAX, rel)), -g,
+        d = _cg(*_newton_system(pt.vals, pt.vecs, min(REG_MAX, rel)), -pt.g,
                 min(CG_RTOL, rel))
-        slope = float(g @ d)
+        slope = float(pt.g @ d)
         if not slope < 0.0:
-            d, slope = -g, -gnorm**2
+            d, slope = -pt.g, -gnorm**2
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
-            trial = evaluate(y + t * d)
+            trial = _evaluate(a, pt.y + t * d)
             cycles += 1
-            _, g_t, theta_t, _, _ = trial
-            if (theta_t <= theta + ARMIJO * t * slope
-                    or np.linalg.norm(g_t) <= 0.5 * gnorm):
-                y = y + t * d
-                m, g, theta, vals, vecs = trial
+            if (trial.theta <= pt.theta + ARMIJO * t * slope
+                    or np.linalg.norm(trial.g) <= 0.5 * gnorm):
+                pt = trial
                 delta = t * float(np.linalg.norm(d))
                 break
             if cycles >= cfg.max_cycles:
@@ -302,7 +349,7 @@ def project_edm_cone(
             stalled = True
             break
 
-    g_max = float(np.abs(g).max())
+    g_max = float(np.abs(pt.g).max())
     diag = ProjectionDiagnostics(
         cycles=cycles,
         delta_last=delta,
@@ -314,10 +361,10 @@ def project_edm_cone(
         reason = ("no accepted step" if stalled
                   else f"no convergence in {cfg.max_cycles} cycles")
         raise NotConvergedError(
-            f"{reason} (gradient {float(np.linalg.norm(g)):.3e}, "
+            f"{reason} (gradient {float(np.linalg.norm(pt.g)):.3e}, "
             f"bound tol * ||A||_F = {floor:.3e})", diag)
 
-    out = project_c2(m)
+    out = project_c2(pt.m)
     if out.min() < -floor:
         raise NotConvergedError(
             f"converged iterate has off-diagonal {out.min():.3e} below "
@@ -327,13 +374,13 @@ def project_edm_cone(
     if out.max() <= floor:
         out = np.zeros_like(out)
     else:
-        top = -float(vals[0]) - g_max
+        top = -float(pt.vals[0]) - g_max
         if top <= 0.0:
             raise NotConvergedError(
-                f"converged iterate has spectrum {-float(vals[0]):.3e} "
+                f"converged iterate has spectrum {-float(pt.vals[0]):.3e} "
                 f"within max|g| = {g_max:.3e} of zero", diag)
         cert_tol = max(cert_tol, 2.0 * g_max / top)
-    return certify_edm(SymHollowMatrix(out), cert_tol), diag
+    return certify_edm(SymHollowMatrix(out), cert_tol), diag, pt
 
 
 # ---------------------------------------------------------------------------

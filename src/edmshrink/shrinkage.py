@@ -8,10 +8,25 @@ projects the result onto the EDM cone. The outcome solves
 
 so the trace penalty on the implied kernel is equivalent to uniform
 distance shrinkage: pulling points toward lower-dimensional configurations.
+
+Penalties differ only by the offset -eta (11^T - I), and that offset
+shifts the projection's dual without changing its spectrum: at the dual
+point y of penalty eta, the input of penalty eta + c has
+
+    (A - c (11^T - I)) + Diag(y - c 1) = (A + Diag y) - c 11^T,
+
+and J 1 = 0, so Pi_C1 of it is Pi_C1(A + Diag y) - c 11^T, from the
+eigenpairs already computed. ``shrinkage_path`` uses this to fit a grid
+of penalties in ascending order, each started from the last dual point of
+the one before. Each fit still stops and is certified on its own
+tolerance, so a path fit agrees with ``distance_shrinkage`` of the same
+penalty to within that tolerance, not bit for bit; the first fit of a
+path is the same computation as ``distance_shrinkage``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +40,12 @@ from .core import (
     edm_from_coords,
     eigh_descending,
 )
-from .projection import ProjectionDiagnostics, SolverConfig, project_edm_cone
+from .projection import (
+    ProjectionDiagnostics,
+    SolverConfig,
+    _project_from,
+    project_edm_cone,
+)
 
 
 @dataclass(frozen=True)
@@ -71,6 +91,11 @@ def check_penalty(lam: float) -> None:
         raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
 
 
+def _shrunk(x: SymHollowMatrix, eta: float) -> np.ndarray:
+    """The observations with eta subtracted from every off-diagonal entry."""
+    return x.entries - eta * (1.0 - np.eye(x.n))
+
+
 def distance_shrinkage(
     x: SymHollowMatrix, lam: float, cfg: SolverConfig | None = None
 ) -> ShrinkageFit:
@@ -85,17 +110,45 @@ def distance_shrinkage(
     NotConvergedError if the projection does not converge.
     """
     check_penalty(lam)
-    n = x.n
-    eta = lam / (2 * n)
-    shrunk = x.entries - eta * (1.0 - np.eye(n))
-    d_hat, diag = project_edm_cone(shrunk, cfg)
-    return ShrinkageFit(
-        d_hat=d_hat,
-        k_hat=d_hat.kernel,
-        lam=lam,
-        eta=eta,
-        diagnostics=diag,
-    )
+    eta = lam / (2 * x.n)
+    d_hat, diag = project_edm_cone(_shrunk(x, eta), cfg)
+    return ShrinkageFit(d_hat=d_hat, k_hat=d_hat.kernel, lam=lam, eta=eta,
+                        diagnostics=diag)
+
+
+def shrinkage_path(
+    x: SymHollowMatrix, lams: Iterable[float], cfg: SolverConfig | None = None
+) -> Iterator[ShrinkageFit]:
+    """Fits of ``distance_shrinkage`` for each penalty, in ascending order.
+
+    Each fit after the first starts from the last dual point of the one
+    before it, shifted to its own penalty (see the module docstring), so
+    it needs fewer eigendecompositions than a fit from y = 0. The first
+    fit is exactly ``distance_shrinkage(x, min(lams), cfg)``; every later
+    fit meets the same stopping rule and certificate as its single fit
+    and agrees with it to within the solver tolerance.
+
+    Every penalty is checked before the first fit: a negative or
+    non-finite one raises ValueError here, before iteration starts. The
+    fits are computed one at a time as the iterator is advanced, and a
+    fit that does not converge raises NotConvergedError from it.
+    """
+    lams = list(lams)
+    for lam in lams:
+        check_penalty(lam)
+    return _walk_path(x, sorted(lams), cfg)
+
+
+def _walk_path(x: SymHollowMatrix, lams: list[float],
+               cfg: SolverConfig | None) -> Iterator[ShrinkageFit]:
+    point, eta_prev = None, 0.0
+    for lam in lams:
+        eta = lam / (2 * x.n)
+        start = None if point is None else point.shifted(eta - eta_prev)
+        d_hat, diag, point = _project_from(_shrunk(x, eta), cfg, start)
+        eta_prev = eta
+        yield ShrinkageFit(d_hat=d_hat, k_hat=d_hat.kernel, lam=lam, eta=eta,
+                           diagnostics=diag)
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:

@@ -36,3 +36,15 @@ def test_fit_path_calls_traced_names(rng):
                  "projection.project_edm_cone", "projection.project_c1",
                  "core.certify_edm", "core.center_gram", "linalg.eigh"):
         assert name in seen, name
+
+
+def test_path_calls_traced_names(rng):
+    # grid fits bypass distance_shrinkage and project_edm_cone, but still
+    # project and certify through the traced functions
+    tracer = tracing.Tracer()
+    with tracer.install():
+        fits = list(shrinkage.shrinkage_path(random_hollow(rng, 6), [0.5, 1.0]))
+    assert len(fits) == 2
+    seen = set(tracer.totals())
+    for name in ("projection.project_c1", "core.certify_edm", "linalg.eigh"):
+        assert name in seen, name

@@ -58,6 +58,43 @@ class TestEstimate:
                       for path in tmp_path.glob("fit_lam*.diag.json"))
         assert lams == [1234567.0, 1234568.0]
 
+    def test_lambda_grid_order_does_not_matter(self, noisy_matrix, tmp_path):
+        # the grid is fitted in ascending order whatever order it is given in
+        sets = {}
+        for name, grid in (("a", "2,0.5,1"), ("b", "0.5,1,2")):
+            (tmp_path / name).mkdir()
+            assert main(["estimate", "--input", str(noisy_matrix),
+                         "--lambda-grid", grid,
+                         "--out", str(tmp_path / name / "fit")]) == 0
+            sets[name] = {path.name: path.read_bytes()
+                          for path in (tmp_path / name).iterdir()}
+        assert len(sets["a"]) == 12
+        assert sets["a"] == sets["b"]
+
+    def test_smallest_grid_penalty_matches_single_fit(self, noisy_matrix,
+                                                      tmp_path):
+        assert main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda-grid", "1,0.5,2",
+                     "--out", str(tmp_path / "grid")]) == 0
+        assert main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda", "0.5", "--out", str(tmp_path / "one")]) == 0
+        for suffix in ("dhat.csv", "khat.csv", "embedding.csv", "diag.json"):
+            assert ((tmp_path / f"grid_lam0.5.{suffix}").read_bytes()
+                    == (tmp_path / f"one.{suffix}").read_bytes()), suffix
+
+    def test_lambda_grid_keeps_fits_before_non_convergence(
+            self, noisy_matrix, tmp_path, capsys):
+        # lambda 0 fits the exact EDM in one evaluation; lambda 3 needs more
+        # than two, so the grid stops there with exit code 3
+        code = main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda-grid", "6,0,3", "--max-cycles", "2",
+                     "--out", str(tmp_path / "f")])
+        assert code == 3
+        assert "no convergence in 2 cycles" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.glob("f*")) == [
+            f"f_lam0.0.{suffix}" for suffix in
+            ("dhat.csv", "diag.json", "embedding.csv", "khat.csv")]
+
     def test_lambda_grid_rejects_repeats(self, noisy_matrix, tmp_path):
         code = main(["estimate", "--input", str(noisy_matrix),
                      "--lambda-grid", "0.5,0.5", "--out", str(tmp_path / "f")])

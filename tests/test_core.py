@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edmshrink import (
+    EdmMatrix,
     Embedding,
     MinTraceKernel,
     SymHollowMatrix,
@@ -68,6 +69,30 @@ class TestTypes:
             Embedding(np.array([[1.0], [2.0]]))
         e = Embedding.from_points(np.array([[1.0], [2.0]]))
         assert np.allclose(e.coords, [[-0.5], [0.5]])
+
+
+BAD_TOLS = [np.nan, np.inf, 0.0, -1e-8]
+VIOLATOR = [[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]
+
+
+class TestToleranceValidation:
+    """Every tolerance must be finite and positive: a NaN or infinite one
+    passes every comparison against it, so it would certify a triangle
+    violator as an EDM or load any asymmetric matrix."""
+
+    @pytest.mark.parametrize("bad", BAD_TOLS)
+    @pytest.mark.parametrize("build", [
+        lambda tol: certify_edm(hollow(VIOLATOR), tol),
+        lambda tol: EdmMatrix(hollow(VIOLATOR), cert_tol=tol),
+        lambda tol: MinTraceKernel(-centering(3) / 2.0, psd_tol=tol),
+        lambda tol: edm_from_coords(np.array([[0.0], [1.0]]), cert_tol=tol),
+        lambda tol: SymHollowMatrix.from_array(
+            np.array([[0.0, 1.0], [5.0, 0.0]]), tol=tol),
+    ], ids=["certify_edm", "EdmMatrix", "MinTraceKernel", "edm_from_coords",
+            "from_array"])
+    def test_rejects(self, build, bad):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            build(bad)
 
 
 class TestDistancesFromKernel:

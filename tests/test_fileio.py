@@ -56,6 +56,18 @@ class TestSquareMatrixCsv:
         with pytest.raises(ValueError, match="asymmetry"):
             fileio.load_square_matrix(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("hollow", [True, False])
+    def test_rejects_bad_tolerance(self, tmp_path, bad, hollow):
+        # with tol = nan every comparison passed and [[0,1],[5,0]] loaded
+        # as [[0,3],[3,0]]
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n5,0\n")
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            fileio.load_square_matrix(path, hollow=hollow, tol=bad)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            fileio.load_dissimilarity(path, tol=bad)
+
     def test_rejects_nonzero_diagonal_in_hollow_mode(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n2,1\n")

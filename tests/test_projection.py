@@ -14,7 +14,8 @@ from edmshrink import (
     certify_edm,
     project_edm_cone,
 )
-from edmshrink.projection import _newton_system, project_c1, project_c2
+from edmshrink.projection import (_evaluate, _newton_system, project_c1,
+                                  project_c2)
 
 from conftest import centering, random_edm, random_hollow
 
@@ -217,6 +218,26 @@ class TestNewtonSystem:
             step = 1e-6
             fd = (grad(y + step * h) - grad(y - step * h)) / (2 * step)
             assert np.abs(hess(h) - eps * h - fd).max() <= 1e-6 * np.linalg.norm(h)
+
+
+class TestShiftedDualPoint:
+    """The warm start of a penalty path: the dual point of A at y, shifted
+    by c, is the dual point of A - c (11^T - I) at y - c 1, computed
+    without an eigendecomposition."""
+
+    @pytest.mark.parametrize("c", [-2.5, 0.1, 3.0])
+    @pytest.mark.parametrize("n", [3, 12, 30])
+    def test_matches_fresh_evaluation(self, rng, n, c):
+        a = random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
+        y = rng.normal(size=n)
+        moved = _evaluate(a, y).shifted(c)
+        fresh = _evaluate(a - c * (1.0 - np.eye(n)), y - c)
+        scale = np.linalg.norm(fresh.m)
+        assert np.array_equal(moved.y, fresh.y)
+        assert np.abs(moved.m - fresh.m).max() <= 1e-12 * scale
+        assert np.abs(moved.g - fresh.g).max() <= 1e-12 * scale
+        assert abs(moved.theta - fresh.theta) <= 1e-12 * scale**2
+        assert np.abs(moved.vals - fresh.vals).max() <= 1e-12 * scale
 
 
 class TestDykstraReference:

@@ -24,6 +24,7 @@ from edmshrink import (
     objective_value,
     recommended_lambda,
     risk_bound,
+    shrinkage_path,
     similarity_to_dissimilarity,
     truncate_rank,
 )
@@ -183,6 +184,92 @@ class TestScaleEquivariance:
         assume(min(gaps) >= 1e-6)  # knife edge, excluded
         scaled = self.assert_equivariant(x, 0.0, c)
         assert scaled.d_hat.embed_dim == info.dim
+
+
+def mostly_positive_hollow(seed: int, n: int) -> SymHollowMatrix:
+    """Random symmetric hollow matrix whose entries are mostly positive, so
+    that most of its fits are not zero."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(loc=1.0, size=(n, n))
+    a = (a + a.T) / 2
+    np.fill_diagonal(a, 0.0)
+    return SymHollowMatrix(a)
+
+
+def assert_fit_is(got, want, c=1.0, p=None, rtol=1e-9):
+    """``got`` is the fit ``want`` scaled by c, with its objects in the
+    order p: penalty times c, entries within rtol in relative Frobenius
+    norm, and the same embedding dimension."""
+    assert got.lam == pytest.approx(c * want.lam, rel=1e-15)
+    target = c * want.d_hat.entries
+    if p is not None:
+        target = target[np.ix_(p, p)]
+    err = np.linalg.norm(got.d_hat.entries - target)
+    assert err <= rtol * np.linalg.norm(target)
+    assert got.d_hat.embed_dim == want.d_hat.embed_dim
+
+
+def grid_of(seed: int, n: int) -> list[float]:
+    """Three distinct penalties in [0, n), in no particular order."""
+    return [float(v) for v in np.random.default_rng([seed, 1]).uniform(0, n, 3)]
+
+
+class TestPermutationProperty:
+    """Permutation equivariance of single and path fits over random
+    inputs: the fits of P X P^T are the fits of X, permuted."""
+
+    @staticmethod
+    def permuted(x: SymHollowMatrix, seed: int):
+        p = np.random.default_rng([seed, 2]).permutation(x.n)
+        return p, SymHollowMatrix(x.entries[np.ix_(p, p)])
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+    def test_distance_shrinkage(self, seed, n):
+        x = mostly_positive_hollow(seed, n)
+        lam = grid_of(seed, n)[0]
+        p, moved = self.permuted(x, seed)
+        assert_fit_is(distance_shrinkage(moved, lam),
+                      distance_shrinkage(x, lam), p=p)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+    def test_shrinkage_path(self, seed, n):
+        x = mostly_positive_hollow(seed, n)
+        grid = grid_of(seed, n)
+        p, moved = self.permuted(x, seed)
+        fits = list(shrinkage_path(x, grid))
+        moved_fits = list(shrinkage_path(moved, grid))
+        assert [f.lam for f in fits] == sorted(grid)
+        for got, want in zip(moved_fits, fits):
+            assert_fit_is(got, want, p=p)
+
+
+class TestPathScaleEquivariance:
+    """The path of (c X, c grid) is c times the path of (X, grid): the
+    shift between penalties scales with them, and every stopping test is
+    relative."""
+
+    @PROPERTY
+    @given(rep=st.integers(0, 4), c=SCALES)
+    def test_noisy_helix(self, rep, c):
+        x = helix_observation(rep)
+        grid = [f * recommended_lambda(40, 0.5) for f in (0.5, 1.0, 2.0)]
+        scaled = shrinkage_path(SymHollowMatrix(c * x.entries),
+                                [c * lam for lam in grid])
+        for got, want in zip(scaled, shrinkage_path(x, grid)):
+            assert_fit_is(got, want, c, rtol=1e-8)
+            assert got.d_hat.cert_tol == 1e-8
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), c=SCALES)
+    def test_random_hollow(self, seed, n, c):
+        x = mostly_positive_hollow(seed, n)
+        grid = grid_of(seed, n)
+        scaled = shrinkage_path(SymHollowMatrix(c * x.entries),
+                                [c * lam for lam in grid])
+        for got, want in zip(scaled, shrinkage_path(x, grid)):
+            assert_fit_is(got, want, c, rtol=1e-8)
 
 
 def kkt_residuals(x: SymHollowMatrix, d_hat: np.ndarray, lam: float):
@@ -459,3 +546,60 @@ class TestShrinkagePath:
             if lam >= 2.0 * spectral_norm(x.entries - d.entries):
                 hits += 1
         assert hits >= 95
+
+
+class TestWarmStartedPath:
+    """``shrinkage_path`` fits ascending penalties, each started from the
+    last dual point of the fit before it; every fit is certified on its
+    own and agrees with its single fit to within the solver tolerance."""
+
+    LAM_STAR = recommended_lambda(40, 0.5)
+    FACTORS = (0.5, 1.0, 2.0)
+
+    def test_first_fit_is_the_single_fit(self):
+        x = helix_observation(0)
+        grid = [f * self.LAM_STAR for f in (2.0, 0.5, 1.0)]
+        first = next(shrinkage_path(x, grid))
+        single = distance_shrinkage(x, min(grid))
+        assert first.lam == min(grid) and first.eta == single.eta
+        assert np.array_equal(first.d_hat.entries, single.d_hat.entries)
+        assert np.array_equal(first.k_hat.entries, single.k_hat.entries)
+        assert first.diagnostics == single.diagnostics
+
+    @pytest.mark.parametrize("rep", range(5))
+    def test_helix_fits_match_cold_fits(self, rep):
+        x = helix_observation(rep)
+        grid = [f * self.LAM_STAR for f in self.FACTORS]
+        path = shrinkage_path(x, grid[::-1])
+        for i, lam in enumerate(grid):
+            with eig_counts() as calls:
+                fit = next(path)
+            cold = distance_shrinkage(x, lam)
+            assert fit.lam == lam
+            assert fit.diagnostics.converged
+            want = cold.d_hat.entries
+            err = np.linalg.norm(fit.d_hat.entries - want)
+            assert err <= 1e-7 * np.linalg.norm(want)
+            assert fit.d_hat.embed_dim == cold.d_hat.embed_dim
+            assert fit.d_hat.cert_tol == 1e-8
+            dual, comp = kkt_residuals(x, fit.d_hat.entries, lam)
+            assert dual <= 1e-9 and comp <= 1e-9
+            assert calls == {"eigh": fit.diagnostics.cycles, "eigvalsh": 1}
+            if i:
+                assert fit.diagnostics.cycles < cold.diagnostics.cycles
+        assert next(path, None) is None
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_penalty_before_any_fit(self, bad):
+        with eig_counts() as calls:
+            with pytest.raises(ValueError, match="lam must be finite"):
+                shrinkage_path(helix_observation(0), [1.0, 2.0, bad])
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+
+    def test_met_stopping_rule_takes_no_evaluation(self):
+        # a repeated penalty starts at the converged point of its copy
+        x = helix_observation(0)
+        first, again = shrinkage_path(x, [self.LAM_STAR] * 2)
+        assert again.diagnostics.cycles == 0
+        assert again.diagnostics.delta_last == 0.0
+        assert np.array_equal(again.d_hat.entries, first.d_hat.entries)

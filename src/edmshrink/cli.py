@@ -23,8 +23,8 @@ from . import fileio
 from .core import SymHollowMatrix, similarity_to_dissimilarity
 from .noise import NoiseModel
 from .projection import NotConvergedError, SolverConfig, analyze_dim3
-from .shrinkage import (classical_mds, distance_shrinkage, recommended_lambda,
-                        shrinkage_path, truncate_rank)
+from .shrinkage import (classical_mds, recommended_lambda, shrinkage_path,
+                        truncate_rank)
 from .simulate import SimConfig, helix_coords, report_write, run_experiment
 
 EXIT_OK = 0
@@ -161,16 +161,16 @@ def _cmd_estimate(args) -> int:
         penalties = [float(tok) for tok in args.lambda_grid.split(",")]
         if len(set(penalties)) != len(penalties):
             raise ValueError("--lambda-grid repeats a penalty")
-        # shrinkage_path checks every penalty before the first fit, so a
-        # rejected grid writes no files
-        multiple = len(penalties) > 1
-        for fit in shrinkage_path(x, penalties, cfg):
-            _write_fit(fit, rank,
-                       f"{args.out}_lam{fit.lam!r}" if multiple else args.out)
-        return EXIT_OK
-    lam = (args.lam if args.lam is not None
-           else recommended_lambda(x.n, args.sigma))
-    _write_fit(distance_shrinkage(x, lam, cfg), rank, args.out)
+    elif args.lam is not None:
+        penalties = [args.lam]
+    else:
+        penalties = [recommended_lambda(x.n, args.sigma)]
+    # shrinkage_path checks every penalty before the first fit, so a
+    # rejected grid writes no files
+    multiple = len(penalties) > 1
+    for fit in shrinkage_path(x, penalties, cfg):
+        _write_fit(fit, rank,
+                   f"{args.out}_lam{fit.lam!r}" if multiple else args.out)
     return EXIT_OK
 
 

@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="embedding rank for the coordinate output (default 3)")
     est.add_argument("--out", required=True,
                      help="output prefix; writes <out>.dhat.csv, <out>.khat.csv, "
-                          "<out>.embedding.csv and <out>.diag.json")
+                          "<out>.embedding.csv and <out>.diag.json, or with "
+                          "--lambda-grid one such set per value under "
+                          "<out>_lam<value>")
     est.add_argument("--lambda-grid",
                      help="comma-separated distinct penalties, fitted in "
                           "ascending order along one path, each fit started "
@@ -167,10 +169,9 @@ def _cmd_estimate(args) -> int:
         penalties = [recommended_lambda(x.n, args.sigma)]
     # shrinkage_path checks every penalty before the first fit, so a
     # rejected grid writes no files
-    multiple = len(penalties) > 1
     for fit in shrinkage_path(x, penalties, cfg):
-        _write_fit(fit, rank,
-                   f"{args.out}_lam{fit.lam!r}" if multiple else args.out)
+        _write_fit(fit, rank, args.out if args.lambda_grid is None
+                   else f"{args.out}_lam{fit.lam!r}")
     return EXIT_OK
 
 

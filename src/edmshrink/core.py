@@ -84,11 +84,11 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(symmetrize(a))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, j] = -col
+    # every column is a unit vector, so each has an entry above 1e-12
+    big = np.abs(vecs) > 1e-12
+    if big.size:
+        lead = vecs[big.argmax(axis=0), np.arange(big.shape[1])]
+        vecs[:, lead < 0] *= -1.0
     return vals, vecs
 
 

@@ -4,10 +4,11 @@ benchmark's tracer patches by name still exists and runs on the fit path."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edmshrink
-from edmshrink import shrinkage
+from edmshrink import cli, fileio, shrinkage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "edmbench"))
 import tracing  # noqa: E402
@@ -48,3 +49,21 @@ def test_path_calls_traced_names(rng):
     seen = set(tracer.totals())
     for name in ("projection.project_c1", "core.certify_edm", "linalg.eigh"):
         assert name in seen, name
+
+
+def test_traced_estimate_records_written_sizes(tmp_path):
+    # the tracer reads the path of save_square_matrix(a, path, header=...)
+    # as its second positional argument and records the written file's size
+    x = random_hollow(np.random.default_rng(3), 12)
+    fileio.save_square_matrix(x.entries, tmp_path / "x.csv")
+    tracer = tracing.Tracer()
+    with tracer.install():
+        assert cli.main(["estimate", "--input", str(tmp_path / "x.csv"),
+                         "--lambda-grid", "0.5,1", "--rank", "2",
+                         "--out", str(tmp_path / "f")]) == 0
+    recorded = sorted(nbytes for name, *_, nbytes in tracer.spans
+                      if name == "fileio.save_square_matrix")
+    written = sorted(path.stat().st_size for path in tmp_path.glob("f_lam*.csv")
+                     if not path.name.endswith(".embedding.csv"))
+    assert len(written) == 4
+    assert recorded == written

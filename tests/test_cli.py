@@ -50,6 +50,14 @@ class TestEstimate:
         assert (tmp_path / "fit_lam0.1.dhat.csv").exists()
         assert (tmp_path / "fit_lam0.5.dhat.csv").exists()
 
+    def test_one_value_lambda_grid_is_suffixed(self, noisy_matrix, tmp_path):
+        # a grid of one value still writes one set per value, suffixed
+        assert main(["estimate", "--input", str(noisy_matrix),
+                     "--lambda-grid", "0.5", "--out", str(tmp_path / "g")]) == 0
+        assert sorted(path.name for path in tmp_path.glob("g*")) == [
+            f"g_lam0.5.{suffix}" for suffix in
+            ("dhat.csv", "diag.json", "embedding.csv", "khat.csv")]
+
     def test_lambda_grid_keeps_close_penalties_apart(self, noisy_matrix, tmp_path):
         out = tmp_path / "fit"
         assert main(["estimate", "--input", str(noisy_matrix),

@@ -308,6 +308,43 @@ class TestSimilarityConversion:
             certify_edm(x)
 
 
+def eigh_descending_loop(a):
+    """The column-by-column sign convention that eigh_descending vectorises."""
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            vecs[:, j] = -col
+    return vals, vecs
+
+
+def _rotated(t):
+    # eigenvectors (cos t, sin t) and (-sin t, cos t): with t = 1e-14 the
+    # second one leads with an entry below 1e-12
+    c, s = np.cos(t), np.sin(t)
+    q = np.eye(4)
+    q[:2, :2] = [[c, -s], [s, c]]
+    return q @ np.diag([4.0, 3.0, 2.0, 1.0]) @ q.T
+
+
+_SIGN_CASES = {
+    "random7": lambda rng: rng.normal(size=(7, 7)),
+    "random40": lambda rng: rng.normal(size=(40, 40)),
+    "zeros": lambda rng: np.zeros((5, 5)),
+    "identity": lambda rng: np.eye(5),
+    "ones": lambda rng: np.ones((6, 6)),
+    "diagonal": lambda rng: np.diag([0.0, 0.0, -1.0, 2.0]),
+    "tiny_lead": lambda rng: _rotated(1e-14),
+    "tiny_lead_negated": lambda rng: -_rotated(1e-14),
+    "tiny_lead_quarter_turn": lambda rng: _rotated(np.pi / 2 + 1e-14),
+    "one_by_one": lambda rng: np.array([[-3.0]]),
+    "empty": lambda rng: np.zeros((0, 0)),
+}
+
+
 class TestEighContract:
     def test_descending_and_deterministic_sign(self, rng):
         a = rng.normal(size=(7, 7))
@@ -318,3 +355,13 @@ class TestEighContract:
             nz = np.flatnonzero(np.abs(vecs[:, j]) > 1e-12)
             assert vecs[nz[0], j] > 0
         assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_SIGN_CASES))
+    def test_sign_matches_loop_exactly(self, rng, case):
+        a = _SIGN_CASES[case](rng)
+        a = (a + a.T) / 2.0
+        vals, vecs = eigh_descending(a)
+        ref_vals, ref_vecs = eigh_descending_loop(a)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+        assert np.array_equal(np.signbit(vecs), np.signbit(ref_vecs))

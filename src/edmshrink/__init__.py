@@ -51,7 +51,6 @@ from .simulate import (
     helix_coords,
     report_csv,
     report_json,
-    report_write,
     run_experiment,
 )
 
@@ -86,5 +85,4 @@ __all__ = [
     "run_experiment",
     "report_json",
     "report_csv",
-    "report_write",
 ]

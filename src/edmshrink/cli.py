@@ -25,7 +25,8 @@ from .noise import NoiseModel
 from .projection import NotConvergedError, SolverConfig, analyze_dim3
 from .shrinkage import (classical_mds, recommended_lambda, shrinkage_path,
                         truncate_rank)
-from .simulate import SimConfig, helix_coords, report_write, run_experiment
+from .simulate import (SimConfig, helix_coords, report_csv, report_json,
+                       run_experiment)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,6 +132,15 @@ def _rank(r: int, n: int) -> int:
     return min(r, n - 1)
 
 
+def _write_text(text: str, out) -> None:
+    """Write ``text`` to the path ``out``, or to stdout when it is not given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_fit(fit, rank: int, prefix: str) -> None:
     fileio.save_square_matrix(fit.d_hat.entries, f"{prefix}.dhat.csv")
     fileio.save_square_matrix(
@@ -185,22 +195,13 @@ def _cmd_simulate(args) -> int:
         coords = helix_coords(args.helix, turns=args.helix_turns, **geometry)
     else:
         coords = fileio.load_coords(args.input, args.format)
-    if args.noise == "gaussian":
-        if args.sigma2 is None:
-            raise ValueError("gaussian noise requires --sigma2")
-        noise = NoiseModel(kind="gaussian", sigma2=args.sigma2)
-    else:
-        noise = NoiseModel(kind="gamma", sigma2=args.sigma2)
-    cfg = SimConfig(reps=args.reps, seed=args.seed, noise=noise,
+    cfg = SimConfig(reps=args.reps, seed=args.seed,
+                    noise=NoiseModel(kind=args.noise, sigma2=args.sigma2),
                     rank_r=_rank(args.rank, len(coords)), lam=args.lam,
                     sigma=args.sigma, solver=_solver_config(args))
     report = run_experiment(coords, cfg)
-    if args.out:
-        report_write(report, args.out, args.out_format)
-    else:
-        from .simulate import report_csv, report_json
-        text = report_json(report) if args.out_format == "json" else report_csv(report)
-        sys.stdout.write(text)
+    _write_text(report_json(report) if args.out_format == "json"
+                else report_csv(report), args.out)
     return EXIT_OK
 
 
@@ -216,12 +217,7 @@ def _cmd_dim3(args) -> int:
     x = fileio.load_dissimilarity(args.input)
     if x.n != 3:
         raise ValueError(f"dim3 needs a 3x3 matrix, got {x.n}x{x.n}")
-    text = fileio.dumps_json(asdict(analyze_dim3(x)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(fileio.dumps_json(asdict(analyze_dim3(x))), args.out)
     return EXIT_OK
 
 

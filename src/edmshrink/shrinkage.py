@@ -52,37 +52,51 @@ from .projection import (
 class ShrinkageFit:
     """Result of one shrink-and-project fit.
 
-    d_hat is the estimated EDM, k_hat its minimum-trace kernel, and
-    eta = lam / (2n) the per-entry shrinkage that was applied before
-    projection.
+    Stores what the fit computed: d_hat, the estimated EDM, the penalty
+    lam and the projection's diagnostics. k_hat, the minimum-trace kernel
+    of d_hat, and eta = lam / (2n), the per-entry shrinkage applied
+    before projection, are read from those.
     """
 
     d_hat: EdmMatrix
-    k_hat: MinTraceKernel
     lam: float
-    eta: float
     diagnostics: ProjectionDiagnostics
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.eta != self.lam / (2 * self.d_hat.n):
-            raise ValueError("eta must equal lam / (2n) exactly")
+
+    @property
+    def k_hat(self) -> MinTraceKernel:
+        return self.d_hat.kernel
+
+    @property
+    def eta(self) -> float:
+        return self.lam / (2 * self.d_hat.n)
 
 
 @dataclass(frozen=True)
 class RankTruncatedFit:
-    """An EDM constrained to embedding dimension at most r, with coordinates."""
+    """Centered coordinates of embedding dimension r, with their EDM.
 
-    r: int
-    d_hat_r: EdmMatrix
+    Stores only the embedding; r is its number of columns. The rank-r EDM
+    d_hat_r is built from the coordinates and certified each time it is
+    read, so a caller that needs only the coordinates (``estimate``
+    writes nothing else) never pays for the n x n matrix or its spectrum.
+    """
+
     embedding: Embedding
 
-    def __post_init__(self):
-        if self.d_hat_r.embed_dim > self.r:
+    @property
+    def r(self) -> int:
+        return self.embedding.k
+
+    @property
+    def d_hat_r(self) -> EdmMatrix:
+        d = edm_from_coords(self.embedding)
+        if d.embed_dim > self.r:
             raise ValueError("truncated EDM exceeds the requested rank")
-        if self.embedding.k != self.r:
-            raise ValueError("embedding must have exactly r columns")
+        return d
 
 
 def check_penalty(lam: float) -> None:
@@ -110,10 +124,8 @@ def distance_shrinkage(
     NotConvergedError if the projection does not converge.
     """
     check_penalty(lam)
-    eta = lam / (2 * x.n)
-    d_hat, diag = project_edm_cone(_shrunk(x, eta), cfg)
-    return ShrinkageFit(d_hat=d_hat, k_hat=d_hat.kernel, lam=lam, eta=eta,
-                        diagnostics=diag)
+    d_hat, diag = project_edm_cone(_shrunk(x, lam / (2 * x.n)), cfg)
+    return ShrinkageFit(d_hat=d_hat, lam=lam, diagnostics=diag)
 
 
 def shrinkage_path(
@@ -147,8 +159,7 @@ def _walk_path(x: SymHollowMatrix, lams: list[float],
         start = None if point is None else point.shifted(eta - eta_prev)
         d_hat, diag, point = _project_from(_shrunk(x, eta), cfg, start)
         eta_prev = eta
-        yield ShrinkageFit(d_hat=d_hat, k_hat=d_hat.kernel, lam=lam, eta=eta,
-                           diagnostics=diag)
+        yield ShrinkageFit(d_hat=d_hat, lam=lam, diagnostics=diag)
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
@@ -190,17 +201,16 @@ def risk_bound(n: int, sigma: float, r: int) -> float:
 
 
 def _rank_r_fit(kernel: np.ndarray, r: int) -> RankTruncatedFit:
-    """Top-r eigen-truncation of a (near) centered kernel, as EDM + coords.
+    """Top-r eigen-truncation of a (near) centered kernel, as coordinates.
 
-    Coordinates are centered exactly and the distance matrix is built and
-    certified from them, so the coordinates and the distance matrix stay
-    consistent to machine precision even when the input kernel is
-    degenerate.
+    Coordinates are centered exactly, and the fit's distance matrix is
+    built from them when read, so the two stay consistent to machine
+    precision even when the input kernel is degenerate.
     """
     vals, vecs = eigh_descending(kernel)
     kept = np.clip(vals[:r], 0.0, None)
-    coords = Embedding.from_points(vecs[:, :r] * np.sqrt(kept))
-    return RankTruncatedFit(r=r, d_hat_r=edm_from_coords(coords), embedding=coords)
+    return RankTruncatedFit(
+        embedding=Embedding.from_points(vecs[:, :r] * np.sqrt(kept)))
 
 
 def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:

@@ -129,7 +129,9 @@ def _config_echo(cfg: SimConfig) -> dict:
 def run_experiment(truth, cfg: SimConfig) -> StressReport:
     """Run ``cfg.reps`` noisy replicates against a true distance matrix.
 
-    ``truth`` is an EdmMatrix or an (n, k) coordinate array. A replicate
+    ``truth`` is an EdmMatrix or an (n, k) coordinate array. Each
+    replicate yields one ``ReplicateRecord``; ``failed`` and both methods'
+    aggregates are computed from those records afterwards. A replicate
     whose shrinkage fit fails to converge is recorded, counted in
     ``failed`` and excluded from both methods' aggregates. The result is
     deterministic for a fixed configuration and independent of replicate
@@ -138,12 +140,8 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     d_true = truth if isinstance(truth, EdmMatrix) else edm_from_coords(truth)
     n = d_true.n
     lam = cfg.penalty(n)
-    eta = lam / (2 * n)
 
     records: list[ReplicateRecord] = []
-    shrink_vals: list[float] = []
-    mds_vals: list[float] = []
-    failed: list[int] = []
     for rep in range(cfg.reps):
         x = add_noise(d_true, cfg.noise, cfg.seed, replicate=rep)
         mds_fit = classical_mds(x, cfg.rank_r)
@@ -151,27 +149,24 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
         try:
             fit = distance_shrinkage(x, lam, cfg.solver)
         except NotConvergedError as exc:
-            failed.append(rep)
-            records.append(ReplicateRecord(
-                index=rep, shrinkage_stress=None, mds_stress=mds_stress,
-                cycles=exc.diagnostics.cycles, converged=False))
-            continue
-        stress = kruskal_stress(fit.d_hat.base, d_true.base)
-        shrink_vals.append(stress)
-        mds_vals.append(mds_stress)
+            stress, cycles = None, exc.diagnostics.cycles
+        else:
+            stress = kruskal_stress(fit.d_hat.base, d_true.base)
+            cycles = fit.diagnostics.cycles
         records.append(ReplicateRecord(
             index=rep, shrinkage_stress=stress, mds_stress=mds_stress,
-            cycles=fit.diagnostics.cycles, converged=True))
+            cycles=cycles, converged=stress is not None))
 
+    included = [r for r in records if r.converged]
     return StressReport(
         n=n,
         lam=float(lam),
-        eta=float(eta),
+        eta=float(lam / (2 * n)),
         config=_config_echo(cfg),
-        shrinkage=_stats(shrink_vals),
-        classical_mds=_stats(mds_vals),
+        shrinkage=_stats([r.shrinkage_stress for r in included]),
+        classical_mds=_stats([r.mds_stress for r in included]),
         replicates=tuple(records),
-        failed=tuple(failed),
+        failed=tuple(r.index for r in records if not r.converged),
     )
 
 
@@ -224,18 +219,3 @@ def report_csv(report: StressReport) -> str:
         lines.append(
             f"classical_mds,{r.index},{format(r.mds_stress, '.17g')},0,true")
     return "\n".join(lines) + "\n"
-
-
-def report_write(report: StressReport, path, fmt: str = "json") -> None:
-    """Write a report to ``path`` as json or csv."""
-    if fmt == "json":
-        text = report_json(report)
-    elif fmt == "csv":
-        text = report_csv(report)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc

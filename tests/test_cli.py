@@ -221,6 +221,26 @@ class TestSimulate:
         assert code == 2
 
 
+class TestOutOrStdout:
+    # each command writes the same bytes to --out as to stdout without it
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--helix", "8", "--sigma2", "0.05", "--reps", "2",
+         "--seed", "4", "--sigma", "0.223", "--out-format", "json"],
+        ["simulate", "--helix", "8", "--sigma2", "0.05", "--reps", "2",
+         "--seed", "4", "--sigma", "0.223", "--out-format", "csv"],
+        ["dim3", "--input", "x.csv"],
+    ], ids=["simulate-json", "simulate-csv", "dim3"])
+    def test_stdout_matches_file(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.csv").write_text("0,1,2\n1,0,1.5\n2,1.5,0\n")
+        assert main(args + ["--out", "out"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        written = (tmp_path / "out").read_bytes()
+        assert written
+        assert capsys.readouterr().out.encode("utf-8") == written
+
+
 class TestOtherCommands:
     def test_mds_outputs(self, noisy_matrix, tmp_path):
         out = tmp_path / "mds"

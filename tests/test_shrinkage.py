@@ -1,5 +1,6 @@
 """Shrinkage estimator, rank truncation, classical-scaling baseline, bounds."""
 
+import json
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from unittest import mock
@@ -20,6 +21,7 @@ from edmshrink import (
     classical_mds,
     distance_shrinkage,
     edm_from_coords,
+    fileio,
     helix_coords,
     objective_value,
     recommended_lambda,
@@ -28,6 +30,7 @@ from edmshrink import (
     similarity_to_dissimilarity,
     truncate_rank,
 )
+from edmshrink.cli import main
 
 from conftest import random_cloud, random_edm, random_hollow, spectral_norm
 
@@ -504,10 +507,33 @@ class TestEigensolverCalls:
                 assert calls["eigvalsh"] == 1
 
     def test_classical_mds(self, rng):
+        # the rank-r EDM is built and certified when it is read
         x = random_hollow(rng, 12, scale=2.0)
         with eig_counts() as calls:
-            classical_mds(x, 3)
+            classical_mds(x, 3).d_hat_r
         assert calls == {"eigh": 1, "eigvalsh": 1}
+
+    def test_truncate_rank(self, rng):
+        # coordinates alone: one eigh of the kernel, no certification
+        fit = distance_shrinkage(random_hollow(rng, 12, scale=2.0), 0.5)
+        with eig_counts() as calls:
+            truncate_rank(fit, 3)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    def test_estimate_invocation_certifies_once(self, rng, tmp_path):
+        # one estimate --lambda run: the projection's eighs, one eigh for
+        # the coordinates and the fit's one certification
+        d = random_edm(rng, 30, 3, scale=3.0)
+        x = add_noise(d, NoiseModel("gaussian", 0.25), seed=5, replicate=0)
+        path, out = tmp_path / "x.csv", tmp_path / "fit"
+        fileio.save_square_matrix(x.entries, path)
+        with eig_counts() as calls:
+            assert main(["estimate", "--input", str(path), "--lambda",
+                         str(recommended_lambda(30, 0.5)),
+                         "--out", str(out)]) == 0
+        cycles = json.loads((tmp_path / "fit.diag.json").read_text())["cycles"]
+        assert cycles >= 1
+        assert calls == {"eigh": cycles + 1, "eigvalsh": 1}
 
 
 class TestShrinkagePath:

@@ -15,7 +15,6 @@ from edmshrink import (
     helix_coords,
     report_csv,
     report_json,
-    report_write,
     run_experiment,
 )
 
@@ -127,16 +126,6 @@ class TestSerialization:
         shrink_row = next(r for r in rows if r["method"] == "shrinkage")
         assert shrink_row["stress"] == "nan"
         assert shrink_row["converged"] == "false"
-
-    def test_report_write_files(self, truth, tmp_path):
-        rep = run_experiment(truth, small_cfg())
-        jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
-        report_write(rep, jpath, "json")
-        report_write(rep, cpath, "csv")
-        assert json.loads(jpath.read_text())["n"] == 12
-        assert cpath.read_text().startswith("method,replicate,stress")
-        with pytest.raises(ValueError):
-            report_write(rep, tmp_path / "r.x", "yaml")
 
     def test_float_precision_survives_round_trip(self, truth):
         rep = run_experiment(truth, small_cfg())

@@ -314,9 +314,16 @@ def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
     coords = p.coords if isinstance(p, Embedding) else np.asarray(p, dtype=float)
     if coords.ndim != 2:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
+    return certify_edm(SymHollowMatrix(_distances_from_coords(coords)),
+                       cert_tol)
+
+
+def _distances_from_coords(coords: np.ndarray) -> np.ndarray:
+    """Squared pairwise distances of (n, k) coordinates, without the
+    certificate of :func:`edm_from_coords`."""
     d = _distances_from_gram(coords @ coords.T)
     np.clip(d, 0.0, None, out=d)  # roundoff can leave tiny negatives
-    return certify_edm(SymHollowMatrix(d), cert_tol)
+    return d
 
 
 # ---------------------------------------------------------------------------

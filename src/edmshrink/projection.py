@@ -31,6 +31,21 @@ evaluation of theta costs one eigendecomposition; the Newton systems are
 solved by conjugate gradients on Hessian-vector products of O(n^2 k)
 work, where k is the smaller of the counts of positive and non-positive
 eigenvalues of J (A + Diag y) J.
+
+Constant dual points come free. J is the identity on the complement of
+the ones vector and J 1 = 0, so
+
+  J (A + c I) J = J A J + c J:
+
+the eigenvectors of J A J serve every c, the ones vector keeps its
+eigenvalue 0 and every other eigenvalue l_i moves to l_i + c. Since
+||Pi_C1(B)||^2 = ||B||^2 - ||Pi_PSD(J B J)||^2,
+
+  theta(c 1) = (1/2) (||A + c I||_F^2 - sum_i max(l_i + c, 0)^2),
+
+a strictly convex, piecewise quadratic function of c alone, over the
+n - 1 eigenvalues off the ones vector. A fit starts at its minimizer,
+read off one spectrum of J A J.
 """
 
 from __future__ import annotations
@@ -104,10 +119,15 @@ class ProjectionDiagnostics:
 
     cycles counts the evaluations of the dual function that this
     projection made, one eigendecomposition each, and delta_last is the
-    Euclidean norm of its last dual step (0 if it took none). A fit warm
-    started along a penalty path (``shrinkage_path``) begins from the
-    previous fit's last evaluation, so it counts only the
-    eigendecompositions it made itself, which can be 0.
+    Euclidean norm of its last Newton step (0 if it took none). A cold
+    fit counts its evaluation at y = 0 but not the move to the best
+    constant dual point, which needs no eigendecomposition (see the
+    module docstring). A fit of ``simulate`` starts at that point from
+    the spectrum its replicate shares with classical MDS and counts no
+    evaluation for it. A fit warm started along a penalty path
+    (``shrinkage_path``) begins from the previous fit's last evaluation.
+    Each counts only the eigendecompositions it made itself; a warm fit
+    can make none.
     c2_residual is the largest diagonal magnitude max|g| of the C1
     projection M before the closing hollowing step X = M - Diag g.
     c1_residual is a bound on the largest eigenvalue of J X J, not a
@@ -225,8 +245,10 @@ def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 
 class _DualPoint(NamedTuple):
     """One evaluation of the dual at y: M = Pi_C1(A + Diag y), its diagonal
-    g = grad theta(y), theta(y) = ||M||_F^2 / 2, and the ascending
-    eigenpairs (vals, vecs) of J (A + Diag y) J."""
+    g = grad theta(y), theta(y) = ||M||_F^2 / 2, and the eigenpairs
+    (vals, vecs) of J (A + Diag y) J. ``decomposed`` is False when vals
+    were shifted from the spectrum of another matrix instead of computed
+    for this one (see :func:`_constant_start`); otherwise they ascend."""
 
     y: np.ndarray
     m: np.ndarray
@@ -234,6 +256,7 @@ class _DualPoint(NamedTuple):
     theta: float
     vals: np.ndarray
     vecs: np.ndarray
+    decomposed: bool = True
 
     def shifted(self, c: float) -> "_DualPoint":
         """The same evaluation for the input A - c (11^T - I) at y - c 1.
@@ -243,12 +266,13 @@ class _DualPoint(NamedTuple):
         unchanged, and Pi_C1(B - c 11^T) = Pi_C1(B) - c 11^T: no
         eigendecomposition is needed.
         """
-        return _dual_point(self.y - c, self.m - c, self.vals, self.vecs)
+        return _dual_point(self.y - c, self.m - c, self.vals, self.vecs,
+                           self.decomposed)
 
 
-def _dual_point(y, m, vals, vecs) -> _DualPoint:
+def _dual_point(y, m, vals, vecs, decomposed=True) -> _DualPoint:
     return _DualPoint(y, m, m.diagonal().copy(), 0.5 * float(np.vdot(m, m)),
-                      vals, vecs)
+                      vals, vecs, decomposed)
 
 
 def _evaluate(a: np.ndarray, y: np.ndarray) -> _DualPoint:
@@ -256,13 +280,59 @@ def _evaluate(a: np.ndarray, y: np.ndarray) -> _DualPoint:
     return _dual_point(y, *project_c1(a + np.diag(y)))
 
 
+def _constant_start(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                    offset: float) -> _DualPoint | None:
+    """The dual point at the minimizer c* of theta(c 1), with no eigh.
+
+    ``vals`` and ``vecs`` are ascending eigenpairs of J X J for a matrix
+    X with J A J = J X J + offset J, such as X itself when A is X shrunk
+    by ``offset`` off the diagonal, or A itself with offset 0. One column
+    must be the ones vector: its eigenvalue stays 0, and every other one
+    is l_i = vals_i + offset, moving to l_i + c at y = c 1 (see the
+    module docstring). The point keeps the order of ``vals``, so the 0
+    of the ones vector need not be in ascending place. The slope of
+    theta(c 1) is
+
+        tr A + n c - sum_i max(l_i + c, 0),
+
+    bounded above by the linear tr A + n c - sum_{i <= k} (l_i + c) over
+    the k largest l_i. Each of those n bounds has its root at or below
+    c*, and the one whose k eigenvalues are positive at c* has its root
+    at c*, so c* = max_k (S_k - tr A) / (n - k), with S_k the sum of the
+    k largest l_i, for k = 0, ..., n - 1.
+
+    Returns None when no column v has |v^T 1| / sqrt(n) within 1e-10 of
+    1, as when 0 is a repeated eigenvalue of J X J; the eigenvectors then
+    do not split off the ones vector, and the fit starts from y = 0.
+    """
+    n = vals.size
+    along = np.abs(vecs.sum(axis=0)) / np.sqrt(n)
+    ones = int(np.argmax(along))
+    if not abs(along[ones] - 1.0) <= 1e-10:
+        return None
+    rest = np.arange(n) != ones
+    eig = vals + offset
+    sums = np.concatenate(([0.0], np.cumsum(eig[rest][::-1])))
+    c = float(np.max((sums - np.trace(a)) / (n - np.arange(n))))
+    eig[rest] += c
+    eig[ones] = 0.0
+    pos = eig > 0.0
+    w = vecs[:, pos]
+    m = a - (w * eig[pos]) @ w.T
+    m.flat[:: n + 1] += c
+    m = symmetrize(m)
+    return _dual_point(np.full(n, c), m, eig, vecs, decomposed=False)
+
+
 def project_edm_cone(
     a, cfg: SolverConfig | None = None
 ) -> tuple[EdmMatrix, ProjectionDiagnostics]:
     """Frobenius-nearest Euclidean distance matrix to a symmetric input.
 
-    Minimizes the dual theta(y) = (1/2) ||Pi_C1(A + Diag y)||_F^2 from
-    y = 0 by semismooth Newton-CG (see the module docstring): each step
+    Minimizes the dual theta(y) = (1/2) ||Pi_C1(A + Diag y)||_F^2 by
+    semismooth Newton-CG (see the module docstring). It evaluates theta
+    at y = 0 and, unless that meets the stopping rule, starts from the
+    minimizer of theta(c 1) read off the same spectrum. Each step
     solves (H + eps I) d = -g by conjugate gradients, with g = grad theta
     and H a generalized Hessian, then backtracks along d. Iteration stops
     once |g| <= tol * ||a||_F, or raises :class:`NotConvergedError` at
@@ -276,8 +346,10 @@ def project_edm_cone(
     X lies below -tol * ||a||_F; negative entries are clipped to zero,
     and one below that bound raises NotConvergedError. A result no larger
     than tol * ||a||_F becomes the zero matrix. The same bound certifies
-    X, with no further spectrum, at cert_tol = max(1e-8, 2 max|g| /
-    (s - max|g|)), where s is the largest eigenvalue of -J (A + Diag y) J.
+    X, with no further spectrum, at cert_tol = max(1e-8, 2 e / (s - e)),
+    where s is the largest eigenvalue of -J (A + Diag y) J. The bound e =
+    max|g| + n eps (||M||_F + 2 ||P||_F) adds the rounding of M = A +
+    Diag y - P, with P the PSD part that Pi_C1 removes, to max|g|.
 
     Parameters
     ----------
@@ -300,8 +372,10 @@ def _project_from(
     """:func:`project_edm_cone` started at the dual point ``start`` of
     this input instead of at y = 0, returning its last dual point too.
 
-    ``start`` costs no evaluation, so a fit from a point that already
-    meets the stopping rule makes no eigendecomposition.
+    ``start`` costs no evaluation, so a fit from a decomposed point that
+    already meets the stopping rule makes no eigendecomposition. A point
+    whose spectrum was shifted, not decomposed, is evaluated once before
+    it is accepted, so that the certificate reads a computed spectrum.
     """
     if isinstance(a, SymHollowMatrix):
         a = a.entries
@@ -315,6 +389,10 @@ def _project_from(
 
     if start is None:
         pt, cycles = _evaluate(a, np.zeros(a.shape[0])), 1
+        if np.linalg.norm(pt.g) > floor:
+            const = _constant_start(a, pt.vals, pt.vecs, 0.0)
+            if const is not None:
+                pt = const
     else:
         pt, cycles = start, 0
     delta = 0.0
@@ -322,11 +400,15 @@ def _project_from(
 
     while True:
         gnorm = float(np.linalg.norm(pt.g))
-        if gnorm <= floor:
+        if gnorm <= floor and pt.decomposed:
             converged = True
             break
         if cycles >= cfg.max_cycles:
             break
+        if gnorm <= floor:
+            pt = _evaluate(a, pt.y)
+            cycles += 1
+            continue
         rel = gnorm / scale
         d = _cg(*_newton_system(pt.vals, pt.vecs, min(REG_MAX, rel)), -pt.g,
                 min(CG_RTOL, rel))
@@ -374,12 +456,17 @@ def _project_from(
     if out.max() <= floor:
         out = np.zeros_like(out)
     else:
-        top = -float(pt.vals[0]) - g_max
+        # M = B - P, from B = A + Diag y and the removed PSD part P, rounds
+        # by about n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F)
+        psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
+        slack = g_max + a.shape[0] * np.finfo(float).eps * (
+            np.sqrt(2.0 * pt.theta) + 2.0 * psd)
+        top = -float(pt.vals[0]) - slack
         if top <= 0.0:
             raise NotConvergedError(
                 f"converged iterate has spectrum {-float(pt.vals[0]):.3e} "
-                f"within max|g| = {g_max:.3e} of zero", diag)
-        cert_tol = max(cert_tol, 2.0 * g_max / top)
+                f"within max|g| plus rounding = {slack:.3e} of zero", diag)
+        cert_tol = max(cert_tol, 2.0 * slack / top)
     return certify_edm(SymHollowMatrix(out), cert_tol), diag, pt
 
 

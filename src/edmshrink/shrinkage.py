@@ -22,6 +22,19 @@ the one before. Each fit still stops and is certified on its own
 tolerance, so a path fit agrees with ``distance_shrinkage`` of the same
 penalty to within that tolerance, not bit for bit; the first fit of a
 path is the same computation as ``distance_shrinkage``.
+
+The same fact makes a constant dual start free. J (A + c I) J = J A J +
+c J, and the input A of penalty eta has J A J = J X J + eta J, so one
+spectrum of J X J gives that of J (A + c I) J for every eta and c: the
+ones vector keeps eigenvalue 0 and every other eigenvalue moves by
+eta + c. With l_i the eigenvalues of J A J off the ones vector,
+
+    theta(c 1) = (1/2) (||A + c I||_F^2 - sum_i max(l_i + c, 0)^2)
+
+is a convex function of c alone, and a cold fit starts at its minimizer
+(see ``projection._constant_start``). ``simulate`` reads that start off
+the spectrum of -J X J / 2 that classical MDS decomposes anyway, so one
+eigendecomposition per replicate serves both methods.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from .core import (
 from .projection import (
     ProjectionDiagnostics,
     SolverConfig,
+    _constant_start,
     _project_from,
     project_edm_cone,
 )
@@ -128,6 +142,27 @@ def distance_shrinkage(
     return ShrinkageFit(d_hat=d_hat, lam=lam, diagnostics=diag)
 
 
+def _shrinkage_from_spectrum(
+    x: SymHollowMatrix, lam: float, mu: np.ndarray, vecs: np.ndarray,
+    cfg: SolverConfig | None = None,
+) -> ShrinkageFit:
+    """``distance_shrinkage(x, lam, cfg)`` started from a spectrum of x.
+
+    ``mu`` and ``vecs`` are the descending eigenpairs of center_gram(x) =
+    -J X J / 2 from ``eigh_descending``, so -2 mu ascends through the
+    spectrum of J X J. They give the fit's start at the best constant
+    dual point (see the module docstring) with no eigendecomposition;
+    when they do not split off the ones vector, the fit starts cold, as
+    ``distance_shrinkage`` does.
+    """
+    check_penalty(lam)
+    eta = lam / (2 * x.n)
+    a = _shrunk(x, eta)
+    start = _constant_start(a, -2.0 * mu, vecs, eta)
+    d_hat, diag, _ = _project_from(a, cfg, start)
+    return ShrinkageFit(d_hat=d_hat, lam=lam, diagnostics=diag)
+
+
 def shrinkage_path(
     x: SymHollowMatrix, lams: Iterable[float], cfg: SolverConfig | None = None
 ) -> Iterator[ShrinkageFit]:
@@ -200,14 +235,19 @@ def risk_bound(n: int, sigma: float, r: int) -> float:
     return 36.0 * n * sigma**2 * (r + 1)
 
 
-def _rank_r_fit(kernel: np.ndarray, r: int) -> RankTruncatedFit:
+def _check_rank(r: int, n: int) -> None:
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
+
+
+def _top_r_fit(vals: np.ndarray, vecs: np.ndarray, r: int) -> RankTruncatedFit:
     """Top-r eigen-truncation of a (near) centered kernel, as coordinates.
 
-    Coordinates are centered exactly, and the fit's distance matrix is
-    built from them when read, so the two stay consistent to machine
-    precision even when the input kernel is degenerate.
+    ``vals`` and ``vecs`` are the kernel's descending eigenpairs, from
+    ``eigh_descending``. Coordinates are centered exactly, and the fit's
+    distance matrix is built from them when read, so the two stay
+    consistent to machine precision even when the kernel is degenerate.
     """
-    vals, vecs = eigh_descending(kernel)
     kept = np.clip(vals[:r], 0.0, None)
     return RankTruncatedFit(
         embedding=Embedding.from_points(vecs[:, :r] * np.sqrt(kept)))
@@ -220,10 +260,8 @@ def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:
     clipped to zero) and maps back to distances; among all EDMs of
     embedding dimension at most r this minimizes ||J (d_hat - M) J||_F.
     """
-    n = fit.d_hat.n
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
-    return _rank_r_fit(fit.k_hat.entries, r)
+    _check_rank(r, fit.d_hat.n)
+    return _top_r_fit(*eigh_descending(fit.k_hat.entries), r)
 
 
 def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
@@ -233,7 +271,5 @@ def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
     extracted, the standard handling for inputs that are not themselves
     EDMs. No shrinkage is applied.
     """
-    n = x.n
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
-    return _rank_r_fit(center_gram(x.entries), r)
+    _check_rank(r, x.n)
+    return _top_r_fit(*eigh_descending(center_gram(x.entries)), r)

@@ -12,10 +12,13 @@ from edmshrink import (
     analyze_dim3,
     center_gram,
     certify_edm,
+    edm_from_coords,
     project_edm_cone,
 )
-from edmshrink.projection import (_evaluate, _newton_system, project_c1,
-                                  project_c2)
+from edmshrink.core import eigh_descending
+from edmshrink.projection import (_constant_start, _evaluate, _newton_system,
+                                  project_c1, project_c2)
+from edmshrink.shrinkage import _shrinkage_from_spectrum, distance_shrinkage
 
 from conftest import centering, random_edm, random_hollow
 
@@ -240,6 +243,107 @@ class TestShiftedDualPoint:
         assert np.abs(moved.vals - fresh.vals).max() <= 1e-12 * scale
 
 
+def golden_section_min(f, lo: float, hi: float, iters: int = 120) -> float:
+    """Minimizer of a convex f on [lo, hi] by golden-section search."""
+    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo + (1.0 - inv) * (hi - lo), lo + inv * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(iters):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = lo + (1.0 - inv) * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + inv * (hi - lo)
+            fb = f(b)
+    return (lo + hi) / 2.0
+
+
+class TestConstantStart:
+    """The best constant dual point y = c* 1, read off one spectrum of
+    J X J: J (A + c I) J = J A J + c J, so it needs no eigendecomposition
+    of its own."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20])
+    def test_matches_brute_force_minimizer(self, rng, n):
+        for _ in range(3):
+            # a nonzero diagonal puts tr A into the slope of theta(c 1)
+            a = random_symmetric(rng, n)
+            zero = _evaluate(a, np.zeros(n))
+            start = _constant_start(a, zero.vals, zero.vecs, 0.0)
+            c = float(start.y[0])
+            width = float(np.linalg.norm(a))
+            brute = golden_section_min(
+                lambda t: _evaluate(a, np.full(n, t)).theta,
+                c - width, c + width)
+            assert abs(brute - c) <= 1e-6 * width
+            # the shifted spectrum gives the point a fresh eigh gives
+            fresh = _evaluate(a, start.y)
+            assert not start.decomposed
+            assert np.abs(start.m - fresh.m).max() <= 1e-12 * width
+            assert abs(start.theta - fresh.theta) <= 1e-12 * width**2
+            assert np.abs(np.sort(start.vals) - fresh.vals).max() <= (
+                1e-12 * width)
+
+    def test_start_meeting_the_rule_is_decomposed_once(self, rng):
+        # the nearest EDM to D - 2 I is D, at the constant dual point
+        # y = 2 * ones: the fit evaluates y = 0, moves to that point for
+        # free, and evaluates it once before the certificate reads it
+        d = random_edm(rng, 10, 3)
+        out, diag = project_edm_cone(d.entries - 2.0 * np.eye(10))
+        assert diag.cycles == 2 and diag.delta_last == 0.0
+        assert np.abs(out.entries - d.entries).max() <= 1e-12 * np.abs(
+            d.entries).max()
+
+    @pytest.mark.parametrize("n", [3, 12, 30])
+    def test_spectrum_of_unshrunk_input(self, rng, n):
+        # the spectrum of J X J serves X shrunk by eta, with offset eta
+        x = random_hollow(rng, n, scale=2.0).entries
+        for eta in (0.0, 0.4, 1.5):
+            a = x - eta * (1.0 - np.eye(n))
+            own = _evaluate(a, np.zeros(n))
+            mine = _constant_start(a, own.vals, own.vecs, 0.0)
+            vals, vecs = np.linalg.eigh(-2.0 * center_gram(x))
+            shared = _constant_start(a, vals, vecs, eta)
+            width = np.linalg.norm(a)
+            assert abs(shared.y[0] - mine.y[0]) <= 1e-12 * width
+            assert np.abs(shared.m - mine.m).max() <= 1e-12 * width
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_never_above_theta_at_zero(self, seed):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(2, 30))
+        a = random_hollow(gen, n, scale=float(gen.uniform(0.1, 10.0))).entries
+        a = a - float(gen.uniform(-1.0, 1.0)) * (1.0 - np.eye(n))
+        zero = _evaluate(a, np.zeros(n))
+        start = _constant_start(a, zero.vals, zero.vecs, 0.0)
+        assert _evaluate(a, start.y).theta <= zero.theta
+
+    @pytest.mark.parametrize("x", [
+        np.zeros((5, 5)),
+        edm_from_coords(np.arange(6.0)[:, None]).entries,
+        edm_from_coords(np.sqrt(np.arange(9.0))[:, None]).entries,
+    ], ids=["zero", "line6", "line9"])
+    @pytest.mark.parametrize("lam", [0.0, 3.0])
+    def test_repeated_zero_eigenvalue_starts_cold(self, x, lam):
+        # 0 is a repeated eigenvalue of J X J, so no eigenvector need be
+        # the ones vector: the fit starts from y = 0, as a cold fit does
+        x = SymHollowMatrix(x)
+        mu, vecs = eigh_descending(center_gram(x.entries))
+        assert _constant_start(x.entries, -2.0 * mu, vecs, 0.0) is None
+        fit = _shrinkage_from_spectrum(x, lam, mu, vecs)
+        cold = distance_shrinkage(x, lam)
+        assert fit.diagnostics.converged
+        want = dykstra_reference(x.entries - lam / (2 * x.n)
+                                 * (1.0 - np.eye(x.n)), 1e-12)
+        tol = 1e-8 * max(np.linalg.norm(x.entries), 1.0)
+        assert np.linalg.norm(fit.d_hat.entries - want) <= tol
+        assert np.linalg.norm(fit.d_hat.entries - cold.d_hat.entries) <= tol
+        if lam == 0.0:
+            assert np.linalg.norm(fit.d_hat.entries - x.entries) <= tol
+
+
 class TestDykstraReference:
     """project_edm_cone against the Dykstra oracle run at a tight tolerance."""
 
@@ -334,6 +438,28 @@ class TestProjectEdmCone:
             lhs = np.linalg.norm(pa.entries - pb.entries)
             slack = 2 * cfg.tol * max(np.linalg.norm(a), np.linalg.norm(b))
             assert lhs <= np.linalg.norm(a - b) + slack
+
+
+class TestCertificateRounding:
+    """A fit just short of collapsing to a point has a tiny spectrum, so
+    the rounding of M, of size eps (||A + Diag y||_F + ||P||_F), must be
+    in the certificate's bound as well as max|g|."""
+
+    def test_near_collapse_sweep(self):
+        gen = np.random.default_rng(7)
+        for t in range(80):
+            size = 10.0 ** gen.uniform(-3.0, 3.0)
+            if t % 2:
+                x = edm_from_coords(gen.normal(size=(3, 2)) * size).base
+            else:
+                a = np.abs(gen.normal(size=(3, 3))) * size
+                a = (a + a.T) / 2.0
+                np.fill_diagonal(a, 0.0)
+                x = SymHollowMatrix(a)
+            eta0 = analyze_dim3(x).eta_to_dim0
+            for k in range(5, 12):
+                fit = distance_shrinkage(x, 6.0 * eta0 * (1.0 - 10.0**-k))
+                assert fit.d_hat.embed_dim == int(fit.d_hat.entries.any())
 
 
 class TestDim3Analysis:

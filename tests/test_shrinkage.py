@@ -31,6 +31,7 @@ from edmshrink import (
     truncate_rank,
 )
 from edmshrink.cli import main
+from edmshrink.simulate import SimConfig, run_experiment
 
 from conftest import random_cloud, random_edm, random_hollow, spectral_norm
 
@@ -519,6 +520,19 @@ class TestEigensolverCalls:
         with eig_counts() as calls:
             truncate_rank(fit, 3)
         assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_simulate_shares_one_spectrum_per_replicate(self, reps):
+        # per replicate: one eigh for the baseline and the fit's start, the
+        # fit's evaluations and its one certification; the truth, built
+        # from coordinates, is certified once per experiment
+        cfg = SimConfig(reps=reps, seed=3, noise=NoiseModel("gaussian", 0.25),
+                        sigma=0.5)
+        with eig_counts() as calls:
+            report = run_experiment(helix_coords(40), cfg)
+        cycles = sum(r.cycles for r in report.replicates)
+        assert not report.failed
+        assert calls == {"eigh": cycles + reps, "eigvalsh": 1 + reps}
 
     def test_estimate_invocation_certifies_once(self, rng, tmp_path):
         # one estimate --lambda run: the projection's eighs, one eigh for

@@ -11,8 +11,13 @@ from edmshrink import (
     NoiseModel,
     SimConfig,
     SolverConfig,
+    add_noise,
+    classical_mds,
+    distance_shrinkage,
     edm_from_coords,
     helix_coords,
+    kruskal_stress,
+    recommended_lambda,
     report_csv,
     report_json,
     run_experiment,
@@ -87,6 +92,26 @@ class TestRunExperiment:
         b = run_experiment(truth, small_cfg(reps=4))
         assert a == b
         assert report_json(a) == report_json(b)
+
+    def test_matches_the_separate_methods(self):
+        # one shared spectrum per replicate: the baseline is the same
+        # computation as classical_mds, and the fit, started at the best
+        # constant dual point, agrees with distance_shrinkage to the solver
+        # tolerance with fewer evaluations
+        d = edm_from_coords(helix_coords(40))
+        cfg = SimConfig(reps=5, seed=0, noise=NoiseModel("gaussian", 0.25),
+                        rank_r=3, sigma=0.5)
+        report = run_experiment(d, cfg)
+        lam = recommended_lambda(40, 0.5)
+        assert report.lam == lam
+        for rec in report.replicates:
+            x = add_noise(d, cfg.noise, cfg.seed, replicate=rec.index)
+            mds = classical_mds(x, cfg.rank_r).d_hat_r
+            assert rec.mds_stress == kruskal_stress(mds.base, d.base)
+            cold = distance_shrinkage(x, lam)
+            want = kruskal_stress(cold.d_hat.base, d.base)
+            assert abs(rec.shrinkage_stress - want) <= 1e-8 * want
+            assert rec.cycles < cold.diagnostics.cycles
 
     def test_failed_replicates_recorded_and_excluded(self, truth):
         # cycle budget of 1 cannot converge on noisy input

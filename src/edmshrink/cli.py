@@ -34,14 +34,14 @@ EXIT_NOT_CONVERGED = 3
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=SolverConfig.tol,
                    help="bound on the norm of the dual gradient of the EDM "
                         "projection, relative to ||input||_F "
-                        "(default 1e-9)")
-    p.add_argument("--max-cycles", type=int, default=5000,
+                        "(default %(default)s)")
+    p.add_argument("--max-cycles", type=int, default=SolverConfig.max_cycles,
                    help="limit on the dual evaluations of the EDM "
                         "projection, one eigendecomposition each "
-                        "(default 5000)")
+                        "(default %(default)s)")
 
 
 def _add_penalty_args(p: argparse.ArgumentParser, required: bool = True) -> None:

@@ -82,14 +82,19 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     runs produce identical factors.
     """
     vals, vecs = np.linalg.eigh(symmetrize(a))
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    return vals[::-1].copy(), _lead_positive(vecs[:, ::-1])
+
+
+def _lead_positive(vecs: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors with the sign convention of ``eigh_descending``:
+    a copy of ``vecs`` with each column's first component of magnitude
+    > 1e-12 made positive."""
     # every column is a unit vector, so each has an entry above 1e-12
     big = np.abs(vecs) > 1e-12
-    if big.size:
-        lead = vecs[big.argmax(axis=0), np.arange(big.shape[1])]
-        vecs[:, lead < 0] *= -1.0
-    return vals, vecs
+    if not big.size:
+        return vecs.copy()
+    lead = vecs[big.argmax(axis=0), np.arange(big.shape[1])]
+    return np.where(lead < 0, -vecs, vecs)
 
 
 # ---------------------------------------------------------------------------

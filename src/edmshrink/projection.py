@@ -46,6 +46,14 @@ eigenvalue 0 and every other eigenvalue l_i moves to l_i + c. Since
 a strictly convex, piecewise quadratic function of c alone, over the
 n - 1 eigenvalues off the ones vector. A fit starts at its minimizer,
 read off one spectrum of J A J.
+
+The solver closes on an exact EDM: with g = diag M, the hollow matrix
+X = M - (g 1^T + 1 g^T) / 2 has J X J = J M J, negative semidefinite.
+Its kernel -J X J / 2 has the eigenvectors of the last evaluation's
+J (A + Diag y) J, with eigenvalue -l_i / 2 on its non-positive side and 0
+elsewhere. The objective is 1-strongly convex, so the nearest EDM X*
+has (1/2) ||X - X*||_F^2 <= (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
+theta(y)), the duality gap of X at y.
 """
 
 from __future__ import annotations
@@ -119,31 +127,25 @@ class ProjectionDiagnostics:
 
     cycles counts the evaluations of the dual function that this
     projection made, one eigendecomposition each, and delta_last is the
-    Euclidean norm of its last Newton step (0 if it took none). A cold
-    fit counts its evaluation at y = 0 but not the move to the best
-    constant dual point, which needs no eigendecomposition (see the
-    module docstring). A fit of ``simulate`` starts at that point from
-    the spectrum its replicate shares with classical MDS and counts no
-    evaluation for it. A fit warm started along a penalty path
-    (``shrinkage_path``) begins from the previous fit's last evaluation.
-    Each counts only the eigendecompositions it made itself; a warm fit
-    can make none.
-    c2_residual is the largest diagonal magnitude max|g| of the C1
-    projection M before the closing hollowing step X = M - Diag g.
-    c1_residual is a bound on the largest eigenvalue of J X J, not a
-    measurement: J M J is negative semidefinite, so by Weyl's inequality
-    that eigenvalue is at most ||J Diag(g) J||_2 <= max|g|.
+    Euclidean norm of its last Newton step (0 if it took none). A start
+    that the projection did not evaluate costs nothing: the best constant
+    dual point of a cold fit (see the module docstring), the one a
+    ``simulate`` replicate reads off the spectrum it shares with classical
+    MDS, and the previous fit's last evaluation along a penalty path
+    (``shrinkage_path``), so a warm fit can count none.
+    gap is the duality gap (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
+    theta(y)) of the closing EDM X at the last dual point y, before
+    rounding is clipped or a small X is snapped to zero; it is >= 0 up to
+    rounding whether or not the projection converged. c2_residual is the
+    largest magnitude max|g| of the diagonal that the closing step
+    removes.
     """
 
     cycles: int
     delta_last: float
-    c1_residual: float
+    gap: float
     c2_residual: float
     converged: bool
-
-    def __post_init__(self):
-        if self.c1_residual < 0 or self.c2_residual < 0:
-            raise ValueError("residuals must be nonnegative")
 
 
 def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,6 +331,10 @@ def project_edm_cone(
 ) -> tuple[EdmMatrix, ProjectionDiagnostics]:
     """Frobenius-nearest Euclidean distance matrix to a symmetric input.
 
+    ``a`` is an array or SymHollowMatrix, not necessarily hollow, and
+    ``cfg`` holds the stopping rules. Returns the certified EDM and the
+    projection's diagnostics.
+
     Minimizes the dual theta(y) = (1/2) ||Pi_C1(A + Diag y)||_F^2 by
     semismooth Newton-CG (see the module docstring). It evaluates theta
     at y = 0 and, unless that meets the stopping rule, starts from the
@@ -340,27 +346,15 @@ def project_edm_cone(
     Every test is relative to ||a||_F, so projecting c * a gives c times
     the projection of a for any c > 0.
 
-    The result X is M = Pi_C1(A + Diag y) with its diagonal g zeroed.
-    J M J is negative semidefinite, so by Weyl's inequality J X J has no
-    eigenvalue above max|g| <= tol * ||a||_F and no off-diagonal entry of
-    X lies below -tol * ||a||_F; negative entries are clipped to zero,
-    and one below that bound raises NotConvergedError. A result no larger
-    than tol * ||a||_F becomes the zero matrix. The same bound certifies
-    X, with no further spectrum, at cert_tol = max(1e-8, 2 e / (s - e)),
-    where s is the largest eigenvalue of -J (A + Diag y) J. The bound e =
-    max|g| + n eps (||M||_F + 2 ||P||_F) adds the rounding of M = A +
-    Diag y - P, with P the PSD part that Pi_C1 removes, to max|g|.
-
-    Parameters
-    ----------
-    a : array or SymHollowMatrix
-        Symmetric input; hollowness is not required.
-    cfg : SolverConfig, optional
-        Stopping rules.
-
-    Returns
-    -------
-    (EdmMatrix, ProjectionDiagnostics)
+    The result is the EDM X = M - (g 1^T + 1 g^T) / 2 of the module
+    docstring. Its entries are squared distances, so a negative one is
+    rounding: it is clipped to zero, and one below -tol * ||a||_F raises
+    NotConvergedError. A result no larger than tol * ||a||_F becomes the
+    zero matrix. J X J = J M J has no eigenvalue above the rounding e =
+    n eps (||M||_F + 2 ||P||_F) of M = A + Diag y - P, with P the PSD part
+    that Pi_C1 removes, so the spectrum of the last evaluation certifies
+    X at cert_tol = max(1e-8, 2 e / (s - e)), where s is the largest
+    eigenvalue of -J (A + Diag y) J.
     """
     d_hat, diag, _ = _project_from(a, cfg)
     return d_hat, diag
@@ -377,9 +371,7 @@ def _project_from(
     whose spectrum was shifted, not decomposed, is evaluated once before
     it is accepted, so that the certificate reads a computed spectrum.
     """
-    if isinstance(a, SymHollowMatrix):
-        a = a.entries
-    a = _as_square(a)
+    a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if np.abs(a - a.T).max() > 0.0:
         a = symmetrize(a)
     if cfg is None:
@@ -431,14 +423,12 @@ def _project_from(
             stalled = True
             break
 
-    g_max = float(np.abs(pt.g).max())
-    diag = ProjectionDiagnostics(
-        cycles=cycles,
-        delta_last=delta,
-        c1_residual=g_max,
-        c2_residual=g_max,
-        converged=converged,
-    )
+    out = pt.m - 0.5 * (pt.g[:, None] + pt.g[None, :])
+    np.fill_diagonal(out, 0.0)
+    # (1/2) ||X - A||^2 - ((1/2) ||A||^2 - theta), with no n x n temporary
+    gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + pt.theta
+    diag = ProjectionDiagnostics(cycles, delta, gap,
+                                 float(np.abs(pt.g).max()), converged)
     if not converged:
         reason = ("no accepted step" if stalled
                   else f"no convergence in {cfg.max_cycles} cycles")
@@ -446,7 +436,6 @@ def _project_from(
             f"{reason} (gradient {float(np.linalg.norm(pt.g)):.3e}, "
             f"bound tol * ||A||_F = {floor:.3e})", diag)
 
-    out = project_c2(pt.m)
     if out.min() < -floor:
         raise NotConvergedError(
             f"converged iterate has off-diagonal {out.min():.3e} below "
@@ -459,13 +448,13 @@ def _project_from(
         # M = B - P, from B = A + Diag y and the removed PSD part P, rounds
         # by about n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F)
         psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
-        slack = g_max + a.shape[0] * np.finfo(float).eps * (
+        slack = a.shape[0] * np.finfo(float).eps * (
             np.sqrt(2.0 * pt.theta) + 2.0 * psd)
         top = -float(pt.vals[0]) - slack
         if top <= 0.0:
             raise NotConvergedError(
                 f"converged iterate has spectrum {-float(pt.vals[0]):.3e} "
-                f"within max|g| plus rounding = {slack:.3e} of zero", diag)
+                f"within its rounding {slack:.3e} of zero", diag)
         cert_tol = max(cert_tol, 2.0 * slack / top)
     return certify_edm(SymHollowMatrix(out), cert_tol), diag, pt
 

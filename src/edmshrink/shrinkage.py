@@ -23,24 +23,20 @@ tolerance, so a path fit agrees with ``distance_shrinkage`` of the same
 penalty to within that tolerance, not bit for bit; the first fit of a
 path is the same computation as ``distance_shrinkage``.
 
-The same fact makes a constant dual start free. J (A + c I) J = J A J +
-c J, and the input A of penalty eta has J A J = J X J + eta J, so one
-spectrum of J X J gives that of J (A + c I) J for every eta and c: the
-ones vector keeps eigenvalue 0 and every other eigenvalue moves by
-eta + c. With l_i the eigenvalues of J A J off the ones vector,
-
-    theta(c 1) = (1/2) (||A + c I||_F^2 - sum_i max(l_i + c, 0)^2)
-
-is a convex function of c alone, and a cold fit starts at its minimizer
-(see ``projection._constant_start``). ``simulate`` reads that start off
-the spectrum of -J X J / 2 that classical MDS decomposes anyway, so one
-eigendecomposition per replicate serves both methods.
+The same fact makes a constant dual start free: the input A of penalty
+eta has J A J = J X J + eta J, so one spectrum of J X J gives the
+minimizer of theta(c 1), where a cold fit starts, for every eta (see the
+``projection`` module docstring). ``simulate`` reads that start off the
+spectrum of -J X J / 2 that classical MDS decomposes anyway, so one
+eigendecomposition per replicate serves both methods. A fit keeps the
+eigenpairs of its projection's last evaluation, which are those of its
+kernel, and ``truncate_rank`` reads the coordinates off them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +45,7 @@ from .core import (
     Embedding,
     MinTraceKernel,
     SymHollowMatrix,
+    _lead_positive,
     center_gram,
     edm_from_coords,
     eigh_descending,
@@ -57,8 +54,8 @@ from .projection import (
     ProjectionDiagnostics,
     SolverConfig,
     _constant_start,
+    _DualPoint,
     _project_from,
-    project_edm_cone,
 )
 
 
@@ -67,18 +64,17 @@ class ShrinkageFit:
     """Result of one shrink-and-project fit.
 
     Stores what the fit computed: d_hat, the estimated EDM, the penalty
-    lam and the projection's diagnostics. k_hat, the minimum-trace kernel
-    of d_hat, and eta = lam / (2n), the per-entry shrinkage applied
-    before projection, are read from those.
+    lam, the projection's diagnostics, and spectrum, the descending
+    eigenpairs of the kernel of d_hat read off the projection's last
+    eigendecomposition (see the ``projection`` module docstring). k_hat,
+    the minimum-trace kernel of d_hat, and eta = lam / (2n), the
+    per-entry shrinkage applied before projection, are read from those.
     """
 
     d_hat: EdmMatrix
     lam: float
     diagnostics: ProjectionDiagnostics
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+    spectrum: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def k_hat(self) -> MinTraceKernel:
@@ -137,9 +133,17 @@ def distance_shrinkage(
     Raises ValueError for a penalty that is negative or not finite, and
     NotConvergedError if the projection does not converge.
     """
-    check_penalty(lam)
-    d_hat, diag = project_edm_cone(_shrunk(x, lam / (2 * x.n)), cfg)
-    return ShrinkageFit(d_hat=d_hat, lam=lam, diagnostics=diag)
+    return next(shrinkage_path(x, [lam], cfg))
+
+
+def _fit(a: np.ndarray, lam: float, cfg: SolverConfig | None,
+         start: _DualPoint | None) -> tuple[ShrinkageFit, _DualPoint]:
+    """The fit of penalty lam to the shrunk input ``a`` from ``start`` and
+    its last dual point. A fit snapped to zero keeps kernel eigenvalues 0."""
+    d_hat, diag, point = _project_from(a, cfg, start)
+    kernel = (np.maximum(-0.5 * point.vals, 0.0) if d_hat.entries.any()
+              else np.zeros_like(point.vals))
+    return ShrinkageFit(d_hat, lam, diag, (kernel, point.vecs)), point
 
 
 def _shrinkage_from_spectrum(
@@ -158,9 +162,7 @@ def _shrinkage_from_spectrum(
     check_penalty(lam)
     eta = lam / (2 * x.n)
     a = _shrunk(x, eta)
-    start = _constant_start(a, -2.0 * mu, vecs, eta)
-    d_hat, diag, _ = _project_from(a, cfg, start)
-    return ShrinkageFit(d_hat=d_hat, lam=lam, diagnostics=diag)
+    return _fit(a, lam, cfg, _constant_start(a, -2.0 * mu, vecs, eta))[0]
 
 
 def shrinkage_path(
@@ -192,9 +194,9 @@ def _walk_path(x: SymHollowMatrix, lams: list[float],
     for lam in lams:
         eta = lam / (2 * x.n)
         start = None if point is None else point.shifted(eta - eta_prev)
-        d_hat, diag, point = _project_from(_shrunk(x, eta), cfg, start)
+        fit, point = _fit(_shrunk(x, eta), lam, cfg, start)
         eta_prev = eta
-        yield ShrinkageFit(d_hat=d_hat, lam=lam, diagnostics=diag)
+        yield fit
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
@@ -243,25 +245,28 @@ def _check_rank(r: int, n: int) -> None:
 def _top_r_fit(vals: np.ndarray, vecs: np.ndarray, r: int) -> RankTruncatedFit:
     """Top-r eigen-truncation of a (near) centered kernel, as coordinates.
 
-    ``vals`` and ``vecs`` are the kernel's descending eigenpairs, from
-    ``eigh_descending``. Coordinates are centered exactly, and the fit's
+    ``vals`` and ``vecs`` are the kernel's descending eigenpairs, with the
+    sign convention of ``eigh_descending``. A column clipped to zero
+    holds 0, not -0. Coordinates are centered exactly, and the fit's
     distance matrix is built from them when read, so the two stay
     consistent to machine precision even when the kernel is degenerate.
     """
     kept = np.clip(vals[:r], 0.0, None)
     return RankTruncatedFit(
-        embedding=Embedding.from_points(vecs[:, :r] * np.sqrt(kept)))
+        embedding=Embedding.from_points(vecs[:, :r] * np.sqrt(kept) + 0.0))
 
 
 def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:
     """Best rank-r distance approximation of a fit, with coordinates.
 
-    Keeps the top r eigenpairs of the fitted kernel (negative eigenvalues
-    clipped to zero) and maps back to distances; among all EDMs of
-    embedding dimension at most r this minimizes ||J (d_hat - M) J||_F.
+    Keeps the top r eigenpairs of the fitted kernel and maps back to
+    distances; among all EDMs of embedding dimension at most r this
+    minimizes ||J (d_hat - M) J||_F. It reads them off
+    ``ShrinkageFit.spectrum`` and makes no eigendecomposition.
     """
     _check_rank(r, fit.d_hat.n)
-    return _top_r_fit(*eigh_descending(fit.k_hat.entries), r)
+    vals, vecs = fit.spectrum
+    return _top_r_fit(vals, _lead_positive(vecs[:, :r]), r)
 
 
 def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:

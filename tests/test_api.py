@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import edmshrink
-from edmshrink import cli, fileio, shrinkage
+from edmshrink import cli, fileio, projection, shrinkage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "edmbench"))
 import tracing  # noqa: E402
@@ -28,10 +28,15 @@ def test_benchmark_patches_install(make):
 
 
 def test_fit_path_calls_traced_names(rng):
+    # a fit keeps the spectrum of its projection's last dual point, which
+    # project_edm_cone does not return, so the fit path bypasses it; the
+    # projection is called on its own to see that its patch runs
     tracer = tracing.Tracer()
     with tracer.install():
-        fit = shrinkage.distance_shrinkage(random_hollow(rng, 6), 0.5)
+        x = random_hollow(rng, 6)
+        fit = shrinkage.distance_shrinkage(x, 0.5)
         shrinkage.truncate_rank(fit, 2)
+        projection.project_edm_cone(x)
     seen = set(tracer.totals())
     for name in ("shrinkage.distance_shrinkage", "shrinkage.truncate_rank",
                  "projection.project_edm_cone", "projection.project_c1",

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from edmshrink import edm_from_coords, fileio, helix_coords
-from edmshrink.cli import main
+from edmshrink import SolverConfig, edm_from_coords, fileio, helix_coords
+from edmshrink.cli import _solver_config, build_parser, main
 
 
 @pytest.fixture
@@ -154,6 +154,14 @@ class TestEstimate:
                      "--lambda", "3.0", "--tol", "1e-15", "--max-cycles", "2",
                      "--out", str(tmp_path / "f")])
         assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "x.csv", "--lambda", "1", "--out", "f"],
+    ["simulate", "--helix", "10", "--sigma", "0.5"],
+])
+def test_solver_defaults_are_solver_config(argv):
+    assert _solver_config(build_parser().parse_args(argv)) == SolverConfig()
 
 
 class TestSimulate:

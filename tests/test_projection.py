@@ -395,6 +395,9 @@ class TestProjectEdmCone:
             project_edm_cone(x, cfg)
         assert exc.value.diagnostics.cycles == 2
         assert not exc.value.diagnostics.converged
+        # the closing EDM is feasible at any dual point: weak duality
+        half = 0.5 * np.linalg.norm(x.entries) ** 2
+        assert -1e-12 * half <= exc.value.diagnostics.gap < half
 
     @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -403,16 +406,19 @@ class TestProjectEdmCone:
             SolverConfig(**{field: bad})
 
     def test_residuals_within_feas_tol(self, rng):
-        # both residuals are bounded by max|g| <= |g| <= tol * ||A||_F
+        # the diagonal removed is max|g| <= |g| <= tol * ||A||_F, and the
+        # closing step keeps J X J = J M J, so J X J has no eigenvalue above
+        # rounding
         cfg = SolverConfig()
         for _ in range(15):
             n = int(rng.integers(2, 12))
             x = random_hollow(rng, n, scale=2.0)
-            _, diag = project_edm_cone(x, cfg)
+            out, diag = project_edm_cone(x, cfg)
             assert diag.converged
-            bound = cfg.tol * np.linalg.norm(x.entries)
-            assert diag.c1_residual <= bound
-            assert diag.c2_residual <= bound
+            scale = np.linalg.norm(x.entries)
+            assert diag.c2_residual <= cfg.tol * scale
+            j = centering(n)
+            assert np.linalg.eigvalsh(j @ out.entries @ j)[-1] <= 1e-14 * scale
 
     def test_kolmogorov_criterion(self, rng):
         # the projection P(A) satisfies <M - P(A), A - P(A)> <= 0 for EDMs M
@@ -443,7 +449,7 @@ class TestProjectEdmCone:
 class TestCertificateRounding:
     """A fit just short of collapsing to a point has a tiny spectrum, so
     the rounding of M, of size eps (||A + Diag y||_F + ||P||_F), must be
-    in the certificate's bound as well as max|g|."""
+    in the certificate's bound."""
 
     def test_near_collapse_sweep(self):
         gen = np.random.default_rng(7)

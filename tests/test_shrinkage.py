@@ -129,6 +129,20 @@ def helix_observation(rep: int) -> SymHollowMatrix:
     return add_noise(d, NoiseModel("gaussian", 0.25), seed=0, replicate=rep)
 
 
+def half_norm2(x: SymHollowMatrix, lam: float) -> float:
+    """(1/2) ||A||_F^2 of the projection's input A = X - eta (11^T - I)."""
+    a = x.entries - lam / (2 * x.n) * (1.0 - np.eye(x.n))
+    return 0.5 * float(np.vdot(a, a))
+
+
+def assert_gap_small(fit, x: SymHollowMatrix) -> float:
+    """The fit's duality gap is >= 0 up to rounding and at most 1e-10 of
+    (1/2) ||A||_F^2; returns that half squared norm."""
+    half = half_norm2(x, fit.lam)
+    assert -1e-12 * half <= fit.diagnostics.gap <= 1e-10 * half
+    return half
+
+
 SCALES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
@@ -142,11 +156,16 @@ class TestScaleEquivariance:
     @staticmethod
     def assert_equivariant(x, lam, c):
         fit = distance_shrinkage(x, lam)
-        scaled = distance_shrinkage(SymHollowMatrix(c * x.entries), c * lam)
+        x_c = SymHollowMatrix(c * x.entries)
+        scaled = distance_shrinkage(x_c, c * lam)
         want = c * fit.d_hat.entries
         err = np.linalg.norm(scaled.d_hat.entries - want)
         assert err <= 1e-8 * np.linalg.norm(want)
         assert scaled.d_hat.embed_dim == fit.d_hat.embed_dim
+        half = assert_gap_small(fit, x)
+        assert_gap_small(scaled, x_c)
+        gap, gap_c = fit.diagnostics.gap, scaled.diagnostics.gap
+        assert abs(gap_c - c**2 * gap) <= 1e-12 * c**2 * half
         return scaled
 
     @PROPERTY
@@ -154,8 +173,16 @@ class TestScaleEquivariance:
            c=SCALES)
     def test_noisy_helix(self, rep, factor, c):
         lam = factor * recommended_lambda(40, 0.5)
-        scaled = self.assert_equivariant(helix_observation(rep), lam, c)
+        x = helix_observation(rep)
+        scaled = self.assert_equivariant(x, lam, c)
         assert scaled.d_hat.cert_tol == 1e-8
+        # the gap of 1.02 d_hat at the same dual point is far from zero
+        x_c = SymHollowMatrix(c * x.entries)
+        a = x_c.entries - scaled.eta * (1.0 - np.eye(x.n))
+        d = scaled.d_hat.entries
+        off = scaled.diagnostics.gap + 0.5 * (
+            np.linalg.norm(1.02 * d - a)**2 - np.linalg.norm(d - a)**2)
+        assert off > 1e-6 * half_norm2(x_c, scaled.lam)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), c=SCALES)
@@ -233,8 +260,12 @@ class TestPermutationProperty:
         x = mostly_positive_hollow(seed, n)
         lam = grid_of(seed, n)[0]
         p, moved = self.permuted(x, seed)
-        assert_fit_is(distance_shrinkage(moved, lam),
-                      distance_shrinkage(x, lam), p=p)
+        fit, moved_fit = distance_shrinkage(x, lam), distance_shrinkage(moved, lam)
+        assert_fit_is(moved_fit, fit, p=p)
+        # the gap is invariant: permuting A permutes X and keeps theta
+        half = assert_gap_small(fit, x)
+        assert abs(moved_fit.diagnostics.gap - fit.diagnostics.gap) <= (
+            1e-12 * half)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
@@ -247,6 +278,18 @@ class TestPermutationProperty:
         assert [f.lam for f in fits] == sorted(grid)
         for got, want in zip(moved_fits, fits):
             assert_fit_is(got, want, p=p)
+            half = assert_gap_small(want, x)
+            assert abs(got.diagnostics.gap - want.diagnostics.gap) <= (
+                1e-12 * half)
+
+
+def assert_gaps_scale(got, x_c, want, x, c):
+    """Both fits have small gaps, and the fit of (c X, c lam) has c^2
+    times the gap of the fit of (X, lam)."""
+    half = assert_gap_small(want, x)
+    assert_gap_small(got, x_c)
+    assert abs(got.diagnostics.gap - c**2 * want.diagnostics.gap) <= (
+        1e-12 * c**2 * half)
 
 
 class TestPathScaleEquivariance:
@@ -259,21 +302,23 @@ class TestPathScaleEquivariance:
     def test_noisy_helix(self, rep, c):
         x = helix_observation(rep)
         grid = [f * recommended_lambda(40, 0.5) for f in (0.5, 1.0, 2.0)]
-        scaled = shrinkage_path(SymHollowMatrix(c * x.entries),
-                                [c * lam for lam in grid])
+        x_c = SymHollowMatrix(c * x.entries)
+        scaled = shrinkage_path(x_c, [c * lam for lam in grid])
         for got, want in zip(scaled, shrinkage_path(x, grid)):
             assert_fit_is(got, want, c, rtol=1e-8)
             assert got.d_hat.cert_tol == 1e-8
+            assert_gaps_scale(got, x_c, want, x, c)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), c=SCALES)
     def test_random_hollow(self, seed, n, c):
         x = mostly_positive_hollow(seed, n)
         grid = grid_of(seed, n)
-        scaled = shrinkage_path(SymHollowMatrix(c * x.entries),
-                                [c * lam for lam in grid])
+        x_c = SymHollowMatrix(c * x.entries)
+        scaled = shrinkage_path(x_c, [c * lam for lam in grid])
         for got, want in zip(scaled, shrinkage_path(x, grid)):
             assert_fit_is(got, want, c, rtol=1e-8)
+            assert_gaps_scale(got, x_c, want, x, c)
 
 
 def kkt_residuals(x: SymHollowMatrix, d_hat: np.ndarray, lam: float):
@@ -429,6 +474,31 @@ class TestTruncateRank:
                     center_gram(fit.d_hat.entries - m.entries))
                 assert best <= other + 1e-9
 
+    def test_zero_fit_truncates_to_zero(self, rng, tmp_path):
+        # negative observations project to a tiny matrix, snapped to zero:
+        # its coordinates are exactly 0, written as 0 and never as -0
+        for n in range(3, 13):
+            a = -np.abs(random_hollow(rng, n).entries)
+            fit = distance_shrinkage(SymHollowMatrix(a), 1.0)
+            assert not fit.d_hat.entries.any()
+            coords = truncate_rank(fit, 2).embedding.coords
+            assert np.array_equal(coords, np.zeros((n, 2)))
+            fileio.save_embedding(coords, tmp_path / "fit.csv")
+            assert (tmp_path / "fit.csv").read_text() == (
+                "# squared-distance convention; centered coordinates\n"
+                + "0,0\n" * n)
+
+    def test_matches_eigh_of_the_kernel(self, rng):
+        # the kept eigenpairs give the coordinates an eigh of k_hat gives
+        for _ in range(5):
+            x = random_hollow(rng, 10, scale=2.0)
+            fit = distance_shrinkage(x, 0.5)
+            got = edm_from_coords(truncate_rank(fit, 3).embedding).entries
+            vals, vecs = np.linalg.eigh(fit.k_hat.entries)
+            top = vecs[:, -3:] * np.sqrt(np.clip(vals[-3:], 0.0, None))
+            want = edm_from_coords(top).entries
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_rank_validation(self, rng):
         fit = distance_shrinkage(random_hollow(rng, 5), 0.0)
         with pytest.raises(ValueError):
@@ -515,11 +585,12 @@ class TestEigensolverCalls:
         assert calls == {"eigh": 1, "eigvalsh": 1}
 
     def test_truncate_rank(self, rng):
-        # coordinates alone: one eigh of the kernel, no certification
+        # coordinates alone: the eigenpairs the fit kept from its
+        # projection, no eigendecomposition and no certification
         fit = distance_shrinkage(random_hollow(rng, 12, scale=2.0), 0.5)
         with eig_counts() as calls:
             truncate_rank(fit, 3)
-        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 0}
 
     @pytest.mark.parametrize("reps", [1, 3])
     def test_simulate_shares_one_spectrum_per_replicate(self, reps):
@@ -535,8 +606,8 @@ class TestEigensolverCalls:
         assert calls == {"eigh": cycles + reps, "eigvalsh": 1 + reps}
 
     def test_estimate_invocation_certifies_once(self, rng, tmp_path):
-        # one estimate --lambda run: the projection's eighs, one eigh for
-        # the coordinates and the fit's one certification
+        # one estimate --lambda run: the projection's eighs, which also
+        # give the coordinates, and the fit's one certification
         d = random_edm(rng, 30, 3, scale=3.0)
         x = add_noise(d, NoiseModel("gaussian", 0.25), seed=5, replicate=0)
         path, out = tmp_path / "x.csv", tmp_path / "fit"
@@ -547,7 +618,7 @@ class TestEigensolverCalls:
                          "--out", str(out)]) == 0
         cycles = json.loads((tmp_path / "fit.diag.json").read_text())["cycles"]
         assert cycles >= 1
-        assert calls == {"eigh": cycles + 1, "eigvalsh": 1}
+        assert calls == {"eigh": cycles, "eigvalsh": 1}
 
 
 class TestShrinkagePath:

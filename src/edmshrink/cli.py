@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--helix", type=int, metavar="N",
                      help="use the bundled helix geometry with N points "
                           "instead of --input")
-    sim.add_argument("--helix-turns", type=float, default=3.0)
+    sim.add_argument("--helix-turns", type=float,
+                     help="helix turns (default: that of helix_coords, 3)")
     sim.add_argument("--helix-radius", type=float,
                      help="helix radius (default: that of helix_coords, 0.3)")
     sim.add_argument("--helix-pitch", type=float,
@@ -189,10 +190,11 @@ def _cmd_simulate(args) -> int:
     if (args.input is None) == (args.helix is None):
         raise ValueError("give exactly one of --input or --helix")
     if args.helix is not None:
-        geometry = {key: val for key, val in (("radius", args.helix_radius),
+        geometry = {key: val for key, val in (("turns", args.helix_turns),
+                                              ("radius", args.helix_radius),
                                               ("pitch", args.helix_pitch))
                     if val is not None}
-        coords = helix_coords(args.helix, turns=args.helix_turns, **geometry)
+        coords = helix_coords(args.helix, **geometry)
     else:
         coords = fileio.load_coords(args.input, args.format)
     cfg = SimConfig(reps=args.reps, seed=args.seed,

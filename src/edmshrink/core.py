@@ -14,10 +14,11 @@ Two maps connect distances and kernels (Gram matrices):
 
 The first undoes the second: for every hollow symmetric D the distances of
 -J D J / 2 are D again. D is an EDM exactly when -J D J / 2 is PSD
-(Schoenberg); ``EdmMatrix`` runs that test once and keeps the kernel as
-``EdmMatrix.kernel``, a ``MinTraceKernel``. That kernel is the Gram matrix
-of the centered point configuration realizing D and has the all-ones
-vector in its null space.
+(Schoenberg). ``EdmMatrix`` is the ``SymHollowMatrix`` that passed that
+test: it runs it once and keeps the kernel as ``EdmMatrix.kernel``, a
+``MinTraceKernel``, so an EDM goes wherever a hollow symmetric matrix
+does. That kernel is the Gram matrix of the centered point configuration
+realizing D and has the all-ones vector in its null space.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def check_tol(name: str, value: float) -> None:
     """
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -239,7 +247,7 @@ class Embedding:
 
 
 @dataclass(frozen=True)
-class EdmMatrix:
+class EdmMatrix(SymHollowMatrix):
     """A SymHollowMatrix certified, within tolerance, to be an EDM.
 
     Certification is the Schoenberg test: D is an EDM exactly when its
@@ -247,36 +255,31 @@ class EdmMatrix:
     by building ``kernel`` at ``psd_tol = cert_tol``, and reads
     ``embed_dim`` -- the rank of the kernel at threshold ``cert_tol``, i.e.
     the smallest dimension admitting a realizing point configuration --
-    from the same spectrum.
+    from the same spectrum. Entries are squared distances, so a negative
+    one is rejected unless it is within ``cert_tol`` of the largest.
     """
 
-    base: SymHollowMatrix
     cert_tol: float = 1e-8
     kernel: MinTraceKernel = field(init=False, repr=False, compare=False)
-    embed_dim: int = field(init=False)
 
     def __post_init__(self):
+        super().__post_init__()
         check_tol("cert_tol", self.cert_tol)
-        d = self.base.entries
-        off = d[~np.eye(self.base.n, dtype=bool)]
-        if off.size and off.min() < -self.cert_tol:
+        off = self.entries[~np.eye(self.n, dtype=bool)]
+        if off.size and off.min() < -self.cert_tol * max(off.max(), 0.0):
             raise ValueError(f"negative squared distance {off.min():.3e}")
         try:
-            kernel = MinTraceKernel(entries=center_gram(d), psd_tol=self.cert_tol)
+            kernel = MinTraceKernel(entries=center_gram(self.entries),
+                                    psd_tol=self.cert_tol)
         except ValueError as exc:
             raise ValueError(f"matrix is not an EDM within cert_tol: {exc}") from None
-        if kernel.rank > self.base.n - 1:
+        if kernel.rank > self.n - 1:
             raise ValueError("embedding dimension cannot exceed n - 1")
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "embed_dim", kernel.rank)
 
     @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
-
-    @property
-    def n(self) -> int:
-        return self.base.n
+    def embed_dim(self) -> int:
+        return self.kernel.rank
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +309,8 @@ def similarity_to_dissimilarity(s) -> SymHollowMatrix:
 
 
 def certify_edm(m: SymHollowMatrix, tol: float = 1e-8) -> EdmMatrix:
-    """Wrap a hollow symmetric matrix as an EdmMatrix, or raise ValueError."""
-    return EdmMatrix(base=m, cert_tol=tol)
+    """Certify ``m`` as an EdmMatrix, or raise ValueError."""
+    return EdmMatrix(m.entries, tol)
 
 
 def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
@@ -319,8 +322,7 @@ def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
     coords = p.coords if isinstance(p, Embedding) else np.asarray(p, dtype=float)
     if coords.ndim != 2:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
-    return certify_edm(SymHollowMatrix(_distances_from_coords(coords)),
-                       cert_tol)
+    return EdmMatrix(_distances_from_coords(coords), cert_tol)
 
 
 def _distances_from_coords(coords: np.ndarray) -> np.ndarray:

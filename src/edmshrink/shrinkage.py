@@ -26,11 +26,13 @@ path is the same computation as ``distance_shrinkage``.
 The same fact makes a constant dual start free: the input A of penalty
 eta has J A J = J X J + eta J, so one spectrum of J X J gives the
 minimizer of theta(c 1), where a cold fit starts, for every eta (see the
-``projection`` module docstring). ``simulate`` reads that start off the
-spectrum of -J X J / 2 that classical MDS decomposes anyway, so one
-eigendecomposition per replicate serves both methods. A fit keeps the
-eigenpairs of its projection's last evaluation, which are those of its
-kernel, and ``truncate_rank`` reads the coordinates off them.
+``projection`` module docstring). Every fit runs in one loop over the
+penalties, which takes that spectrum as an option and then starts its
+first fit there; ``simulate`` passes the spectrum of -J X J / 2 that
+classical MDS decomposes anyway, so one eigendecomposition per replicate
+serves both methods. A fit keeps the eigenpairs of its projection's last
+evaluation, which are those of its kernel, and ``truncate_rank`` reads
+the coordinates off them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .core import (
     SymHollowMatrix,
     _lead_positive,
     center_gram,
+    check_nonnegative,
     edm_from_coords,
     eigh_descending,
 )
@@ -54,7 +57,6 @@ from .projection import (
     ProjectionDiagnostics,
     SolverConfig,
     _constant_start,
-    _DualPoint,
     _project_from,
 )
 
@@ -109,12 +111,6 @@ class RankTruncatedFit:
         return d
 
 
-def check_penalty(lam: float) -> None:
-    """Raise ValueError unless the penalty ``lam`` is finite and >= 0."""
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
-
-
 def _shrunk(x: SymHollowMatrix, eta: float) -> np.ndarray:
     """The observations with eta subtracted from every off-diagonal entry."""
     return x.entries - eta * (1.0 - np.eye(x.n))
@@ -136,35 +132,6 @@ def distance_shrinkage(
     return next(shrinkage_path(x, [lam], cfg))
 
 
-def _fit(a: np.ndarray, lam: float, cfg: SolverConfig | None,
-         start: _DualPoint | None) -> tuple[ShrinkageFit, _DualPoint]:
-    """The fit of penalty lam to the shrunk input ``a`` from ``start`` and
-    its last dual point. A fit snapped to zero keeps kernel eigenvalues 0."""
-    d_hat, diag, point = _project_from(a, cfg, start)
-    kernel = (np.maximum(-0.5 * point.vals, 0.0) if d_hat.entries.any()
-              else np.zeros_like(point.vals))
-    return ShrinkageFit(d_hat, lam, diag, (kernel, point.vecs)), point
-
-
-def _shrinkage_from_spectrum(
-    x: SymHollowMatrix, lam: float, mu: np.ndarray, vecs: np.ndarray,
-    cfg: SolverConfig | None = None,
-) -> ShrinkageFit:
-    """``distance_shrinkage(x, lam, cfg)`` started from a spectrum of x.
-
-    ``mu`` and ``vecs`` are the descending eigenpairs of center_gram(x) =
-    -J X J / 2 from ``eigh_descending``, so -2 mu ascends through the
-    spectrum of J X J. They give the fit's start at the best constant
-    dual point (see the module docstring) with no eigendecomposition;
-    when they do not split off the ones vector, the fit starts cold, as
-    ``distance_shrinkage`` does.
-    """
-    check_penalty(lam)
-    eta = lam / (2 * x.n)
-    a = _shrunk(x, eta)
-    return _fit(a, lam, cfg, _constant_start(a, -2.0 * mu, vecs, eta))[0]
-
-
 def shrinkage_path(
     x: SymHollowMatrix, lams: Iterable[float], cfg: SolverConfig | None = None
 ) -> Iterator[ShrinkageFit]:
@@ -184,19 +151,37 @@ def shrinkage_path(
     """
     lams = list(lams)
     for lam in lams:
-        check_penalty(lam)
+        check_nonnegative("lam", lam)
     return _walk_path(x, sorted(lams), cfg)
 
 
-def _walk_path(x: SymHollowMatrix, lams: list[float],
-               cfg: SolverConfig | None) -> Iterator[ShrinkageFit]:
+def _walk_path(
+    x: SymHollowMatrix, lams: list[float], cfg: SolverConfig | None,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Iterator[ShrinkageFit]:
+    """The fits of the checked, ascending penalties ``lams``.
+
+    Each fit after the first starts from the last dual point of the one
+    before. The first starts cold, or, given ``spectrum``, the descending
+    eigenpairs (mu, vecs) of center_gram(x) from ``eigh_descending``, at
+    the best constant dual point read off -2 mu, which ascends through
+    the spectrum of J X J, with no eigendecomposition; when those
+    eigenvectors do not split off the ones vector, it starts cold. A fit
+    snapped to zero keeps kernel eigenvalues 0.
+    """
     point, eta_prev = None, 0.0
     for lam in lams:
         eta = lam / (2 * x.n)
-        start = None if point is None else point.shifted(eta - eta_prev)
-        fit, point = _fit(_shrunk(x, eta), lam, cfg, start)
+        a = _shrunk(x, eta)
+        if point is not None:
+            point = point.shifted(eta - eta_prev)
+        elif spectrum is not None:
+            point = _constant_start(a, -2.0 * spectrum[0], spectrum[1], eta)
+        d_hat, diag, point = _project_from(a, cfg, point)
+        kernel = (np.maximum(-0.5 * point.vals, 0.0) if d_hat.entries.any()
+                  else np.zeros_like(point.vals))
         eta_prev = eta
-        yield fit
+        yield ShrinkageFit(d_hat, lam, diag, (kernel, point.vecs))
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
@@ -207,11 +192,6 @@ def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
     return fit + lam * float(np.trace(center_gram(m.entries)))
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-
-
 def recommended_lambda(n: int, sigma: float) -> float:
     """Penalty level 4 sigma (sqrt(n) + 1) for i.i.d. noise of std dev sigma.
 
@@ -220,7 +200,7 @@ def recommended_lambda(n: int, sigma: float) -> float:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_sigma(sigma)
+    check_nonnegative("sigma", sigma)
     return 4.0 * sigma * (np.sqrt(n) + 1.0)
 
 
@@ -233,7 +213,7 @@ def risk_bound(n: int, sigma: float, r: int) -> float:
     """
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    _check_sigma(sigma)
+    check_nonnegative("sigma", sigma)
     return 36.0 * n * sigma**2 * (r + 1)
 
 

@@ -20,6 +20,7 @@ from .core import (
     SymHollowMatrix,
     _distances_from_coords,
     center_gram,
+    check_nonnegative,
     edm_from_coords,
     eigh_descending,
     kruskal_stress,
@@ -29,8 +30,8 @@ from .noise import NoiseModel, add_noise
 from .projection import NotConvergedError, SolverConfig
 from .shrinkage import (
     _check_rank,
-    _shrinkage_from_spectrum,
     _top_r_fit,
+    _walk_path,
     recommended_lambda,
 )
 
@@ -160,6 +161,7 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     n = d_true.n
     lam = cfg.penalty(n)
     _check_rank(cfg.rank_r, n)
+    check_nonnegative("lam", lam)
 
     records: list[ReplicateRecord] = []
     for rep in range(cfg.reps):
@@ -167,13 +169,13 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
         mu, vecs = eigh_descending(center_gram(x.entries))
         mds_coords = _top_r_fit(mu, vecs, cfg.rank_r).embedding.coords
         mds_stress = kruskal_stress(
-            SymHollowMatrix(_distances_from_coords(mds_coords)), d_true.base)
+            SymHollowMatrix(_distances_from_coords(mds_coords)), d_true)
         try:
-            fit = _shrinkage_from_spectrum(x, lam, mu, vecs, cfg.solver)
+            fit = next(_walk_path(x, [lam], cfg.solver, (mu, vecs)))
         except NotConvergedError as exc:
             stress, cycles = None, exc.diagnostics.cycles
         else:
-            stress = kruskal_stress(fit.d_hat.base, d_true.base)
+            stress = kruskal_stress(fit.d_hat, d_true)
             cycles = fit.diagnostics.cycles
         records.append(ReplicateRecord(
             index=rep, shrinkage_stress=stress, mds_stress=mds_stress,

@@ -118,7 +118,7 @@ def test_criterion_02_three_point_closed_form():
         for _ in range(12):
             p = centered_cloud(rng, 3, 2)
             d = edm_from_coords(p)
-            info = analyze_dim3(d.base)
+            info = analyze_dim3(d)
             if info.eta_to_dim1 < 1e-3:  # nearly collinear triangle
                 continue
             hi = info.eta_to_dim0 * 1.5

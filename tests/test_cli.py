@@ -190,8 +190,8 @@ class TestSimulate:
                 "--seed", "2", "--sigma", "0.223", "--out-format", "json"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--helix-radius", "0.3", "--helix-pitch", "0.3",
-                            "--out", str(b)]) == 0
+        assert main(args + ["--helix-turns", "3", "--helix-radius", "0.3",
+                            "--helix-pitch", "0.3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_coordinate_file_input(self, tmp_path):

@@ -83,7 +83,7 @@ class TestToleranceValidation:
     @pytest.mark.parametrize("bad", BAD_TOLS)
     @pytest.mark.parametrize("build", [
         lambda tol: certify_edm(hollow(VIOLATOR), tol),
-        lambda tol: EdmMatrix(hollow(VIOLATOR), cert_tol=tol),
+        lambda tol: EdmMatrix(np.array(VIOLATOR), cert_tol=tol),
         lambda tol: MinTraceKernel(-centering(3) / 2.0, psd_tol=tol),
         lambda tol: edm_from_coords(np.array([[0.0], [1.0]]), cert_tol=tol),
         lambda tol: SymHollowMatrix.from_array(
@@ -200,6 +200,33 @@ class TestIsEdm:
         assert d.entries[1, 2] == pytest.approx(1.0)
 
 
+def with_coincident_pair(rel: float) -> np.ndarray:
+    """Squared distances of 6 points in the plane whose first two
+    coincide, with their zero entry replaced by ``rel`` times the largest."""
+    p = np.random.default_rng(5).normal(size=(6, 2))
+    p[1] = p[0]
+    d = edm_from_coords(p).entries.copy()
+    d[0, 1] = d[1, 0] = rel * d.max()
+    return d
+
+
+class TestNegativeEntries:
+    """A negative squared distance is rejected relative to the largest
+    entry, so certification does not depend on the units of distance."""
+
+    SCALES = [10.0**e for e in range(-8, 9)]
+
+    def test_rounding_size_entry_accepted_at_every_scale(self):
+        d = with_coincident_pair(-1e-10)
+        dims = {certify_edm(hollow(c * d)).embed_dim for c in self.SCALES}
+        assert dims == {2}
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_large_negative_entry_rejected_at_every_scale(self, c):
+        with pytest.raises(ValueError, match="negative squared distance"):
+            certify_edm(hollow(c * with_coincident_pair(-1e-3)))
+
+
 class TestEmbeddingExtraction:
     """Coordinates from the top eigenpairs of a minimum-trace kernel, as
     classical_mds extracts them from an EDM."""
@@ -219,7 +246,7 @@ class TestEmbeddingExtraction:
         for _ in range(10):
             n = int(rng.integers(3, 12))
             d = random_edm(rng, n, int(rng.integers(1, 4)))
-            e = classical_mds(d.base, n - 1).embedding
+            e = classical_mds(d, n - 1).embedding
             back = edm_from_coords(e)
             assert np.allclose(back.entries, d.entries,
                                rtol=1e-8, atol=1e-10 * max(d.entries.max(), 1))
@@ -266,8 +293,8 @@ class TestMetrics:
     def test_stress_zero_and_one(self, rng):
         t = random_edm(rng, 6, 2)
         zero = SymHollowMatrix(np.zeros((6, 6)))
-        assert kruskal_stress(t.base, t.base) == 0.0
-        assert kruskal_stress(zero, t.base) == pytest.approx(1.0)
+        assert kruskal_stress(t, t) == 0.0
+        assert kruskal_stress(zero, t) == pytest.approx(1.0)
 
     def test_stress_rejects_zero_reference(self):
         zero = hollow(np.zeros((3, 3)))

@@ -18,7 +18,7 @@ from edmshrink import (
 from edmshrink.core import eigh_descending
 from edmshrink.projection import (_constant_start, _evaluate, _newton_system,
                                   project_c1, project_c2)
-from edmshrink.shrinkage import _shrinkage_from_spectrum, distance_shrinkage
+from edmshrink.shrinkage import _walk_path, distance_shrinkage
 
 from conftest import centering, random_edm, random_hollow
 
@@ -332,7 +332,7 @@ class TestConstantStart:
         x = SymHollowMatrix(x)
         mu, vecs = eigh_descending(center_gram(x.entries))
         assert _constant_start(x.entries, -2.0 * mu, vecs, 0.0) is None
-        fit = _shrinkage_from_spectrum(x, lam, mu, vecs)
+        fit = next(_walk_path(x, [lam], None, (mu, vecs)))
         cold = distance_shrinkage(x, lam)
         assert fit.diagnostics.converged
         want = dykstra_reference(x.entries - lam / (2 * x.n)
@@ -456,7 +456,7 @@ class TestCertificateRounding:
         for t in range(80):
             size = 10.0 ** gen.uniform(-3.0, 3.0)
             if t % 2:
-                x = edm_from_coords(gen.normal(size=(3, 2)) * size).base
+                x = edm_from_coords(gen.normal(size=(3, 2)) * size)
             else:
                 a = np.abs(gen.normal(size=(3, 3))) * size
                 a = (a + a.T) / 2.0
@@ -534,7 +534,7 @@ class TestDim3Analysis:
             x = certify_edm(SymHollowMatrix(
                 ((lambda g: g.diagonal()[:, None] + g.diagonal()[None, :] - 2 * g)
                  (p @ p.T) * (1 - np.eye(3)))))
-            a = analyze_dim3(x.base)
+            a = analyze_dim3(x)
             assert a.dim == 2 or a.delta_x == pytest.approx(0.0)
             etas = np.linspace(0.0, a.eta_to_dim0 * 1.5, 12)
             margin = 1e-6

@@ -23,6 +23,7 @@ from edmshrink import (
     edm_from_coords,
     fileio,
     helix_coords,
+    kruskal_stress,
     objective_value,
     recommended_lambda,
     risk_bound,
@@ -46,7 +47,7 @@ EQUILATERAL = hollow([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 class TestDistanceShrinkage:
     def test_zero_penalty_fixes_edm(self, rng):
         d = random_edm(rng, 9, 3)
-        fit = distance_shrinkage(d.base, 0.0)
+        fit = distance_shrinkage(d, 0.0)
         norm = np.linalg.norm(d.entries)
         assert np.linalg.norm(fit.d_hat.entries - d.entries) <= 1e-8 * norm
         assert fit.eta == 0.0
@@ -367,7 +368,7 @@ class TestKktCertificate:
 class TestObjective:
     def test_zero_at_truth_without_penalty(self, rng):
         d = random_edm(rng, 6, 2)
-        assert objective_value(d, d.base, 0.0) == 0.0
+        assert objective_value(d, d, 0.0) == 0.0
 
     def test_zero_estimate(self, rng):
         x = random_hollow(rng, 5)
@@ -378,8 +379,8 @@ class TestObjective:
     def test_trace_term_nonnegative_for_edms(self, rng):
         for _ in range(10):
             d = random_edm(rng, 6, 3)
-            base = objective_value(d, d.base, 0.0)
-            with_penalty = objective_value(d, d.base, 2.0)
+            base = objective_value(d, d, 0.0)
+            with_penalty = objective_value(d, d, 2.0)
             assert with_penalty >= base
 
     def test_fit_beats_random_competitors(self, rng):
@@ -398,6 +399,27 @@ class TestObjective:
     def test_size_mismatch(self, rng):
         with pytest.raises(ValueError):
             objective_value(random_edm(rng, 4, 2), random_hollow(rng, 5), 1.0)
+
+
+class TestEdmMatrixInput:
+    """An EdmMatrix is a SymHollowMatrix: it goes into every function that
+    takes observations and gives the results of its entries."""
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_same_results_as_its_entries(self, rng, n):
+        d, other = random_edm(rng, n, 2), random_edm(rng, n, 2)
+        plain = SymHollowMatrix(d.entries)
+        assert isinstance(d, SymHollowMatrix)
+        assert d.embed_dim == d.kernel.rank
+        got, want = distance_shrinkage(d, 0.5), distance_shrinkage(plain, 0.5)
+        assert np.array_equal(got.d_hat.entries, want.d_hat.entries)
+        for got, want in zip(shrinkage_path(d, [0.5, 2.0]),
+                             shrinkage_path(plain, [0.5, 2.0]), strict=True):
+            assert np.array_equal(got.d_hat.entries, want.d_hat.entries)
+        assert kruskal_stress(d, other) == kruskal_stress(plain, other)
+        assert kruskal_stress(other, d) == kruskal_stress(other, plain)
+        if n == 3:
+            assert analyze_dim3(d) == analyze_dim3(plain)
 
 
 class TestPenaltyAndBound:
@@ -430,7 +452,7 @@ class TestPenaltyAndBound:
 class TestTruncateRank:
     def test_low_rank_fit_unchanged(self, rng):
         d = random_edm(rng, 8, 2)
-        fit = distance_shrinkage(d.base, 0.0)
+        fit = distance_shrinkage(d, 0.0)
         tr = truncate_rank(fit, 3)
         scale = max(np.abs(fit.d_hat.entries).max(), 1e-12)
         assert np.abs(tr.d_hat_r.entries - fit.d_hat.entries).max() <= 1e-8 * scale
@@ -442,7 +464,7 @@ class TestTruncateRank:
         k = 3 * np.outer(u1, u1) + np.outer(u2, u2)
         k = (k + k.T) / 2
         d = certify_edm(similarity_to_dissimilarity(MinTraceKernel(k).entries))
-        fit = distance_shrinkage(d.base, 0.0)
+        fit = distance_shrinkage(d, 0.0)
         tr = truncate_rank(fit, 1)
         want = similarity_to_dissimilarity(MinTraceKernel(
             (lambda a: (a + a.T) / 2)(3 * np.outer(u1, u1))).entries)
@@ -511,7 +533,7 @@ class TestClassicalMds:
     def test_recovers_exact_low_rank(self, rng):
         for k in (1, 2, 3):
             d = random_edm(rng, 9, k)
-            fit = classical_mds(d.base, 3)
+            fit = classical_mds(d, 3)
             norm = np.linalg.norm(d.entries)
             assert np.linalg.norm(fit.d_hat_r.entries - d.entries) <= 1e-8 * norm
 
@@ -628,13 +650,13 @@ class TestShrinkagePath:
         for _ in range(5):
             p = rng.normal(size=(3, 2))
             d = edm_from_coords(p - p.mean(0))
-            a = analyze_dim3(d.base)
+            a = analyze_dim3(d)
             lam1, lam0 = 6 * a.eta_to_dim1, 6 * a.eta_to_dim0
             prev = 2
             for lam in np.linspace(0.0, lam0 * 1.4, 10):
                 if min(abs(lam - lam1), abs(lam - lam0)) < 1e-6:
                     continue
-                fit = distance_shrinkage(d.base, float(lam))
+                fit = distance_shrinkage(d, float(lam))
                 if lam < lam1:
                     want = 2
                 elif lam < lam0:

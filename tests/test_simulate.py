@@ -107,9 +107,9 @@ class TestRunExperiment:
         for rec in report.replicates:
             x = add_noise(d, cfg.noise, cfg.seed, replicate=rec.index)
             mds = classical_mds(x, cfg.rank_r).d_hat_r
-            assert rec.mds_stress == kruskal_stress(mds.base, d.base)
+            assert rec.mds_stress == kruskal_stress(mds, d)
             cold = distance_shrinkage(x, lam)
-            want = kruskal_stress(cold.d_hat.base, d.base)
+            want = kruskal_stress(cold.d_hat, d)
             assert abs(rec.shrinkage_stress - want) <= 1e-8 * want
             assert rec.cycles < cold.diagnostics.cycles
 

@@ -109,7 +109,7 @@ def _lead_positive(vecs: np.ndarray) -> np.ndarray:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymHollowMatrix:
     """Symmetric matrix with zero diagonal, in squared-distance units.
 
@@ -167,7 +167,7 @@ def _psd_rank(vals: np.ndarray, tol: float) -> tuple[bool, int]:
     return ok, int(np.count_nonzero(vals > tol * top))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinTraceKernel:
     """Kernel with the smallest trace among all kernels sharing its EDM.
 
@@ -181,7 +181,7 @@ class MinTraceKernel:
 
     entries: np.ndarray
     psd_tol: float = 1e-8
-    rank: int = field(init=False, compare=False)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         a = _as_square(self.entries)
@@ -211,7 +211,7 @@ class MinTraceKernel:
         return float(np.trace(self.entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """Centered point coordinates, n rows by k columns, in distance units."""
 
@@ -246,7 +246,7 @@ class Embedding:
         return self.coords.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdmMatrix(SymHollowMatrix):
     """A SymHollowMatrix certified, within tolerance, to be an EDM.
 
@@ -260,7 +260,7 @@ class EdmMatrix(SymHollowMatrix):
     """
 
     cert_tol: float = 1e-8
-    kernel: MinTraceKernel = field(init=False, repr=False, compare=False)
+    kernel: MinTraceKernel = field(init=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -308,9 +308,13 @@ def similarity_to_dissimilarity(s) -> SymHollowMatrix:
     return SymHollowMatrix(_distances_from_gram(a))
 
 
-def certify_edm(m: SymHollowMatrix, tol: float = 1e-8) -> EdmMatrix:
-    """Certify ``m`` as an EdmMatrix, or raise ValueError."""
-    return EdmMatrix(m.entries, tol)
+def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8) -> EdmMatrix:
+    """Certify ``m`` as an EdmMatrix, or raise ValueError.
+
+    ``m`` may also be a plain array, which is validated as a
+    SymHollowMatrix once, by the EdmMatrix built from it.
+    """
+    return EdmMatrix(m.entries if isinstance(m, SymHollowMatrix) else m, tol)
 
 
 def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:

@@ -14,9 +14,15 @@ exactly; the bytes equal those of ``np.savetxt(fh, a, fmt="%.17g",
 delimiter=",", header=header, comments="")``. The writer formats each
 distinct float64 bit pattern once and streams the file row by row, so a
 symmetric matrix costs about half its entries in float formatting and
-its memory stays a small multiple of the matrix. Reading parses line by
-line, rather than with ``np.loadtxt``, so that errors name the file line
-and a '#' line below the data is rejected.
+its memory stays a small multiple of the matrix. The formatting itself
+runs in numpy: each value is rounded half to even to 17 significant
+digits through an error-free product with a double-double power of ten,
+and laid out by the rules of ``%g``. Zeros, magnitudes outside
+[1e-280, 1e280], and the rare values whose rounding that product cannot
+decide go through Python's ``%`` instead, so every byte is the one
+``%.17g`` writes. Reading parses line by line, rather than with
+``np.loadtxt``, so that errors name the file line and a '#' line below
+the data is rejected.
 """
 
 from __future__ import annotations
@@ -88,11 +94,220 @@ def load_dissimilarity(path, tol: float = 1e-9) -> SymHollowMatrix:
     return SymHollowMatrix(load_square_matrix(path, hollow=True, tol=tol))
 
 
-# Distinct values formatted by one ``%`` each. It bounds the transient
-# Python floats and strings of the formatting step: at n = 200, chunks of
-# 4096 raised the peak RSS of an estimate invocation by about 0.6 MB more
-# than chunks of 512, which format as fast.
-_FORMAT_CHUNK = 512
+# %.17g is at most 24 bytes long: -2.2250738585072014e-308.
+_WIDTH = 24
+# Values formatted per block, which bounds the formatter's temporaries to
+# about 130 bytes per value. At n = 200 (20,100 distinct values) blocks of
+# 8192 format in about 4.5 ms against 5.5 ms in blocks of 4096, and keep
+# the writer's tracemalloc peak at 6.3x a.nbytes, where np.unique alone
+# reaches 5.6x.
+_FORMAT_BLOCK = 8192
+# Magnitudes formatted in numpy; the rest, and zeros, go through ``%``.
+# Inside these bounds 10**(16 - k) and the products below stay normal.
+_FAST_RANGE = (1e-280, 1e280)
+
+
+def _pow10(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """10**e for e = lo..hi as double-doubles head + tail.
+
+    Built from Python integers, whose true division rounds correctly:
+    head is 10**e rounded, tail the rest rounded, so head + tail is within
+    about 2**-106 of 10**e relative, and tail is 0 for 0 <= e <= 22.
+    """
+    heads, tails = [], []
+    for e in range(lo, hi + 1):
+        num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+        head = num / den
+        a, b = head.as_integer_ratio()
+        heads.append(head)
+        tails.append((num * b - a * den) / (b * den))
+    return np.array(heads), np.array(tails)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo into halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scale(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**e as p + t, with p = fl(x * 10**e).
+
+    Dekker's error-free product gives t exactly when 10**e is a double
+    (0 <= e <= 22); otherwise t is off by about 1e-14 for products near
+    1e16.
+    """
+    lo = int(e.min())
+    heads, tails = _pow10(lo, int(e.max()))
+    e = e - lo
+    head = heads[e]
+    p = x * head
+    xh, xl = _split(x)
+    hh, hl = _split(head)
+    # Dekker's ((xh hh - p) + xh hl + xl hh) + xl hl, in place
+    t = xh * hh
+    t -= p
+    t += xh * hl
+    t += xl * hh
+    t += xl * hl
+    t += x * tails[e]
+    return p, t
+
+
+def _off_decade(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether p + t lies below 1e16 or at or above 1e17 (exact doubles)."""
+    return (p - 1e16) + t < 0.0, (p - 1e17) + t >= 0.0
+
+
+def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x rounded half to even to 17 significant digits, as %.17g rounds.
+
+    For positive x inside ``_FAST_RANGE``, returns the digits as an
+    integer n in [1e16, 1e17), the decimal exponent k of n * 10**(k - 16),
+    and a mask of the elements left undecided: those still outside the
+    decade after one correction of k, and those whose scaled value is
+    within 1e-6 of a half-integer when the scaling was not exact.
+    Misjudging p + t next to 1e16 or 1e17 by its error yields the same
+    n and k, since both sides round to 10**16 or 10**17 there.
+    """
+    k = np.floor(np.log10(x)).astype(np.int64)
+    p, t = _scale(x, 16 - k)
+    # log10 can be one off next to a power of ten
+    low, high = _off_decade(p, t)
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        k[moved] += high[moved].astype(np.int64) - low[moved]
+        p[moved], t[moved] = _scale(x[moved], 16 - k[moved])
+        low, high = _off_decade(p, t)
+    floor = np.floor(t)
+    frac = t - floor
+    n = p.astype(np.int64) + floor.astype(np.int64)
+    n += (frac > 0.5) | ((frac == 0.5) & ((n & 1) == 1))
+    inexact = (k < -6) | (k > 16)
+    undecided = low | high | (inexact & (np.abs(frac - 0.5) < 1e-6))
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    k += carry
+    return n, k, undecided
+
+
+def _digits(n: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each n in [1e16, 1e17), one row each.
+
+    n splits into int32 halves of 9 digits each, the upper one with a
+    leading zero, whose divisions by 10 run side by side.
+    """
+    halves = np.empty((n.size, 2), np.int32)
+    halves[:, 0] = n // 10 ** 9
+    halves[:, 1] = n - halves[:, 0].astype(np.int64) * 10 ** 9
+    out = np.empty((n.size, 2, 9), np.uint8)
+    for j in range(8, -1, -1):
+        q = halves // 10
+        out[:, :, j] = halves - q * 10
+        halves = q
+    out += ord("0")
+    return out.reshape(n.size, 18)[:, 1:]
+
+
+def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The %.17g text of (-1)**neg * n * 10**(k - 16), as an S24 array.
+
+    %g writes fixed notation for -4 <= k < 17 and d.ddde+XX otherwise,
+    then strips trailing zeros and a bare point. Rows are grouped by sign
+    and by k within fixed notation, so that each group lays out its
+    digits by slice copies; the writer passes values sorted by bit
+    pattern, which are already grouped.
+    """
+    m = n.size
+    sign = neg.astype(np.int64)
+    key = (32 * sign + np.clip(k, -5, 17) + 5).astype(np.int8)
+    order = None
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, n, k, sign = key[order], n[order], k[order], sign[order]
+    digits = _digits(n)
+    out = np.zeros((m, _WIDTH), np.uint8)
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    for r0, r1 in zip([0] + cuts, cuts + [m]):
+        c, kg = divmod(int(key[r0]), 32)  # sign column, the group's k
+        kg -= 5
+        rows, d = out[r0:r1], digits[r0:r1]
+        if c:
+            rows[:, 0] = ord("-")
+        if kg < -4 or kg > 16:
+            rows[:, c] = d[:, 0]
+            rows[:, c + 1] = ord(".")
+            rows[:, c + 2:c + 18] = d[:, 1:]
+        elif kg >= 0:
+            rows[:, c:c + kg + 1] = d[:, :kg + 1]
+            if kg < 16:
+                rows[:, c + kg + 1] = ord(".")
+                rows[:, c + kg + 2:c + 18] = d[:, kg + 1:]
+        else:
+            rows[:, c:c + 1 - kg] = ord("0")
+            rows[:, c + 1] = ord(".")
+            rows[:, c + 1 - kg:c + 18 - kg] = d
+    # significant digits left after stripping trailing zeros
+    sig = np.full(m, 17)
+    idx = np.arange(m)
+    for j in range(16, 0, -1):
+        idx = idx[digits[idx, j] == ord("0")]
+        if not idx.size:
+            break
+        sig[idx] = j
+    sci = (k < -4) | (k > 16)
+    short = np.flatnonzero((sig < 17) | sci)
+    sig, k, sign, sci = sig[short], k[short], sign[short], sci[short]
+    length = sign + np.where(
+        sci, 1 + (sig > 1) * sig,
+        np.where(k >= 0, k + 1 + (sig > k + 1) * (sig - k), 1 - k + sig))
+    keep = np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None]
+    out[short] *= keep[length]
+    if sci.any():
+        flat = out.reshape(-1)
+        exp = k[sci]
+        at = short[sci] * _WIDTH + length[sci]
+        flat[at] = ord("e")
+        flat[at + 1] = np.where(exp < 0, ord("-"), ord("+"))
+        exp = np.abs(exp)
+        wide = exp >= 100
+        flat[at + 2] = np.where(wide, exp // 100, exp // 10 % 10) + ord("0")
+        flat[at + 3] = np.where(wide, exp // 10 % 10, exp % 10) + ord("0")
+        flat[at[wide] + 4] = exp[wide] % 10 + ord("0")
+    text = out.view(f"S{_WIDTH}").ravel()
+    if order is None:
+        return text
+    unsorted = np.empty_like(text)
+    unsorted[order] = text
+    return unsorted
+
+
+def _format_17g(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` for each float64 v of 1-D ``values``, as an S24 array.
+
+    Magnitudes inside ``_FAST_RANGE`` are rounded and laid out in numpy,
+    in blocks of ``_FORMAT_BLOCK``. Zeros, the rest, and the elements
+    whose rounding ``_round17`` leaves undecided go through ``%`` itself,
+    so the result is exact for every input.
+    """
+    table = np.empty(values.size, dtype=f"S{_WIDTH}")
+    slow = []  # index arrays of the values left to ``%``
+    for start in range(0, values.size, _FORMAT_BLOCK):
+        v = values[start:start + _FORMAT_BLOCK]
+        x = np.abs(v)
+        inside = (x >= _FAST_RANGE[0]) & (x <= _FAST_RANGE[1])
+        slow.append(start + np.flatnonzero(~inside))
+        fast = np.flatnonzero(inside)
+        if not fast.size:
+            continue
+        n, k, undecided = _round17(x[fast])
+        table[start + fast] = _layout(n, k, np.signbit(v[fast]))
+        slow.append(start + fast[undecided])
+    for idx in slow:
+        for i in idx.tolist():
+            table[i] = b"%.17g" % values[i]
+    return table
 
 
 def _save_csv(a, path, header: str) -> None:
@@ -101,13 +316,7 @@ def _save_csv(a, path, header: str) -> None:
         raise ValueError(f"{path}: expected a 2-D array, got {a.ndim}-D")
     # Distinct bit patterns, not values, so that -0.0 stays apart from 0.0.
     bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
-    values = bits.view(np.float64)
-    # %.17g is at most 24 bytes long: -2.2250738585072014e-308.
-    table = np.empty(values.size, dtype="S24")
-    for start in range(0, values.size, _FORMAT_CHUNK):
-        chunk = values[start:start + _FORMAT_CHUNK].tolist()
-        text = ",".join(["%.17g"] * len(chunk)) % tuple(chunk)
-        table[start:start + len(chunk)] = text.encode().split(b",")
+    table = _format_17g(bits.view(np.float64))
     with open(path, "wb") as fh:
         if header:
             fh.write(header.encode("utf-8") + b"\n")
@@ -122,7 +331,10 @@ def save_square_matrix(a, path, header: str = SQUARED_CONVENTION) -> None:
     ``delimiter=","``, with ``header`` as the first line unless it is
     empty. Each distinct float64 bit pattern is formatted once, and rows
     are written one at a time, so an exactly symmetric matrix formats
-    about half of its entries and no whole-file text is built.
+    about half of its entries and no whole-file text is built. Values are
+    rounded to 17 digits exactly, half to even, in numpy; those it cannot
+    decide exactly, and zeros and extreme magnitudes, are formatted by
+    ``%.17g`` itself.
     """
     _save_csv(a, path, header)
 

@@ -456,7 +456,7 @@ def _project_from(
                 f"converged iterate has spectrum {-float(pt.vals[0]):.3e} "
                 f"within its rounding {slack:.3e} of zero", diag)
         cert_tol = max(cert_tol, 2.0 * slack / top)
-    return certify_edm(SymHollowMatrix(out), cert_tol), diag, pt
+    return certify_edm(out, cert_tol), diag, pt
 
 
 # ---------------------------------------------------------------------------

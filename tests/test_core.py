@@ -11,6 +11,7 @@ from edmshrink import (
     average_squared_loss,
     certify_edm,
     classical_mds,
+    distance_shrinkage,
     edm_from_coords,
     kruskal_stress,
     similarity_to_dissimilarity,
@@ -69,6 +70,27 @@ class TestTypes:
             Embedding(np.array([[1.0], [2.0]]))
         e = Embedding.from_points(np.array([[1.0], [2.0]]))
         assert np.allclose(e.coords, [[-0.5], [0.5]])
+
+
+class TestIdentityEquality:
+    """The domain types hold arrays, so they compare and hash by identity:
+    an element-wise ``==`` has no single truth value."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: hollow([[0, 1], [1, 0]]),
+        lambda: certify_edm(hollow([[0, 1], [1, 0]])),
+        lambda: MinTraceKernel(centering(2) / 2.0),
+        lambda: Embedding(np.array([[-0.5], [0.5]])),
+    ], ids=["SymHollowMatrix", "EdmMatrix", "MinTraceKernel", "Embedding"])
+    def test_compare_and_hash_by_identity(self, build):
+        m, twin = build(), build()
+        assert (m == twin) is False
+        assert m == m
+        assert len({m, twin, m}) == 2
+
+    def test_fit_equals_itself(self):
+        fit = distance_shrinkage(D0_3, 0.1)
+        assert fit == fit
 
 
 BAD_TOLS = [np.nan, np.inf, 0.0, -1e-8]
@@ -191,6 +213,20 @@ class TestIsEdm:
 
     def test_zero_matrix_dimension_zero(self):
         assert certify_edm(hollow(np.zeros((4, 4)))).embed_dim == 0
+
+    def test_array_certifies_as_its_matrix(self, rng):
+        d = random_edm(rng, 8, 3).entries
+        from_array, from_matrix = certify_edm(d), certify_edm(SymHollowMatrix(d))
+        assert np.array_equal(from_array.entries, from_matrix.entries)
+        assert from_array.embed_dim == from_matrix.embed_dim == 3
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[0, 1], [2, 0]], "not exactly symmetric"),
+        ([[1, 1], [1, 0]], "diagonal must be exactly zero"),
+    ])
+    def test_array_is_validated(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            certify_edm(np.array(rows, dtype=float))
 
     def test_line_of_three(self):
         d = edm_from_coords(np.array([[0.0], [1.0], [2.0]]))

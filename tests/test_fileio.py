@@ -170,6 +170,62 @@ class TestWriterMatchesSavetxt:
         assert peak <= 7 * a.nbytes
 
 
+def percent_17g(x) -> list[bytes]:
+    """The formatter's oracle: CPython's own %.17g, one value at a time."""
+    return [b"%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+
+
+class TestFormat17g:
+    """The writer's vectorised %.17g against CPython's."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(values=st.lists(FLOATS, max_size=40))
+    def test_matches_percent(self, values):
+        x = np.array(values, dtype=float)
+        assert fileio._format_17g(x).tolist() == percent_17g(x)
+
+    def test_random_bit_patterns(self):
+        # every exponent and sign, unsorted, in many blocks
+        rng = np.random.default_rng(20241018)
+        bits = rng.integers(0, 2**64, size=120_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        x = x[np.isfinite(x)]
+        assert x.size > 100_000
+        assert fileio._format_17g(x).tolist() == percent_17g(x)
+
+    @pytest.mark.parametrize("value", [
+        # ties at the 17th digit, which round half to even
+        2251799813685246.25, 2251799813685247.75,
+        # a tie where 10**(16 - k) is not a double: 3 * 2**-24
+        1.78813934326171875e-07,
+        # power-of-ten edges, where log10 and the rounding change decade
+        1e16, 1e17, 99999999999999984.0, 1e-5, 9.9999999999999991e-6,
+        # three-digit exponents
+        1e100, 1e-100, 1e300,
+        # zeros, the smallest subnormal and the largest magnitudes
+        0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    ])
+    def test_named_values(self, value):
+        x = np.array([value, -value])
+        assert fileio._format_17g(x).tolist() == percent_17g(x)
+
+    def test_rounding_fixes_the_decade(self):
+        # log10 rounds to 17 and to -5 here, one decade off
+        n, k, undecided = fileio._round17(
+            np.array([99999999999999984.0, 9.9999999999999991e-6]))
+        assert n.tolist() == [99999999999999984, 99999999999999991]
+        assert k.tolist() == [16, -6]
+        assert not undecided.any()
+
+    def test_rounding_leaves_inexact_ties_to_percent(self):
+        # The only exact ties whose 10**(16 - k) is not a double: m * 2**-24
+        # (k = -7) and m * 2**-25 (k = -8) for the odd m that make the
+        # scaled value m * 5**23 / 2 or m * 5**24 / 2 a 17-digit number.
+        ties = [m * 2.0**-24 for m in range(3, 16, 2)] + [2.0**-25, 3 * 2.0**-25]
+        assert fileio._round17(np.array(ties))[2].all()
+
+
 class TestCoordLoaders:
     def test_csv_two_points(self, tmp_path):
         path = tmp_path / "p.csv"

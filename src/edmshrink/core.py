@@ -19,11 +19,22 @@ test: it runs it once and keeps the kernel as ``EdmMatrix.kernel``, a
 ``MinTraceKernel``, so an EDM goes wherever a hollow symmetric matrix
 does. That kernel is the Gram matrix of the centered point configuration
 realizing D and has the all-ones vector in its null space.
+
+The test reads the kernel's spectrum. A caller that holds a factor F of
+the kernel, K ~ F F^T, passes it on, and the spectrum is bounded instead
+of computed. By Weyl's inequality every eigenvalue of K lies within
+||K - F F^T||_F of one of F F^T, whose nonzero eigenvalues are those of
+the small Gram matrix G = F^T F, and those lie within ||G - Diag G||_F of
+diag G. Where F's columns are orthogonal, as for the eigenpairs a fit
+keeps, that costs one n x n x s product and no eigensolver; otherwise,
+as for point coordinates, one s x s ``eigvalsh`` of G gives them. A bound
+that cannot decide the PSD test or the rank, because an eigenvalue lies
+within it of the rank threshold, falls back to ``eigvalsh`` of K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -62,6 +73,16 @@ def check_nonnegative(name: str, value: float) -> None:
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(
             f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer and not a bool.
+
+    A float such as 1.5 would pass a range check and fail, or be
+    truncated, where it is used as a count; True would pass as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -167,6 +188,60 @@ def _psd_rank(vals: np.ndarray, tol: float) -> tuple[bool, int]:
     return ok, int(np.count_nonzero(vals > tol * top))
 
 
+def _weyl_rank(spectrum: np.ndarray, err: float, tol: float) -> int | None:
+    """``_psd_rank`` shared by every spectrum within ``err`` of ``spectrum``.
+
+    Each eigenvalue may move by err, so the top one lies in [top - err,
+    top + err] and the rank threshold in the bracket [tol (top - err),
+    tol (top + err)]. Every such spectrum passes the PSD test when the
+    lowest value, less err, is >= -tol (top - err), and shares one rank
+    when no value lies within err of the bracket. Returns that rank, or
+    None when either fails; the zero spectrum at err = 0 has rank 0.
+    """
+    top, low = float(spectrum.max()), float(spectrum.min())
+    floor = tol * (top - err)
+    if not floor > 0.0:
+        return 0 if err == 0.0 and top == low == 0.0 else None
+    above = spectrum - err > tol * (top + err)
+    if low - err < -floor or not np.all(above | (spectrum + err <= floor)):
+        return None
+    return int(np.count_nonzero(above))
+
+
+def _factor_rank(k: np.ndarray, f: np.ndarray, tol: float) -> int | None:
+    """Rank of the symmetric ``k`` at ``tol``, certified PSD as by
+    ``_psd_rank``, from a factor ``f`` with k ~ f f^T.
+
+    The nonzero spectrum of f f^T (n x n) is that of g = f^T f (s x s),
+    read off diag g within ||g - Diag g||_F, or else off ``eigvalsh`` of
+    g; f f^T has a zero eigenvalue more when s < n. Every eigenvalue of k
+    lies within ||k - f f^T||_F of that spectrum, and the products round
+    by at most (n + s) eps ||f||_F^2 each. Returns None when f has more
+    columns than rows or a non-finite entry, or when neither spectrum
+    decides (``_weyl_rank``).
+    """
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2 or f.shape[0] != k.shape[0]:
+        raise ValueError(f"factor must be 2-D with {k.shape[0]} rows, "
+                         f"got shape {f.shape}")
+    n, s = f.shape
+    if s > n or not np.all(np.isfinite(f)):
+        return None
+    g = f.T @ f
+    resid = f @ f.T
+    resid -= k
+    err = float(np.linalg.norm(resid)) + (
+        2 * (n + s) * np.finfo(float).eps * float(np.trace(g)))
+    zero = np.zeros(int(s < n))
+    mu = g.diagonal()
+    rank = _weyl_rank(np.concatenate((mu, zero)),
+                      err + float(np.linalg.norm(g - np.diag(mu))), tol)
+    if rank is None:
+        rank = _weyl_rank(np.concatenate((np.linalg.eigvalsh(g), zero)),
+                          err, tol)
+    return rank
+
+
 @dataclass(frozen=True, eq=False)
 class MinTraceKernel:
     """Kernel with the smallest trace among all kernels sharing its EDM.
@@ -177,23 +252,33 @@ class MinTraceKernel:
     eigenvalue and to the trace. ``rank`` counts the eigenvalues above
     ``psd_tol`` times the largest, from the same spectrum that the PSD
     test reads.
+
+    Given ``factor``, an n x s array F with K ~ F F^T, the PSD test and
+    the rank are certified from F by a Weyl bound (see the module
+    docstring): it passes K only when every spectrum within the bound
+    passes, the exact one of K among them, and only when they share one
+    rank. Otherwise, and without ``factor``, they are read off
+    ``eigvalsh``.
     """
 
     entries: np.ndarray
     psd_tol: float = 1e-8
     rank: int = field(init=False)
+    factor: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factor):
         a = _as_square(self.entries)
         if not np.array_equal(a, a.T):
             raise ValueError("kernel matrix must be exactly symmetric")
         check_tol("psd_tol", self.psd_tol)
-        vals = np.linalg.eigvalsh(a)
-        ok, rank = _psd_rank(vals, self.psd_tol)
-        if not ok:
-            raise ValueError(
-                f"matrix is not PSD within tolerance: min eigenvalue "
-                f"{vals[0]:.3e} vs largest {vals[-1]:.3e}")
+        rank = None if factor is None else _factor_rank(a, factor, self.psd_tol)
+        if rank is None:
+            vals = np.linalg.eigvalsh(a)
+            ok, rank = _psd_rank(vals, self.psd_tol)
+            if not ok:
+                raise ValueError(
+                    f"matrix is not PSD within tolerance: min eigenvalue "
+                    f"{vals[0]:.3e} vs largest {vals[-1]:.3e}")
         row_sums = np.abs(a.sum(axis=1))
         tr = float(np.trace(a))
         if row_sums.size and row_sums.max() > self.psd_tol * max(tr, 0.0):
@@ -257,20 +342,25 @@ class EdmMatrix(SymHollowMatrix):
     the smallest dimension admitting a realizing point configuration --
     from the same spectrum. Entries are squared distances, so a negative
     one is rejected unless it is within ``cert_tol`` of the largest.
+
+    ``factor``, an n x s array F whose F F^T approximates the kernel, is
+    passed to it: the test is then certified from F by a Weyl bound, and
+    by ``eigvalsh`` of the kernel only where that bound cannot decide it.
     """
 
     cert_tol: float = 1e-8
     kernel: MinTraceKernel = field(init=False, repr=False)
+    factor: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factor):
         super().__post_init__()
         check_tol("cert_tol", self.cert_tol)
         off = self.entries[~np.eye(self.n, dtype=bool)]
         if off.size and off.min() < -self.cert_tol * max(off.max(), 0.0):
             raise ValueError(f"negative squared distance {off.min():.3e}")
         try:
-            kernel = MinTraceKernel(entries=center_gram(self.entries),
-                                    psd_tol=self.cert_tol)
+            kernel = MinTraceKernel(center_gram(self.entries),
+                                    self.cert_tol, factor)
         except ValueError as exc:
             raise ValueError(f"matrix is not an EDM within cert_tol: {exc}") from None
         if kernel.rank > self.n - 1:
@@ -308,25 +398,34 @@ def similarity_to_dissimilarity(s) -> SymHollowMatrix:
     return SymHollowMatrix(_distances_from_gram(a))
 
 
-def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8) -> EdmMatrix:
+def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8,
+                factor: np.ndarray | None = None) -> EdmMatrix:
     """Certify ``m`` as an EdmMatrix, or raise ValueError.
 
     ``m`` may also be a plain array, which is validated as a
-    SymHollowMatrix once, by the EdmMatrix built from it.
+    SymHollowMatrix once, by the EdmMatrix built from it. Given
+    ``factor``, an n x s array F with F F^T close to the kernel
+    -J m J / 2, the certificate is a Weyl bound from F, and ``eigvalsh``
+    of the kernel runs only where that bound cannot decide it (see
+    ``EdmMatrix``).
     """
-    return EdmMatrix(m.entries if isinstance(m, SymHollowMatrix) else m, tol)
+    return EdmMatrix(m.entries if isinstance(m, SymHollowMatrix) else m, tol,
+                     factor)
 
 
 def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
     """Squared pairwise distances of a point configuration, as an EDM.
 
     Accepts an Embedding or a plain (n, k) coordinate array; distances are
-    translation invariant so centering is not required.
+    translation invariant so centering is not required. The kernel of the
+    result is P P^T for the centered coordinates P, which certify it from
+    the k x k spectrum of P^T P instead of an n x n one.
     """
     coords = p.coords if isinstance(p, Embedding) else np.asarray(p, dtype=float)
     if coords.ndim != 2:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
-    return EdmMatrix(_distances_from_coords(coords), cert_tol)
+    return EdmMatrix(_distances_from_coords(coords), cert_tol,
+                     coords - coords.mean(axis=0))
 
 
 def _distances_from_coords(coords: np.ndarray) -> np.ndarray:

@@ -53,7 +53,9 @@ Its kernel -J X J / 2 has the eigenvectors of the last evaluation's
 J (A + Diag y) J, with eigenvalue -l_i / 2 on its non-positive side and 0
 elsewhere. The objective is 1-strongly convex, so the nearest EDM X*
 has (1/2) ||X - X*||_F^2 <= (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
-theta(y)), the duality gap of X at y.
+theta(y)), the duality gap of X at y. Those eigenpairs, V sqrt(-l / 2)
+over the negative l, are a factor of the kernel, and X is certified from
+it by a Weyl bound, with no further eigendecomposition (see ``core``).
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .core import (
     _as_square,
     center_gram,
     certify_edm,
+    check_int,
     check_tol,
     symmetrize,
 )
@@ -116,6 +119,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_tol("tol", self.tol)
+        check_int("max_cycles", self.max_cycles)
         if not self.max_cycles > 0:
             raise ValueError(
                 f"max_cycles must be positive, got {self.max_cycles!r}")
@@ -354,7 +358,10 @@ def project_edm_cone(
     n eps (||M||_F + 2 ||P||_F) of M = A + Diag y - P, with P the PSD part
     that Pi_C1 removes, so the spectrum of the last evaluation certifies
     X at cert_tol = max(1e-8, 2 e / (s - e)), where s is the largest
-    eigenvalue of -J (A + Diag y) J.
+    eigenvalue of -J (A + Diag y) J. The certificate itself bounds the
+    kernel of X by its distance from the factor V sqrt(-l / 2) of those
+    eigenpairs, and runs ``eigvalsh`` only where that bound cannot decide
+    the PSD test or the embedding dimension.
     """
     d_hat, diag, _ = _project_from(a, cfg)
     return d_hat, diag
@@ -369,7 +376,9 @@ def _project_from(
     ``start`` costs no evaluation, so a fit from a decomposed point that
     already meets the stopping rule makes no eigendecomposition. A point
     whose spectrum was shifted, not decomposed, is evaluated once before
-    it is accepted, so that the certificate reads a computed spectrum.
+    it is accepted, so that the certificate reads a computed spectrum:
+    the factor V sqrt(-l / 2) of the last evaluation's eigenpairs over
+    its negative eigenvalues l, or no column when X snaps to zero.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if np.abs(a - a.T).max() > 0.0:
@@ -442,8 +451,10 @@ def _project_from(
             f"-tol * ||A||_F = {-floor:.3e}", diag)
     np.maximum(out, 0.0, out=out)
     cert_tol = 1e-8
+    neg = pt.vals < 0.0
+    factor = pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg])
     if out.max() <= floor:
-        out = np.zeros_like(out)
+        out, factor = np.zeros_like(out), factor[:, :0]
     else:
         # M = B - P, from B = A + Diag y and the removed PSD part P, rounds
         # by about n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F)
@@ -456,7 +467,7 @@ def _project_from(
                 f"converged iterate has spectrum {-float(pt.vals[0]):.3e} "
                 f"within its rounding {slack:.3e} of zero", diag)
         cert_tol = max(cert_tol, 2.0 * slack / top)
-    return certify_edm(out, cert_tol), diag, pt
+    return certify_edm(out, cert_tol, factor), diag, pt
 
 
 # ---------------------------------------------------------------------------

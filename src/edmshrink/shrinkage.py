@@ -31,8 +31,8 @@ penalties, which takes that spectrum as an option and then starts its
 first fit there; ``simulate`` passes the spectrum of -J X J / 2 that
 classical MDS decomposes anyway, so one eigendecomposition per replicate
 serves both methods. A fit keeps the eigenpairs of its projection's last
-evaluation, which are those of its kernel, and ``truncate_rank`` reads
-the coordinates off them.
+evaluation, which are those of its kernel and certified it, and
+``truncate_rank`` reads the coordinates off them.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ class ShrinkageFit:
     Stores what the fit computed: d_hat, the estimated EDM, the penalty
     lam, the projection's diagnostics, and spectrum, the descending
     eigenpairs of the kernel of d_hat read off the projection's last
-    eigendecomposition (see the ``projection`` module docstring). k_hat,
+    eigendecomposition (see the ``projection`` module docstring). The
+    same eigenpairs certified d_hat, as the factor of its kernel that a
+    Weyl bound compares it with, so the fit made no ``eigvalsh``. k_hat,
     the minimum-trace kernel of d_hat, and eta = lam / (2n), the
     per-entry shrinkage applied before projection, are read from those.
     """
@@ -94,7 +96,10 @@ class RankTruncatedFit:
     Stores only the embedding; r is its number of columns. The rank-r EDM
     d_hat_r is built from the coordinates and certified each time it is
     read, so a caller that needs only the coordinates (``estimate``
-    writes nothing else) never pays for the n x n matrix or its spectrum.
+    writes nothing else) never pays for the n x n matrix. Its certificate
+    reads the coordinates, not an n x n spectrum: they are principal
+    axes, so the diagonal of their r x r Gram matrix bounds it with no
+    eigensolver (see ``core``).
     """
 
     embedding: Embedding

@@ -20,6 +20,7 @@ from .core import (
     SymHollowMatrix,
     _distances_from_coords,
     center_gram,
+    check_int,
     check_nonnegative,
     edm_from_coords,
     eigh_descending,
@@ -54,6 +55,8 @@ class SimConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        for name in ("reps", "seed", "rank_r"):
+            check_int(name, getattr(self, name))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if self.rank_r < 1:
@@ -155,7 +158,10 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     baseline's coordinates, as ``classical_mds`` computes them, and the
     start of the shrinkage fit, which is otherwise ``distance_shrinkage``.
     The baseline is scored on the distances of its coordinates, which
-    form an EDM by construction, so it needs no certificate.
+    form an EDM by construction, so it needs no certificate. The fit is
+    certified from the eigenpairs its projection ends on, and truth given
+    as coordinates from the k x k spectrum of their Gram matrix, so an
+    experiment makes no n x n ``eigvalsh``.
     """
     d_true = truth if isinstance(truth, EdmMatrix) else edm_from_coords(truth)
     n = d_true.n

@@ -5,6 +5,9 @@ random centered point clouds give exact EDMs of known embedding
 dimension without going through any transform under test.
 """
 
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,35 @@ def random_hollow(rng, n, scale=1.0) -> SymHollowMatrix:
     a = (a + a.T) / 2.0
     np.fill_diagonal(a, 0.0)
     return SymHollowMatrix(a)
+
+
+class EigCalls(dict):
+    """Calls per eigensolver name; ``shapes`` lists (name, input shape) for
+    each call in order, and compares no part of the dict."""
+
+    def __init__(self):
+        super().__init__(eigh=0, eigvalsh=0)
+        self.shapes = []
+
+
+@contextmanager
+def eig_counts():
+    """Counts of numpy.linalg.eigh and eigvalsh calls made inside the block,
+    with the shape of each call's input."""
+    calls = EigCalls()
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls[name] += 1
+            calls.shapes.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    with ExitStack() as patches:
+        for name in calls:
+            patches.enter_context(mock.patch.object(
+                np.linalg, name, counted(name, getattr(np.linalg, name))))
+        yield calls
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edmshrink import (
     EdmMatrix,
@@ -9,6 +11,7 @@ from edmshrink import (
     MinTraceKernel,
     SymHollowMatrix,
     average_squared_loss,
+    center_gram,
     certify_edm,
     classical_mds,
     distance_shrinkage,
@@ -18,7 +21,13 @@ from edmshrink import (
 )
 from edmshrink.core import eigh_descending
 
-from conftest import centering, random_cloud, random_edm, random_hollow
+from conftest import (
+    centering,
+    eig_counts,
+    random_cloud,
+    random_edm,
+    random_hollow,
+)
 
 
 def hollow(rows) -> SymHollowMatrix:
@@ -428,3 +437,176 @@ class TestEighContract:
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(vecs, ref_vecs)
         assert np.array_equal(np.signbit(vecs), np.signbit(ref_vecs))
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+SCALES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+
+
+def outcome(entries, tol, factor=None):
+    """What certify_edm decides: "rejected", or the certified EDM's
+    embed_dim, cert_tol, entries and kernel entries."""
+    try:
+        d = certify_edm(entries, tol, factor)
+    except ValueError:
+        return "rejected"
+    return (d.embed_dim, d.cert_tol, d.entries.tobytes(),
+            d.kernel.entries.tobytes())
+
+
+def kernel_basis(k: int, n: int = 8) -> np.ndarray:
+    """k orthonormal columns orthogonal to the ones vector, seeded."""
+    z = np.random.default_rng(11).normal(size=(n, k))
+    q, _ = np.linalg.qr(np.column_stack((np.ones(n), z)))
+    return q[:, 1:]
+
+
+def edm_of_spectrum(gammas, v: np.ndarray) -> np.ndarray:
+    """Squared distances of the kernel V diag(gammas) V^T."""
+    k = (v * gammas) @ v.T
+    return similarity_to_dissimilarity((k + k.T) / 2.0).entries
+
+
+class TestFactoredCertificate:
+    """Given a factor F of the kernel, certify_edm bounds the kernel's
+    spectrum by Weyl's inequality instead of computing it, and decides
+    what eigvalsh of the kernel decides; where the bound cannot decide, it
+    runs that eigvalsh."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), c=SCALES)
+    def test_fits_match_eigvalsh(self, seed, n, c):
+        # a fit is certified from the eigenpairs its projection ends on
+        rng = np.random.default_rng(seed)
+        a = rng.normal(loc=1.0, size=(n, n))
+        a = c * (a + a.T) / 2
+        np.fill_diagonal(a, 0.0)
+        fit = distance_shrinkage(SymHollowMatrix(a), c * float(rng.uniform(0, n)))
+        d = fit.d_hat
+        assert outcome(d.entries, d.cert_tol) == (
+            d.embed_dim, d.cert_tol, d.entries.tobytes(),
+            d.kernel.entries.tobytes())
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           k=st.integers(1, 14), dup=st.integers(0, 11), c=SCALES)
+    def test_clouds_match_eigvalsh(self, seed, n, k, dup, c):
+        # random clouds with their first dup + 1 points coincident, k up to
+        # and past n - 1
+        p = np.random.default_rng(seed).normal(scale=c, size=(n, k))
+        p[:dup + 1] = p[0]
+        d = edm_from_coords(p)
+        assert outcome(d.entries, 1e-8) == (
+            d.embed_dim, d.cert_tol, d.entries.tobytes(),
+            d.kernel.entries.tobytes())
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+           k=st.integers(1, 4), noise=st.floats(-16.0, 0.0))
+    def test_perturbed_clouds_match_eigvalsh(self, seed, n, k, noise):
+        # distances of a cloud, perturbed by 10**noise of their largest,
+        # with the cloud as the factor: accepted and rejected alike
+        rng = np.random.default_rng(seed)
+        p = random_cloud(rng, n, k)
+        d = edm_from_coords(p).entries
+        e = rng.normal(size=(n, n))
+        e = (e + e.T) / 2
+        np.fill_diagonal(e, 0.0)
+        x = d + 10.0**noise * d.max() * e
+        assert outcome(x, 1e-8, p) == outcome(x, 1e-8)
+
+    def test_orthogonal_factor_needs_no_eigensolver(self):
+        v = kernel_basis(3)
+        d = edm_of_spectrum([4.0, 2.0, 1.0], v)
+        with eig_counts() as calls:
+            got = certify_edm(d, 1e-8, v * np.sqrt([4.0, 2.0, 1.0]))
+        assert got.embed_dim == 3
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+
+    def test_zero_matrix_from_empty_factor(self):
+        with eig_counts() as calls:
+            got = certify_edm(np.zeros((5, 5)), 1e-8, np.zeros((5, 0)))
+        assert got.embed_dim == 0
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+
+    def test_rotated_factor_reads_its_gram_spectrum(self):
+        # F = V sqrt(G) Q for a rotation Q: F F^T is the kernel, but the
+        # diagonal of F^T F puts 1.5e-8 where the spectrum has 0.5e-8,
+        # across the threshold 1e-8; its off-diagonal part says so, and
+        # the 2 x 2 spectrum of F^T F decides
+        gammas = np.array([1.0, 0.5e-8])
+        v = kernel_basis(2)
+        d = edm_of_spectrum(gammas, v)
+        s = 1e-4
+        q = np.array([[np.sqrt(1 - s * s), -s], [s, np.sqrt(1 - s * s)]])
+        with eig_counts() as calls:
+            got = certify_edm(d, 1e-8, (v * np.sqrt(gammas)) @ q)
+        assert got.embed_dim == certify_edm(d, 1e-8).embed_dim == 1
+        assert calls.shapes == [("eigvalsh", (2, 2))]
+
+    def test_rank_one_perturbed_factor_falls_back(self):
+        # an extra column carries 1e-3 of the top eigenvalue that the
+        # kernel does not have
+        gammas = [4.0, 2.0, 1.0, 0.0]
+        v = kernel_basis(4)
+        d = edm_of_spectrum(gammas, v)
+        factor = v * np.sqrt([4.0, 2.0, 1.0, 1e-3 * 4.0])
+        with eig_counts() as calls:
+            got = outcome(d, 1e-8, factor)
+        assert got == outcome(d, 1e-8)
+        assert got[0] == 3
+        assert calls.shapes == [("eigvalsh", (4, 4)), ("eigvalsh", (8, 8))]
+
+    @pytest.mark.parametrize("true, claimed", [(0.7e-8, 1.3e-8),
+                                               (1.3e-8, 0.7e-8)])
+    def test_eigenvalue_near_threshold_falls_back(self, true, claimed):
+        # the factor misstates an eigenvalue by 0.6e-8, across the
+        # threshold 1e-8 of the top eigenvalue 1: the bound passes the PSD
+        # test, but the eigenvalue lies within it of the rank bracket
+        v = kernel_basis(3)
+        d = edm_of_spectrum([1.0, 0.5, true], v)
+        factor = v * np.sqrt([1.0, 0.5, claimed])
+        with eig_counts() as calls:
+            got = outcome(d, 1e-8, factor)
+        assert got == outcome(d, 1e-8)
+        assert got[0] == (2 if true < 1e-8 else 3)
+        assert calls.shapes[-1] == ("eigvalsh", (8, 8))
+
+    @pytest.mark.parametrize("misstate", ["absolute", "positive part"])
+    def test_non_edm_with_misstated_factor_is_rejected(self, rng, misstate):
+        # a factor whose F F^T is |K| or the PSD part of K claims a PSD
+        # kernel that a non-EDM does not have
+        x = np.abs(random_hollow(rng, 9, scale=2.0).entries)
+        vals, vecs = np.linalg.eigh(center_gram(x))
+        assert vals[0] < -1e-3 * vals[-1]
+        if misstate == "absolute":
+            factor = vecs * np.sqrt(np.abs(vals))
+        else:
+            factor = vecs[:, vals > 0] * np.sqrt(vals[vals > 0])
+        with pytest.raises(ValueError, match="not an EDM"):
+            certify_edm(x, 1e-8, factor)
+
+    @pytest.mark.parametrize("factor", [np.ones(8), np.ones((7, 2))],
+                             ids=["1-D", "wrong rows"])
+    def test_malformed_factor_is_rejected(self, factor):
+        d = edm_of_spectrum([3.0, 1.0], kernel_basis(2))
+        with pytest.raises(ValueError, match="factor must be 2-D with 8 rows"):
+            certify_edm(d, 1e-8, factor)
+
+    def test_non_finite_factor_falls_back(self):
+        v = kernel_basis(2)
+        d = edm_of_spectrum([3.0, 1.0], v)
+        factor = v * np.sqrt([3.0, 1.0])
+        factor[0, 0] = np.nan
+        with eig_counts() as calls:
+            assert certify_edm(d, 1e-8, factor).embed_dim == 2
+        assert calls.shapes[-1] == ("eigvalsh", (8, 8))
+
+    def test_kernel_takes_a_factor(self):
+        v = kernel_basis(2)
+        k = center_gram(edm_of_spectrum([3.0, 1.0], v))
+        with eig_counts() as calls:
+            got = MinTraceKernel(k, 1e-8, v * np.sqrt([3.0, 1.0]))
+        assert got.rank == MinTraceKernel(k, 1e-8).rank == 2
+        assert calls == {"eigh": 0, "eigvalsh": 0}

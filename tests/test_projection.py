@@ -405,6 +405,14 @@ class TestProjectEdmCone:
         with pytest.raises(ValueError, match="finite and positive"):
             SolverConfig(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True])
+    def test_config_rejects_non_integer_max_cycles(self, bad):
+        with pytest.raises(ValueError, match="max_cycles must be an integer"):
+            SolverConfig(max_cycles=bad)
+
+    def test_config_accepts_numpy_integer_max_cycles(self):
+        assert SolverConfig(max_cycles=np.int64(7)).max_cycles == 7
+
     def test_residuals_within_feas_tol(self, rng):
         # the diagonal removed is max|g| <= |g| <= tol * ||A||_F, and the
         # closing step keeps J X J = J M J, so J X J has no eigenvalue above

@@ -1,9 +1,7 @@
 """Shrinkage estimator, rank truncation, classical-scaling baseline, bounds."""
 
 import json
-from contextlib import ExitStack, contextmanager
 from functools import lru_cache
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +32,13 @@ from edmshrink import (
 from edmshrink.cli import main
 from edmshrink.simulate import SimConfig, run_experiment
 
-from conftest import random_cloud, random_edm, random_hollow, spectral_norm
+from conftest import (
+    eig_counts,
+    random_cloud,
+    random_edm,
+    random_hollow,
+    spectral_norm,
+)
 
 
 def hollow(rows) -> SymHollowMatrix:
@@ -551,27 +555,10 @@ class TestClassicalMds:
             classical_mds(random_hollow(rng, 5), 5)
 
 
-@contextmanager
-def eig_counts():
-    """Counts of numpy.linalg.eigh and eigvalsh calls made inside the block."""
-    calls = {"eigh": 0, "eigvalsh": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    with ExitStack() as patches:
-        for name in calls:
-            patches.enter_context(mock.patch.object(
-                np.linalg, name, counted(name, getattr(np.linalg, name))))
-        yield calls
-
-
 class TestEigensolverCalls:
-    """One eigh per evaluation of the projection's dual, one spectrum per
-    certification."""
+    """One eigh per evaluation of the projection's dual, and no n x n
+    spectrum for a certification: a fit is certified from the eigenpairs
+    its projection ends on, and coordinates from their k x k Gram."""
 
     def test_converged_fit(self, rng):
         d = random_edm(rng, 30, 3, scale=3.0)
@@ -582,11 +569,11 @@ class TestEigensolverCalls:
         assert fit.d_hat.cert_tol == 1e-8
         assert calls["eigh"] == fit.diagnostics.cycles
         assert fit.diagnostics.cycles <= 30
-        assert calls["eigvalsh"] == 1
+        assert calls["eigvalsh"] == 0
 
     def test_unit_helix_fits_certify_tightly(self):
         # n = 40 helix at sigma^2 = 0.25: every fit is certified at the
-        # tight EDM tolerance, with no fallback certificate
+        # tight EDM tolerance, from its factor with no eigvalsh
         n, sigma2 = 40, 0.25
         d = edm_from_coords(helix_coords(n))
         lam = recommended_lambda(n, np.sqrt(sigma2))
@@ -597,14 +584,26 @@ class TestEigensolverCalls:
                 with eig_counts() as calls:
                     fit = distance_shrinkage(x, factor * lam)
                 assert fit.d_hat.cert_tol == 1e-8
-                assert calls["eigvalsh"] == 1
+                assert calls["eigvalsh"] == 0
 
     def test_classical_mds(self, rng):
-        # the rank-r EDM is built and certified when it is read
+        # the rank-r EDM is built and certified when it is read; its
+        # coordinates are principal axes, whose orthogonal columns bound
+        # the spectrum with no eigvalsh
         x = random_hollow(rng, 12, scale=2.0)
         with eig_counts() as calls:
             classical_mds(x, 3).d_hat_r
-        assert calls == {"eigh": 1, "eigvalsh": 1}
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert calls.shapes == [("eigh", (12, 12))]
+
+    def test_fit_snapped_to_zero(self, rng):
+        # a penalty that collapses the fit certifies the zero matrix from
+        # a factor with no column
+        x = random_hollow(rng, 12, scale=2.0)
+        with eig_counts() as calls:
+            fit = distance_shrinkage(x, 1e6)
+        assert not fit.d_hat.entries.any() and fit.d_hat.embed_dim == 0
+        assert calls == {"eigh": fit.diagnostics.cycles, "eigvalsh": 0}
 
     def test_truncate_rank(self, rng):
         # coordinates alone: the eigenpairs the fit kept from its
@@ -616,20 +615,23 @@ class TestEigensolverCalls:
 
     @pytest.mark.parametrize("reps", [1, 3])
     def test_simulate_shares_one_spectrum_per_replicate(self, reps):
-        # per replicate: one eigh for the baseline and the fit's start, the
-        # fit's evaluations and its one certification; the truth, built
-        # from coordinates, is certified once per experiment
+        # per replicate: one eigh for the baseline and the fit's start and
+        # the fit's evaluations, whose last one certifies it; the truth,
+        # built from coordinates, is certified once per experiment from
+        # the 3 x 3 spectrum of their Gram matrix
         cfg = SimConfig(reps=reps, seed=3, noise=NoiseModel("gaussian", 0.25),
                         sigma=0.5)
         with eig_counts() as calls:
             report = run_experiment(helix_coords(40), cfg)
         cycles = sum(r.cycles for r in report.replicates)
         assert not report.failed
-        assert calls == {"eigh": cycles + reps, "eigvalsh": 1 + reps}
+        assert calls == {"eigh": cycles + reps, "eigvalsh": 1}
+        assert calls.shapes[0] == ("eigvalsh", (3, 3))
+        assert set(calls.shapes[1:]) == {("eigh", (40, 40))}
 
     def test_estimate_invocation_certifies_once(self, rng, tmp_path):
         # one estimate --lambda run: the projection's eighs, which also
-        # give the coordinates, and the fit's one certification
+        # give the coordinates and certify the fit
         d = random_edm(rng, 30, 3, scale=3.0)
         x = add_noise(d, NoiseModel("gaussian", 0.25), seed=5, replicate=0)
         path, out = tmp_path / "x.csv", tmp_path / "fit"
@@ -640,7 +642,7 @@ class TestEigensolverCalls:
                          "--out", str(out)]) == 0
         cycles = json.loads((tmp_path / "fit.diag.json").read_text())["cycles"]
         assert cycles >= 1
-        assert calls == {"eigh": cycles, "eigvalsh": 1}
+        assert calls == {"eigh": cycles, "eigvalsh": 0}
 
 
 class TestShrinkagePath:
@@ -717,7 +719,7 @@ class TestWarmStartedPath:
             assert fit.d_hat.cert_tol == 1e-8
             dual, comp = kkt_residuals(x, fit.d_hat.entries, lam)
             assert dual <= 1e-9 and comp <= 1e-9
-            assert calls == {"eigh": fit.diagnostics.cycles, "eigvalsh": 1}
+            assert calls == {"eigh": fit.diagnostics.cycles, "eigvalsh": 0}
             if i:
                 assert fit.diagnostics.cycles < cold.diagnostics.cycles
         assert next(path, None) is None

@@ -50,6 +50,19 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(reps=0, seed=0, noise=NoiseModel("gaussian", 1.0), lam=1.0)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("reps", 1.5), ("reps", True), ("rank_r", 2.5), ("rank_r", 3.0),
+        ("seed", 1.5), ("seed", False)])
+    def test_integer_fields(self, field, bad):
+        # a float count passed the range checks and failed, or was
+        # truncated, inside run_experiment
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_cfg(**{field: bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_cfg(reps=np.int64(2), seed=np.int32(4), rank_r=np.int64(2))
+        assert (cfg.reps, cfg.seed, cfg.rank_r) == (2, 4, 2)
+
 
 class TestHelix:
     def test_shape_and_dimension(self):

@@ -14,8 +14,8 @@ transforms and metrics, the noise model, the projection and its three-point
 analysis, the estimator and its path over a penalty grid with the
 classical-scaling baseline and penalty rule, and the simulation study.
 Building blocks such as ``project_c1``, ``pair_stream`` and
-``eigh_descending``, ``project_c2`` for alternating-projection references,
-and the result types stay importable from their modules.
+``eigh_descending``, and the result types stay importable from their
+modules.
 """
 
 from .core import (

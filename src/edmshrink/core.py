@@ -90,6 +90,21 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def symmetrize_within(a: np.ndarray, tol: float, hollow: bool = True
+                      ) -> np.ndarray:
+    """(a + a.T) / 2 of a square array that is symmetric within ``tol``,
+    with the diagonal, which must then vanish within ``tol``, zeroed when
+    ``hollow``; larger deviations (absolute) raise ValueError."""
+    if np.abs(a - a.T).max() > tol:
+        raise ValueError(f"asymmetry exceeds tolerance {tol}")
+    a = symmetrize(a)
+    if hollow:
+        if np.abs(a.diagonal()).max() > tol:
+            raise ValueError(f"diagonal magnitude exceeds tolerance {tol}")
+        np.fill_diagonal(a, 0.0)
+    return a
+
+
 def center_gram(d: np.ndarray) -> np.ndarray:
     """Double-centered Gram matrix -J d J / 2, computed via row/column means.
 
@@ -115,11 +130,11 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lead_positive(vecs: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors with the sign convention of ``eigh_descending``:
-    a copy of ``vecs`` with each column's first component of magnitude
-    > 1e-12 made positive."""
-    # every column is a unit vector, so each has an entry above 1e-12
-    big = np.abs(vecs) > 1e-12
+    """Columns with the sign convention of ``eigh_descending``: a copy of
+    ``vecs`` with each column's first component of magnitude > 1e-12 times
+    the column's norm made positive, so a column scaled by c > 0 keeps the
+    sign its unit vector gets."""
+    big = np.abs(vecs) > 1e-12 * np.linalg.norm(vecs, axis=0)
     if not big.size:
         return vecs.copy()
     lead = vecs[big.argmax(axis=0), np.arange(big.shape[1])]
@@ -161,47 +176,29 @@ class SymHollowMatrix:
         rejected.
         """
         check_tol("tol", tol)
-        a = _as_square(entries)
-        if np.abs(a - a.T).max() > tol:
-            raise ValueError(f"asymmetry exceeds tolerance {tol}")
-        if a.shape[0] and np.abs(a.diagonal()).max() > tol:
-            raise ValueError(f"diagonal magnitude exceeds tolerance {tol}")
-        a = symmetrize(a)
-        np.fill_diagonal(a, 0.0)
-        return cls(a)
+        return cls(symmetrize_within(_as_square(entries), tol))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
 
-def _psd_rank(vals: np.ndarray, tol: float) -> tuple[bool, int]:
-    """PSD test and rank of an ascending spectrum, relative to its top.
-
-    PSD holds iff every eigenvalue is >= -tol * max(gamma_max, 0); the rank
-    counts eigenvalues > tol * gamma_max (zero when gamma_max <= 0).
-    """
-    top = vals[-1]
-    ok = bool(vals[0] >= -tol * max(top, 0.0))
-    if top <= 0.0:
-        return ok, 0
-    return ok, int(np.count_nonzero(vals > tol * top))
-
-
 def _weyl_rank(spectrum: np.ndarray, err: float, tol: float) -> int | None:
-    """``_psd_rank`` shared by every spectrum within ``err`` of ``spectrum``.
+    """The rank, certified PSD, of every spectrum within ``err`` of
+    ``spectrum``: a spectrum with top t is PSD when no eigenvalue is below
+    -tol max(t, 0), and its rank counts those above tol t, 0 when t <= 0.
 
     Each eigenvalue may move by err, so the top one lies in [top - err,
     top + err] and the rank threshold in the bracket [tol (top - err),
     tol (top + err)]. Every such spectrum passes the PSD test when the
     lowest value, less err, is >= -tol (top - err), and shares one rank
     when no value lies within err of the bracket. Returns that rank, or
-    None when either fails; the zero spectrum at err = 0 has rank 0.
+    None when either fails; at err = 0 the zero spectrum has rank 0.
     """
     top, low = float(spectrum.max()), float(spectrum.min())
-    floor = tol * (top - err)
-    if not floor > 0.0:
+    if not top - err > 0.0:
         return 0 if err == 0.0 and top == low == 0.0 else None
+    floor = tol * (top - err)
     above = spectrum - err > tol * (top + err)
     if low - err < -floor or not np.all(above | (spectrum + err <= floor)):
         return None
@@ -210,7 +207,7 @@ def _weyl_rank(spectrum: np.ndarray, err: float, tol: float) -> int | None:
 
 def _factor_rank(k: np.ndarray, f: np.ndarray, tol: float) -> int | None:
     """Rank of the symmetric ``k`` at ``tol``, certified PSD as by
-    ``_psd_rank``, from a factor ``f`` with k ~ f f^T.
+    ``_weyl_rank``, from a factor ``f`` with k ~ f f^T.
 
     The nonzero spectrum of f f^T (n x n) is that of g = f^T f (s x s),
     read off diag g within ||g - Diag g||_F, or else off ``eigvalsh`` of
@@ -274,8 +271,8 @@ class MinTraceKernel:
         rank = None if factor is None else _factor_rank(a, factor, self.psd_tol)
         if rank is None:
             vals = np.linalg.eigvalsh(a)
-            ok, rank = _psd_rank(vals, self.psd_tol)
-            if not ok:
+            rank = _weyl_rank(vals, 0.0, self.psd_tol)
+            if rank is None:
                 raise ValueError(
                     f"matrix is not PSD within tolerance: min eigenvalue "
                     f"{vals[0]:.3e} vs largest {vals[-1]:.3e}")
@@ -416,21 +413,23 @@ def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8,
 def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
     """Squared pairwise distances of a point configuration, as an EDM.
 
-    Accepts an Embedding or a plain (n, k) coordinate array; distances are
-    translation invariant so centering is not required. The kernel of the
-    result is P P^T for the centered coordinates P, which certify it from
-    the k x k spectrum of P^T P instead of an n x n one.
+    Accepts an Embedding or a plain (n, k) coordinate array, which is
+    centered first: the Gram product rounds relative to the coordinates'
+    magnitude, not their spread. The kernel of the result is P P^T for
+    the centered coordinates P, which certify it from the k x k spectrum
+    of P^T P instead of an n x n one.
     """
     coords = p.coords if isinstance(p, Embedding) else np.asarray(p, dtype=float)
     if coords.ndim != 2:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
-    return EdmMatrix(_distances_from_coords(coords), cert_tol,
-                     coords - coords.mean(axis=0))
+    if not isinstance(p, Embedding):
+        coords = coords - coords.mean(axis=0)
+    return EdmMatrix(_distances_from_coords(coords), cert_tol, coords)
 
 
 def _distances_from_coords(coords: np.ndarray) -> np.ndarray:
-    """Squared pairwise distances of (n, k) coordinates, without the
-    certificate of :func:`edm_from_coords`."""
+    """Squared pairwise distances of centered (n, k) coordinates, without
+    the certificate of :func:`edm_from_coords`."""
     d = _distances_from_gram(coords @ coords.T)
     np.clip(d, 0.0, None, out=d)  # roundoff can leave tiny negatives
     return d

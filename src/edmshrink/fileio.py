@@ -31,7 +31,7 @@ import json
 
 import numpy as np
 
-from .core import SymHollowMatrix, check_tol, symmetrize
+from .core import SymHollowMatrix, check_tol, symmetrize_within
 
 SQUARED_CONVENTION = "# squared-distance convention"
 EMBEDDING_HEADER = "# squared-distance convention; centered coordinates"
@@ -79,14 +79,10 @@ def load_square_matrix(path, hollow: bool = True, tol: float = 1e-9) -> np.ndarr
     a = np.array(rows, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: non-finite entries")
-    if np.abs(a - a.T).max() > tol:
-        raise ValueError(f"{path}: asymmetry exceeds tolerance {tol}")
-    a = symmetrize(a)
-    if hollow:
-        if np.abs(a.diagonal()).max() > tol:
-            raise ValueError(f"{path}: diagonal magnitude exceeds tolerance {tol}")
-        np.fill_diagonal(a, 0.0)
-    return a
+    try:
+        return symmetrize_within(a, tol, hollow)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_dissimilarity(path, tol: float = 1e-9) -> SymHollowMatrix:
@@ -445,7 +441,9 @@ _COORD_LOADERS = {
 def load_coords(path, fmt: str = "csv") -> np.ndarray:
     """Point coordinates from a csv, xyz or pdb file, as an (n, k) array.
 
-    The result is not centered; distance computations do not care.
+    The result is not centered: ``edm_from_coords`` and
+    ``Embedding.from_points`` center it before any Gram product, which
+    would otherwise round relative to the coordinates' offset.
     """
     try:
         loader = _COORD_LOADERS[fmt]

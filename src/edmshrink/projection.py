@@ -138,9 +138,12 @@ class ProjectionDiagnostics:
     MDS, and the previous fit's last evaluation along a penalty path
     (``shrinkage_path``), so a warm fit can count none.
     gap is the duality gap (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
-    theta(y)) of the closing EDM X at the last dual point y, before
-    rounding is clipped or a small X is snapped to zero; it is >= 0 up to
-    rounding whether or not the projection converged. c2_residual is the
+    theta(y)) at the last dual point y of the matrix X that is returned,
+    which bounds (1/2) ||X - X*||_F^2 for the nearest EDM X*. X is the
+    closing EDM with negative rounding clipped, or the zero matrix, whose
+    gap is theta(y), when that is no larger or the closing EDM is zero
+    but for rounding; without convergence it is the closing EDM as is.
+    It is >= 0 up to rounding. c2_residual is the
     largest magnitude max|g| of the diagonal that the closing step
     removes.
     """
@@ -169,13 +172,6 @@ def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos = vals > 0.0
     w = vecs[:, pos]
     return symmetrize(a - (w * vals[pos]) @ w.T), vals, vecs
-
-
-def project_c2(a) -> np.ndarray:
-    """Projection onto hollow matrices: zero the diagonal."""
-    out = _as_square(a).copy()
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
@@ -351,34 +347,35 @@ def project_edm_cone(
     the projection of a for any c > 0.
 
     The result is the EDM X = M - (g 1^T + 1 g^T) / 2 of the module
-    docstring. Its entries are squared distances, so a negative one is
-    rounding: it is clipped to zero, and one below -tol * ||a||_F raises
-    NotConvergedError. A result no larger than tol * ||a||_F becomes the
-    zero matrix. J X J = J M J has no eigenvalue above the rounding e =
-    n eps (||M||_F + 2 ||P||_F) of M = A + Diag y - P, with P the PSD part
-    that Pi_C1 removes, so the spectrum of the last evaluation certifies
-    X at cert_tol = max(1e-8, 2 e / (s - e)), where s is the largest
-    eigenvalue of -J (A + Diag y) J. The certificate itself bounds the
-    kernel of X by its distance from the factor V sqrt(-l / 2) of those
-    eigenpairs, and runs ``eigvalsh`` only where that bound cannot decide
-    the PSD test or the embedding dimension.
+    docstring, or the zero matrix where that is certified as well (see
+    :class:`ProjectionDiagnostics`). M = A + Diag y - P, with P the PSD
+    part that Pi_C1 removes, rounds by e = n eps (||M||_F + 2 ||P||_F). X
+    is an EDM but for that rounding, so a negative entry is clipped to
+    zero, and one below -2 e raises NotConvergedError. J X J = J M J has
+    no eigenvalue above e, so the spectrum of the last evaluation
+    certifies X at cert_tol = max(1e-8, 2 e / (s - e)), where s is the
+    largest eigenvalue of -J (A + Diag y) J. The certificate itself bounds
+    the kernel of X by its distance from the factor V sqrt(-l / 2) of
+    those eigenpairs, and runs ``eigvalsh`` only where that bound cannot
+    decide the PSD test or the embedding dimension.
     """
-    d_hat, diag, _ = _project_from(a, cfg)
-    return d_hat, diag
+    return _project_from(a, cfg)[:2]
 
 
 def _project_from(
     a, cfg: SolverConfig | None = None, start: _DualPoint | None = None
-) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint]:
+) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint, np.ndarray]:
     """:func:`project_edm_cone` started at the dual point ``start`` of
-    this input instead of at y = 0, returning its last dual point too.
+    this input instead of at y = 0, returning its last dual point and the
+    factor that certified the result too.
 
     ``start`` costs no evaluation, so a fit from a decomposed point that
     already meets the stopping rule makes no eigendecomposition. A point
     whose spectrum was shifted, not decomposed, is evaluated once before
     it is accepted, so that the certificate reads a computed spectrum:
     the factor V sqrt(-l / 2) of the last evaluation's eigenpairs over
-    its negative eigenvalues l, or no column when X snaps to zero.
+    its negative eigenvalues l, or no column when the zero matrix is
+    returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if np.abs(a - a.T).max() > 0.0:
@@ -434,8 +431,22 @@ def _project_from(
 
     out = pt.m - 0.5 * (pt.g[:, None] + pt.g[None, :])
     np.fill_diagonal(out, 0.0)
+    # M = B - P, from B = A + Diag y and the removed PSD part P, rounds by
+    # about e = n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F),
+    # and X, an EDM but for that rounding, by at most 2 e per entry
+    psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
+    slack = a.shape[0] * np.finfo(float).eps * (
+        np.sqrt(2.0 * pt.theta) + 2.0 * psd)
+    top = -float(pt.vals[0]) - slack
+    low = float(out.min())
+    if converged and low >= -2.0 * slack:
+        np.maximum(out, 0.0, out=out)
     # (1/2) ||X - A||^2 - ((1/2) ||A||^2 - theta), with no n x n temporary
     gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + pt.theta
+    if converged and (pt.theta <= gap or top <= 0.0):
+        # the zero matrix has gap theta at y: no larger than X's, or X is
+        # zero but for rounding, its kernel's spectrum within e of 0
+        out, gap = np.zeros_like(out), pt.theta
     diag = ProjectionDiagnostics(cycles, delta, gap,
                                  float(np.abs(pt.g).max()), converged)
     if not converged:
@@ -445,29 +456,18 @@ def _project_from(
             f"{reason} (gradient {float(np.linalg.norm(pt.g)):.3e}, "
             f"bound tol * ||A||_F = {floor:.3e})", diag)
 
-    if out.min() < -floor:
-        raise NotConvergedError(
-            f"converged iterate has off-diagonal {out.min():.3e} below "
-            f"-tol * ||A||_F = {-floor:.3e}", diag)
-    np.maximum(out, 0.0, out=out)
-    cert_tol = 1e-8
     neg = pt.vals < 0.0
     factor = pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg])
-    if out.max() <= floor:
-        out, factor = np.zeros_like(out), factor[:, :0]
+    cert_tol = 1e-8
+    if not out.any():
+        factor = factor[:, :0]
     else:
-        # M = B - P, from B = A + Diag y and the removed PSD part P, rounds
-        # by about n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F)
-        psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
-        slack = a.shape[0] * np.finfo(float).eps * (
-            np.sqrt(2.0 * pt.theta) + 2.0 * psd)
-        top = -float(pt.vals[0]) - slack
-        if top <= 0.0:
+        if low < -2.0 * slack:
             raise NotConvergedError(
-                f"converged iterate has spectrum {-float(pt.vals[0]):.3e} "
-                f"within its rounding {slack:.3e} of zero", diag)
+                f"converged iterate has off-diagonal {low:.3e} below its "
+                f"rounding {-2.0 * slack:.3e}", diag)
         cert_tol = max(cert_tol, 2.0 * slack / top)
-    return certify_edm(out, cert_tol, factor), diag, pt
+    return certify_edm(out, cert_tol, factor), diag, pt, factor
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +501,6 @@ class Dim3Analysis:
     dim: int
     eta_to_dim1: float
     eta_to_dim0: float
-
-    def __post_init__(self):
-        if self.alpha1 < self.alpha2:
-            raise ValueError("alpha1 must be >= alpha2")
-        if self.eta_to_dim1 > self.eta_to_dim0:
-            raise ValueError("eta_to_dim1 must be <= eta_to_dim0")
 
 
 def _classify_dim3(s: float, delta: float) -> int:

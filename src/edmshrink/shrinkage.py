@@ -30,9 +30,9 @@ minimizer of theta(c 1), where a cold fit starts, for every eta (see the
 penalties, which takes that spectrum as an option and then starts its
 first fit there; ``simulate`` passes the spectrum of -J X J / 2 that
 classical MDS decomposes anyway, so one eigendecomposition per replicate
-serves both methods. A fit keeps the eigenpairs of its projection's last
-evaluation, which are those of its kernel and certified it, and
-``truncate_rank`` reads the coordinates off them.
+serves both methods. A fit keeps the factor of its kernel that certified
+it, principal axes read off its projection's last evaluation, and
+``truncate_rank`` takes the coordinates from its leading columns.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class ShrinkageFit:
     """Result of one shrink-and-project fit.
 
     Stores what the fit computed: d_hat, the estimated EDM, the penalty
-    lam, the projection's diagnostics, and spectrum, the descending
-    eigenpairs of the kernel of d_hat read off the projection's last
-    eigendecomposition (see the ``projection`` module docstring). The
-    same eigenpairs certified d_hat, as the factor of its kernel that a
-    Weyl bound compares it with, so the fit made no ``eigvalsh``. k_hat,
+    lam, the projection's diagnostics, and factor, the n x s factor
+    V sqrt(mu) of the kernel of d_hat by its descending eigenpairs, read
+    off the projection's last eigendecomposition (see the ``projection``
+    module docstring), with no column when d_hat is zero. A Weyl bound
+    against it certified d_hat, so the fit made no ``eigvalsh``. k_hat,
     the minimum-trace kernel of d_hat, and eta = lam / (2n), the
     per-entry shrinkage applied before projection, are read from those.
     """
@@ -78,7 +78,7 @@ class ShrinkageFit:
     d_hat: EdmMatrix
     lam: float
     diagnostics: ProjectionDiagnostics
-    spectrum: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    factor: np.ndarray = field(repr=False, compare=False)
 
     @property
     def k_hat(self) -> MinTraceKernel:
@@ -171,8 +171,7 @@ def _walk_path(
     eigenpairs (mu, vecs) of center_gram(x) from ``eigh_descending``, at
     the best constant dual point read off -2 mu, which ascends through
     the spectrum of J X J, with no eigendecomposition; when those
-    eigenvectors do not split off the ones vector, it starts cold. A fit
-    snapped to zero keeps kernel eigenvalues 0.
+    eigenvectors do not split off the ones vector, it starts cold.
     """
     point, eta_prev = None, 0.0
     for lam in lams:
@@ -182,11 +181,9 @@ def _walk_path(
             point = point.shifted(eta - eta_prev)
         elif spectrum is not None:
             point = _constant_start(a, -2.0 * spectrum[0], spectrum[1], eta)
-        d_hat, diag, point = _project_from(a, cfg, point)
-        kernel = (np.maximum(-0.5 * point.vals, 0.0) if d_hat.entries.any()
-                  else np.zeros_like(point.vals))
+        d_hat, diag, point, factor = _project_from(a, cfg, point)
         eta_prev = eta
-        yield ShrinkageFit(d_hat, lam, diag, (kernel, point.vecs))
+        yield ShrinkageFit(d_hat, lam, diag, factor)
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
@@ -227,18 +224,20 @@ def _check_rank(r: int, n: int) -> None:
         raise ValueError(f"rank r must satisfy 1 <= r <= {n - 1}, got {r}")
 
 
-def _top_r_fit(vals: np.ndarray, vecs: np.ndarray, r: int) -> RankTruncatedFit:
+def _top_r_fit(f: np.ndarray, r: int) -> RankTruncatedFit:
     """Top-r eigen-truncation of a (near) centered kernel, as coordinates.
 
-    ``vals`` and ``vecs`` are the kernel's descending eigenpairs, with the
-    sign convention of ``eigh_descending``. A column clipped to zero
-    holds 0, not -0. Coordinates are centered exactly, and the fit's
+    ``f`` is a factor V sqrt(mu) of the kernel by its descending
+    eigenpairs; its first r columns, with the sign convention of
+    ``eigh_descending``, are the coordinates, zero past its last, and a
+    zero holds 0, not -0. Coordinates are centered exactly, and the fit's
     distance matrix is built from them when read, so the two stay
     consistent to machine precision even when the kernel is degenerate.
     """
-    kept = np.clip(vals[:r], 0.0, None)
-    return RankTruncatedFit(
-        embedding=Embedding.from_points(vecs[:, :r] * np.sqrt(kept) + 0.0))
+    coords = np.zeros((f.shape[0], r))
+    f = f[:, :r]
+    coords[:, :f.shape[1]] = _lead_positive(f) + 0.0
+    return RankTruncatedFit(embedding=Embedding.from_points(coords))
 
 
 def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:
@@ -246,12 +245,12 @@ def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:
 
     Keeps the top r eigenpairs of the fitted kernel and maps back to
     distances; among all EDMs of embedding dimension at most r this
-    minimizes ||J (d_hat - M) J||_F. It reads them off
-    ``ShrinkageFit.spectrum`` and makes no eigendecomposition.
+    minimizes ||J (d_hat - M) J||_F. It reads the first r columns of
+    ``ShrinkageFit.factor`` up to ``embed_dim``, zero past it, and makes
+    no eigendecomposition.
     """
     _check_rank(r, fit.d_hat.n)
-    vals, vecs = fit.spectrum
-    return _top_r_fit(vals, _lead_positive(vecs[:, :r]), r)
+    return _top_r_fit(fit.factor[:, :fit.d_hat.embed_dim], r)
 
 
 def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
@@ -262,4 +261,5 @@ def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
     EDMs. No shrinkage is applied.
     """
     _check_rank(r, x.n)
-    return _top_r_fit(*eigh_descending(center_gram(x.entries)), r)
+    mu, vecs = eigh_descending(center_gram(x.entries))
+    return _top_r_fit(vecs[:, :r] * np.sqrt(np.clip(mu[:r], 0.0, None)), r)

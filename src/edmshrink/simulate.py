@@ -173,7 +173,9 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     for rep in range(cfg.reps):
         x = add_noise(d_true, cfg.noise, cfg.seed, replicate=rep)
         mu, vecs = eigh_descending(center_gram(x.entries))
-        mds_coords = _top_r_fit(mu, vecs, cfg.rank_r).embedding.coords
+        kept = np.sqrt(np.clip(mu[:cfg.rank_r], 0.0, None))
+        mds_coords = _top_r_fit(vecs[:, :cfg.rank_r] * kept,
+                                cfg.rank_r).embedding.coords
         mds_stress = kruskal_stress(
             SymHollowMatrix(_distances_from_coords(mds_coords)), d_true)
         try:

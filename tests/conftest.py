@@ -30,6 +30,17 @@ def random_cloud(rng, n, k, scale=1.0):
     return p - p.mean(axis=0, keepdims=True)
 
 
+def rigid_motion(rng, p, shift):
+    """p rotated by a random orthogonal matrix and translated by a random
+    vector of largest entry ``shift``, with the per-coordinate rounding
+    eps (|p| + shift) of the moved points."""
+    q, _ = np.linalg.qr(rng.normal(size=(p.shape[1],) * 2))
+    t = rng.uniform(-1.0, 1.0, size=p.shape[1])
+    t *= shift / np.abs(t).max()
+    moved = p @ q + t
+    return moved, np.finfo(float).eps * (np.abs(p).max() + shift)
+
+
 def random_edm(rng, n, k, scale=1.0) -> EdmMatrix:
     return edm_from_coords(random_cloud(rng, n, k, scale))
 

@@ -28,7 +28,7 @@ def test_benchmark_patches_install(make):
 
 
 def test_fit_path_calls_traced_names(rng):
-    # a fit keeps the spectrum of its projection's last dual point, which
+    # a fit keeps the factor that certified its projection, which
     # project_edm_cone does not return, so the fit path bypasses it; the
     # projection is called on its own to see that its patch runs
     tracer = tracing.Tracer()

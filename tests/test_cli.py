@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from edmshrink import SolverConfig, edm_from_coords, fileio, helix_coords
+from edmshrink import (
+    NoiseModel,
+    SolverConfig,
+    add_noise,
+    distance_shrinkage,
+    edm_from_coords,
+    fileio,
+    helix_coords,
+    recommended_lambda,
+)
 from edmshrink.cli import _solver_config, build_parser, main
 
 
@@ -148,6 +157,27 @@ class TestEstimate:
                      "--lambda", "0.5", flag, "nan",
                      "--out", str(tmp_path / "f")])
         assert code == 2
+
+    def test_coarse_tolerance_keeps_the_fit(self, tmp_path):
+        # at tol 0.03 the fit's largest entry is below tol * ||A||_F, which
+        # once snapped it to zero although the zero matrix is far from the
+        # optimum; the written matrix is within its reported gap of a
+        # tight fit
+        d = edm_from_coords(helix_coords(20))
+        x = add_noise(d, NoiseModel("gaussian", 0.25), seed=1, replicate=1)
+        lam = 2.0 * float(recommended_lambda(20, 0.5))
+        fileio.save_square_matrix(x.entries, tmp_path / "x.csv")
+        out = tmp_path / "fit"
+        assert main(["estimate", "--input", str(tmp_path / "x.csv"),
+                     "--lambda", repr(lam), "--tol", "0.03",
+                     "--out", str(out)]) == 0
+        written = fileio.load_square_matrix(f"{out}.dhat.csv")
+        gap = json.loads((tmp_path / "fit.diag.json").read_text())["gap"]
+        best = distance_shrinkage(x, lam, SolverConfig(tol=1e-12)).d_hat
+        assert written.any() and best.embed_dim == 2
+        dist = 0.5 * np.linalg.norm(written - best.entries) ** 2
+        assert dist <= gap + 1e-12 * np.linalg.norm(x.entries) ** 2
+        assert 0.5 * np.linalg.norm(best.entries) ** 2 > 10 * gap
 
     def test_non_convergence_exit_code(self, noisy_matrix, tmp_path):
         code = main(["estimate", "--input", str(noisy_matrix),

@@ -27,6 +27,7 @@ from conftest import (
     random_cloud,
     random_edm,
     random_hollow,
+    rigid_motion,
 )
 
 
@@ -302,11 +303,24 @@ class TestEdmFromCoords:
         d = edm_from_coords(np.array([[0.0], [1.0]]))
         assert np.array_equal(d.entries, [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_translation_invariance(self, rng):
-        p = rng.normal(size=(6, 3))
-        d1 = edm_from_coords(p)
-        d2 = edm_from_coords(p + np.array([5.0, -2.0, 11.0]))
-        assert np.allclose(d1.entries, d2.entries, atol=1e-9)
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           k=st.integers(1, 3), shift=st.floats(0.0, 8.0))
+    def test_translation_invariance(self, seed, n, k, shift):
+        # a rotated and translated cloud, shifted by up to 1e8, has the
+        # distances of the cloud up to the rounding r of its coordinates:
+        # each moves by at most 2 sqrt(k) r, so d_ij by about
+        # 4 sqrt(k) r sqrt(d_ij), as the coordinates are centered before
+        # their Gram product
+        rng = np.random.default_rng(seed)
+        p = random_cloud(rng, n, k)
+        moved, r = rigid_motion(rng, p, 10.0**shift)
+        want = edm_from_coords(p).entries
+        got = edm_from_coords(moved)
+        assert got.embed_dim == edm_from_coords(p).embed_dim
+        bound = 8 * np.sqrt(k) * r * np.sqrt(want.max()) + 1e-14 * want.max()
+        assert np.abs(got.entries - want).max() <= bound
 
     def test_embed_dim_bounded_by_k(self, rng):
         for k in (1, 2, 3):
@@ -610,3 +624,30 @@ class TestFactoredCertificate:
             got = MinTraceKernel(k, 1e-8, v * np.sqrt([3.0, 1.0]))
         assert got.rank == MinTraceKernel(k, 1e-8).rank == 2
         assert calls == {"eigh": 0, "eigvalsh": 0}
+
+
+def plane_kernel(gammas) -> np.ndarray:
+    """The 3 x 3 kernel with spectrum ``gammas`` on the centered plane."""
+    v = kernel_basis(len(gammas), n=3)
+    k = (v * gammas) @ v.T
+    return (k + k.T) / 2.0
+
+
+UNIT_PAIR = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("k, rank", [
+    (np.zeros((2, 2)), 0),
+    (-UNIT_PAIR, None),
+    (plane_kernel([-1e-9, 1.0]), 1),
+    (plane_kernel([-1e-7, 1.0]), None),
+    (5e-324 * UNIT_PAIR, 1),
+], ids=["zero", "non-positive top", "within tol", "beyond tol", "subnormal"])
+def test_kernel_psd_test_and_rank(k, rank):
+    # eigvalsh decides at psd_tol 1e-8 relative to the top eigenvalue; the
+    # subnormal spectrum [0, 1e-323] has a threshold that underflows to 0
+    if rank is None:
+        with pytest.raises(ValueError, match="not PSD"):
+            MinTraceKernel(k)
+    else:
+        assert MinTraceKernel(k).rank == rank

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from edmshrink import (
     MinTraceKernel,
     NoiseModel,
+    SolverConfig,
     SymHollowMatrix,
     add_noise,
     analyze_dim3,
@@ -30,6 +31,7 @@ from edmshrink import (
     truncate_rank,
 )
 from edmshrink.cli import main
+from edmshrink.core import eigh_descending
 from edmshrink.simulate import SimConfig, run_experiment
 
 from conftest import (
@@ -248,6 +250,32 @@ def assert_fit_is(got, want, c=1.0, p=None, rtol=1e-9):
 def grid_of(seed: int, n: int) -> list[float]:
     """Three distinct penalties in [0, n), in no particular order."""
     return [float(v) for v in np.random.default_rng([seed, 1]).uniform(0, n, 3)]
+
+
+class TestGapBoundsDistance:
+    """The objective is 1-strongly convex, so the gap reported for the
+    returned matrix X bounds (1/2) ||X - X*||_F^2 at every tolerance,
+    including when X is the zero matrix; X* is read off a tol 1e-12 fit
+    up to that fit's own gap."""
+
+    @PROPERTY
+    @given(n=st.integers(3, 30), rep=st.integers(0, 3),
+           factor=st.floats(0.25, 4.0), c=SCALES,
+           tol=st.floats(-12.0, -1.0).map(lambda e: 10.0**e))
+    def test_noisy_helix(self, n, rep, factor, c, tol):
+        d = edm_from_coords(helix_coords(n))
+        noisy = add_noise(d, NoiseModel("gaussian", 0.25), seed=1,
+                          replicate=rep)
+        x = SymHollowMatrix(c * noisy.entries)
+        lam = c * factor * recommended_lambda(n, 0.5)
+        fit = distance_shrinkage(x, lam, SolverConfig(tol=tol))
+        best = distance_shrinkage(x, lam, SolverConfig(tol=1e-12))
+        gap, best_gap = fit.diagnostics.gap, best.diagnostics.gap
+        half = half_norm2(x, lam)
+        assert -1e-12 * half <= gap and -1e-12 * half <= best_gap
+        dist = np.linalg.norm(fit.d_hat.entries - best.d_hat.entries)
+        bound = np.sqrt(2 * max(gap, 0.0)) + np.sqrt(2 * max(best_gap, 0.0))
+        assert dist <= bound + 1e-7 * np.sqrt(half)
 
 
 class TestPermutationProperty:
@@ -515,15 +543,25 @@ class TestTruncateRank:
                 + "0,0\n" * n)
 
     def test_matches_eigh_of_the_kernel(self, rng):
-        # the kept eigenpairs give the coordinates an eigh of k_hat gives
+        # the kept factor gives the coordinates, signs included, that the
+        # top eigenpairs of k_hat give where its spectrum is well separated
         for _ in range(5):
-            x = random_hollow(rng, 10, scale=2.0)
-            fit = distance_shrinkage(x, 0.5)
-            got = edm_from_coords(truncate_rank(fit, 3).embedding).entries
-            vals, vecs = np.linalg.eigh(fit.k_hat.entries)
-            top = vecs[:, -3:] * np.sqrt(np.clip(vals[-3:], 0.0, None))
-            want = edm_from_coords(top).entries
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            fit = distance_shrinkage(random_edm(rng, 10, 5), 0.1)
+            got = truncate_rank(fit, 3).embedding.coords
+            vals, vecs = eigh_descending(fit.k_hat.entries)
+            assert np.diff(vals[:4]).max() < -1e-3 * vals[0]
+            want = vecs[:, :3] * np.sqrt(vals[:3])
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_pads_past_the_embedding_dimension(self, rng):
+        # a shrunk planar cloud has embed_dim 2, though its factor may
+        # carry the ones vector at a rounding-level eigenvalue; the
+        # columns past embed_dim are 0, never -0
+        for _ in range(5):
+            fit = distance_shrinkage(random_edm(rng, 10, 2), 0.5)
+            assert fit.d_hat.embed_dim == 2
+            pad = truncate_rank(fit, 5).embedding.coords[:, 2:]
+            assert not pad.any() and not np.signbit(pad).any()
 
     def test_rank_validation(self, rng):
         fit = distance_shrinkage(random_hollow(rng, 5), 0.0)

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edmshrink import (
     NoiseModel,
@@ -22,6 +24,8 @@ from edmshrink import (
     report_json,
     run_experiment,
 )
+
+from conftest import rigid_motion
 
 
 def small_cfg(**kw):
@@ -135,6 +139,28 @@ class TestRunExperiment:
         assert all(not r.converged for r in rep.replicates)
         # mds stress still recorded per replicate
         assert all(r.mds_stress > 0 for r in rep.replicates)
+
+
+class TestRigidMotion:
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(0.0, 8.0))
+    def test_stresses_invariant(self, seed, shift):
+        # truth rotated and shifted by up to 1e8: both methods' stresses
+        # move by a small multiple of the relative rounding of the true
+        # distances, plus the solver tolerance
+        p = helix_coords(20)
+        moved, _ = rigid_motion(np.random.default_rng(seed), p, 10.0**shift)
+        d, d_moved = edm_from_coords(p), edm_from_coords(moved)
+        rounding = (np.linalg.norm(d_moved.entries - d.entries)
+                    / np.linalg.norm(d.entries))
+        cfg = small_cfg(reps=2, rank_r=3)
+        want, got = run_experiment(p, cfg), run_experiment(moved, cfg)
+        assert not want.failed and not got.failed
+        for a, b in zip(want.replicates, got.replicates):
+            for field in ("shrinkage_stress", "mds_stress"):
+                assert abs(getattr(a, field) - getattr(b, field)) <= (
+                    10 * rounding + cfg.solver.tol)
 
 
 class TestSerialization:

@@ -129,6 +129,14 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), _lead_positive(vecs[:, ::-1])
 
 
+def _centered(c: np.ndarray) -> np.ndarray:
+    """Coordinates ``c`` less their column means, taken twice: points
+    offset by s keep a mean of about n ulp(s) after one pass, which the
+    second removes."""
+    c = c - c.mean(axis=0)
+    return c - c.mean(axis=0)
+
+
 def _lead_positive(vecs: np.ndarray) -> np.ndarray:
     """Columns with the sign convention of ``eigh_descending``: a copy of
     ``vecs`` with each column's first component of magnitude > 1e-12 times
@@ -317,7 +325,7 @@ class Embedding:
         c = np.asarray(points, dtype=float)
         if c.ndim != 2:
             raise ValueError(f"coordinates must be 2-D, got shape {c.shape}")
-        return cls(c - c.mean(axis=0, keepdims=True))
+        return cls(_centered(c))
 
     @property
     def n(self) -> int:
@@ -414,16 +422,16 @@ def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
     """Squared pairwise distances of a point configuration, as an EDM.
 
     Accepts an Embedding or a plain (n, k) coordinate array, which is
-    centered first: the Gram product rounds relative to the coordinates'
-    magnitude, not their spread. The kernel of the result is P P^T for
-    the centered coordinates P, which certify it from the k x k spectrum
-    of P^T P instead of an n x n one.
+    centered first, in two passes: the Gram product rounds relative to
+    the coordinates' magnitude, not their spread. The kernel of the
+    result is P P^T for the centered coordinates P, which certify it from
+    the k x k spectrum of P^T P instead of an n x n one.
     """
     coords = p.coords if isinstance(p, Embedding) else np.asarray(p, dtype=float)
     if coords.ndim != 2:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
     if not isinstance(p, Embedding):
-        coords = coords - coords.mean(axis=0)
+        coords = _centered(coords)
     return EdmMatrix(_distances_from_coords(coords), cert_tol, coords)
 
 

@@ -11,7 +11,7 @@ symmetric matrices, so only the part J A J of an input A is constrained,
 and the projection removes its positive spectrum (Hayden and Wells,
 Linear Algebra Appl. 109, 1988):
 
-  Pi_C1(A) = A - Pi_PSD(J A J),   with J A J = -2 center_gram(A).
+  Pi_C1(A) = A - Pi_PSD(J A J).
 
 C2 is the linear subspace of hollow matrices, so the nearest EDM to A,
 
@@ -32,20 +32,25 @@ solved by conjugate gradients on Hessian-vector products of O(n^2 k)
 work, where k is the smaller of the counts of positive and non-positive
 eigenvalues of J (A + Diag y) J.
 
-Constant dual points come free. J is the identity on the complement of
-the ones vector and J 1 = 0, so
+Moves along the ones vector come free. J is the identity on the
+complement of the ones vector and J 1 = 0, so at B = A + Diag y
 
-  J (A + c I) J = J A J + c J:
+  J (B + t I) J = J B J + t J:
 
-the eigenvectors of J A J serve every c, the ones vector keeps its
-eigenvalue 0 and every other eigenvalue l_i moves to l_i + c. Since
+the eigenvectors of J B J serve every t, the ones vector keeps its
+eigenvalue 0 and every other eigenvalue l_i moves to l_i + t. Since
 ||Pi_C1(B)||^2 = ||B||^2 - ||Pi_PSD(J B J)||^2,
 
-  theta(c 1) = (1/2) (||A + c I||_F^2 - sum_i max(l_i + c, 0)^2),
+  theta(y + t 1) = (1/2) (||B + t I||_F^2 - sum_i max(l_i + t, 0)^2),
 
-a strictly convex, piecewise quadratic function of c alone, over the
-n - 1 eigenvalues off the ones vector. A fit starts at its minimizer,
-read off one spectrum of J A J.
+a strictly convex, piecewise quadratic function of t alone, over the
+n - 1 eigenvalues off the ones vector. Each point that the solver
+arrives at, short of its stopping rule, moves to the minimizer along
+that line before its Newton step, read off the spectrum the point
+already holds in O(n^2) work. At y = 0 that is the best constant dual
+point, where a cold fit starts. A line point has no M, so the solver
+stops only at a point it evaluated: a line point that meets the rule is
+evaluated once, and that evaluation does not move again.
 
 The solver closes on an exact EDM: with g = diag M, the hollow matrix
 X = M - (g 1^T + 1 g^T) / 2 has J X J = J M J, negative semidefinite.
@@ -69,7 +74,6 @@ from .core import (
     EdmMatrix,
     SymHollowMatrix,
     _as_square,
-    center_gram,
     certify_edm,
     check_int,
     check_tol,
@@ -131,12 +135,12 @@ class ProjectionDiagnostics:
 
     cycles counts the evaluations of the dual function that this
     projection made, one eigendecomposition each, and delta_last is the
-    Euclidean norm of its last Newton step (0 if it took none). A start
-    that the projection did not evaluate costs nothing: the best constant
-    dual point of a cold fit (see the module docstring), the one a
-    ``simulate`` replicate reads off the spectrum it shares with classical
-    MDS, and the previous fit's last evaluation along a penalty path
-    (``shrinkage_path``), so a warm fit can count none.
+    Euclidean norm of its last Newton step (0 if it took none). A move
+    along the ones vector costs nothing (see the module docstring), and
+    neither does a start that the projection did not evaluate: the point
+    a ``simulate`` replicate reads off the spectrum it shares with
+    classical MDS, and the previous fit's last evaluation along a penalty
+    path (``shrinkage_path``), so a warm fit can count none.
     gap is the duality gap (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
     theta(y)) at the last dual point y of the matrix X that is returned,
     which bounds (1/2) ||X - X*||_F^2 for the nearest EDM X*. X is the
@@ -158,20 +162,35 @@ class ProjectionDiagnostics:
 def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projection onto C1 = { M : J M J negative semidefinite }.
 
-    Subtracts the positive part of J a J from the input and symmetrizes:
-    the eigenpairs of J a J = -2 center_gram(a) with positive eigenvalues
-    are exactly what violates the constraint. ``center_gram`` validates
-    ``a`` and symmetrizes its own result, so an asymmetric input projects
-    as its symmetric part does.
+    The positive part P of J a J is exactly what violates the
+    constraint, so the projection is a - P. J a J = a - r 1^T - 1 r^T +
+    mean(r) 11^T is built from the vector r of row means, and ``eigh``
+    reads one triangle of it. With N = J a J - P, the non-positive part,
+    the projection is also (a - J a J) + N, and it is rebuilt from the
+    smaller of P and N. An asymmetric input projects as its symmetric
+    part does. The result is symmetric up to rounding.
 
     Returns the projection together with the ascending eigenvalues and
     the eigenvectors of J a J, from which the dual solver of
     :func:`project_edm_cone` builds its Newton systems.
     """
-    vals, vecs = np.linalg.eigh(-2.0 * center_gram(a))
+    a = _as_square(a)
+    if not np.array_equal(a, a.T):
+        a = symmetrize(a)
+    r = a.mean(axis=1)
+    r_off = r - r.mean()
+    jaj = a - r[:, None]
+    jaj -= r_off
+    vals, vecs = np.linalg.eigh(jaj)
     pos = vals > 0.0
-    w = vecs[:, pos]
-    return symmetrize(a - (w * vals[pos]) @ w.T), vals, vecs
+    if 2 * np.count_nonzero(pos) <= vals.size:
+        w = vecs[:, pos]
+        return a - (w * vals[pos]) @ w.T, vals, vecs
+    w = vecs[:, ~pos]
+    m = (w * vals[~pos]) @ w.T
+    m += r[:, None]
+    m += r_off
+    return m, vals, vecs
 
 
 def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
@@ -206,12 +225,13 @@ def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
     omega[:, ~side] = lam_s[:, None] / (lam_s[:, None] - vals[~side])
     u_s = u[:, side]
 
+    # diag(U_S W U^T) is the row sums of (U W^T) o U_S: no n x n temporary
     def side_diag(h):
-        w = omega * (u_s.T @ (h[:, None] * u))
-        return 2.0 * np.einsum("ij,ij->i", u_s @ w, u)
+        w = omega * ((u_s * h[:, None]).T @ u)
+        return 2.0 * np.einsum("ij,ij->i", u @ w.T, u_s)
 
     u2 = u * u
-    diag = 2.0 * np.einsum("ij,ij->i", u2[:, side] @ omega, u2)
+    diag = 2.0 * np.einsum("ij,ij->i", u2 @ omega.T, u2[:, side])
     if positive_side:
         return (lambda h: (1.0 + eps) * h - side_diag(h),
                 np.maximum(1.0 - diag, 0.0) + eps)
@@ -246,19 +266,21 @@ def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 
 
 class _DualPoint(NamedTuple):
-    """One evaluation of the dual at y: M = Pi_C1(A + Diag y), its diagonal
-    g = grad theta(y), theta(y) = ||M||_F^2 / 2, and the eigenpairs
-    (vals, vecs) of J (A + Diag y) J. ``decomposed`` is False when vals
-    were shifted from the spectrum of another matrix instead of computed
-    for this one (see :func:`_constant_start`); otherwise they ascend."""
+    """The dual at y: theta(y), its gradient g = diag M with M =
+    Pi_C1(A + Diag y), and eigenpairs (vals, vecs) of J (A + Diag y) J.
+
+    m is M for a point that ``_evaluate`` computed, and None for a point
+    read off eigenpairs with no M: a line point of :func:`_line_step`,
+    or a start of :func:`_spectrum_point`. A line point's vals are
+    shifted, not computed, and need not ascend; every other point's
+    ascend."""
 
     y: np.ndarray
-    m: np.ndarray
+    m: np.ndarray | None
     g: np.ndarray
     theta: float
     vals: np.ndarray
     vecs: np.ndarray
-    decomposed: bool = True
 
     def shifted(self, c: float) -> "_DualPoint":
         """The same evaluation for the input A - c (11^T - I) at y - c 1.
@@ -268,62 +290,88 @@ class _DualPoint(NamedTuple):
         unchanged, and Pi_C1(B - c 11^T) = Pi_C1(B) - c 11^T: no
         eigendecomposition is needed.
         """
-        return _dual_point(self.y - c, self.m - c, self.vals, self.vecs,
-                           self.decomposed)
+        return _dual_point(self.y - c, self.m - c, self.vals, self.vecs)
 
 
-def _dual_point(y, m, vals, vecs, decomposed=True) -> _DualPoint:
+def _dual_point(y, m, vals, vecs) -> _DualPoint:
     return _DualPoint(y, m, m.diagonal().copy(), 0.5 * float(np.vdot(m, m)),
-                      vals, vecs, decomposed)
+                      vals, vecs)
 
 
 def _evaluate(a: np.ndarray, y: np.ndarray) -> _DualPoint:
     """theta and its gradient at y: one C1 projection, one eigh."""
-    return _dual_point(y, *project_c1(a + np.diag(y)))
+    b = a.copy()
+    b.flat[:: b.shape[0] + 1] += y
+    return _dual_point(y, *project_c1(b))
 
 
-def _constant_start(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                    offset: float) -> _DualPoint | None:
-    """The dual point at the minimizer c* of theta(c 1), with no eigh.
+def _spectrum_point(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                    offset: float) -> _DualPoint:
+    """The dual point y = -offset 1 of ``a``, with no eigh and no M.
 
     ``vals`` and ``vecs`` are ascending eigenpairs of J X J for a matrix
-    X with J A J = J X J + offset J, such as X itself when A is X shrunk
-    by ``offset`` off the diagonal, or A itself with offset 0. One column
-    must be the ones vector: its eigenvalue stays 0, and every other one
-    is l_i = vals_i + offset, moving to l_i + c at y = c 1 (see the
-    module docstring). The point keeps the order of ``vals``, so the 0
-    of the ones vector need not be in ascending place. The slope of
-    theta(c 1) is
-
-        tr A + n c - sum_i max(l_i + c, 0),
-
-    bounded above by the linear tr A + n c - sum_{i <= k} (l_i + c) over
-    the k largest l_i. Each of those n bounds has its root at or below
-    c*, and the one whose k eigenvalues are positive at c* has its root
-    at c*, so c* = max_k (S_k - tr A) / (n - k), with S_k the sum of the
-    k largest l_i, for k = 0, ..., n - 1.
-
-    Returns None when no column v has |v^T 1| / sqrt(n) within 1e-10 of
-    1, as when 0 is a repeated eigenvalue of J X J; the eigenvectors then
-    do not split off the ones vector, and the fit starts from y = 0.
+    X with J a J = J X J + offset J, such as X itself when ``a`` is X
+    shrunk by ``offset`` off the diagonal. Then J (a - offset I) J =
+    J X J, so they are the eigenpairs of that point, and with P the
+    positive part of J X J, ||Pi_C1(B)||^2 = ||B||^2 - ||P||^2 and
+    diag Pi_C1(B) = diag B - diag P at B = a - offset I.
     """
     n = vals.size
-    along = np.abs(vecs.sum(axis=0)) / np.sqrt(n)
+    pos = vals > 0.0
+    w, lam = vecs[:, pos], vals[pos]
+    norm2 = (float(np.vdot(a, a)) - 2.0 * offset * float(np.trace(a))
+             + n * offset**2)
+    g = a.diagonal() - offset - (w * w) @ lam
+    return _DualPoint(np.full(n, -offset), None, g,
+                      0.5 * (norm2 - float(lam @ lam)), vals, vecs)
+
+
+def _line_step(pt: _DualPoint, trace_a: float) -> _DualPoint | None:
+    """The minimizer of theta along pt.y + t 1, read off pt's eigenpairs.
+
+    ``pt`` has ascending eigenpairs (l, V) of J B J, B = A + Diag y, and
+    ``trace_a`` is tr A. One column must be the ones vector: its
+    eigenvalue is taken as 0 and stays 0, and every other l_i moves to
+    l_i + t with the same eigenvector (see the module docstring). Over
+    those n - 1 eigenpairs, with tr B = tr A + sum y,
+
+        theta(y + t 1) = theta(y) + t tr B + n t^2 / 2
+                         - (1/2) sum_i (max(l_i + t, 0)^2 - max(l_i, 0)^2),
+        grad theta(y + t 1) = g + t 1 + (V o V)(max(l, 0) - max(l + t, 0)),
+
+    in O(n^2) with no eigendecomposition and no n x n matrix. The slope
+    tr B + n t - sum_i max(l_i + t, 0) is bounded above by the linear
+    tr B + n t - sum_{i <= k} (l_i + t) over the k largest l_i. Each of
+    those n bounds has its root at or below t*, and the one whose k
+    eigenvalues are positive at t* has its root at t*, so t* = max_k
+    (S_k - tr B) / (n - k), with S_k the sum of the k largest l_i, for
+    k = 0, ..., n - 1.
+
+    Returns the line point at y + t* 1, with eigenvalues l + t* and 0 on
+    the ones vector, in the order of ``pt.vals``, and no M. Returns None
+    when no column v has |v^T 1| / sqrt(n) within 1e-10 of 1, as when 0
+    is a repeated eigenvalue of J B J; the eigenvectors then do not split
+    off the ones vector.
+    """
+    n = pt.vals.size
+    along = np.abs(pt.vecs.sum(axis=0)) / np.sqrt(n)
     ones = int(np.argmax(along))
     if not abs(along[ones] - 1.0) <= 1e-10:
         return None
-    rest = np.arange(n) != ones
-    eig = vals + offset
-    sums = np.concatenate(([0.0], np.cumsum(eig[rest][::-1])))
-    c = float(np.max((sums - np.trace(a)) / (n - np.arange(n))))
-    eig[rest] += c
-    eig[ones] = 0.0
-    pos = eig > 0.0
-    w = vecs[:, pos]
-    m = a - (w * eig[pos]) @ w.T
-    m.flat[:: n + 1] += c
-    m = symmetrize(m)
-    return _dual_point(np.full(n, c), m, eig, vecs, decomposed=False)
+    old = pt.vals.copy()
+    old[ones] = 0.0
+    trace_b = trace_a + float(pt.y.sum())
+    sums = np.concatenate(([0.0], np.cumsum(np.delete(old, ones)[::-1])))
+    t = float(np.max((sums - trace_b) / (n - np.arange(n))))
+    new = old + t
+    new[ones] = 0.0
+    lo, hi = np.maximum(old, 0.0), np.maximum(new, 0.0)
+    moved = lo != hi
+    w, step = pt.vecs[:, moved], hi[moved] - lo[moved]
+    g = pt.g + t - (w * w) @ step
+    theta = (pt.theta + t * trace_b + 0.5 * n * t * t
+             - 0.5 * float(step @ (hi[moved] + lo[moved])))
+    return _DualPoint(pt.y + t, None, g, theta, new, pt.vecs)
 
 
 def project_edm_cone(
@@ -336,28 +384,28 @@ def project_edm_cone(
     projection's diagnostics.
 
     Minimizes the dual theta(y) = (1/2) ||Pi_C1(A + Diag y)||_F^2 by
-    semismooth Newton-CG (see the module docstring). It evaluates theta
-    at y = 0 and, unless that meets the stopping rule, starts from the
-    minimizer of theta(c 1) read off the same spectrum. Each step
-    solves (H + eps I) d = -g by conjugate gradients, with g = grad theta
-    and H a generalized Hessian, then backtracks along d. Iteration stops
-    once |g| <= tol * ||a||_F, or raises :class:`NotConvergedError` at
-    max_cycles evaluations of theta or when no step along d is accepted.
-    Every test is relative to ||a||_F, so projecting c * a gives c times
-    the projection of a for any c > 0.
+    semismooth Newton-CG (see the module docstring), from y = 0. Before
+    each Newton step it moves, with no eigendecomposition, to the
+    minimizer of theta along the ones vector. The step solves
+    (H + eps I) d = -g by conjugate gradients, with g = grad theta and H
+    a generalized Hessian, then backtracks along d. Iteration stops at
+    an evaluated point with |g| <= tol * ||a||_F, or raises
+    :class:`NotConvergedError` at max_cycles evaluations of theta or when
+    no step along d is accepted. Every test is relative to ||a||_F, so
+    projecting c * a gives c times the projection of a for any c > 0.
 
     The result is the EDM X = M - (g 1^T + 1 g^T) / 2 of the module
-    docstring, or the zero matrix where that is certified as well (see
-    :class:`ProjectionDiagnostics`). M = A + Diag y - P, with P the PSD
-    part that Pi_C1 removes, rounds by e = n eps (||M||_F + 2 ||P||_F). X
-    is an EDM but for that rounding, so a negative entry is clipped to
-    zero, and one below -2 e raises NotConvergedError. J X J = J M J has
-    no eigenvalue above e, so the spectrum of the last evaluation
-    certifies X at cert_tol = max(1e-8, 2 e / (s - e)), where s is the
-    largest eigenvalue of -J (A + Diag y) J. The certificate itself bounds
-    the kernel of X by its distance from the factor V sqrt(-l / 2) of
-    those eigenpairs, and runs ``eigvalsh`` only where that bound cannot
-    decide the PSD test or the embedding dimension.
+    docstring, made exactly symmetric, or the zero matrix where that is
+    certified as well (see :class:`ProjectionDiagnostics`). M, with P the
+    PSD part that Pi_C1 removes, rounds by e = n eps (||M||_F + 2
+    ||P||_F). X is an EDM but for that rounding, so a negative entry is
+    clipped to zero, and one below -2 e raises NotConvergedError. J X J =
+    J M J has no eigenvalue above e, so the spectrum of the last
+    evaluation certifies X at cert_tol = max(1e-8, 2 e / (s - e)), where
+    s is the largest eigenvalue of -J (A + Diag y) J. The certificate
+    itself bounds the kernel of X by its distance from the factor
+    V sqrt(-l / 2) of those eigenpairs, and runs ``eigvalsh`` only where
+    that bound cannot decide the PSD test or the embedding dimension.
     """
     return _project_from(a, cfg)[:2]
 
@@ -366,16 +414,17 @@ def _project_from(
     a, cfg: SolverConfig | None = None, start: _DualPoint | None = None
 ) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint, np.ndarray]:
     """:func:`project_edm_cone` started at the dual point ``start`` of
-    this input instead of at y = 0, returning its last dual point and the
-    factor that certified the result too.
+    this input instead of at y = 0, returning its last evaluated dual
+    point and the factor that certified the result too.
 
-    ``start`` costs no evaluation, so a fit from a decomposed point that
+    ``start`` costs no evaluation, so a fit from an evaluated point that
     already meets the stopping rule makes no eigendecomposition. A point
-    whose spectrum was shifted, not decomposed, is evaluated once before
-    it is accepted, so that the certificate reads a computed spectrum:
-    the factor V sqrt(-l / 2) of the last evaluation's eigenpairs over
-    its negative eigenvalues l, or no column when the zero matrix is
-    returned.
+    with no M that meets the rule, a line point or a start read off a
+    spectrum, is evaluated once before it is accepted. A fit closes on
+    the last point it evaluated, or on ``start`` if it evaluated none, so
+    that the certificate reads a computed spectrum: the factor
+    V sqrt(-l / 2) of its eigenpairs over its negative eigenvalues l, or
+    no column when the zero matrix is returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if np.abs(a - a.T).max() > 0.0:
@@ -384,27 +433,39 @@ def _project_from(
         cfg = SolverConfig()
     scale = float(np.linalg.norm(a))
     floor = cfg.tol * scale
+    trace = float(np.trace(a))
+
+    def arrive(pt: _DualPoint) -> _DualPoint:
+        # a start or an accepted step, short of the rule, moves once along
+        # the ones vector; a line point that meets the rule is evaluated
+        # in the loop, and that evaluation does not move, so a rounding
+        # disagreement at the rule cannot make the two alternate
+        if np.linalg.norm(pt.g) <= floor:
+            return pt
+        line = _line_step(pt, trace)
+        return pt if line is None else line
 
     if start is None:
         pt, cycles = _evaluate(a, np.zeros(a.shape[0])), 1
-        if np.linalg.norm(pt.g) > floor:
-            const = _constant_start(a, pt.vals, pt.vecs, 0.0)
-            if const is not None:
-                pt = const
     else:
         pt, cycles = start, 0
+    # the last point evaluated, or the start: a fit closes on it, since
+    # a line point has no M
+    last = pt
+    pt = arrive(pt)
     delta = 0.0
     converged = stalled = False
 
     while True:
         gnorm = float(np.linalg.norm(pt.g))
-        if gnorm <= floor and pt.decomposed:
+        if gnorm <= floor and pt.m is not None:
             converged = True
             break
         if cycles >= cfg.max_cycles:
             break
         if gnorm <= floor:
-            pt = _evaluate(a, pt.y)
+            # a point with no M meets the rule: stop only once evaluated
+            pt = last = _evaluate(a, pt.y)
             cycles += 1
             continue
         rel = gnorm / scale
@@ -415,11 +476,11 @@ def _project_from(
             d, slope = -pt.g, -gnorm**2
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
-            trial = _evaluate(a, pt.y + t * d)
+            trial = last = _evaluate(a, pt.y + t * d)
             cycles += 1
             if (trial.theta <= pt.theta + ARMIJO * t * slope
                     or np.linalg.norm(trial.g) <= 0.5 * gnorm):
-                pt = trial
+                pt = arrive(trial)
                 delta = t * float(np.linalg.norm(d))
                 break
             if cycles >= cfg.max_cycles:
@@ -429,11 +490,16 @@ def _project_from(
             stalled = True
             break
 
+    pt = last
     out = pt.m - 0.5 * (pt.g[:, None] + pt.g[None, :])
+    out += out.T
+    out *= 0.5
     np.fill_diagonal(out, 0.0)
-    # M = B - P, from B = A + Diag y and the removed PSD part P, rounds by
-    # about e = n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F),
-    # and X, an EDM but for that rounding, by at most 2 e per entry
+    # M rounds by about e = n eps (||M||_F + 2 ||P||_F) from either side
+    # of the split J B J = P + N, B = A + Diag y: B - P rounds with B and
+    # P, and ||B||_F <= ||M||_F + ||P||_F; (B - J B J) + N rounds with B
+    # and N, and ||N||_F = ||J M J||_F <= ||M||_F. X, an EDM but for that
+    # rounding, is off by at most 2 e per entry
     psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
     slack = a.shape[0] * np.finfo(float).eps * (
         np.sqrt(2.0 * pt.theta) + 2.0 * psd)

@@ -23,15 +23,17 @@ tolerance, so a path fit agrees with ``distance_shrinkage`` of the same
 penalty to within that tolerance, not bit for bit; the first fit of a
 path is the same computation as ``distance_shrinkage``.
 
-The same fact makes a constant dual start free: the input A of penalty
-eta has J A J = J X J + eta J, so one spectrum of J X J gives the
-minimizer of theta(c 1), where a cold fit starts, for every eta (see the
-``projection`` module docstring). Every fit runs in one loop over the
-penalties, which takes that spectrum as an option and then starts its
-first fit there; ``simulate`` passes the spectrum of -J X J / 2 that
-classical MDS decomposes anyway, so one eigendecomposition per replicate
-serves both methods. A fit keeps the factor of its kernel that certified
-it, principal axes read off its projection's last evaluation, and
+The same fact makes a spectrum of J X J serve every penalty: the input A
+of penalty eta has J (A - eta I) J = J X J, so the eigenpairs of J X J
+are those of the dual point y = -eta 1 of A, and theta and its gradient
+there follow from them with no eigendecomposition (see the ``projection``
+module docstring, which also moves every point along the ones vector
+for free). Every fit runs in one loop over the penalties, which takes
+that spectrum as an option and then starts its first fit there;
+``simulate`` passes the spectrum of -J X J / 2 that classical MDS
+decomposes anyway, so one eigendecomposition per replicate serves both
+methods. A fit keeps the factor of its kernel that certified it,
+principal axes read off its projection's last evaluation, and
 ``truncate_rank`` takes the coordinates from its leading columns.
 """
 
@@ -56,8 +58,8 @@ from .core import (
 from .projection import (
     ProjectionDiagnostics,
     SolverConfig,
-    _constant_start,
     _project_from,
+    _spectrum_point,
 )
 
 
@@ -169,9 +171,12 @@ def _walk_path(
     Each fit after the first starts from the last dual point of the one
     before. The first starts cold, or, given ``spectrum``, the descending
     eigenpairs (mu, vecs) of center_gram(x) from ``eigh_descending``, at
-    the best constant dual point read off -2 mu, which ascends through
-    the spectrum of J X J, with no eigendecomposition; when those
-    eigenvectors do not split off the ones vector, it starts cold.
+    the dual point y = -eta 1 of its input, whose eigenpairs are (-2 mu,
+    vecs), ascending through the spectrum of J X J, with no
+    eigendecomposition. The projection moves either start along the ones
+    vector before its first Newton step, to the best constant dual point;
+    when the eigenvectors do not split off the ones vector, it steps from
+    the start itself.
     """
     point, eta_prev = None, 0.0
     for lam in lams:
@@ -180,7 +185,7 @@ def _walk_path(
         if point is not None:
             point = point.shifted(eta - eta_prev)
         elif spectrum is not None:
-            point = _constant_start(a, -2.0 * spectrum[0], spectrum[1], eta)
+            point = _spectrum_point(a, -2.0 * spectrum[0], spectrum[1], eta)
         d_hat, diag, point, factor = _project_from(a, cfg, point)
         eta_prev = eta
         yield ShrinkageFit(d_hat, lam, diag, factor)

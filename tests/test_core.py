@@ -16,6 +16,7 @@ from edmshrink import (
     classical_mds,
     distance_shrinkage,
     edm_from_coords,
+    helix_coords,
     kruskal_stress,
     similarity_to_dissimilarity,
 )
@@ -321,6 +322,35 @@ class TestEdmFromCoords:
         assert got.embed_dim == edm_from_coords(p).embed_dim
         bound = 8 * np.sqrt(k) * r * np.sqrt(want.max()) + 1e-14 * want.max()
         assert np.abs(got.entries - want).max() <= bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           k=st.integers(1, 3), shift=st.floats(0.0, 8.0))
+    def test_from_points_centers_any_offset(self, seed, n, k, shift):
+        # points rotated and translated by up to 1e8 are centered to
+        # rounding, so the Embedding check accepts them, and keep the
+        # distances of the cloud as edm_from_coords of the array does
+        rng = np.random.default_rng(seed)
+        p = random_cloud(rng, n, k)
+        moved, r = rigid_motion(rng, p, 10.0**shift)
+        e = Embedding.from_points(moved)
+        assert np.abs(e.coords.sum(axis=0)).max() <= (
+            4 * n * np.finfo(float).eps * np.abs(e.coords).max())
+        want = edm_from_coords(p).entries
+        got = edm_from_coords(e)
+        assert np.array_equal(got.entries, edm_from_coords(moved).entries)
+        bound = 8 * np.sqrt(k) * r * np.sqrt(want.max()) + 1e-14 * want.max()
+        assert np.abs(got.entries - want).max() <= bound
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e8])
+    def test_offset_coordinates_certify_from_their_gram(self, shift):
+        # the centered coordinates are a factor of the kernel to rounding
+        # at any offset, so the k x k spectrum of their Gram decides it
+        with eig_counts() as calls:
+            d = edm_from_coords(helix_coords(100) + shift)
+        assert calls.shapes == [("eigvalsh", (3, 3))]
+        assert d.embed_dim == 3
 
     def test_embed_dim_bounded_by_k(self, rng):
         for k in (1, 2, 3):

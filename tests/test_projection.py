@@ -2,6 +2,8 @@
 Householder block form), the EDM projection (checked against a Dykstra
 reference), and 3-point analytics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from edmshrink import (
     edm_from_coords,
     project_edm_cone,
 )
+from edmshrink import projection
 from edmshrink.core import eigh_descending
-from edmshrink.projection import (_constant_start, _evaluate, _newton_system,
-                                  project_c1)
+from edmshrink.projection import (_evaluate, _line_step, _newton_system,
+                                  _spectrum_point, project_c1)
 from edmshrink.shrinkage import _walk_path, distance_shrinkage
 
 from conftest import centering, random_edm, random_hollow
@@ -248,6 +251,12 @@ def golden_section_min(f, lo: float, hi: float, iters: int = 120) -> float:
     return (lo + hi) / 2.0
 
 
+def constant_start(a, vals, vecs, offset):
+    """The line step from the point of a spectrum: the best constant dual
+    point, as a fit from that spectrum reaches it."""
+    return _line_step(_spectrum_point(a, vals, vecs, offset), np.trace(a))
+
+
 class TestConstantStart:
     """The best constant dual point y = c* 1, read off one spectrum of
     J X J: J (A + c I) J = J A J + c J, so it needs no eigendecomposition
@@ -259,7 +268,7 @@ class TestConstantStart:
             # a nonzero diagonal puts tr A into the slope of theta(c 1)
             a = random_symmetric(rng, n)
             zero = _evaluate(a, np.zeros(n))
-            start = _constant_start(a, zero.vals, zero.vecs, 0.0)
+            start = _line_step(zero, np.trace(a))
             c = float(start.y[0])
             width = float(np.linalg.norm(a))
             brute = golden_section_min(
@@ -268,8 +277,8 @@ class TestConstantStart:
             assert abs(brute - c) <= 1e-6 * width
             # the shifted spectrum gives the point a fresh eigh gives
             fresh = _evaluate(a, start.y)
-            assert not start.decomposed
-            assert np.abs(start.m - fresh.m).max() <= 1e-12 * width
+            assert start.m is None
+            assert np.abs(start.g - fresh.g).max() <= 1e-12 * width
             assert abs(start.theta - fresh.theta) <= 1e-12 * width**2
             assert np.abs(np.sort(start.vals) - fresh.vals).max() <= (
                 1e-12 * width)
@@ -290,13 +299,13 @@ class TestConstantStart:
         x = random_hollow(rng, n, scale=2.0).entries
         for eta in (0.0, 0.4, 1.5):
             a = x - eta * (1.0 - np.eye(n))
-            own = _evaluate(a, np.zeros(n))
-            mine = _constant_start(a, own.vals, own.vecs, 0.0)
+            mine = _line_step(_evaluate(a, np.zeros(n)), np.trace(a))
             vals, vecs = np.linalg.eigh(-2.0 * center_gram(x))
-            shared = _constant_start(a, vals, vecs, eta)
+            shared = constant_start(a, vals, vecs, eta)
             width = np.linalg.norm(a)
             assert abs(shared.y[0] - mine.y[0]) <= 1e-12 * width
-            assert np.abs(shared.m - mine.m).max() <= 1e-12 * width
+            assert np.abs(shared.g - mine.g).max() <= 1e-12 * width
+            assert abs(shared.theta - mine.theta) <= 1e-12 * width**2
 
     @pytest.mark.parametrize("seed", range(20))
     def test_never_above_theta_at_zero(self, seed):
@@ -305,7 +314,7 @@ class TestConstantStart:
         a = random_hollow(gen, n, scale=float(gen.uniform(0.1, 10.0))).entries
         a = a - float(gen.uniform(-1.0, 1.0)) * (1.0 - np.eye(n))
         zero = _evaluate(a, np.zeros(n))
-        start = _constant_start(a, zero.vals, zero.vecs, 0.0)
+        start = _line_step(zero, np.trace(a))
         assert _evaluate(a, start.y).theta <= zero.theta
 
     @pytest.mark.parametrize("x", [
@@ -316,10 +325,12 @@ class TestConstantStart:
     @pytest.mark.parametrize("lam", [0.0, 3.0])
     def test_repeated_zero_eigenvalue_starts_cold(self, x, lam):
         # 0 is a repeated eigenvalue of J X J, so no eigenvector need be
-        # the ones vector: the fit starts from y = 0, as a cold fit does
+        # the ones vector: there is no line step, and the fit takes its
+        # first Newton step from the point of the shared spectrum, as a
+        # cold fit takes it from its first evaluation
         x = SymHollowMatrix(x)
         mu, vecs = eigh_descending(center_gram(x.entries))
-        assert _constant_start(x.entries, -2.0 * mu, vecs, 0.0) is None
+        assert constant_start(x.entries, -2.0 * mu, vecs, 0.0) is None
         fit = next(_walk_path(x, [lam], None, (mu, vecs)))
         cold = distance_shrinkage(x, lam)
         assert fit.diagnostics.converged
@@ -330,6 +341,71 @@ class TestConstantStart:
         assert np.linalg.norm(fit.d_hat.entries - cold.d_hat.entries) <= tol
         if lam == 0.0:
             assert np.linalg.norm(fit.d_hat.entries - x.entries) <= tol
+
+
+class TestLineStep:
+    """The move of a dual point y to the minimizer of theta along y + t 1,
+    read off the eigenpairs of J (A + Diag y) J with no eigendecomposition
+    and no M."""
+
+    @pytest.mark.parametrize("hollow", [False, True])
+    @pytest.mark.parametrize("n", [2, 5, 17, 40])
+    def test_matches_evaluation(self, rng, n, hollow):
+        for _ in range(3):
+            a = random_symmetric(rng, n)
+            if hollow:
+                np.fill_diagonal(a, 0.0)
+            y = rng.normal(size=n)
+            line = _line_step(_evaluate(a, y), np.trace(a))
+            t = float(line.y[0] - y[0])
+            assert np.allclose(line.y - y, t, rtol=0.0, atol=1e-15 * abs(t))
+            fresh = _evaluate(a, line.y)
+            assert line.m is None
+            # both round relative to B = A + Diag y, which can be far
+            # larger than M when most of B is removed
+            b = np.linalg.norm(a + np.diag(line.y))
+            assert abs(line.theta - fresh.theta) <= 1e-12 * 0.5 * b**2
+            assert np.abs(line.g - fresh.g).max() <= 1e-12 * b
+
+    @pytest.mark.parametrize("n", [2, 5, 17])
+    def test_minimizes_theta_along_ones(self, rng, n):
+        for _ in range(3):
+            a = random_symmetric(rng, n)
+            line = _line_step(_evaluate(a, rng.normal(size=n)), np.trace(a))
+            here = _evaluate(a, line.y).theta
+            for delta in (1e-3, 1e-1, 1.0):
+                for sign in (-1.0, 1.0):
+                    moved = _evaluate(a, line.y + sign * delta).theta
+                    assert moved >= here * (1.0 - 1e-14)
+
+    def test_not_converged_at_a_line_point(self, rng):
+        # at max_cycles the fit holds a line point, which has no M: the
+        # diagnostics describe the last point it evaluated
+        x = random_hollow(rng, 8, scale=4.0)
+        cfg = SolverConfig(tol=1e-12, max_cycles=2)
+        lines, evaluated = [], []
+
+        def line_step(pt, trace):
+            lines.append(_line_step(pt, trace))
+            return lines[-1]
+
+        def evaluate(a, y):
+            evaluated.append(_evaluate(a, y))
+            return evaluated[-1]
+
+        with mock.patch.object(projection, "_line_step", line_step), \
+                mock.patch.object(projection, "_evaluate", evaluate), \
+                pytest.raises(NotConvergedError) as exc:
+            project_edm_cone(x, cfg)
+        diag = exc.value.diagnostics
+        assert len(evaluated) == diag.cycles == 2
+        assert len(lines) == 2 and lines[-1] is not None
+        assert np.all(np.isfinite([diag.delta_last, diag.gap,
+                                   diag.c2_residual]))
+        assert diag.delta_last > 0.0
+        assert diag.c2_residual == np.abs(evaluated[-1].g).max()
+        half = 0.5 * np.linalg.norm(x.entries) ** 2
+        assert -1e-12 * half <= diag.gap < half
 
 
 class TestDykstraReference:

@@ -762,6 +762,21 @@ class TestWarmStartedPath:
                 assert fit.diagnostics.cycles < cold.diagnostics.cycles
         assert next(path, None) is None
 
+    def test_evaluations_per_fit_are_pinned(self):
+        # every point the fit arrives at moves first, for free, to the
+        # minimizer of theta along the ones vector; without that move
+        # these grids take 7, 4, 5 and 6, 4, 5 evaluations
+        got = []
+        for rep in (2, 4):
+            x = helix_observation(rep)
+            grid = [f * self.LAM_STAR for f in self.FACTORS]
+            with eig_counts() as calls:
+                fits = list(shrinkage_path(x, grid))
+            cycles = [f.diagnostics.cycles for f in fits]
+            assert calls == {"eigh": sum(cycles), "eigvalsh": 0}
+            got.append(cycles)
+        assert got == [[6, 4, 4], [6, 4, 4]]
+
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_rejects_bad_penalty_before_any_fit(self, bad):
         with eig_counts() as calls:

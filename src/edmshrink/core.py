@@ -360,9 +360,10 @@ class EdmMatrix(SymHollowMatrix):
     def __post_init__(self, factor):
         super().__post_init__()
         check_tol("cert_tol", self.cert_tol)
-        off = self.entries[~np.eye(self.n, dtype=bool)]
-        if off.size and off.min() < -self.cert_tol * max(off.max(), 0.0):
-            raise ValueError(f"negative squared distance {off.min():.3e}")
+        # the diagonal is exactly 0, so it decides neither bound
+        low = float(self.entries.min())
+        if low < -self.cert_tol * max(float(self.entries.max()), 0.0):
+            raise ValueError(f"negative squared distance {low:.3e}")
         try:
             kernel = MinTraceKernel(center_gram(self.entries),
                                     self.cert_tol, factor)

@@ -388,6 +388,9 @@ def _load_coords_xyz(path) -> np.ndarray:
         except ValueError:
             raise ValueError(
                 f"{path}:{nonblank[0][0]}: malformed count line") from None
+        if count < 1:
+            raise ValueError(
+                f"{path}:{nonblank[0][0]}: atom count {count} is below 1")
         # the line right after the count is a comment, blank or not
         body = [(no, text) for no, text in records[nonblank[0][0] + 1:] if text]
         if len(body) < count:

@@ -25,42 +25,46 @@ problem in n variables (Malick, SIAM J. Matrix Anal. Appl. 26, 2004)
 
 and M* = Pi_C1(A + Diag y*) at its minimizer. The gradient is strongly
 semismooth, and a generalized Hessian of theta is read off the
-eigenpairs that Pi_C1 computes anyway, so a semismooth Newton method
-converges quadratically (Qi, SIAM J. Matrix Anal. Appl. 34, 2013). Each
-evaluation of theta costs one eigendecomposition; the Newton systems are
-solved by conjugate gradients on Hessian-vector products of O(n^2 k)
-work, where k is the smaller of the counts of positive and non-positive
-eigenvalues of J (A + Diag y) J.
+eigenpairs of J (A + Diag y) J, so a semismooth Newton method converges
+quadratically (Qi, SIAM J. Matrix Anal. Appl. 34, 2013). The Newton
+systems are solved by conjugate gradients on Hessian-vector products of
+O(n^2 k) work, where k is the smaller of the counts of positive and
+non-positive eigenvalues of J (A + Diag y) J.
+
+Every dual point is read off those eigenpairs, with no M. At
+B = A + Diag y, with l and V the eigenvalues and eigenvectors of J B J,
+the part P = Pi_PSD(J B J) that Pi_C1 removes has <B, P> = ||P||_F^2, so
+
+  theta(y) = (1/2) (||B||_F^2 - sum_i max(l_i, 0)^2),
+  grad theta(y) = diag B - (V o V) max(l, 0),
+
+with ||B||_F^2 = ||A||_F^2 + 2 y . diag A + ||y||^2. An evaluation of
+theta costs one eigendecomposition of J B J and no more.
 
 Moves along the ones vector come free. J is the identity on the
-complement of the ones vector and J 1 = 0, so at B = A + Diag y
-
-  J (B + t I) J = J B J + t J:
-
+complement of the ones vector and J 1 = 0, so J (B + t I) J = J B J + t J:
 the eigenvectors of J B J serve every t, the ones vector keeps its
-eigenvalue 0 and every other eigenvalue l_i moves to l_i + t. Since
-||Pi_C1(B)||^2 = ||B||^2 - ||Pi_PSD(J B J)||^2,
+eigenvalue 0 and every other eigenvalue l_i moves to l_i + t. By the
+formula above, theta(y + t 1) is a strictly convex, piecewise quadratic
+function of t alone. Each point that the solver arrives at, short of
+its stopping rule, moves to the minimizer along that line before its
+Newton step, in O(n^2) work. At y = 0 that is the best constant dual
+point, where a cold fit starts. A line point's eigenvalues are shifted,
+not computed, so the solver stops only at a point it evaluated or at its
+start: a line point that meets the rule is evaluated once, and that
+evaluation does not move again.
 
-  theta(y + t 1) = (1/2) (||B + t I||_F^2 - sum_i max(l_i + t, 0)^2),
-
-a strictly convex, piecewise quadratic function of t alone, over the
-n - 1 eigenvalues off the ones vector. Each point that the solver
-arrives at, short of its stopping rule, moves to the minimizer along
-that line before its Newton step, read off the spectrum the point
-already holds in O(n^2) work. At y = 0 that is the best constant dual
-point, where a cold fit starts. A line point has no M, so the solver
-stops only at a point it evaluated: a line point that meets the rule is
-evaluated once, and that evaluation does not move again.
-
-The solver closes on an exact EDM: with g = diag M, the hollow matrix
-X = M - (g 1^T + 1 g^T) / 2 has J X J = J M J, negative semidefinite.
-Its kernel -J X J / 2 has the eigenvectors of the last evaluation's
-J (A + Diag y) J, with eigenvalue -l_i / 2 on its non-positive side and 0
-elsewhere. The objective is 1-strongly convex, so the nearest EDM X*
+The solver closes on an exact EDM. It forms M = Pi_C1(A + Diag y) once,
+from the eigenpairs of the point it stops at, and with g = grad theta(y)
+the hollow matrix X = M - (g 1^T + 1 g^T) / 2 has J X J = J M J,
+negative semidefinite. Its kernel -J X J / 2 has the eigenvectors of
+J (A + Diag y) J, with eigenvalue -l_i / 2 on its non-positive side and
+0 elsewhere. The objective is 1-strongly convex, so the nearest EDM X*
 has (1/2) ||X - X*||_F^2 <= (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
-theta(y)), the duality gap of X at y. Those eigenpairs, V sqrt(-l / 2)
-over the negative l, are a factor of the kernel, and X is certified from
-it by a Weyl bound, with no further eigendecomposition (see ``core``).
+(1/2) ||M||_F^2), the duality gap of X at y. Those eigenpairs,
+V sqrt(-l / 2) over the negative l, are a factor of the kernel, and X is
+certified from it by a Weyl bound, with no further eigendecomposition
+(see ``core``).
 """
 
 from __future__ import annotations
@@ -137,19 +141,18 @@ class ProjectionDiagnostics:
     projection made, one eigendecomposition each, and delta_last is the
     Euclidean norm of its last Newton step (0 if it took none). A move
     along the ones vector costs nothing (see the module docstring), and
-    neither does a start that the projection did not evaluate: the point
-    a ``simulate`` replicate reads off the spectrum it shares with
-    classical MDS, and the previous fit's last evaluation along a penalty
-    path (``shrinkage_path``), so a warm fit can count none.
-    gap is the duality gap (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
-    theta(y)) at the last dual point y of the matrix X that is returned,
-    which bounds (1/2) ||X - X*||_F^2 for the nearest EDM X*. X is the
-    closing EDM with negative rounding clipped, or the zero matrix, whose
-    gap is theta(y), when that is no larger or the closing EDM is zero
-    but for rounding; without convergence it is the closing EDM as is.
-    It is >= 0 up to rounding. c2_residual is the
-    largest magnitude max|g| of the diagonal that the closing step
-    removes.
+    neither does a start whose eigenpairs the caller holds: the point a
+    ``simulate`` replicate reads off the spectrum it shares with
+    classical MDS, or the previous fit's last point along a penalty path
+    (``shrinkage_path``). gap is the duality gap (1/2) ||X - A||_F^2 -
+    ((1/2) ||A||_F^2 - (1/2) ||M||_F^2) at the last dual point y of the
+    matrix X that is returned, with M the closing step's Pi_C1(A +
+    Diag y); it bounds (1/2) ||X - X*||_F^2 for the nearest EDM X*. X is
+    the closing EDM with negative rounding clipped, or the zero matrix,
+    whose gap is (1/2) ||M||_F^2, when that is no larger or the closing
+    EDM is zero but for rounding; without convergence it is the closing
+    EDM as is. It is >= 0 up to rounding. c2_residual is the largest
+    magnitude max|g| of the diagonal that the closing step removes.
     """
 
     cycles: int
@@ -163,34 +166,55 @@ def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projection onto C1 = { M : J M J negative semidefinite }.
 
     The positive part P of J a J is exactly what violates the
-    constraint, so the projection is a - P. J a J = a - r 1^T - 1 r^T +
-    mean(r) 11^T is built from the vector r of row means, and ``eigh``
-    reads one triangle of it. With N = J a J - P, the non-positive part,
-    the projection is also (a - J a J) + N, and it is rebuilt from the
-    smaller of P and N. An asymmetric input projects as its symmetric
-    part does. The result is symmetric up to rounding.
+    constraint, so the projection is a - P. ``eigh`` reads one triangle
+    of J a J, and the projection is rebuilt from the smaller side of its
+    spectrum (see :func:`_c1_from_spectrum`). An asymmetric input
+    projects as its symmetric part does. The result is symmetric up to
+    rounding.
 
     Returns the projection together with the ascending eigenvalues and
-    the eigenvectors of J a J, from which the dual solver of
-    :func:`project_edm_cone` builds its Newton systems.
+    the eigenvectors of J a J.
     """
     a = _as_square(a)
     if not np.array_equal(a, a.T):
         a = symmetrize(a)
-    r = a.mean(axis=1)
-    r_off = r - r.mean()
-    jaj = a - r[:, None]
-    jaj -= r_off
-    vals, vecs = np.linalg.eigh(jaj)
+    vals, vecs = np.linalg.eigh(_double_centered(a))
+    return _c1_from_spectrum(a, vals, vecs), vals, vecs
+
+
+def _double_centered(b: np.ndarray) -> np.ndarray:
+    """J b J = b - r 1^T - 1 r^T + mean(r) 11^T, with r the row means of b."""
+    r = b.mean(axis=1)
+    out = b - r[:, None]
+    out -= r - r.mean()
+    return out
+
+
+def _c1_from_spectrum(b: np.ndarray, vals: np.ndarray,
+                      vecs: np.ndarray) -> np.ndarray:
+    """Pi_C1(b) from eigenpairs (vals, vecs) of J b J.
+
+    With P and N the positive and non-positive parts of J b J, the
+    projection is b - P, and also (b - J b J) + N; it is rebuilt from
+    the smaller of P and N.
+    """
     pos = vals > 0.0
     if 2 * np.count_nonzero(pos) <= vals.size:
         w = vecs[:, pos]
-        return a - (w * vals[pos]) @ w.T, vals, vecs
+        return b - (w * vals[pos]) @ w.T
     w = vecs[:, ~pos]
     m = (w * vals[~pos]) @ w.T
+    r = b.mean(axis=1)
     m += r[:, None]
-    m += r_off
-    return m, vals, vecs
+    m += r - r.mean()
+    return m
+
+
+def _plus_diag(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A + Diag y, as a new array."""
+    b = a.copy()
+    b.flat[:: b.shape[0] + 1] += y
+    return b
 
 
 def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
@@ -266,112 +290,76 @@ def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 
 
 class _DualPoint(NamedTuple):
-    """The dual at y: theta(y), its gradient g = diag M with M =
-    Pi_C1(A + Diag y), and eigenpairs (vals, vecs) of J (A + Diag y) J.
-
-    m is M for a point that ``_evaluate`` computed, and None for a point
-    read off eigenpairs with no M: a line point of :func:`_line_step`,
-    or a start of :func:`_spectrum_point`. A line point's vals are
-    shifted, not computed, and need not ascend; every other point's
-    ascend."""
+    """The dual at y: theta(y), its gradient g = diag Pi_C1(A + Diag y),
+    and the eigenpairs (vals, vecs) of J (A + Diag y) J they are read off.
+    A line point's vals are shifted, not computed, and need not ascend;
+    every other point's ascend."""
 
     y: np.ndarray
-    m: np.ndarray | None
     g: np.ndarray
     theta: float
     vals: np.ndarray
     vecs: np.ndarray
 
-    def shifted(self, c: float) -> "_DualPoint":
-        """The same evaluation for the input A - c (11^T - I) at y - c 1.
 
-        That point is B - c 11^T with B = A + Diag y. J 1 = 0, so J B J,
-        its eigenpairs and the positive part that Pi_C1 removes are
-        unchanged, and Pi_C1(B - c 11^T) = Pi_C1(B) - c 11^T: no
-        eigendecomposition is needed.
-        """
-        return _dual_point(self.y - c, self.m - c, self.vals, self.vecs)
+def _dual_point(a: np.ndarray, norm2: float, y: np.ndarray,
+                vals: np.ndarray, vecs: np.ndarray) -> _DualPoint:
+    """theta and its gradient at y, read off eigenpairs (vals, vecs) of
+    J (A + Diag y) J in O(n k) work for k positive eigenvalues, with
+    ``norm2`` = ||A||_F^2 (see the module docstring).
 
-
-def _dual_point(y, m, vals, vecs) -> _DualPoint:
-    return _DualPoint(y, m, m.diagonal().copy(), 0.5 * float(np.vdot(m, m)),
-                      vals, vecs)
-
-
-def _evaluate(a: np.ndarray, y: np.ndarray) -> _DualPoint:
-    """theta and its gradient at y: one C1 projection, one eigh."""
-    b = a.copy()
-    b.flat[:: b.shape[0] + 1] += y
-    return _dual_point(y, *project_c1(b))
-
-
-def _spectrum_point(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                    offset: float) -> _DualPoint:
-    """The dual point y = -offset 1 of ``a``, with no eigh and no M.
-
-    ``vals`` and ``vecs`` are ascending eigenpairs of J X J for a matrix
-    X with J a J = J X J + offset J, such as X itself when ``a`` is X
-    shrunk by ``offset`` off the diagonal. Then J (a - offset I) J =
-    J X J, so they are the eigenpairs of that point, and with P the
-    positive part of J X J, ||Pi_C1(B)||^2 = ||B||^2 - ||P||^2 and
-    diag Pi_C1(B) = diag B - diag P at B = a - offset I.
+    Both round relative to ||A + Diag y||_F, which can be far larger
+    than ||Pi_C1(A + Diag y)||_F when most of it is removed.
     """
-    n = vals.size
     pos = vals > 0.0
     w, lam = vecs[:, pos], vals[pos]
-    norm2 = (float(np.vdot(a, a)) - 2.0 * offset * float(np.trace(a))
-             + n * offset**2)
-    g = a.diagonal() - offset - (w * w) @ lam
-    return _DualPoint(np.full(n, -offset), None, g,
+    d = a.diagonal()
+    norm2 += float(y @ (2.0 * d + y))
+    return _DualPoint(y, d + y - (w * w) @ lam,
                       0.5 * (norm2 - float(lam @ lam)), vals, vecs)
 
 
-def _line_step(pt: _DualPoint, trace_a: float) -> _DualPoint | None:
+def _evaluate(a: np.ndarray, norm2: float, y: np.ndarray) -> _DualPoint:
+    """theta and its gradient at y: one eigh of J (A + Diag y) J."""
+    return _dual_point(a, norm2, y,
+                       *np.linalg.eigh(_double_centered(_plus_diag(a, y))))
+
+
+def _line_step(pt: _DualPoint, a: np.ndarray,
+               norm2: float) -> _DualPoint | None:
     """The minimizer of theta along pt.y + t 1, read off pt's eigenpairs.
 
     ``pt`` has ascending eigenpairs (l, V) of J B J, B = A + Diag y, and
-    ``trace_a`` is tr A. One column must be the ones vector: its
+    ``norm2`` is ||A||_F^2. One column must be the ones vector: its
     eigenvalue is taken as 0 and stays 0, and every other l_i moves to
     l_i + t with the same eigenvector (see the module docstring). Over
-    those n - 1 eigenpairs, with tr B = tr A + sum y,
-
-        theta(y + t 1) = theta(y) + t tr B + n t^2 / 2
-                         - (1/2) sum_i (max(l_i + t, 0)^2 - max(l_i, 0)^2),
-        grad theta(y + t 1) = g + t 1 + (V o V)(max(l, 0) - max(l + t, 0)),
-
-    in O(n^2) with no eigendecomposition and no n x n matrix. The slope
-    tr B + n t - sum_i max(l_i + t, 0) is bounded above by the linear
-    tr B + n t - sum_{i <= k} (l_i + t) over the k largest l_i. Each of
-    those n bounds has its root at or below t*, and the one whose k
-    eigenvalues are positive at t* has its root at t*, so t* = max_k
-    (S_k - tr B) / (n - k), with S_k the sum of the k largest l_i, for
-    k = 0, ..., n - 1.
+    those n - 1 eigenpairs, with tr B = tr A + sum y, the slope of
+    theta(y + t 1) is tr B + n t - sum_i max(l_i + t, 0). It is bounded
+    above by the linear tr B + n t - sum_{i <= k} (l_i + t) over the k
+    largest l_i. Each of those n bounds has its root at or below t*, and
+    the one whose k eigenvalues are positive at t* has its root at t*,
+    so t* = max_k (S_k - tr B) / (n - k), with S_k the sum of the k
+    largest l_i, for k = 0, ..., n - 1.
 
     Returns the line point at y + t* 1, with eigenvalues l + t* and 0 on
-    the ones vector, in the order of ``pt.vals``, and no M. Returns None
-    when no column v has |v^T 1| / sqrt(n) within 1e-10 of 1, as when 0
-    is a repeated eigenvalue of J B J; the eigenvectors then do not split
-    off the ones vector.
+    the ones vector, in the order of ``pt.vals``, in O(n^2) work with no
+    eigendecomposition. Returns None when no column v has |v^T 1| /
+    sqrt(n) within 1e-10 of 1, as when 0 is a repeated eigenvalue of
+    J B J; the eigenvectors then do not split off the ones vector.
     """
     n = pt.vals.size
     along = np.abs(pt.vecs.sum(axis=0)) / np.sqrt(n)
     ones = int(np.argmax(along))
     if not abs(along[ones] - 1.0) <= 1e-10:
         return None
-    old = pt.vals.copy()
-    old[ones] = 0.0
-    trace_b = trace_a + float(pt.y.sum())
-    sums = np.concatenate(([0.0], np.cumsum(np.delete(old, ones)[::-1])))
+    vals = pt.vals.copy()
+    vals[ones] = 0.0
+    trace_b = float(np.trace(a)) + float(pt.y.sum())
+    sums = np.concatenate(([0.0], np.cumsum(np.delete(vals, ones)[::-1])))
     t = float(np.max((sums - trace_b) / (n - np.arange(n))))
-    new = old + t
-    new[ones] = 0.0
-    lo, hi = np.maximum(old, 0.0), np.maximum(new, 0.0)
-    moved = lo != hi
-    w, step = pt.vecs[:, moved], hi[moved] - lo[moved]
-    g = pt.g + t - (w * w) @ step
-    theta = (pt.theta + t * trace_b + 0.5 * n * t * t
-             - 0.5 * float(step @ (hi[moved] + lo[moved])))
-    return _DualPoint(pt.y + t, None, g, theta, new, pt.vecs)
+    vals += t
+    vals[ones] = 0.0
+    return _dual_point(a, norm2, pt.y + t, vals, pt.vecs)
 
 
 def project_edm_cone(
@@ -411,20 +399,22 @@ def project_edm_cone(
 
 
 def _project_from(
-    a, cfg: SolverConfig | None = None, start: _DualPoint | None = None
+    a, cfg: SolverConfig | None = None,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint, np.ndarray]:
-    """:func:`project_edm_cone` started at the dual point ``start`` of
-    this input instead of at y = 0, returning its last evaluated dual
-    point and the factor that certified the result too.
+    """:func:`project_edm_cone` started at the dual point y of this input
+    instead of at y = 0, returning the dual point it closed on and the
+    factor that certified the result too.
 
-    ``start`` costs no evaluation, so a fit from an evaluated point that
-    already meets the stopping rule makes no eigendecomposition. A point
-    with no M that meets the rule, a line point or a start read off a
-    spectrum, is evaluated once before it is accepted. A fit closes on
-    the last point it evaluated, or on ``start`` if it evaluated none, so
-    that the certificate reads a computed spectrum: the factor
-    V sqrt(-l / 2) of its eigenpairs over its negative eigenvalues l, or
-    no column when the zero matrix is returned.
+    ``start`` is (y, vals, vecs), with ascending eigenpairs of
+    J (A + Diag y) J that the caller already holds, so it costs no
+    evaluation, and a fit whose start meets the stopping rule makes no
+    eigendecomposition. A line point that meets the rule is evaluated
+    once before it is accepted. A fit closes on the last point it
+    evaluated, or on its start if it evaluated none, so that M and the
+    certificate read a computed spectrum: the factor V sqrt(-l / 2) of
+    its eigenpairs over its negative eigenvalues l, or no column when the
+    zero matrix is returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if np.abs(a - a.T).max() > 0.0:
@@ -432,8 +422,7 @@ def _project_from(
     if cfg is None:
         cfg = SolverConfig()
     scale = float(np.linalg.norm(a))
-    floor = cfg.tol * scale
-    trace = float(np.trace(a))
+    norm2, floor = scale * scale, cfg.tol * scale
 
     def arrive(pt: _DualPoint) -> _DualPoint:
         # a start or an accepted step, short of the rule, moves once along
@@ -442,30 +431,28 @@ def _project_from(
         # disagreement at the rule cannot make the two alternate
         if np.linalg.norm(pt.g) <= floor:
             return pt
-        line = _line_step(pt, trace)
+        line = _line_step(pt, a, norm2)
         return pt if line is None else line
 
     if start is None:
-        pt, cycles = _evaluate(a, np.zeros(a.shape[0])), 1
+        last, cycles = _evaluate(a, norm2, np.zeros(a.shape[0])), 1
     else:
-        pt, cycles = start, 0
-    # the last point evaluated, or the start: a fit closes on it, since
-    # a line point has no M
-    last = pt
-    pt = arrive(pt)
+        last, cycles = _dual_point(a, norm2, *start), 0
+    # last is the point last evaluated, or the start: the fit closes on it
+    pt = arrive(last)
     delta = 0.0
     converged = stalled = False
 
     while True:
         gnorm = float(np.linalg.norm(pt.g))
-        if gnorm <= floor and pt.m is not None:
+        if gnorm <= floor and pt is last:
             converged = True
             break
         if cycles >= cfg.max_cycles:
             break
         if gnorm <= floor:
-            # a point with no M meets the rule: stop only once evaluated
-            pt = last = _evaluate(a, pt.y)
+            # a line point meets the rule: stop only once evaluated
+            pt = last = _evaluate(a, norm2, pt.y)
             cycles += 1
             continue
         rel = gnorm / scale
@@ -476,7 +463,7 @@ def _project_from(
             d, slope = -pt.g, -gnorm**2
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
-            trial = last = _evaluate(a, pt.y + t * d)
+            trial = last = _evaluate(a, norm2, pt.y + t * d)
             cycles += 1
             if (trial.theta <= pt.theta + ARMIJO * t * slope
                     or np.linalg.norm(trial.g) <= 0.5 * gnorm):
@@ -491,28 +478,31 @@ def _project_from(
             break
 
     pt = last
-    out = pt.m - 0.5 * (pt.g[:, None] + pt.g[None, :])
+    m = _c1_from_spectrum(_plus_diag(a, pt.y), pt.vals, pt.vecs)
+    theta = 0.5 * float(np.vdot(m, m))
+    out = m - 0.5 * (pt.g[:, None] + pt.g[None, :])
     out += out.T
     out *= 0.5
     np.fill_diagonal(out, 0.0)
     # M rounds by about e = n eps (||M||_F + 2 ||P||_F) from either side
     # of the split J B J = P + N, B = A + Diag y: B - P rounds with B and
     # P, and ||B||_F <= ||M||_F + ||P||_F; (B - J B J) + N rounds with B
-    # and N, and ||N||_F = ||J M J||_F <= ||M||_F. X, an EDM but for that
-    # rounding, is off by at most 2 e per entry
+    # and N, and ||N||_F = ||J M J||_F <= ||M||_F; g = diag B - diag P
+    # rounds with B and P too. X, an EDM but for that rounding, is off by
+    # at most 2 e per entry
     psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
     slack = a.shape[0] * np.finfo(float).eps * (
-        np.sqrt(2.0 * pt.theta) + 2.0 * psd)
+        np.sqrt(2.0 * theta) + 2.0 * psd)
     top = -float(pt.vals[0]) - slack
     low = float(out.min())
     if converged and low >= -2.0 * slack:
         np.maximum(out, 0.0, out=out)
     # (1/2) ||X - A||^2 - ((1/2) ||A||^2 - theta), with no n x n temporary
-    gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + pt.theta
-    if converged and (pt.theta <= gap or top <= 0.0):
+    gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + theta
+    if converged and (theta <= gap or top <= 0.0):
         # the zero matrix has gap theta at y: no larger than X's, or X is
         # zero but for rounding, its kernel's spectrum within e of 0
-        out, gap = np.zeros_like(out), pt.theta
+        out, gap = np.zeros_like(out), theta
     diag = ProjectionDiagnostics(cycles, delta, gap,
                                  float(np.abs(pt.g).max()), converged)
     if not converged:

@@ -15,26 +15,25 @@ point y of penalty eta, the input of penalty eta + c has
 
     (A - c (11^T - I)) + Diag(y - c 1) = (A + Diag y) - c 11^T,
 
-and J 1 = 0, so Pi_C1 of it is Pi_C1(A + Diag y) - c 11^T, from the
-eigenpairs already computed. ``shrinkage_path`` uses this to fit a grid
-of penalties in ascending order, each started from the last dual point of
-the one before. Each fit still stops and is certified on its own
-tolerance, so a path fit agrees with ``distance_shrinkage`` of the same
-penalty to within that tolerance, not bit for bit; the first fit of a
-path is the same computation as ``distance_shrinkage``.
+and J 1 = 0, so the eigenpairs of J (A + Diag y) J are those of the
+point y - c 1 of the new input too. ``shrinkage_path`` uses this to fit
+a grid of penalties in ascending order, each started from the last dual
+point of the one before (see the ``projection`` module docstring). Each fit
+still stops and is certified on its own tolerance, so a path fit agrees
+with ``distance_shrinkage`` of the same penalty to within that
+tolerance, not bit for bit; the first fit of a path is the same
+computation as ``distance_shrinkage``.
 
 The same fact makes a spectrum of J X J serve every penalty: the input A
 of penalty eta has J (A - eta I) J = J X J, so the eigenpairs of J X J
-are those of the dual point y = -eta 1 of A, and theta and its gradient
-there follow from them with no eigendecomposition (see the ``projection``
-module docstring, which also moves every point along the ones vector
-for free). Every fit runs in one loop over the penalties, which takes
-that spectrum as an option and then starts its first fit there;
-``simulate`` passes the spectrum of -J X J / 2 that classical MDS
-decomposes anyway, so one eigendecomposition per replicate serves both
-methods. A fit keeps the factor of its kernel that certified it,
-principal axes read off its projection's last evaluation, and
-``truncate_rank`` takes the coordinates from its leading columns.
+are those of the dual point y = -eta 1 of A, with no eigendecomposition.
+Every fit runs in one loop over the penalties, which takes that spectrum
+as an option and then starts its first fit there; ``simulate`` passes
+the spectrum of -J X J / 2 that classical MDS decomposes anyway, so one
+eigendecomposition per replicate serves both methods. A fit keeps the
+factor of its kernel that certified it, principal axes read off the
+eigenpairs its projection closed on, and ``truncate_rank`` takes the
+coordinates from its leading columns.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .projection import (
     ProjectionDiagnostics,
     SolverConfig,
     _project_from,
-    _spectrum_point,
 )
 
 
@@ -169,24 +167,24 @@ def _walk_path(
     """The fits of the checked, ascending penalties ``lams``.
 
     Each fit after the first starts from the last dual point of the one
-    before. The first starts cold, or, given ``spectrum``, the descending
+    before, moved to its own input: (y - (eta - eta_prev) 1, vals, vecs).
+    The first starts cold, or, given ``spectrum``, the descending
     eigenpairs (mu, vecs) of center_gram(x) from ``eigh_descending``, at
     the dual point y = -eta 1 of its input, whose eigenpairs are (-2 mu,
-    vecs), ascending through the spectrum of J X J, with no
-    eigendecomposition. The projection moves either start along the ones
+    vecs), ascending through the spectrum of J X J. Neither start needs
+    an eigendecomposition. The projection moves either along the ones
     vector before its first Newton step, to the best constant dual point;
     when the eigenvectors do not split off the ones vector, it steps from
     the start itself.
     """
-    point, eta_prev = None, 0.0
+    start, last, eta_prev = None, None, 0.0
     for lam in lams:
         eta = lam / (2 * x.n)
-        a = _shrunk(x, eta)
-        if point is not None:
-            point = point.shifted(eta - eta_prev)
+        if last is not None:
+            start = (last.y - (eta - eta_prev), last.vals, last.vecs)
         elif spectrum is not None:
-            point = _spectrum_point(a, -2.0 * spectrum[0], spectrum[1], eta)
-        d_hat, diag, point, factor = _project_from(a, cfg, point)
+            start = (np.full(x.n, -eta), -2.0 * spectrum[0], spectrum[1])
+        d_hat, diag, last, factor = _project_from(_shrunk(x, eta), cfg, start)
         eta_prev = eta
         yield ShrinkageFit(d_hat, lam, diag, factor)
 
@@ -266,5 +264,9 @@ def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
     EDMs. No shrinkage is applied.
     """
     _check_rank(r, x.n)
-    mu, vecs = eigh_descending(center_gram(x.entries))
+    return _mds_fit(*eigh_descending(center_gram(x.entries)), r)
+
+
+def _mds_fit(mu: np.ndarray, vecs: np.ndarray, r: int) -> RankTruncatedFit:
+    """Classical scaling at rank r from descending eigenpairs of -J X J / 2."""
     return _top_r_fit(vecs[:, :r] * np.sqrt(np.clip(mu[:r], 0.0, None)), r)

@@ -31,7 +31,7 @@ from .noise import NoiseModel, add_noise
 from .projection import NotConvergedError, SolverConfig
 from .shrinkage import (
     _check_rank,
-    _top_r_fit,
+    _mds_fit,
     _walk_path,
     recommended_lambda,
 )
@@ -173,9 +173,7 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     for rep in range(cfg.reps):
         x = add_noise(d_true, cfg.noise, cfg.seed, replicate=rep)
         mu, vecs = eigh_descending(center_gram(x.entries))
-        kept = np.sqrt(np.clip(mu[:cfg.rank_r], 0.0, None))
-        mds_coords = _top_r_fit(vecs[:, :cfg.rank_r] * kept,
-                                cfg.rank_r).embedding.coords
+        mds_coords = _mds_fit(mu, vecs, cfg.rank_r).embedding.coords
         mds_stress = kruskal_stress(
             SymHollowMatrix(_distances_from_coords(mds_coords)), d_true)
         try:

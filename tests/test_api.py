@@ -29,14 +29,16 @@ def test_benchmark_patches_install(make):
 
 def test_fit_path_calls_traced_names(rng):
     # a fit keeps the factor that certified its projection, which
-    # project_edm_cone does not return, so the fit path bypasses it; the
-    # projection is called on its own to see that its patch runs
+    # project_edm_cone does not return, so the fit path bypasses it, and
+    # the solver reads its dual points off eigenpairs, not project_c1;
+    # both are called on their own to see that their patches run
     tracer = tracing.Tracer()
     with tracer.install():
         x = random_hollow(rng, 6)
         fit = shrinkage.distance_shrinkage(x, 0.5)
         shrinkage.truncate_rank(fit, 2)
         projection.project_edm_cone(x)
+        projection.project_c1(x.entries)
     seen = set(tracer.totals())
     for name in ("shrinkage.distance_shrinkage", "shrinkage.truncate_rank",
                  "projection.project_edm_cone", "projection.project_c1",
@@ -46,13 +48,13 @@ def test_fit_path_calls_traced_names(rng):
 
 def test_path_calls_traced_names(rng):
     # grid fits bypass distance_shrinkage and project_edm_cone, but still
-    # project and certify through the traced functions
+    # decompose and certify through the traced functions
     tracer = tracing.Tracer()
     with tracer.install():
         fits = list(shrinkage.shrinkage_path(random_hollow(rng, 6), [0.5, 1.0]))
     assert len(fits) == 2
     seen = set(tracer.totals())
-    for name in ("projection.project_c1", "core.certify_edm", "linalg.eigh"):
+    for name in ("core.certify_edm", "linalg.eigh"):
         assert name in seen, name
 
 

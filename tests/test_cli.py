@@ -236,6 +236,16 @@ class TestSimulate:
         assert code == 0
         assert out.read_text().startswith("method,replicate")
 
+    def test_negative_xyz_atom_count_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "p.xyz"
+        path.write_text("-1\ncomment\nC 0 0 0\nC 1 0 0\nC 0 1 0\n")
+        code = main(["simulate", "--input", str(path), "--format", "xyz",
+                     "--sigma2", "0.05", "--reps", "1", "--sigma", "0.223",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "atom count -1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_rank_capped_at_n_minus_one(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["simulate", "--helix", "3", "--sigma2", "0.05",

@@ -265,6 +265,14 @@ class TestCoordLoaders:
         with pytest.raises(ValueError, match="announces"):
             fileio.load_coords(path, "xyz")
 
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_xyz_count_below_one(self, tmp_path, count):
+        # a count of -1 must not slice off the last atom as body[:-1]
+        path = tmp_path / "p.xyz"
+        path.write_text(f"{count}\ncomment\nC 0 0 0\nC 1 0 0\nC 0 1 0\n")
+        with pytest.raises(ValueError, match=r"p\.xyz:1: atom count"):
+            fileio.load_coords(path, "xyz")
+
     def test_pdb_atom_records(self, tmp_path):
         lines = [
             "HEADER    TEST",

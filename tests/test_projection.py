@@ -19,8 +19,8 @@ from edmshrink import (
 )
 from edmshrink import projection
 from edmshrink.core import eigh_descending
-from edmshrink.projection import (_evaluate, _line_step, _newton_system,
-                                  _spectrum_point, project_c1)
+from edmshrink.projection import (_dual_point, _evaluate, _line_step,
+                                  _newton_system, project_c1)
 from edmshrink.shrinkage import _walk_path, distance_shrinkage
 
 from conftest import centering, random_edm, random_hollow
@@ -74,6 +74,20 @@ def dykstra_reference(a: np.ndarray, tol: float) -> np.ndarray:
             return s
         x = s
     raise AssertionError("Dykstra reference did not converge")
+
+
+def norm2(a: np.ndarray) -> float:
+    return float(np.vdot(a, a))
+
+
+def evaluate_at(a: np.ndarray, y: np.ndarray):
+    """The dual point of ``a`` at y, from one eigendecomposition."""
+    return _evaluate(a, norm2(a), y)
+
+
+def line_from(pt, a: np.ndarray):
+    """The line step of the dual point ``pt`` of ``a``."""
+    return _line_step(pt, a, norm2(a))
 
 
 def random_symmetric(rng, n, scale=3.0) -> np.ndarray:
@@ -214,21 +228,54 @@ class TestNewtonSystem:
             assert np.abs(hess(h) - eps * h - fd).max() <= 1e-6 * np.linalg.norm(h)
 
 
+def dual_point_of_kind(kind: str, rng, n: int):
+    """An input A and a dual point of it, of each kind the solver visits:
+    evaluated, a warm start shifted from another penalty, the start read
+    off a spectrum of J X J, and a line point."""
+    x = random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
+    y = rng.normal(size=n)
+    if kind == "evaluated":
+        return x, evaluate_at(x, y)
+    if kind == "line":
+        return x, line_from(evaluate_at(x, y), x)
+    a = x - 1.5 * (1.0 - np.eye(n))
+    if kind == "warm":
+        pt = evaluate_at(x, y)
+        return a, _dual_point(a, norm2(a), y - 1.5, pt.vals, pt.vecs)
+    mu, vecs = eigh_descending(center_gram(x))
+    return a, _dual_point(a, norm2(a), np.full(n, -1.5), -2.0 * mu, vecs)
+
+
+class TestDualPointFormula:
+    """theta and its gradient, read off the eigenpairs of every kind of
+    dual point, against (1/2) ||M||_F^2 and diag M of the C1 projection
+    M = Pi_C1(A + Diag y)."""
+
+    @pytest.mark.parametrize("kind", ["evaluated", "warm", "spectrum", "line"])
+    @pytest.mark.parametrize("n", [3, 12, 30])
+    def test_matches_project_c1(self, rng, n, kind):
+        a, pt = dual_point_of_kind(kind, rng, n)
+        m = project_c1(a + np.diag(pt.y))[0]
+        scale = np.linalg.norm(m)
+        assert abs(pt.theta - 0.5 * scale**2) <= 1e-12 * scale**2
+        assert np.abs(pt.g - m.diagonal()).max() <= 1e-12 * scale
+
+
 class TestShiftedDualPoint:
-    """The warm start of a penalty path: the dual point of A at y, shifted
-    by c, is the dual point of A - c (11^T - I) at y - c 1, computed
-    without an eigendecomposition."""
+    """The warm start of a penalty path: the eigenpairs of the dual point
+    of A at y are those of the point y - c 1 of A - c (11^T - I), so it
+    needs no eigendecomposition."""
 
     @pytest.mark.parametrize("c", [-2.5, 0.1, 3.0])
     @pytest.mark.parametrize("n", [3, 12, 30])
     def test_matches_fresh_evaluation(self, rng, n, c):
         a = random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
         y = rng.normal(size=n)
-        moved = _evaluate(a, y).shifted(c)
-        fresh = _evaluate(a - c * (1.0 - np.eye(n)), y - c)
-        scale = np.linalg.norm(fresh.m)
-        assert np.array_equal(moved.y, fresh.y)
-        assert np.abs(moved.m - fresh.m).max() <= 1e-12 * scale
+        pt = evaluate_at(a, y)
+        shifted = a - c * (1.0 - np.eye(n))
+        moved = _dual_point(shifted, norm2(shifted), y - c, pt.vals, pt.vecs)
+        fresh = evaluate_at(shifted, y - c)
+        scale = np.linalg.norm(project_c1(shifted + np.diag(y - c))[0])
         assert np.abs(moved.g - fresh.g).max() <= 1e-12 * scale
         assert abs(moved.theta - fresh.theta) <= 1e-12 * scale**2
         assert np.abs(moved.vals - fresh.vals).max() <= 1e-12 * scale
@@ -254,7 +301,8 @@ def golden_section_min(f, lo: float, hi: float, iters: int = 120) -> float:
 def constant_start(a, vals, vecs, offset):
     """The line step from the point of a spectrum: the best constant dual
     point, as a fit from that spectrum reaches it."""
-    return _line_step(_spectrum_point(a, vals, vecs, offset), np.trace(a))
+    y = np.full(a.shape[0], -offset)
+    return line_from(_dual_point(a, norm2(a), y, vals, vecs), a)
 
 
 class TestConstantStart:
@@ -267,17 +315,16 @@ class TestConstantStart:
         for _ in range(3):
             # a nonzero diagonal puts tr A into the slope of theta(c 1)
             a = random_symmetric(rng, n)
-            zero = _evaluate(a, np.zeros(n))
-            start = _line_step(zero, np.trace(a))
+            zero = evaluate_at(a, np.zeros(n))
+            start = line_from(zero, a)
             c = float(start.y[0])
             width = float(np.linalg.norm(a))
             brute = golden_section_min(
-                lambda t: _evaluate(a, np.full(n, t)).theta,
+                lambda t: evaluate_at(a, np.full(n, t)).theta,
                 c - width, c + width)
             assert abs(brute - c) <= 1e-6 * width
             # the shifted spectrum gives the point a fresh eigh gives
-            fresh = _evaluate(a, start.y)
-            assert start.m is None
+            fresh = evaluate_at(a, start.y)
             assert np.abs(start.g - fresh.g).max() <= 1e-12 * width
             assert abs(start.theta - fresh.theta) <= 1e-12 * width**2
             assert np.abs(np.sort(start.vals) - fresh.vals).max() <= (
@@ -299,7 +346,7 @@ class TestConstantStart:
         x = random_hollow(rng, n, scale=2.0).entries
         for eta in (0.0, 0.4, 1.5):
             a = x - eta * (1.0 - np.eye(n))
-            mine = _line_step(_evaluate(a, np.zeros(n)), np.trace(a))
+            mine = line_from(evaluate_at(a, np.zeros(n)), a)
             vals, vecs = np.linalg.eigh(-2.0 * center_gram(x))
             shared = constant_start(a, vals, vecs, eta)
             width = np.linalg.norm(a)
@@ -313,9 +360,9 @@ class TestConstantStart:
         n = int(gen.integers(2, 30))
         a = random_hollow(gen, n, scale=float(gen.uniform(0.1, 10.0))).entries
         a = a - float(gen.uniform(-1.0, 1.0)) * (1.0 - np.eye(n))
-        zero = _evaluate(a, np.zeros(n))
-        start = _line_step(zero, np.trace(a))
-        assert _evaluate(a, start.y).theta <= zero.theta
+        zero = evaluate_at(a, np.zeros(n))
+        start = line_from(zero, a)
+        assert evaluate_at(a, start.y).theta <= zero.theta
 
     @pytest.mark.parametrize("x", [
         np.zeros((5, 5)),
@@ -345,8 +392,7 @@ class TestConstantStart:
 
 class TestLineStep:
     """The move of a dual point y to the minimizer of theta along y + t 1,
-    read off the eigenpairs of J (A + Diag y) J with no eigendecomposition
-    and no M."""
+    read off the eigenpairs of J (A + Diag y) J with no eigendecomposition."""
 
     @pytest.mark.parametrize("hollow", [False, True])
     @pytest.mark.parametrize("n", [2, 5, 17, 40])
@@ -356,11 +402,10 @@ class TestLineStep:
             if hollow:
                 np.fill_diagonal(a, 0.0)
             y = rng.normal(size=n)
-            line = _line_step(_evaluate(a, y), np.trace(a))
+            line = line_from(evaluate_at(a, y), a)
             t = float(line.y[0] - y[0])
             assert np.allclose(line.y - y, t, rtol=0.0, atol=1e-15 * abs(t))
-            fresh = _evaluate(a, line.y)
-            assert line.m is None
+            fresh = evaluate_at(a, line.y)
             # both round relative to B = A + Diag y, which can be far
             # larger than M when most of B is removed
             b = np.linalg.norm(a + np.diag(line.y))
@@ -371,26 +416,27 @@ class TestLineStep:
     def test_minimizes_theta_along_ones(self, rng, n):
         for _ in range(3):
             a = random_symmetric(rng, n)
-            line = _line_step(_evaluate(a, rng.normal(size=n)), np.trace(a))
-            here = _evaluate(a, line.y).theta
+            line = line_from(evaluate_at(a, rng.normal(size=n)), a)
+            here = evaluate_at(a, line.y).theta
             for delta in (1e-3, 1e-1, 1.0):
                 for sign in (-1.0, 1.0):
-                    moved = _evaluate(a, line.y + sign * delta).theta
+                    moved = evaluate_at(a, line.y + sign * delta).theta
                     assert moved >= here * (1.0 - 1e-14)
 
     def test_not_converged_at_a_line_point(self, rng):
-        # at max_cycles the fit holds a line point, which has no M: the
-        # diagnostics describe the last point it evaluated
+        # at max_cycles the fit holds a line point, whose eigenvalues are
+        # shifted, not computed: the diagnostics describe the last point
+        # it evaluated
         x = random_hollow(rng, 8, scale=4.0)
         cfg = SolverConfig(tol=1e-12, max_cycles=2)
         lines, evaluated = [], []
 
-        def line_step(pt, trace):
-            lines.append(_line_step(pt, trace))
+        def line_step(pt, a, a_norm2):
+            lines.append(_line_step(pt, a, a_norm2))
             return lines[-1]
 
-        def evaluate(a, y):
-            evaluated.append(_evaluate(a, y))
+        def evaluate(a, a_norm2, y):
+            evaluated.append(_evaluate(a, a_norm2, y))
             return evaluated[-1]
 
         with mock.patch.object(projection, "_line_step", line_step), \

@@ -87,6 +87,14 @@ class TestRunExperiment:
         assert rep.classical_mds.mean <= 1e-8
         assert not rep.failed
 
+    def test_noiseless_unpenalized_fit_needs_no_evaluation(self, truth):
+        # the shared spectrum's start of an EDM at lam = 0 is the EDM's own
+        # dual point, which meets the stopping rule as it stands
+        cfg = small_cfg(noise=NoiseModel("gaussian", 0.0), lam=0.0, sigma=None)
+        rep = run_experiment(truth, cfg)
+        assert all(r.cycles == 0 for r in rep.replicates)
+        assert max(r.shrinkage_stress for r in rep.replicates) < 1e-12
+
     def test_accepts_coordinates(self):
         rep = run_experiment(helix_coords(10), small_cfg())
         assert rep.n == 10

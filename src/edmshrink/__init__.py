@@ -13,9 +13,8 @@ from the last (``shrinkage_path``).
 transforms and metrics, the noise model, the projection and its three-point
 analysis, the estimator and its path over a penalty grid with the
 classical-scaling baseline and penalty rule, and the simulation study.
-Building blocks such as ``project_c1``, ``pair_stream`` and
-``eigh_descending``, and the result types stay importable from their
-modules.
+Building blocks such as ``project_c1`` and ``pair_stream``, and the
+result types stay importable from their modules.
 """
 
 from .core import (

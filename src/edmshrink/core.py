@@ -90,17 +90,22 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def symmetrize_within(a: np.ndarray, tol: float, hollow: bool = True
-                      ) -> np.ndarray:
-    """(a + a.T) / 2 of a square array that is symmetric within ``tol``,
-    with the diagonal, which must then vanish within ``tol``, zeroed when
-    ``hollow``; larger deviations (absolute) raise ValueError."""
-    if np.abs(a - a.T).max() > tol:
-        raise ValueError(f"asymmetry exceeds tolerance {tol}")
+# Tolerance of symmetrize_within, relative to max|a|: scale-free.
+SYMMETRY_RTOL = 1e-9
+
+
+def symmetrize_within(a: np.ndarray, hollow: bool = True) -> np.ndarray:
+    """(a + a.T) / 2 of a square array that is symmetric within
+    SYMMETRY_RTOL times max|a|, with the diagonal, which must then vanish
+    within that bound, zeroed when ``hollow``; larger deviations raise
+    ValueError."""
+    tol = SYMMETRY_RTOL * float(np.abs(a).max(initial=0.0))
+    if np.abs(a - a.T).max(initial=0.0) > tol:
+        raise ValueError(f"asymmetry exceeds tolerance {tol:.3e}")
     a = symmetrize(a)
     if hollow:
-        if np.abs(a.diagonal()).max() > tol:
-            raise ValueError(f"diagonal magnitude exceeds tolerance {tol}")
+        if np.abs(a.diagonal()).max(initial=0.0) > tol:
+            raise ValueError(f"diagonal magnitude exceeds tolerance {tol:.3e}")
         np.fill_diagonal(a, 0.0)
     return a
 
@@ -118,17 +123,6 @@ def center_gram(d: np.ndarray) -> np.ndarray:
     return symmetrize(b)
 
 
-def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition with a reproducible convention.
-
-    Eigenvalues are sorted descending; each eigenvector is unit norm with
-    its first component of magnitude > 1e-12 made positive, so repeated
-    runs produce identical factors.
-    """
-    vals, vecs = np.linalg.eigh(symmetrize(a))
-    return vals[::-1].copy(), _lead_positive(vecs[:, ::-1])
-
-
 def _centered(c: np.ndarray) -> np.ndarray:
     """Coordinates ``c`` less their column means, taken twice: points
     offset by s keep a mean of about n ulp(s) after one pass, which the
@@ -138,10 +132,10 @@ def _centered(c: np.ndarray) -> np.ndarray:
 
 
 def _lead_positive(vecs: np.ndarray) -> np.ndarray:
-    """Columns with the sign convention of ``eigh_descending``: a copy of
-    ``vecs`` with each column's first component of magnitude > 1e-12 times
-    the column's norm made positive, so a column scaled by c > 0 keeps the
-    sign its unit vector gets."""
+    """Columns with a reproducible sign: a copy of ``vecs`` with each
+    column's first component of magnitude > 1e-12 times the column's norm
+    made positive, so repeated runs give identical factors and a column
+    scaled by c > 0 keeps the sign its unit vector gets."""
     big = np.abs(vecs) > 1e-12 * np.linalg.norm(vecs, axis=0)
     if not big.size:
         return vecs.copy()
@@ -176,15 +170,14 @@ class SymHollowMatrix:
         object.__setattr__(self, "entries", _frozen(a))
 
     @classmethod
-    def from_array(cls, entries, tol: float = 1e-9) -> "SymHollowMatrix":
-        """Build from an array that is symmetric and hollow within ``tol``.
+    def from_array(cls, entries) -> "SymHollowMatrix":
+        """Build from an array that is symmetric and hollow within
+        SYMMETRY_RTOL of its largest magnitude.
 
         Symmetry is restored by averaging with the transpose and the
-        diagonal is zeroed; deviations beyond ``tol`` (absolute) are
-        rejected.
+        diagonal is zeroed; larger deviations are rejected.
         """
-        check_tol("tol", tol)
-        return cls(symmetrize_within(_as_square(entries), tol))
+        return cls(symmetrize_within(_as_square(entries)))
 
     @property
     def n(self) -> int:
@@ -419,7 +412,7 @@ def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8,
                      factor)
 
 
-def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
+def edm_from_coords(p) -> EdmMatrix:
     """Squared pairwise distances of a point configuration, as an EDM.
 
     Accepts an Embedding or a plain (n, k) coordinate array, which is
@@ -433,7 +426,7 @@ def edm_from_coords(p, cert_tol: float = 1e-8) -> EdmMatrix:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
     if not isinstance(p, Embedding):
         coords = _centered(coords)
-    return EdmMatrix(_distances_from_coords(coords), cert_tol, coords)
+    return EdmMatrix(_distances_from_coords(coords), factor=coords)
 
 
 def _distances_from_coords(coords: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ distance units.
 
 Square-matrix CSV: n data rows of n comma-separated floats, with an
 optional single leading header line that starts with '#'. Symmetry and
-hollowness are validated on load with absolute tolerance 1e-9; a matrix
-within tolerance is symmetrized by averaging, anything worse is rejected.
+hollowness are validated on load to 1e-9 of the largest |entry|; within
+that a matrix is symmetrized by averaging, anything worse is rejected.
 Matrices and embeddings are written at ``%.17g``, which reads back
 exactly; the bytes equal those of ``np.savetxt(fh, a, fmt="%.17g",
 delimiter=",", header=header, comments="")``. The writer formats each
@@ -31,7 +31,7 @@ import json
 
 import numpy as np
 
-from .core import SymHollowMatrix, check_tol, symmetrize_within
+from .core import SymHollowMatrix, symmetrize_within
 
 SQUARED_CONVENTION = "# squared-distance convention"
 EMBEDDING_HEADER = "# squared-distance convention; centered coordinates"
@@ -60,13 +60,13 @@ def _read_rows(path) -> list[np.ndarray]:
     return rows
 
 
-def load_square_matrix(path, hollow: bool = True, tol: float = 1e-9) -> np.ndarray:
+def load_square_matrix(path, hollow: bool = True) -> np.ndarray:
     """Read a square float matrix from CSV, validating shape and symmetry.
 
-    With ``hollow=True`` the diagonal must vanish within ``tol`` and is
-    zeroed; similarity matrices are loaded with ``hollow=False``.
+    With ``hollow=True`` the diagonal must vanish within the symmetry
+    tolerance (see the module docstring) and is zeroed; similarity
+    matrices are loaded with ``hollow=False``.
     """
-    check_tol("tol", tol)
     rows = _read_rows(path)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -80,14 +80,14 @@ def load_square_matrix(path, hollow: bool = True, tol: float = 1e-9) -> np.ndarr
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: non-finite entries")
     try:
-        return symmetrize_within(a, tol, hollow)
+        return symmetrize_within(a, hollow)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def load_dissimilarity(path, tol: float = 1e-9) -> SymHollowMatrix:
+def load_dissimilarity(path) -> SymHollowMatrix:
     """Load a squared-dissimilarity matrix as a SymHollowMatrix."""
-    return SymHollowMatrix(load_square_matrix(path, hollow=True, tol=tol))
+    return SymHollowMatrix(load_square_matrix(path))
 
 
 # %.17g is at most 24 bytes long: -2.2250738585072014e-308.
@@ -460,7 +460,7 @@ def load_coords(path, fmt: str = "csv") -> np.ndarray:
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     """JSON text with floats at exactly 17 significant digits.
 
     The stdlib encoder formats floats with shortest round-trip repr and
@@ -470,13 +470,13 @@ def dumps_json(obj, indent: int = 2) -> str:
     byte-for-byte reproducible.
     """
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    end_pad = " " * (indent * level)
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    end_pad = "  " * level
     if obj is None or isinstance(obj, bool):
         out.append("null" if obj is None else ("true" if obj else "false"))
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
@@ -497,7 +497,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {type(key)}")
             out.append(pad + json.dumps(key) + ": ")
-            _emit(val, out, indent, level + 1)
+            _emit(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -507,7 +507,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, val in enumerate(obj):
             out.append(pad)
-            _emit(val, out, indent, level + 1)
+            _emit(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "]")
     else:

@@ -31,28 +31,33 @@ systems are solved by conjugate gradients on Hessian-vector products of
 O(n^2 k) work, where k is the smaller of the counts of positive and
 non-positive eigenvalues of J (A + Diag y) J.
 
+Every eigendecomposition leaves out the ones vector, whose eigenvalue in
+J B J is 0. The reflector H = I - v v^T / (n + sqrt(n)), v = 1 +
+sqrt(n) e_n, sends 1 to -sqrt(n) e_n (Hayden and Wells), so J B J =
+H [C 0; 0 0] H for the leading (n - 1) x (n - 1) block C of H B H, and
+each eigenpair (l, q) of C gives the eigenpair (l, H [q; 0]) of J B J.
+The n - 1 eigenvalues l ascend; the eigenvectors V are orthonormal and
+orthogonal to 1.
+
 Every dual point is read off those eigenpairs, with no M. At
-B = A + Diag y, with l and V the eigenvalues and eigenvectors of J B J,
-the part P = Pi_PSD(J B J) that Pi_C1 removes has <B, P> = ||P||_F^2, so
+B = A + Diag y, the part P = Pi_PSD(J B J) that Pi_C1 removes has
+<B, P> = ||P||_F^2, so
 
   theta(y) = (1/2) (||B||_F^2 - sum_i max(l_i, 0)^2),
   grad theta(y) = diag B - (V o V) max(l, 0),
 
 with ||B||_F^2 = ||A||_F^2 + 2 y . diag A + ||y||^2. An evaluation of
-theta costs one eigendecomposition of J B J and no more.
+theta costs one eigendecomposition of C and no more.
 
-Moves along the ones vector come free. J is the identity on the
-complement of the ones vector and J 1 = 0, so J (B + t I) J = J B J + t J:
-the eigenvectors of J B J serve every t, the ones vector keeps its
-eigenvalue 0 and every other eigenvalue l_i moves to l_i + t. By the
-formula above, theta(y + t 1) is a strictly convex, piecewise quadratic
-function of t alone. Each point that the solver arrives at, short of
-its stopping rule, moves to the minimizer along that line before its
-Newton step, in O(n^2) work. At y = 0 that is the best constant dual
-point, where a cold fit starts. A line point's eigenvalues are shifted,
-not computed, so the solver stops only at a point it evaluated or at its
-start: a line point that meets the rule is evaluated once, and that
-evaluation does not move again.
+Moves along the ones vector come free: J V = V, so J (B + t I) J =
+J B J + t J has the eigenpairs (l + t, V) for every t, and theta(y + t 1)
+is a strictly convex, piecewise quadratic function of t alone. Each
+point that the solver arrives at, short of its stopping rule, moves to
+the minimizer along that line before its Newton step, in O(n^2) work. At
+y = 0 that is the best constant dual point, where a cold fit starts. A
+line point's eigenvalues are shifted, not computed, so the solver stops
+only at a point it evaluated or at its start: a line point that meets
+the rule is evaluated once, and that evaluation does not move again.
 
 The solver closes on an exact EDM. It forms M = Pi_C1(A + Diag y) once,
 from the eigenpairs of the point it stops at, and with g = grad theta(y)
@@ -172,34 +177,56 @@ def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     projects as its symmetric part does. The result is symmetric up to
     rounding.
 
-    Returns the projection together with the ascending eigenvalues and
-    the eigenvectors of J a J.
+    Returns the projection together with the n - 1 ascending eigenpairs
+    of J a J off the ones vector (:func:`_centered_eigh`).
     """
     a = _as_square(a)
     if not np.array_equal(a, a.T):
         a = symmetrize(a)
-    vals, vecs = np.linalg.eigh(_double_centered(a))
+    vals, vecs = _centered_eigh(a)
     return _c1_from_spectrum(a, vals, vecs), vals, vecs
 
 
-def _double_centered(b: np.ndarray) -> np.ndarray:
-    """J b J = b - r 1^T - 1 r^T + mean(r) 11^T, with r the row means of b."""
-    r = b.mean(axis=1)
-    out = b - r[:, None]
-    out -= r - r.mean()
-    return out
+def _centered_eigh(a: np.ndarray, y: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The n - 1 ascending eigenpairs of J B J, B = a + Diag y, that leave
+    out the ones vector: one ``eigh`` of the leading block C of H B H (see
+    the module docstring), and O(n^2) work besides.
+
+    H B H = B - v w^T - w v^T with u = B v, c = 1 / (n + sqrt(n)) and
+    w = c u - (c^2 / 2) (v . u) v, and v is 1 on C. An eigenvector q of C
+    lifts to H [q; 0] = [q - c s 1; -s / sqrt(n)] with s = 1 . q.
+    """
+    n = a.shape[0]
+    y = np.zeros(n) if y is None else y
+    root = np.sqrt(n)
+    c = 1.0 / (n + root)
+    u = a.sum(axis=1) + root * a[:, -1] + y
+    u[-1] += root * y[-1]
+    w = c * u[:-1]
+    w -= 0.5 * c * c * (u.sum() + root * u[-1])
+    block = a[:-1, :-1] - w
+    block -= w[:, None]
+    block.flat[::n] += y[:-1]
+    vals, q = np.linalg.eigh(block)
+    s = q.sum(axis=0)
+    vecs = np.empty((n, n - 1))
+    np.subtract(q, c * s, out=vecs[:-1])
+    vecs[-1] = s / -root
+    return vals, vecs
 
 
 def _c1_from_spectrum(b: np.ndarray, vals: np.ndarray,
                       vecs: np.ndarray) -> np.ndarray:
-    """Pi_C1(b) from eigenpairs (vals, vecs) of J b J.
+    """Pi_C1(b) from the eigenpairs (vals, vecs) of J b J orthogonal to
+    the ones vector.
 
     With P and N the positive and non-positive parts of J b J, the
     projection is b - P, and also (b - J b J) + N; it is rebuilt from
     the smaller of P and N.
     """
     pos = vals > 0.0
-    if 2 * np.count_nonzero(pos) <= vals.size:
+    if 2 * np.count_nonzero(pos) <= b.shape[0]:
         w = vecs[:, pos]
         return b - (w * vals[pos]) @ w.T
     w = vecs[:, ~pos]
@@ -210,17 +237,11 @@ def _c1_from_spectrum(b: np.ndarray, vals: np.ndarray,
     return m
 
 
-def _plus_diag(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A + Diag y, as a new array."""
-    b = a.copy()
-    b.flat[:: b.shape[0] + 1] += y
-    return b
-
-
 def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
     """Regularized generalized Hessian H + eps I of theta at y.
 
-    With B = A + Diag y and J B J = V diag(l) V^T (ascending l), an
+    With B = A + Diag y and J B J = V diag(l) V^T over the n - 1
+    eigenpairs orthogonal to the ones vector (ascending l), an
     element of the generalized Jacobian of h -> diag Pi_C1(B + Diag h) is
 
         H h = h - diag L(J Diag(h) J),   L(X) = V (Omega o V^T X V) V^T,
@@ -233,29 +254,28 @@ def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
     where L' is the derivative of the projection onto the NSD matrices
     and has the same form on the non-positive side, with Omega_ij =
     l_i / (l_i - l_j) for l_i <= 0 < l_j. Either way a product costs
-    O(n^2 |S|). V is replaced by J V, which differs only in the rounding
-    of eigenvectors along the ones vector, whose eigenvalue is 0.
+    O(n^2 |S|). The ones vector, with eigenvalue 0, drops out of every
+    term: J Diag(h) J has no component along it.
 
     Returns the product h -> (H + eps I) h and the diagonal of H + eps I,
     the preconditioner of the conjugate gradients.
     """
-    n = vals.size
-    u = vecs - vecs.mean(axis=0)
+    n = vecs.shape[0]
     pos = vals > 0.0
     positive_side = 2 * np.count_nonzero(pos) <= n
     side = pos if positive_side else ~pos
     lam_s = vals[side]
-    omega = np.full((lam_s.size, n), 0.5)
+    omega = np.full((lam_s.size, vals.size), 0.5)
     omega[:, ~side] = lam_s[:, None] / (lam_s[:, None] - vals[~side])
-    u_s = u[:, side]
+    v_s = vecs[:, side]
 
-    # diag(U_S W U^T) is the row sums of (U W^T) o U_S: no n x n temporary
+    # diag(V_S W V^T) is the row sums of (V W^T) o V_S: no n x n temporary
     def side_diag(h):
-        w = omega * ((u_s * h[:, None]).T @ u)
-        return 2.0 * np.einsum("ij,ij->i", u @ w.T, u_s)
+        w = omega * ((v_s * h[:, None]).T @ vecs)
+        return 2.0 * np.einsum("ij,ij->i", vecs @ w.T, v_s)
 
-    u2 = u * u
-    diag = 2.0 * np.einsum("ij,ij->i", u2 @ omega.T, u2[:, side])
+    v2 = vecs * vecs
+    diag = 2.0 * np.einsum("ij,ij->i", v2 @ omega.T, v2[:, side])
     if positive_side:
         return (lambda h: (1.0 + eps) * h - side_diag(h),
                 np.maximum(1.0 - diag, 0.0) + eps)
@@ -291,9 +311,9 @@ def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 
 class _DualPoint(NamedTuple):
     """The dual at y: theta(y), its gradient g = diag Pi_C1(A + Diag y),
-    and the eigenpairs (vals, vecs) of J (A + Diag y) J they are read off.
-    A line point's vals are shifted, not computed, and need not ascend;
-    every other point's ascend."""
+    and the n - 1 ascending eigenpairs (vals, vecs) of J (A + Diag y) J
+    orthogonal to the ones vector that they are read off. A line point's
+    vals are shifted, not computed."""
 
     y: np.ndarray
     g: np.ndarray
@@ -320,20 +340,18 @@ def _dual_point(a: np.ndarray, norm2: float, y: np.ndarray,
 
 
 def _evaluate(a: np.ndarray, norm2: float, y: np.ndarray) -> _DualPoint:
-    """theta and its gradient at y: one eigh of J (A + Diag y) J."""
-    return _dual_point(a, norm2, y,
-                       *np.linalg.eigh(_double_centered(_plus_diag(a, y))))
+    """theta and its gradient at y: one eigh, of the block of
+    J (A + Diag y) J orthogonal to the ones vector."""
+    return _dual_point(a, norm2, y, *_centered_eigh(a, y))
 
 
-def _line_step(pt: _DualPoint, a: np.ndarray,
-               norm2: float) -> _DualPoint | None:
+def _line_step(pt: _DualPoint, a: np.ndarray, norm2: float) -> _DualPoint:
     """The minimizer of theta along pt.y + t 1, read off pt's eigenpairs.
 
-    ``pt`` has ascending eigenpairs (l, V) of J B J, B = A + Diag y, and
-    ``norm2`` is ||A||_F^2. One column must be the ones vector: its
-    eigenvalue is taken as 0 and stays 0, and every other l_i moves to
-    l_i + t with the same eigenvector (see the module docstring). Over
-    those n - 1 eigenpairs, with tr B = tr A + sum y, the slope of
+    ``pt`` has the n - 1 ascending eigenpairs (l, V) of J B J,
+    B = A + Diag y, orthogonal to the ones vector, and ``norm2`` is
+    ||A||_F^2. Each l_i moves to l_i + t with the same eigenvector (see
+    the module docstring), so with tr B = tr A + sum y, the slope of
     theta(y + t 1) is tr B + n t - sum_i max(l_i + t, 0). It is bounded
     above by the linear tr B + n t - sum_{i <= k} (l_i + t) over the k
     largest l_i. Each of those n bounds has its root at or below t*, and
@@ -341,25 +359,13 @@ def _line_step(pt: _DualPoint, a: np.ndarray,
     so t* = max_k (S_k - tr B) / (n - k), with S_k the sum of the k
     largest l_i, for k = 0, ..., n - 1.
 
-    Returns the line point at y + t* 1, with eigenvalues l + t* and 0 on
-    the ones vector, in the order of ``pt.vals``, in O(n^2) work with no
-    eigendecomposition. Returns None when no column v has |v^T 1| /
-    sqrt(n) within 1e-10 of 1, as when 0 is a repeated eigenvalue of
-    J B J; the eigenvectors then do not split off the ones vector.
+    Returns the line point at y + t* 1, eigenvalues l + t*, in O(n^2).
     """
-    n = pt.vals.size
-    along = np.abs(pt.vecs.sum(axis=0)) / np.sqrt(n)
-    ones = int(np.argmax(along))
-    if not abs(along[ones] - 1.0) <= 1e-10:
-        return None
-    vals = pt.vals.copy()
-    vals[ones] = 0.0
+    n = pt.y.size
     trace_b = float(np.trace(a)) + float(pt.y.sum())
-    sums = np.concatenate(([0.0], np.cumsum(np.delete(vals, ones)[::-1])))
+    sums = np.concatenate(([0.0], np.cumsum(pt.vals[::-1])))
     t = float(np.max((sums - trace_b) / (n - np.arange(n))))
-    vals += t
-    vals[ones] = 0.0
-    return _dual_point(a, norm2, pt.y + t, vals, pt.vecs)
+    return _dual_point(a, norm2, pt.y + t, pt.vals + t, pt.vecs)
 
 
 def project_edm_cone(
@@ -406,17 +412,19 @@ def _project_from(
     instead of at y = 0, returning the dual point it closed on and the
     factor that certified the result too.
 
-    ``start`` is (y, vals, vecs), with ascending eigenpairs of
-    J (A + Diag y) J that the caller already holds, so it costs no
-    evaluation, and a fit whose start meets the stopping rule makes no
-    eigendecomposition. A line point that meets the rule is evaluated
-    once before it is accepted. A fit closes on the last point it
-    evaluated, or on its start if it evaluated none, so that M and the
+    ``start`` is (y, vals, vecs), with the n - 1 ascending eigenpairs of
+    J (A + Diag y) J off the ones vector that the caller already holds,
+    so it costs no evaluation, and a fit whose start meets the stopping
+    rule makes no eigendecomposition. A line point that meets the rule is
+    evaluated once before it is accepted. A fit closes on the last point
+    it evaluated, or on its start if it evaluated none, so that M and the
     certificate read a computed spectrum: the factor V sqrt(-l / 2) of
     its eigenpairs over its negative eigenvalues l, or no column when the
     zero matrix is returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
+    if a.shape[0] < 2:
+        raise ValueError("need at least 2 objects")
     if np.abs(a - a.T).max() > 0.0:
         a = symmetrize(a)
     if cfg is None:
@@ -429,10 +437,8 @@ def _project_from(
         # the ones vector; a line point that meets the rule is evaluated
         # in the loop, and that evaluation does not move, so a rounding
         # disagreement at the rule cannot make the two alternate
-        if np.linalg.norm(pt.g) <= floor:
-            return pt
-        line = _line_step(pt, a, norm2)
-        return pt if line is None else line
+        return (pt if np.linalg.norm(pt.g) <= floor
+                else _line_step(pt, a, norm2))
 
     if start is None:
         last, cycles = _evaluate(a, norm2, np.zeros(a.shape[0])), 1
@@ -478,7 +484,9 @@ def _project_from(
             break
 
     pt = last
-    m = _c1_from_spectrum(_plus_diag(a, pt.y), pt.vals, pt.vecs)
+    m = a.copy()
+    m.flat[:: a.shape[0] + 1] += pt.y
+    m = _c1_from_spectrum(m, pt.vals, pt.vecs)
     theta = 0.5 * float(np.vdot(m, m))
     out = m - 0.5 * (pt.g[:, None] + pt.g[None, :])
     out += out.T

@@ -29,7 +29,7 @@ of penalty eta has J (A - eta I) J = J X J, so the eigenpairs of J X J
 are those of the dual point y = -eta 1 of A, with no eigendecomposition.
 Every fit runs in one loop over the penalties, which takes that spectrum
 as an option and then starts its first fit there; ``simulate`` passes
-the spectrum of -J X J / 2 that classical MDS decomposes anyway, so one
+the spectrum of J X J that classical MDS reads anyway, so one
 eigendecomposition per replicate serves both methods. A fit keeps the
 factor of its kernel that certified it, principal axes read off the
 eigenpairs its projection closed on, and ``truncate_rank`` takes the
@@ -52,11 +52,11 @@ from .core import (
     center_gram,
     check_nonnegative,
     edm_from_coords,
-    eigh_descending,
 )
 from .projection import (
     ProjectionDiagnostics,
     SolverConfig,
+    _centered_eigh,
     _project_from,
 )
 
@@ -168,14 +168,12 @@ def _walk_path(
 
     Each fit after the first starts from the last dual point of the one
     before, moved to its own input: (y - (eta - eta_prev) 1, vals, vecs).
-    The first starts cold, or, given ``spectrum``, the descending
-    eigenpairs (mu, vecs) of center_gram(x) from ``eigh_descending``, at
-    the dual point y = -eta 1 of its input, whose eigenpairs are (-2 mu,
-    vecs), ascending through the spectrum of J X J. Neither start needs
-    an eigendecomposition. The projection moves either along the ones
-    vector before its first Newton step, to the best constant dual point;
-    when the eigenvectors do not split off the ones vector, it steps from
-    the start itself.
+    The first starts cold, or, given ``spectrum``, the eigenpairs
+    (vals, vecs) of J X J from ``_centered_eigh``, at the dual point
+    y = -eta 1 of its input, whose eigenpairs they are. Neither start
+    needs an eigendecomposition, and the projection moves either along
+    the ones vector, to the best constant dual point, before its first
+    Newton step.
     """
     start, last, eta_prev = None, None, 0.0
     for lam in lams:
@@ -183,7 +181,7 @@ def _walk_path(
         if last is not None:
             start = (last.y - (eta - eta_prev), last.vals, last.vecs)
         elif spectrum is not None:
-            start = (np.full(x.n, -eta), -2.0 * spectrum[0], spectrum[1])
+            start = (np.full(x.n, -eta), *spectrum)
         d_hat, diag, last, factor = _project_from(_shrunk(x, eta), cfg, start)
         eta_prev = eta
         yield ShrinkageFit(d_hat, lam, diag, factor)
@@ -232,8 +230,8 @@ def _top_r_fit(f: np.ndarray, r: int) -> RankTruncatedFit:
 
     ``f`` is a factor V sqrt(mu) of the kernel by its descending
     eigenpairs; its first r columns, with the sign convention of
-    ``eigh_descending``, are the coordinates, zero past its last, and a
-    zero holds 0, not -0. Coordinates are centered exactly, and the fit's
+    ``core._lead_positive``, are the coordinates, zero past its last, and
+    a zero holds 0, not -0. Coordinates are centered exactly, and the fit's
     distance matrix is built from them when read, so the two stay
     consistent to machine precision even when the kernel is degenerate.
     """
@@ -264,9 +262,11 @@ def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:
     EDMs. No shrinkage is applied.
     """
     _check_rank(r, x.n)
-    return _mds_fit(*eigh_descending(center_gram(x.entries)), r)
+    return _mds_fit(*_centered_eigh(x.entries), r)
 
 
-def _mds_fit(mu: np.ndarray, vecs: np.ndarray, r: int) -> RankTruncatedFit:
-    """Classical scaling at rank r from descending eigenpairs of -J X J / 2."""
-    return _top_r_fit(vecs[:, :r] * np.sqrt(np.clip(mu[:r], 0.0, None)), r)
+def _mds_fit(vals: np.ndarray, vecs: np.ndarray, r: int) -> RankTruncatedFit:
+    """Classical scaling at rank r from the ascending eigenpairs (vals,
+    vecs) of J X J; (-vals / 2, vecs) descend through -J X J / 2."""
+    mu = np.clip(-0.5 * vals[:r], 0.0, None)
+    return _top_r_fit(vecs[:, :r] * np.sqrt(mu), r)

@@ -19,16 +19,14 @@ from .core import (
     EdmMatrix,
     SymHollowMatrix,
     _distances_from_coords,
-    center_gram,
     check_int,
     check_nonnegative,
     edm_from_coords,
-    eigh_descending,
     kruskal_stress,
 )
 from .fileio import dumps_json
 from .noise import NoiseModel, add_noise
-from .projection import NotConvergedError, SolverConfig
+from .projection import NotConvergedError, SolverConfig, _centered_eigh
 from .shrinkage import (
     _check_rank,
     _mds_fit,
@@ -154,7 +152,7 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     deterministic for a fixed configuration and independent of replicate
     execution order.
 
-    One eigendecomposition of -J X J / 2 per replicate gives both the
+    One eigendecomposition of J X J per replicate gives both the
     baseline's coordinates, as ``classical_mds`` computes them, and the
     start of the shrinkage fit, which is otherwise ``distance_shrinkage``.
     The baseline is scored on the distances of its coordinates, which
@@ -172,12 +170,12 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     records: list[ReplicateRecord] = []
     for rep in range(cfg.reps):
         x = add_noise(d_true, cfg.noise, cfg.seed, replicate=rep)
-        mu, vecs = eigh_descending(center_gram(x.entries))
-        mds_coords = _mds_fit(mu, vecs, cfg.rank_r).embedding.coords
+        spectrum = _centered_eigh(x.entries)
+        mds_coords = _mds_fit(*spectrum, cfg.rank_r).embedding.coords
         mds_stress = kruskal_stress(
             SymHollowMatrix(_distances_from_coords(mds_coords)), d_true)
         try:
-            fit = next(_walk_path(x, [lam], cfg.solver, (mu, vecs)))
+            fit = next(_walk_path(x, [lam], cfg.solver, spectrum))
         except NotConvergedError as exc:
             stress, cycles = None, exc.diagnostics.cycles
         else:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edmshrink import fileio
+from edmshrink import SymHollowMatrix, fileio
 
 
 class TestSquareMatrixCsv:
@@ -51,7 +51,7 @@ class TestSquareMatrixCsv:
     def test_symmetrizes_within_tolerance(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1.0000000001\n1,0\n")
-        m = fileio.load_square_matrix(path, tol=1e-9)
+        m = fileio.load_square_matrix(path)
         assert m[0, 1] == m[1, 0]
 
     def test_rejects_asymmetry(self, tmp_path):
@@ -60,17 +60,28 @@ class TestSquareMatrixCsv:
         with pytest.raises(ValueError, match="asymmetry"):
             fileio.load_square_matrix(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-9])
-    @pytest.mark.parametrize("hollow", [True, False])
-    def test_rejects_bad_tolerance(self, tmp_path, bad, hollow):
-        # with tol = nan every comparison passed and [[0,1],[5,0]] loaded
-        # as [[0,3],[3,0]]
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e6, 1e12])
+    def test_symmetry_tolerance_is_relative(self, tmp_path, scale):
+        # a 6-point EDM at any scale: one ulp of asymmetry at (0, 1) loads,
+        # and 1e-6 of the largest entry is rejected, from a file and from
+        # an array alike
+        p = np.arange(12.0).reshape(6, 2) ** 1.5
+        d = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2) * scale
         path = tmp_path / "m.csv"
-        path.write_text("0,1\n5,0\n")
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            fileio.load_square_matrix(path, hollow=hollow, tol=bad)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            fileio.load_dissimilarity(path, tol=bad)
+        for bump, ok in ((np.spacing(d[0, 1]), True), (1e-6 * d.max(), False)):
+            a = d.copy()
+            a[0, 1] += bump
+            fileio.save_square_matrix(a, path)
+            if ok:
+                m = fileio.load_dissimilarity(path).entries
+                assert m[0, 1] == m[1, 0] and m[0, 1] in (d[0, 1], a[0, 1])
+                assert np.array_equal(
+                    SymHollowMatrix.from_array(a).entries, m)
+                continue
+            with pytest.raises(ValueError, match="asymmetry"):
+                fileio.load_dissimilarity(path)
+            with pytest.raises(ValueError, match="asymmetry"):
+                SymHollowMatrix.from_array(a)
 
     def test_rejects_nonzero_diagonal_in_hollow_mode(self, tmp_path):
         path = tmp_path / "m.csv"

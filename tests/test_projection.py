@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edmshrink import (
     NotConvergedError,
@@ -18,12 +20,11 @@ from edmshrink import (
     project_edm_cone,
 )
 from edmshrink import projection
-from edmshrink.core import eigh_descending
-from edmshrink.projection import (_dual_point, _evaluate, _line_step,
-                                  _newton_system, project_c1)
+from edmshrink.projection import (_centered_eigh, _dual_point, _evaluate,
+                                  _line_step, _newton_system, project_c1)
 from edmshrink.shrinkage import _walk_path, distance_shrinkage
 
-from conftest import centering, random_edm, random_hollow
+from conftest import centering, eig_counts, random_edm, random_hollow
 
 
 def hollow(rows) -> SymHollowMatrix:
@@ -138,6 +139,43 @@ class TestHouseholder:
             assert np.abs(moved[-1, :]).max() <= 1e-12 * np.linalg.norm(a)
 
 
+class TestCenteredEigh:
+    """The eigenpairs of J B J off the ones vector, lifted from the leading
+    block of H B H: orthonormal, orthogonal to 1, and reproducing J B J.
+    Bounds are 4 n eps where the reflection adds to the rounding of
+    ``eigh``, whose own eigenvectors are orthonormal only within 2 n eps
+    at n = 4."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(2, 40), scale=st.floats(-8.0, 8.0).map(
+        lambda e: 10.0**e), seed=st.integers(0, 2**32 - 1),
+        shifted=st.booleans())
+    def test_lifted_eigenpairs(self, n, scale, seed, shifted):
+        gen = np.random.default_rng(seed)
+        a = random_symmetric(gen, n, scale)
+        y = gen.normal(size=n, scale=scale) if shifted else None
+        b = a if y is None else a + np.diag(y)
+        vals, vecs = _centered_eigh(a, y)
+        eps = np.finfo(float).eps
+        assert vals.shape == (n - 1,) and vecs.shape == (n, n - 1)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.abs(vecs.T @ vecs - np.eye(n - 1)).max() <= 4 * n * eps
+        assert np.abs(vecs.sum(axis=0)).max() / np.sqrt(n) <= n * eps
+        j = centering(n)
+        assert np.linalg.norm((vecs * vals) @ vecs.T - j @ b @ j) <= (
+            4 * n * eps * np.linalg.norm(b))
+
+    def test_one_object(self):
+        # no eigenpair: project_c1 returns its input, and the EDM
+        # projection rejects it as SymHollowMatrix does
+        m, vals, vecs = project_c1(np.array([[2.5]]))
+        assert np.array_equal(m, [[2.5]])
+        assert vals.shape == (0,) and vecs.shape == (1, 0)
+        with pytest.raises(ValueError, match="need at least 2 objects"):
+            project_edm_cone(np.array([[0.0]]))
+
+
 class TestProjectC1Moreau:
     """Moreau decomposition A = P + (A - P) of the C1 projection P.
 
@@ -242,8 +280,7 @@ def dual_point_of_kind(kind: str, rng, n: int):
     if kind == "warm":
         pt = evaluate_at(x, y)
         return a, _dual_point(a, norm2(a), y - 1.5, pt.vals, pt.vecs)
-    mu, vecs = eigh_descending(center_gram(x))
-    return a, _dual_point(a, norm2(a), np.full(n, -1.5), -2.0 * mu, vecs)
+    return a, _dual_point(a, norm2(a), np.full(n, -1.5), *_centered_eigh(x))
 
 
 class TestDualPointFormula:
@@ -347,8 +384,7 @@ class TestConstantStart:
         for eta in (0.0, 0.4, 1.5):
             a = x - eta * (1.0 - np.eye(n))
             mine = line_from(evaluate_at(a, np.zeros(n)), a)
-            vals, vecs = np.linalg.eigh(-2.0 * center_gram(x))
-            shared = constant_start(a, vals, vecs, eta)
+            shared = constant_start(a, *_centered_eigh(x), eta)
             width = np.linalg.norm(a)
             assert abs(shared.y[0] - mine.y[0]) <= 1e-12 * width
             assert np.abs(shared.g - mine.g).max() <= 1e-12 * width
@@ -371,16 +407,22 @@ class TestConstantStart:
     ], ids=["zero", "line6", "line9"])
     @pytest.mark.parametrize("lam", [0.0, 3.0])
     def test_repeated_zero_eigenvalue_starts_cold(self, x, lam):
-        # 0 is a repeated eigenvalue of J X J, so no eigenvector need be
-        # the ones vector: there is no line step, and the fit takes its
-        # first Newton step from the point of the shared spectrum, as a
-        # cold fit takes it from its first evaluation
+        # 0 is a repeated eigenvalue of J X J, but the shared spectrum
+        # leaves out the ones vector, so the fit line-steps from it as from
+        # any other start: X is an EDM, so at lam = 0 the start meets the
+        # rule, and at lam = 3 the zero matrix, six points at 0..5 and
+        # nine at sqrt(k) take 1, 3 and 3 evaluations (a cold fit 2, 4, 4)
         x = SymHollowMatrix(x)
-        mu, vecs = eigh_descending(center_gram(x.entries))
-        assert constant_start(x.entries, -2.0 * mu, vecs, 0.0) is None
-        fit = next(_walk_path(x, [lam], None, (mu, vecs)))
+        vals, vecs = _centered_eigh(x.entries)
+        assert np.abs(vecs.sum(axis=0)).max() <= 1e-14 * x.n
+        with eig_counts() as calls:
+            fit = next(_walk_path(x, [lam], None, (vals, vecs)))
         cold = distance_shrinkage(x, lam)
         assert fit.diagnostics.converged
+        cycles = {5: 1, 6: 3, 9: 3}[x.n] if lam else 0
+        assert calls["eigh"] == fit.diagnostics.cycles == cycles
+        assert cold.diagnostics.cycles == ({5: 2, 6: 4, 9: 4}[x.n]
+                                           if lam else 1)
         want = dykstra_reference(x.entries - lam / (2 * x.n)
                                  * (1.0 - np.eye(x.n)), 1e-12)
         tol = 1e-8 * max(np.linalg.norm(x.entries), 1.0)

@@ -183,6 +183,7 @@ def _cmd_estimate(args) -> int:
     for fit in shrinkage_path(x, penalties, cfg):
         _write_fit(fit, rank, args.out if args.lambda_grid is None
                    else f"{args.out}_lam{fit.lam!r}")
+        del fit  # the next fit runs without this one's arrays
     return EXIT_OK
 
 

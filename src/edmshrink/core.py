@@ -52,8 +52,23 @@ def _as_square(entries) -> np.ndarray:
     return a
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
+class _Built(np.ndarray):
+    """An array that the library built for one of its types to keep, and
+    to which it holds no other reference. The type keeps it read-only as
+    is, where it copies an array from a caller, who could still write
+    through it or make it writeable again."""
+
+
+def _built(a: np.ndarray) -> np.ndarray:
+    """``a`` marked as :class:`_Built`, to be kept without a copy."""
+    return a.view(_Built)
+
+
+def _frozen(given, a: np.ndarray) -> np.ndarray:
+    """``a``, the array validated from ``given``, read-only: a copy,
+    unless ``given`` is ``_built``."""
+    if not isinstance(given, _Built):
+        a = a.copy()
     a.flags.writeable = False
     return a
 
@@ -86,8 +101,10 @@ def check_int(name: str, value) -> None:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Exactly symmetric part (a + a.T) / 2."""
-    return (a + a.T) / 2.0
+    """Exactly symmetric part (a + a.T) / 2, in one new array."""
+    s = a + a.T
+    s /= 2.0
+    return s
 
 
 # Tolerance of symmetrize_within, relative to max|a|: scale-free.
@@ -119,7 +136,11 @@ def center_gram(d: np.ndarray) -> np.ndarray:
     d = _as_square(d)
     row = d.mean(axis=1, keepdims=True)
     col = d.mean(axis=0, keepdims=True)
-    b = -0.5 * (d - row - col + d.mean())
+    # -0.5 (d - row - col + mean d), in place, in the same order
+    b = d - row
+    b -= col
+    b += d.mean()
+    b *= -0.5
     return symmetrize(b)
 
 
@@ -154,6 +175,12 @@ class SymHollowMatrix:
     Observed dissimilarities and candidate distance matrices live here.
     Symmetry and hollowness are exact; use :meth:`from_array` to clean up
     inputs that are symmetric only within a tolerance.
+
+    ``entries`` is read-only. An array from the caller is copied, so that
+    writing to it later leaves the matrix as it was; one that the library
+    builds for the matrix and drops (the symmetrized input of
+    ``from_array``, a loaded file, the closing EDM of a projection) is
+    kept without the copy.
     """
 
     entries: np.ndarray
@@ -167,7 +194,7 @@ class SymHollowMatrix:
                              "use SymHollowMatrix.from_array to symmetrize")
         if np.any(a.diagonal() != 0.0):
             raise ValueError("diagonal must be exactly zero")
-        object.__setattr__(self, "entries", _frozen(a))
+        object.__setattr__(self, "entries", _frozen(self.entries, a))
 
     @classmethod
     def from_array(cls, entries) -> "SymHollowMatrix":
@@ -177,7 +204,7 @@ class SymHollowMatrix:
         Symmetry is restored by averaging with the transpose and the
         diagonal is zeroed; larger deviations are rejected.
         """
-        return cls(symmetrize_within(_as_square(entries)))
+        return cls(_built(symmetrize_within(_as_square(entries))))
 
     @property
     def n(self) -> int:
@@ -257,6 +284,10 @@ class MinTraceKernel:
     passes, the exact one of K among them, and only when they share one
     rank. Otherwise, and without ``factor``, they are read off
     ``eigvalsh``.
+
+    ``entries`` is read-only: a copy of an array from the caller, or, for
+    the kernel that ``EdmMatrix`` builds with ``center_gram``, that array
+    itself.
     """
 
     entries: np.ndarray
@@ -283,7 +314,7 @@ class MinTraceKernel:
             raise ValueError(
                 f"row sums not zero: max |K 1| = {row_sums.max():.3e} "
                 f"vs trace {tr:.3e}")
-        object.__setattr__(self, "entries", _frozen(a))
+        object.__setattr__(self, "entries", _frozen(self.entries, a))
         object.__setattr__(self, "rank", rank)
 
     @property
@@ -296,7 +327,9 @@ class MinTraceKernel:
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Centered point coordinates, n rows by k columns, in distance units."""
+    """Centered point coordinates, n rows by k columns, in distance units.
+
+    ``coords`` is a read-only copy of the array given."""
 
     coords: np.ndarray
 
@@ -310,7 +343,7 @@ class Embedding:
         if c.size and np.abs(c.sum(axis=0)).max() > 1e-10 * max(scale, 1e-300):
             raise ValueError("coordinates are not centered; "
                              "use Embedding.from_points to center them")
-        object.__setattr__(self, "coords", _frozen(c))
+        object.__setattr__(self, "coords", _frozen(self.coords, c))
 
     @classmethod
     def from_points(cls, points) -> "Embedding":
@@ -344,6 +377,8 @@ class EdmMatrix(SymHollowMatrix):
     ``factor``, an n x s array F whose F F^T approximates the kernel, is
     passed to it: the test is then certified from F by a Weyl bound, and
     by ``eigvalsh`` of the kernel only where that bound cannot decide it.
+    ``entries`` is copied or kept as for ``SymHollowMatrix``; the kernel,
+    which the type builds itself, is never copied.
     """
 
     cert_tol: float = 1e-8
@@ -358,7 +393,7 @@ class EdmMatrix(SymHollowMatrix):
         if low < -self.cert_tol * max(float(self.entries.max()), 0.0):
             raise ValueError(f"negative squared distance {low:.3e}")
         try:
-            kernel = MinTraceKernel(center_gram(self.entries),
+            kernel = MinTraceKernel(_built(center_gram(self.entries)),
                                     self.cert_tol, factor)
         except ValueError as exc:
             raise ValueError(f"matrix is not an EDM within cert_tol: {exc}") from None
@@ -394,7 +429,7 @@ def similarity_to_dissimilarity(s) -> SymHollowMatrix:
     a = _as_square(s)
     if not np.array_equal(a, a.T):
         raise ValueError("similarity matrix must be symmetric")
-    return SymHollowMatrix(_distances_from_gram(a))
+    return SymHollowMatrix(_built(_distances_from_gram(a)))
 
 
 def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8,
@@ -426,7 +461,7 @@ def edm_from_coords(p) -> EdmMatrix:
         raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
     if not isinstance(p, Embedding):
         coords = _centered(coords)
-    return EdmMatrix(_distances_from_coords(coords), factor=coords)
+    return EdmMatrix(_built(_distances_from_coords(coords)), factor=coords)
 
 
 def _distances_from_coords(coords: np.ndarray) -> np.ndarray:

@@ -83,6 +83,7 @@ from .core import (
     EdmMatrix,
     SymHollowMatrix,
     _as_square,
+    _built,
     certify_edm,
     check_int,
     check_tol,
@@ -228,7 +229,8 @@ def _c1_from_spectrum(b: np.ndarray, vals: np.ndarray,
     pos = vals > 0.0
     if 2 * np.count_nonzero(pos) <= b.shape[0]:
         w = vecs[:, pos]
-        return b - (w * vals[pos]) @ w.T
+        p = (w * vals[pos]) @ w.T
+        return np.subtract(b, p, out=p)
     w = vecs[:, ~pos]
     m = (w * vals[~pos]) @ w.T
     r = b.mean(axis=1)
@@ -425,7 +427,7 @@ def _project_from(
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if a.shape[0] < 2:
         raise ValueError("need at least 2 objects")
-    if np.abs(a - a.T).max() > 0.0:
+    if not np.array_equal(a, a.T):
         a = symmetrize(a)
     if cfg is None:
         cfg = SolverConfig()
@@ -488,10 +490,7 @@ def _project_from(
     m.flat[:: a.shape[0] + 1] += pt.y
     m = _c1_from_spectrum(m, pt.vals, pt.vecs)
     theta = 0.5 * float(np.vdot(m, m))
-    out = m - 0.5 * (pt.g[:, None] + pt.g[None, :])
-    out += out.T
-    out *= 0.5
-    np.fill_diagonal(out, 0.0)
+    out = _hollow_edm(m, pt.g)
     # M rounds by about e = n eps (||M||_F + 2 ||P||_F) from either side
     # of the split J B J = P + N, B = A + Diag y: B - P rounds with B and
     # P, and ||B||_F <= ||M||_F + ||P||_F; (B - J B J) + N rounds with B
@@ -531,7 +530,19 @@ def _project_from(
                 f"converged iterate has off-diagonal {low:.3e} below its "
                 f"rounding {-2.0 * slack:.3e}", diag)
         cert_tol = max(cert_tol, 2.0 * slack / top)
-    return certify_edm(out, cert_tol, factor), diag, pt, factor
+    return certify_edm(_built(out), cert_tol, factor), diag, pt, factor
+
+
+def _hollow_edm(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """X = M - (g 1^T + 1 g^T) / 2, made exactly symmetric as (X + X^T) / 2
+    and hollow, in the buffer of ``m`` and one more."""
+    x = np.add.outer(g, g)
+    x *= 0.5
+    np.subtract(m, x, out=x)
+    out = np.add(x, x.T, out=m)
+    out *= 0.5
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

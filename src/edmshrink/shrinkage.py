@@ -118,7 +118,9 @@ class RankTruncatedFit:
 
 def _shrunk(x: SymHollowMatrix, eta: float) -> np.ndarray:
     """The observations with eta subtracted from every off-diagonal entry."""
-    return x.entries - eta * (1.0 - np.eye(x.n))
+    a = x.entries - eta
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 def distance_shrinkage(
@@ -175,16 +177,22 @@ def _walk_path(
     the ones vector, to the best constant dual point, before its first
     Newton step.
     """
-    start, last, eta_prev = None, None, 0.0
+    last, eta_prev = None, 0.0
     for lam in lams:
         eta = lam / (2 * x.n)
         if last is not None:
             start = (last.y - (eta - eta_prev), last.vals, last.vecs)
         elif spectrum is not None:
             start = (np.full(x.n, -eta), *spectrum)
+        else:
+            start = None
         d_hat, diag, last, factor = _project_from(_shrunk(x, eta), cfg, start)
+        # hold only last: the caller holds this fit while it needs it, and
+        # the next fit runs without it
+        del start
         eta_prev = eta
         yield ShrinkageFit(d_hat, lam, diag, factor)
+        del d_hat, factor
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:

@@ -5,6 +5,7 @@ random centered point clouds give exact EDMs of known embedding
 dimension without going through any transform under test.
 """
 
+import tracemalloc
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
@@ -80,6 +81,17 @@ def eig_counts():
             patches.enter_context(mock.patch.object(
                 np.linalg, name, counted(name, getattr(np.linalg, name))))
         yield calls
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs, counting
+    only what it allocates; tracing stops even if ``fn`` raises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -297,6 +297,15 @@ class TestOtherCommands:
         d = fileio.load_square_matrix(f"{out}.dhat_r.csv")
         assert d.shape == (8, 8)
 
+    def test_mds_reads_byte_order_mark(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,1\n1,0\n")
+        out = tmp_path / "mds"
+        assert main(["mds", "--input", str(path), "--rank", "1",
+                     "--out", str(out)]) == 0
+        d = fileio.load_square_matrix(f"{out}.dhat_r.csv")
+        assert d[0, 1] == pytest.approx(1.0, rel=1e-12)
+
     def test_dim3_json(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("0,1,1\n1,0,1\n1,1,0\n")

@@ -105,6 +105,26 @@ class TestIdentityEquality:
         assert fit == fit
 
 
+class TestOwnership:
+    """A type keeps a read-only copy of an array from its caller, so that
+    writing to that array afterwards leaves the type's entries as they
+    were."""
+
+    @pytest.mark.parametrize("build, rows", [
+        (SymHollowMatrix, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        (EdmMatrix, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        (MinTraceKernel, centering(3) / 2.0),
+    ], ids=["SymHollowMatrix", "EdmMatrix", "MinTraceKernel"])
+    def test_copies_a_writeable_caller_array(self, build, rows):
+        a = np.array(rows, dtype=float)
+        m = build(a)
+        want = a.copy()
+        a[0, 1] = a[1, 0] = 5.0
+        assert np.array_equal(m.entries, want)
+        assert not m.entries.flags.writeable
+        assert not np.shares_memory(m.entries, a)
+
+
 BAD_TOLS = [np.nan, np.inf, 0.0, -1e-8]
 VIOLATOR = [[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]
 

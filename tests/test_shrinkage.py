@@ -1,6 +1,7 @@
 """Shrinkage estimator, rank truncation, classical-scaling baseline, bounds."""
 
 import json
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +41,7 @@ from conftest import (
     random_edm,
     random_hollow,
     spectral_norm,
+    traced_peak,
 )
 
 
@@ -793,3 +795,34 @@ class TestWarmStartedPath:
         assert again.diagnostics.cycles == 0
         assert again.diagnostics.delta_last == 0.0
         assert np.array_equal(again.d_hat.entries, first.d_hat.entries)
+
+
+class TestFitWorkingSet:
+    """A fit keeps read-only arrays of its own, and a path holds no fit
+    that its caller has let go of."""
+
+    def test_fit_arrays_are_read_only_and_unshared(self):
+        x = helix_observation(0)
+        lam = recommended_lambda(x.n, 0.5)
+        for fit in shrinkage_path(x, [0.5 * lam, lam]):
+            d, k = fit.d_hat.entries, fit.k_hat.entries
+            assert not d.flags.writeable and not k.flags.writeable
+            for a, b in ((d, x.entries), (k, x.entries), (d, k)):
+                assert not np.shares_memory(a, b)
+
+    def test_path_peak_stays_under_eight_and_a_half_arrays(self):
+        # n = 200 noisy helix over two penalties, input included: about
+        # 7.4 n x n float64 arrays at the peak, which the kernel's
+        # certificate sets; holding the previous fit, copying the arrays
+        # the library builds, and the temporaries of the closing step
+        # read about 11.5
+        n = 200
+        d = edm_from_coords(helix_coords(n))
+        obs = add_noise(d, NoiseModel("gaussian", 0.25), seed=0).entries
+        lam = recommended_lambda(n, 0.5)
+
+        def fit():
+            x = SymHollowMatrix(obs)
+            deque(shrinkage_path(x, [0.5 * lam, lam]), maxlen=0)
+
+        assert traced_peak(fit) < 8.5 * obs.nbytes

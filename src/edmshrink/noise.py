@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdmMatrix, SymHollowMatrix
+from .core import EdmMatrix, SymHollowMatrix, _built
 
 _MASK64 = (1 << 64) - 1
 
@@ -83,4 +83,4 @@ def add_noise(
     x = np.zeros((n, n))
     x[iu] = vals
     x = x + x.T
-    return SymHollowMatrix(x)
+    return SymHollowMatrix(_built(x))

@@ -315,7 +315,8 @@ class _DualPoint(NamedTuple):
     """The dual at y: theta(y), its gradient g = diag Pi_C1(A + Diag y),
     and the n - 1 ascending eigenpairs (vals, vecs) of J (A + Diag y) J
     orthogonal to the ones vector that they are read off. A line point's
-    vals are shifted, not computed."""
+    vals are shifted, not computed, and a point whose Newton step is being
+    tried holds neither (None)."""
 
     y: np.ndarray
     g: np.ndarray
@@ -408,21 +409,30 @@ def project_edm_cone(
 
 def _project_from(
     a, cfg: SolverConfig | None = None,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    start: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint, np.ndarray]:
     """:func:`project_edm_cone` started at the dual point y of this input
     instead of at y = 0, returning the dual point it closed on and the
     factor that certified the result too.
 
-    ``start`` is (y, vals, vecs), with the n - 1 ascending eigenpairs of
-    J (A + Diag y) J off the ones vector that the caller already holds,
-    so it costs no evaluation, and a fit whose start meets the stopping
-    rule makes no eigendecomposition. A line point that meets the rule is
-    evaluated once before it is accepted. A fit closes on the last point
-    it evaluated, or on its start if it evaluated none, so that M and the
-    certificate read a computed spectrum: the factor V sqrt(-l / 2) of
-    its eigenpairs over its negative eigenvalues l, or no column when the
-    zero matrix is returned.
+    ``start`` is a one-element list of (y, vals, vecs), with the n - 1
+    ascending eigenpairs of J (A + Diag y) J off the ones vector that the
+    caller already holds, so it costs no evaluation, and a fit whose start
+    meets the stopping rule makes no eigendecomposition. The fit pops the
+    start, so a caller that keeps no other reference hands its eigenbasis
+    over. A line point that meets the rule is evaluated once before it is
+    accepted. A fit closes on the last point it evaluated, or on its start
+    if it evaluated none, so that M and the certificate read a computed
+    spectrum: the factor V sqrt(-l / 2) of its eigenpairs over its
+    negative eigenvalues l, or no column when the zero matrix is returned.
+
+    One eigenbasis is alive at a time. A point keeps its eigenpairs only
+    until its Newton direction is solved, and the start's go with it, and
+    a failed trial is let go of before the next is evaluated, so each
+    ``eigh`` runs beside ``a``, the block it reads and what the caller
+    holds. ``a`` is let go of before the certificate, whose kernel and
+    f f^T - K residual then set the fit's peak beside the closing EDM and
+    the closing eigenbasis, which is returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if a.shape[0] < 2:
@@ -445,7 +455,7 @@ def _project_from(
     if start is None:
         last, cycles = _evaluate(a, norm2, np.zeros(a.shape[0])), 1
     else:
-        last, cycles = _dual_point(a, norm2, *start), 0
+        last, cycles = _dual_point(a, norm2, *start.pop()), 0
     # last is the point last evaluated, or the start: the fit closes on it
     pt = arrive(last)
     delta = 0.0
@@ -460,17 +470,23 @@ def _project_from(
             break
         if gnorm <= floor:
             # a line point meets the rule: stop only once evaluated
-            pt = last = _evaluate(a, norm2, pt.y)
+            y, pt, last = pt.y, None, None
+            pt = last = _evaluate(a, norm2, y)
             cycles += 1
             continue
         rel = gnorm / scale
         d = _cg(*_newton_system(pt.vals, pt.vecs, min(REG_MAX, rel)), -pt.g,
                 min(CG_RTOL, rel))
+        # the step needs only y, g and theta: let go of the eigenbasis that
+        # pt shares with last, so that each evaluation runs beside no other
+        pt, last = pt._replace(vals=None, vecs=None), None
         slope = float(pt.g @ d)
         if not slope < 0.0:
             d, slope = -pt.g, -gnorm**2
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
+            # trial holds an eigenbasis too: pt's, or a failed step's
+            trial = last = None
             trial = last = _evaluate(a, norm2, pt.y + t * d)
             cycles += 1
             if (trial.theta <= pt.theta + ARMIJO * t * slope
@@ -506,6 +522,9 @@ def _project_from(
         np.maximum(out, 0.0, out=out)
     # (1/2) ||X - A||^2 - ((1/2) ||A||^2 - theta), with no n x n temporary
     gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + theta
+    # the rest reads no input: let go of it before the certificate's n x n
+    # kernel and residual
+    a = None
     if converged and (theta <= gap or top <= 0.0):
         # the zero matrix has gap theta at y: no larger than X's, or X is
         # zero but for rounding, its kernel's spectrum within e of 0

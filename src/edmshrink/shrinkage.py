@@ -30,10 +30,13 @@ are those of the dual point y = -eta 1 of A, with no eigendecomposition.
 Every fit runs in one loop over the penalties, which takes that spectrum
 as an option and then starts its first fit there; ``simulate`` passes
 the spectrum of J X J that classical MDS reads anyway, so one
-eigendecomposition per replicate serves both methods. A fit keeps the
-factor of its kernel that certified it, principal axes read off the
-eigenpairs its projection closed on, and ``truncate_rank`` takes the
-coordinates from its leading columns.
+eigendecomposition per replicate serves both methods. The loop keeps a
+start's eigenbasis only until it hands it to the projection, which lets
+go of it, and of each point's, once the Newton step from there is
+solved, so one eigenbasis is alive at each eigendecomposition. A fit
+keeps the factor of its kernel that certified it, principal axes read
+off the eigenpairs its projection closed on, and ``truncate_rank``
+takes the coordinates from its leading columns.
 """
 
 from __future__ import annotations
@@ -176,20 +179,28 @@ def _walk_path(
     needs an eigendecomposition, and the projection moves either along
     the ones vector, to the best constant dual point, before its first
     Newton step.
+
+    The walk keeps between fits only the last dual point, with its
+    eigenbasis, and the fit it yielded until it is resumed. It lets go of
+    ``spectrum`` once the first start is built and of the last point
+    before each fit, handing either over to the projection, which drops it
+    at its first evaluation (``projection._project_from``): a caller that
+    keeps neither the spectrum nor a yielded fit runs each fit beside no
+    eigenbasis but its own.
     """
     last, eta_prev = None, 0.0
     for lam in lams:
         eta = lam / (2 * x.n)
         if last is not None:
-            start = (last.y - (eta - eta_prev), last.vals, last.vecs)
+            start = [(last.y - (eta - eta_prev), last.vals, last.vecs)]
         elif spectrum is not None:
-            start = (np.full(x.n, -eta), *spectrum)
+            start, spectrum = [(np.full(x.n, -eta), *spectrum)], None
         else:
             start = None
+        # the projection pops its start and lets go of it at its first
+        # evaluation, so this fit runs beside no eigenbasis of the one before
+        last = None
         d_hat, diag, last, factor = _project_from(_shrunk(x, eta), cfg, start)
-        # hold only last: the caller holds this fit while it needs it, and
-        # the next fit runs without it
-        del start
         eta_prev = eta
         yield ShrinkageFit(d_hat, lam, diag, factor)
         del d_hat, factor

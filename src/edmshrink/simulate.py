@@ -160,6 +160,13 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     certified from the eigenpairs its projection ends on, and truth given
     as coordinates from the k x k spectrum of their Gram matrix, so an
     experiment makes no n x n ``eigvalsh``.
+
+    Each replicate runs in a call of its own, and keeps its observation,
+    spectrum and fit no longer: once the baseline has read the spectrum,
+    the fit takes it over and drops it at its first evaluation, and the
+    fit is let go of once scored. So every eigendecomposition runs beside
+    the truth, its kernel, the observation, the shrunk observation and no
+    eigenbasis but its own.
     """
     d_true = truth if isinstance(truth, EdmMatrix) else edm_from_coords(truth)
     n = d_true.n
@@ -167,24 +174,7 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     _check_rank(cfg.rank_r, n)
     check_nonnegative("lam", lam)
 
-    records: list[ReplicateRecord] = []
-    for rep in range(cfg.reps):
-        x = add_noise(d_true, cfg.noise, cfg.seed, replicate=rep)
-        spectrum = _centered_eigh(x.entries)
-        mds_coords = _mds_fit(*spectrum, cfg.rank_r).embedding.coords
-        mds_stress = kruskal_stress(
-            SymHollowMatrix(_distances_from_coords(mds_coords)), d_true)
-        try:
-            fit = next(_walk_path(x, [lam], cfg.solver, spectrum))
-        except NotConvergedError as exc:
-            stress, cycles = None, exc.diagnostics.cycles
-        else:
-            stress = kruskal_stress(fit.d_hat, d_true)
-            cycles = fit.diagnostics.cycles
-        records.append(ReplicateRecord(
-            index=rep, shrinkage_stress=stress, mds_stress=mds_stress,
-            cycles=cycles, converged=stress is not None))
-
+    records = [_replicate(d_true, cfg, lam, rep) for rep in range(cfg.reps)]
     included = [r for r in records if r.converged]
     return StressReport(
         n=n,
@@ -196,6 +186,32 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
         replicates=tuple(records),
         failed=tuple(r.index for r in records if not r.converged),
     )
+
+
+def _replicate(d_true: EdmMatrix, cfg: SimConfig, lam: float,
+               rep: int) -> ReplicateRecord:
+    """Replicate ``rep`` of ``run_experiment``, whose observation, spectrum
+    and fit die with this call."""
+    x = add_noise(d_true, cfg.noise, cfg.seed, replicate=rep)
+    spectrum = _centered_eigh(x.entries)
+    mds_coords = _mds_fit(*spectrum, cfg.rank_r).embedding.coords
+    mds_stress = kruskal_stress(
+        SymHollowMatrix(_distances_from_coords(mds_coords)), d_true)
+    # the path holds the only reference to the spectrum, and lets go of it
+    # once the fit's start is built
+    path = _walk_path(x, [lam], cfg.solver, spectrum)
+    del spectrum
+    try:
+        fit = next(path)
+    except NotConvergedError as exc:
+        stress, cycles = None, exc.diagnostics.cycles
+    else:
+        del path
+        stress = kruskal_stress(fit.d_hat, d_true)
+        cycles = fit.diagnostics.cycles
+    return ReplicateRecord(
+        index=rep, shrinkage_stress=stress, mds_stress=mds_stress,
+        cycles=cycles, converged=stress is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,27 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def traced_at_eigh(fn) -> list[int]:
+    """The bytes that tracemalloc traces as current at each
+    numpy.linalg.eigh call that ``fn()`` makes, counting only what it
+    allocates. eigh allocates its LAPACK workspace outside tracemalloc, so
+    a traced peak cannot see what lives beside it; these readings can."""
+    live = []
+    eigh = np.linalg.eigh
+
+    def reading(a, *args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", reading):
+        tracemalloc.start()
+        try:
+            fn()
+        finally:
+            tracemalloc.stop()
+    return live
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)

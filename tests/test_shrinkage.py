@@ -41,6 +41,7 @@ from conftest import (
     random_edm,
     random_hollow,
     spectral_norm,
+    traced_at_eigh,
     traced_peak,
 )
 
@@ -810,13 +811,10 @@ class TestFitWorkingSet:
             for a, b in ((d, x.entries), (k, x.entries), (d, k)):
                 assert not np.shares_memory(a, b)
 
-    def test_path_peak_stays_under_eight_and_a_half_arrays(self):
-        # n = 200 noisy helix over two penalties, input included: about
-        # 7.4 n x n float64 arrays at the peak, which the kernel's
-        # certificate sets; holding the previous fit, copying the arrays
-        # the library builds, and the temporaries of the closing step
-        # read about 11.5
-        n = 200
+    @staticmethod
+    def path_of_two(n):
+        """``shrinkage_path`` over 0.5 lam* and lam* on the n-point noisy
+        helix, input included, as a call; and the bytes of one n x n array."""
         d = edm_from_coords(helix_coords(n))
         obs = add_noise(d, NoiseModel("gaussian", 0.25), seed=0).entries
         lam = recommended_lambda(n, 0.5)
@@ -825,4 +823,23 @@ class TestFitWorkingSet:
             x = SymHollowMatrix(obs)
             deque(shrinkage_path(x, [0.5 * lam, lam]), maxlen=0)
 
-        assert traced_peak(fit) < 8.5 * obs.nbytes
+        return fit, obs.nbytes
+
+    def test_path_peak_stays_under_six_arrays(self):
+        # about 5.4 n x n float64 arrays at the peak, in the kernel's
+        # certificate: the input, the closing EDM, its kernel, the
+        # f f^T - K residual and the closing eigenbasis, which the path
+        # keeps for the next start. Holding the shrunk input through the
+        # certificate reads about 6.4, and holding the previous fit's or
+        # the start's eigenbasis through the fit about 7.4
+        fit, array = self.path_of_two(200)
+        assert traced_peak(fit) < 6.0 * array
+
+    def test_one_eigenbasis_alive_at_each_eigh(self):
+        # at every eigendecomposition only the input, the shrunk input and
+        # the block that eigh reads are alive, about 3.05 n x n arrays;
+        # holding the eigenbasis of the start, of the previous fit or of
+        # the point whose Newton step is being tried reads about 5.1
+        fit, array = self.path_of_two(200)
+        live = traced_at_eigh(fit)
+        assert live and max(live) < 3.5 * array

@@ -7,8 +7,8 @@ d_ij = ||p_i - p_j||^2 for some point configuration p_1, ..., p_n.
 Two maps connect distances and kernels (Gram matrices):
 
   d_ij = g_ii + g_jj - 2 g_ij   sends a Gram-like matrix G to distances;
-                                it backs similarity_to_dissimilarity and
-                                edm_from_coords.
+                                it backs similarity_to_dissimilarity,
+                                edm_from_coords and every fit's EDM.
   center_gram(D) = -J D J / 2   sends an EDM to its unique minimum-trace
                                 kernel, where J = I - 11^T/n.
 
@@ -411,12 +411,17 @@ class EdmMatrix(SymHollowMatrix):
 # ---------------------------------------------------------------------------
 
 def _distances_from_gram(g: np.ndarray) -> np.ndarray:
-    """Squared distances d_ij = g_ii + g_jj - 2 g_ij, exactly symmetric and
-    hollow."""
-    diag = g.diagonal()
-    d = symmetrize(diag[:, None] + diag[None, :] - 2.0 * g)
-    np.fill_diagonal(d, 0.0)
-    return d
+    """Squared distances d_ij = g_ii + g_jj - 2 g_ij of a symmetric ``g``,
+    hollow, in the buffer of ``g``: a fit's EDM, from f f^T for its
+    certifying factor f, whose theta = (1/2) (||B - J B J||_F^2 +
+    sum l_N^2) needs no n x n array either (see ``projection``)."""
+    diag = g.diagonal().copy()
+    g *= -2.0
+    # (g_ii + g_jj) first, for symmetry; no n x n temporary
+    for i in range(0, g.shape[0], 64):
+        g[i:i + 64] += diag[i:i + 64, None] + diag
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 def similarity_to_dissimilarity(s) -> SymHollowMatrix:
@@ -429,7 +434,7 @@ def similarity_to_dissimilarity(s) -> SymHollowMatrix:
     a = _as_square(s)
     if not np.array_equal(a, a.T):
         raise ValueError("similarity matrix must be symmetric")
-    return SymHollowMatrix(_built(_distances_from_gram(a)))
+    return SymHollowMatrix(_built(_distances_from_gram(a.copy())))
 
 
 def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8,

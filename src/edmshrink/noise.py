@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdmMatrix, SymHollowMatrix, _built
+from .core import SymHollowMatrix, _built
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,7 +61,7 @@ def pair_stream(seed: int, replicate: int) -> np.random.Generator:
 
 
 def add_noise(
-    d: EdmMatrix, model: NoiseModel, seed: int, replicate: int = 0
+    d: SymHollowMatrix, model: NoiseModel, seed: int, replicate: int = 0
 ) -> SymHollowMatrix:
     """Noisy observation of a true squared-distance matrix.
 

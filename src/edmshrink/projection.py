@@ -59,17 +59,18 @@ line point's eigenvalues are shifted, not computed, so the solver stops
 only at a point it evaluated or at its start: a line point that meets
 the rule is evaluated once, and that evaluation does not move again.
 
-The solver closes on an exact EDM. It forms M = Pi_C1(A + Diag y) once,
-from the eigenpairs of the point it stops at, and with g = grad theta(y)
-the hollow matrix X = M - (g 1^T + 1 g^T) / 2 has J X J = J M J,
-negative semidefinite. Its kernel -J X J / 2 has the eigenvectors of
-J (A + Diag y) J, with eigenvalue -l_i / 2 on its non-positive side and
-0 elsewhere. The objective is 1-strongly convex, so the nearest EDM X*
-has (1/2) ||X - X*||_F^2 <= (1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 -
-(1/2) ||M||_F^2), the duality gap of X at y. Those eigenpairs,
-V sqrt(-l / 2) over the negative l, are a factor of the kernel, and X is
-certified from it by a Weyl bound, with no further eigendecomposition
-(see ``core``).
+The solver closes on an exact EDM, that of its certifying factor. At
+the point y it stops at, J B J has the non-positive part N =
+V_N diag(l_N) V_N^T, M = Pi_C1(B) = (B - J B J) + N, and g = diag M, so
+X = M - (g 1^T + 1 g^T) / 2 is hollow with J X J = N: the EDM of the
+factor f = V_N sqrt(-l_N / 2), built from f with no M. B - J B J has the
+entries r_i + r_j - mean(r) for the row means r of B and is orthogonal
+to N, so with c = r - mean(r) / 2, theta(y) = (1/2) (||B - J B J||_F^2 +
+sum l_N^2) = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2. The objective is
+1-strongly convex, so the nearest EDM X* has (1/2) ||X - X*||_F^2 <=
+(1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 - theta(y)), the duality gap of X
+at y, and f certifies X by a Weyl bound, with no further
+eigendecomposition (see ``core``).
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from .core import (
     SymHollowMatrix,
     _as_square,
     _built,
+    _distances_from_coords,
     certify_edm,
     check_int,
     check_tol,
@@ -106,8 +108,7 @@ MAX_BACKTRACKS = 30
 
 class NotConvergedError(RuntimeError):
     """The projection stopped without a certified result: it hit its
-    evaluation limit or accepted no step before |g| <= tol * ||A||_F, or
-    its converged iterate broke a bound that convergence implies.
+    evaluation limit or accepted no step before |g| <= tol * ||A||_F.
 
     Carries the final :class:`ProjectionDiagnostics` in ``diagnostics``.
     """
@@ -151,13 +152,13 @@ class ProjectionDiagnostics:
     ``simulate`` replicate reads off the spectrum it shares with
     classical MDS, or the previous fit's last point along a penalty path
     (``shrinkage_path``). gap is the duality gap (1/2) ||X - A||_F^2 -
-    ((1/2) ||A||_F^2 - (1/2) ||M||_F^2) at the last dual point y of the
-    matrix X that is returned, with M the closing step's Pi_C1(A +
-    Diag y); it bounds (1/2) ||X - X*||_F^2 for the nearest EDM X*. X is
-    the closing EDM with negative rounding clipped, or the zero matrix,
-    whose gap is (1/2) ||M||_F^2, when that is no larger or the closing
-    EDM is zero but for rounding; without convergence it is the closing
-    EDM as is. It is >= 0 up to rounding. c2_residual is the largest
+    ((1/2) ||A||_F^2 - theta(y)) at the last dual point y of the matrix X
+    that is returned, theta(y) = (1/2) ||M||_F^2 = (1/2) (||B - J B J||_F^2
+    + sum l_N^2) (see the module docstring); it bounds (1/2) ||X - X*||_F^2
+    for the nearest EDM X*. X is the EDM of its certifying factor
+    V_N sqrt(-l_N / 2), or, once converged, the zero matrix, whose gap is
+    theta(y), when that is no larger or no eigenvalue lies below
+    rounding. It is >= 0 up to rounding. c2_residual is the largest
     magnitude max|g| of the diagonal that the closing step removes.
     """
 
@@ -172,11 +173,11 @@ def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projection onto C1 = { M : J M J negative semidefinite }.
 
     The positive part P of J a J is exactly what violates the
-    constraint, so the projection is a - P. ``eigh`` reads one triangle
-    of J a J, and the projection is rebuilt from the smaller side of its
-    spectrum (see :func:`_c1_from_spectrum`). An asymmetric input
-    projects as its symmetric part does. The result is symmetric up to
-    rounding.
+    constraint, so the projection is M = a - P; ``eigh`` reads one
+    triangle of J a J. An asymmetric input projects as its symmetric part
+    does. The result is symmetric up to rounding. A fit forms no M: its
+    theta = (1/2) ||M||_F^2 = (1/2) (||a - J a J||_F^2 + sum l_N^2), and
+    M - (g 1^T + 1 g^T) / 2 is the EDM of its certifying factor.
 
     Returns the projection together with the n - 1 ascending eigenpairs
     of J a J off the ones vector (:func:`_centered_eigh`).
@@ -185,7 +186,9 @@ def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.array_equal(a, a.T):
         a = symmetrize(a)
     vals, vecs = _centered_eigh(a)
-    return _c1_from_spectrum(a, vals, vecs), vals, vecs
+    pos = vals > 0.0
+    w = vecs[:, pos]
+    return a - (w * vals[pos]) @ w.T, vals, vecs
 
 
 def _centered_eigh(a: np.ndarray, y: np.ndarray | None = None
@@ -215,28 +218,6 @@ def _centered_eigh(a: np.ndarray, y: np.ndarray | None = None
     np.subtract(q, c * s, out=vecs[:-1])
     vecs[-1] = s / -root
     return vals, vecs
-
-
-def _c1_from_spectrum(b: np.ndarray, vals: np.ndarray,
-                      vecs: np.ndarray) -> np.ndarray:
-    """Pi_C1(b) from the eigenpairs (vals, vecs) of J b J orthogonal to
-    the ones vector.
-
-    With P and N the positive and non-positive parts of J b J, the
-    projection is b - P, and also (b - J b J) + N; it is rebuilt from
-    the smaller of P and N.
-    """
-    pos = vals > 0.0
-    if 2 * np.count_nonzero(pos) <= b.shape[0]:
-        w = vecs[:, pos]
-        p = (w * vals[pos]) @ w.T
-        return np.subtract(b, p, out=p)
-    w = vecs[:, ~pos]
-    m = (w * vals[~pos]) @ w.T
-    r = b.mean(axis=1)
-    m += r[:, None]
-    m += r - r.mean()
-    return m
 
 
 def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
@@ -391,18 +372,14 @@ def project_edm_cone(
     no step along d is accepted. Every test is relative to ||a||_F, so
     projecting c * a gives c times the projection of a for any c > 0.
 
-    The result is the EDM X = M - (g 1^T + 1 g^T) / 2 of the module
-    docstring, made exactly symmetric, or the zero matrix where that is
-    certified as well (see :class:`ProjectionDiagnostics`). M, with P the
-    PSD part that Pi_C1 removes, rounds by e = n eps (||M||_F + 2
-    ||P||_F). X is an EDM but for that rounding, so a negative entry is
-    clipped to zero, and one below -2 e raises NotConvergedError. J X J =
-    J M J has no eigenvalue above e, so the spectrum of the last
-    evaluation certifies X at cert_tol = max(1e-8, 2 e / (s - e)), where
-    s is the largest eigenvalue of -J (A + Diag y) J. The certificate
-    itself bounds the kernel of X by its distance from the factor
-    V sqrt(-l / 2) of those eigenpairs, and runs ``eigvalsh`` only where
-    that bound cannot decide the PSD test or the embedding dimension.
+    The result is the EDM X of the module docstring, built from its
+    certifying factor f with any distance that rounding leaves negative
+    clipped to zero, or the zero matrix where that is certified as well
+    (see :class:`ProjectionDiagnostics`). f certifies X by a Weyl bound at
+    cert_tol = max(1e-8, 2 e / mu), for the top eigenvalue mu of f f^T and
+    a bound e on the rounding of X's kernel and of the certificate, and
+    ``eigvalsh`` runs only where that bound cannot decide the PSD test or
+    the embedding dimension.
     """
     return _project_from(a, cfg)[:2]
 
@@ -422,7 +399,7 @@ def _project_from(
     start, so a caller that keeps no other reference hands its eigenbasis
     over. A line point that meets the rule is evaluated once before it is
     accepted. A fit closes on the last point it evaluated, or on its start
-    if it evaluated none, so that M and the certificate read a computed
+    if it evaluated none, so that X and the certificate read a computed
     spectrum: the factor V sqrt(-l / 2) of its eigenpairs over its
     negative eigenvalues l, or no column when the zero matrix is returned.
 
@@ -430,8 +407,8 @@ def _project_from(
     until its Newton direction is solved, and the start's go with it, and
     a failed trial is let go of before the next is evaluated, so each
     ``eigh`` runs beside ``a``, the block it reads and what the caller
-    holds. ``a`` is let go of before the certificate, whose kernel and
-    f f^T - K residual then set the fit's peak beside the closing EDM and
+    holds. ``a`` is let go of before the certificate, whose kernel, built
+    by ``center_gram``, then sets the fit's peak beside the closing EDM and
     the closing eigenbasis, which is returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
@@ -502,33 +479,21 @@ def _project_from(
             break
 
     pt = last
-    m = a.copy()
-    m.flat[:: a.shape[0] + 1] += pt.y
-    m = _c1_from_spectrum(m, pt.vals, pt.vecs)
-    theta = 0.5 * float(np.vdot(m, m))
-    out = _hollow_edm(m, pt.g)
-    # M rounds by about e = n eps (||M||_F + 2 ||P||_F) from either side
-    # of the split J B J = P + N, B = A + Diag y: B - P rounds with B and
-    # P, and ||B||_F <= ||M||_F + ||P||_F; (B - J B J) + N rounds with B
-    # and N, and ||N||_F = ||J M J||_F <= ||M||_F; g = diag B - diag P
-    # rounds with B and P too. X, an EDM but for that rounding, is off by
-    # at most 2 e per entry
-    psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
-    slack = a.shape[0] * np.finfo(float).eps * (
-        np.sqrt(2.0 * theta) + 2.0 * psd)
-    top = -float(pt.vals[0]) - slack
-    low = float(out.min())
-    if converged and low >= -2.0 * slack:
-        np.maximum(out, 0.0, out=out)
+    out, theta, factor = _closing_edm(a, pt)
     # (1/2) ||X - A||^2 - ((1/2) ||A||^2 - theta), with no n x n temporary
     gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + theta
     # the rest reads no input: let go of it before the certificate's n x n
     # kernel and residual
-    a = None
-    if converged and (theta <= gap or top <= 0.0):
+    n, a = a.shape[0], None
+    # the eigenvalues of J B J, read off B = A + Diag y, round by about
+    # n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F)
+    eps = np.finfo(float).eps
+    psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
+    if converged and (theta <= gap or -pt.vals[0] <= n * eps * (
+            np.sqrt(2.0 * theta) + 2.0 * psd)):
         # the zero matrix has gap theta at y: no larger than X's, or X is
-        # zero but for rounding, its kernel's spectrum within e of 0
-        out, gap = np.zeros_like(out), theta
+        # zero but for that rounding
+        out, gap, factor = np.zeros_like(out), theta, factor[:, :0]
     diag = ProjectionDiagnostics(cycles, delta, gap,
                                  float(np.abs(pt.g).max()), converged)
     if not converged:
@@ -538,30 +503,28 @@ def _project_from(
             f"{reason} (gradient {float(np.linalg.norm(pt.g)):.3e}, "
             f"bound tol * ||A||_F = {floor:.3e})", diag)
 
-    neg = pt.vals < 0.0
-    factor = pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg])
     cert_tol = 1e-8
-    if not out.any():
-        factor = factor[:, :0]
-    else:
-        if low < -2.0 * slack:
-            raise NotConvergedError(
-                f"converged iterate has off-diagonal {low:.3e} below its "
-                f"rounding {-2.0 * slack:.3e}", diag)
-        cert_tol = max(cert_tol, 2.0 * slack / top)
+    if factor.size:
+        # e bounds the certificate's rounding, 2 (n + s) eps ||f||_F^2, and
+        # X's off the EDM of f: s eps ||f||_F^2 from f f^T, n-fold on its
+        # diagonal, and a few eps ||X||_F <= 4 sqrt(n) eps ||f||_F^2
+        s = factor.shape[1]
+        e = 2.0 * (n + s + np.sqrt(n) * (s + 8)) * eps * float(
+            np.vdot(factor, factor))
+        cert_tol = max(cert_tol, 2.0 * e / (-0.5 * float(pt.vals[0])))
     return certify_edm(_built(out), cert_tol, factor), diag, pt, factor
 
 
-def _hollow_edm(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """X = M - (g 1^T + 1 g^T) / 2, made exactly symmetric as (X + X^T) / 2
-    and hollow, in the buffer of ``m`` and one more."""
-    x = np.add.outer(g, g)
-    x *= 0.5
-    np.subtract(m, x, out=x)
-    out = np.add(x, x.T, out=m)
-    out *= 0.5
-    np.fill_diagonal(out, 0.0)
-    return out
+def _closing_edm(a: np.ndarray, pt: _DualPoint
+                 ) -> tuple[np.ndarray, float, np.ndarray]:
+    """X, theta(y) and X's factor f at ``pt`` (see the module docstring)."""
+    neg = pt.vals < 0.0
+    lam = pt.vals[neg]
+    factor = pt.vecs[:, neg] * np.sqrt(-0.5 * lam)
+    c = a.mean(axis=1) + pt.y / a.shape[0]
+    c -= 0.5 * c.mean()
+    theta = c.size * float(c @ c) + float(c.sum())**2 + 0.5 * float(lam @ lam)
+    return _distances_from_coords(factor), theta, factor
 
 
 # ---------------------------------------------------------------------------

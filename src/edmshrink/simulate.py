@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     EdmMatrix,
     SymHollowMatrix,
+    _built,
     _distances_from_coords,
     check_int,
     check_nonnegative,
@@ -165,10 +166,11 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     spectrum and fit no longer: once the baseline has read the spectrum,
     the fit takes it over and drops it at its first evaluation, and the
     fit is let go of once scored. So every eigendecomposition runs beside
-    the truth, its kernel, the observation, the shrunk observation and no
-    eigenbasis but its own.
+    the truth's entries, not its kernel, the observation, the shrunk
+    observation and no eigenbasis but its own.
     """
     d_true = truth if isinstance(truth, EdmMatrix) else edm_from_coords(truth)
+    d_true = SymHollowMatrix(_built(d_true.entries))  # read-only, shared
     n = d_true.n
     lam = cfg.penalty(n)
     _check_rank(cfg.rank_r, n)
@@ -188,7 +190,7 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     )
 
 
-def _replicate(d_true: EdmMatrix, cfg: SimConfig, lam: float,
+def _replicate(d_true: SymHollowMatrix, cfg: SimConfig, lam: float,
                rep: int) -> ReplicateRecord:
     """Replicate ``rep`` of ``run_experiment``, whose observation, spectrum
     and fit die with this call."""

@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves, and every function the
 benchmark's tracer patches by name still exists and runs on the fit path."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,3 +76,17 @@ def test_traced_estimate_records_written_sizes(tmp_path):
                      if not path.name.endswith(".embedding.csv"))
     assert len(written) == 4
     assert recorded == written
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # every invocation pays for what importing the CLI loads
+    heavy = ("scipy", "numpy.random", "concurrent", "multiprocessing",
+             "asyncio", "unittest")
+    src = str(Path(edmshrink.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, edmshrink.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert not set(heavy) & set(proc.stdout.split())

@@ -161,6 +161,20 @@ class TestDistancesFromKernel:
         out = similarity_to_dissimilarity(np.zeros((3, 3)))
         assert np.array_equal(out.entries, np.zeros((3, 3)))
 
+    def test_leaves_the_callers_array_unchanged(self, rng):
+        # distances are built in the buffer they are given, here a copy of
+        # the caller's array, over more rows than one block of the build
+        s = rng.normal(size=(150, 150))
+        s = (s + s.T) / 2.0
+        before = s.copy()
+        out = similarity_to_dissimilarity(s)
+        assert np.array_equal(s, before)
+        assert not np.shares_memory(out.entries, s)
+        diag = s.diagonal()
+        want = (diag[:, None] + diag) - 2.0 * s
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(out.entries, want)
+
 
 class TestMinTraceKernel:
     def test_two_point_value(self):

@@ -20,8 +20,9 @@ from edmshrink import (
     project_edm_cone,
 )
 from edmshrink import projection
-from edmshrink.projection import (_centered_eigh, _dual_point, _evaluate,
-                                  _line_step, _newton_system, project_c1)
+from edmshrink.projection import (_centered_eigh, _closing_edm, _dual_point,
+                                  _evaluate, _line_step, _newton_system,
+                                  project_c1)
 from edmshrink.shrinkage import _walk_path, distance_shrinkage
 
 from conftest import centering, eig_counts, random_edm, random_hollow
@@ -296,6 +297,35 @@ class TestDualPointFormula:
         scale = np.linalg.norm(m)
         assert abs(pt.theta - 0.5 * scale**2) <= 1e-12 * scale**2
         assert np.abs(pt.g - m.diagonal()).max() <= 1e-12 * scale
+
+
+class TestClosingEdm:
+    """The close of a fit against the formation it replaced: M =
+    Pi_C1(A + Diag y) from ``project_c1`` and the hollow M - (g 1^T +
+    1 g^T) / 2, g = diag M, which is the EDM of the factor V_N
+    sqrt(-l_N / 2), with theta = (1/2) ||M||_F^2 read off the row means of
+    A + Diag y and l_N."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(2, 40), exponent=st.floats(-8.0, 8.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_formed_projection(self, n, exponent, seed):
+        gen = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        # entries off centre, so the mean of the row means counts
+        a = random_symmetric(gen, n, scale) + gen.uniform(-2.0, 2.0) * scale
+        y = gen.normal(scale=scale, size=n)
+        x, theta, _ = _closing_edm(a, evaluate_at(a, y))
+        m = project_c1(a + np.diag(y))[0]
+        g = m.diagonal()
+        want = m - (g[:, None] + g) / 2.0
+        # M and the eigenpairs both round by a few n eps ||A + Diag y||_F
+        size = np.linalg.norm(a + np.diag(y))
+        tol = 8 * n * np.finfo(float).eps * size
+        assert np.abs(x - want).max() <= tol
+        assert abs(theta - 0.5 * norm2(m)) <= tol * size
+        assert np.array_equal(x, x.T) and not x.diagonal().any()
 
 
 class TestShiftedDualPoint:
@@ -607,9 +637,10 @@ class TestProjectEdmCone:
 
 
 class TestCertificateRounding:
-    """A fit just short of collapsing to a point has a tiny spectrum, so
-    the rounding of M, of size eps (||A + Diag y||_F + ||P||_F), must be
-    in the certificate's bound."""
+    """A fit just short of collapsing to a point has a tiny spectrum: the
+    zero matrix is returned where it lies within the rounding of the
+    eigenvalues, of size eps (||A + Diag y||_F + ||P||_F), and otherwise
+    the EDM of the factor must pass its certificate with rank 1."""
 
     def test_near_collapse_sweep(self):
         gen = np.random.default_rng(7)

@@ -826,12 +826,12 @@ class TestFitWorkingSet:
         return fit, obs.nbytes
 
     def test_path_peak_stays_under_six_arrays(self):
-        # about 5.4 n x n float64 arrays at the peak, in the kernel's
-        # certificate: the input, the closing EDM, its kernel, the
-        # f f^T - K residual and the closing eigenbasis, which the path
-        # keeps for the next start. Holding the shrunk input through the
-        # certificate reads about 6.4, and holding the previous fit's or
-        # the start's eigenbasis through the fit about 7.4
+        # about 5.3 n x n float64 arrays at the peak, in the certificate's
+        # center_gram kernel of the closing EDM: the input, the closing
+        # EDM, the kernel's two steps and the closing eigenbasis, which the
+        # path keeps for the next start. Holding the shrunk input through
+        # the certificate, or the previous fit's or the start's eigenbasis
+        # through the fit, reads about 6.3
         fit, array = self.path_of_two(200)
         assert traced_peak(fit) < 6.0 * array
 

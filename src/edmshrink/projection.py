@@ -39,15 +39,21 @@ each eigenpair (l, q) of C gives the eigenpair (l, H [q; 0]) of J B J.
 The n - 1 eigenvalues l ascend; the eigenvectors V are orthonormal and
 orthogonal to 1.
 
-Every dual point is read off those eigenpairs, with no M. At
-B = A + Diag y, the part P = Pi_PSD(J B J) that Pi_C1 removes has
-<B, P> = ||P||_F^2, so
+Every dual point is read off the non-positive eigenpairs, with no M. At
+B = A + Diag y, J B J has the non-positive part N = V_N diag(l_N) V_N^T,
+and M = Pi_C1(B) = (B - J B J) + N. B - J B J has the entries
+r_i + r_j - mean(r) for the row means r of B and is orthogonal to N, so
+with c = r - mean(r) / 2,
 
-  theta(y) = (1/2) (||B||_F^2 - sum_i max(l_i, 0)^2),
-  grad theta(y) = diag B - (V o V) max(l, 0),
+  theta(y) = (1/2) (||B - J B J||_F^2 + sum l_N^2)
+           = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2,
+  grad theta(y) = diag M = 2 c + (V_N o V_N) l_N.
 
-with ||B||_F^2 = ||A||_F^2 + 2 y . diag A + ||y||^2. An evaluation of
-theta costs one eigendecomposition of C and no more.
+Each term of theta is the square of a part of M, so theta rounds by
+about n eps ||B||_F ||M||_F, however much of B the projection removes,
+where (1/2) (||B||_F^2 - sum of the positive l^2) would round by
+eps ||B||_F^2. An evaluation of theta costs one eigendecomposition of C
+and no more.
 
 Moves along the ones vector come free: J V = V, so J (B + t I) J =
 J B J + t J has the eigenpairs (l + t, V) for every t, and theta(y + t 1)
@@ -60,17 +66,12 @@ only at a point it evaluated or at its start: a line point that meets
 the rule is evaluated once, and that evaluation does not move again.
 
 The solver closes on an exact EDM, that of its certifying factor. At
-the point y it stops at, J B J has the non-positive part N =
-V_N diag(l_N) V_N^T, M = Pi_C1(B) = (B - J B J) + N, and g = diag M, so
-X = M - (g 1^T + 1 g^T) / 2 is hollow with J X J = N: the EDM of the
-factor f = V_N sqrt(-l_N / 2), built from f with no M. B - J B J has the
-entries r_i + r_j - mean(r) for the row means r of B and is orthogonal
-to N, so with c = r - mean(r) / 2, theta(y) = (1/2) (||B - J B J||_F^2 +
-sum l_N^2) = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2. The objective is
-1-strongly convex, so the nearest EDM X* has (1/2) ||X - X*||_F^2 <=
-(1/2) ||X - A||_F^2 - ((1/2) ||A||_F^2 - theta(y)), the duality gap of X
-at y, and f certifies X by a Weyl bound, with no further
-eigendecomposition (see ``core``).
+the point y it stops at, g = diag M, so X = M - (g 1^T + 1 g^T) / 2 is
+hollow with J X J = N: the EDM of the factor f = V_N sqrt(-l_N / 2),
+built from f with no M. The objective is 1-strongly convex, so the
+nearest EDM X* has (1/2) ||X - X*||_F^2 <= (1/2) ||X - A||_F^2 -
+((1/2) ||A||_F^2 - theta(y)), the duality gap of X at y, and f certifies
+X by a Weyl bound, with no further eigendecomposition (see ``core``).
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ class ProjectionDiagnostics:
     classical MDS, or the previous fit's last point along a penalty path
     (``shrinkage_path``). gap is the duality gap (1/2) ||X - A||_F^2 -
     ((1/2) ||A||_F^2 - theta(y)) at the last dual point y of the matrix X
-    that is returned, theta(y) = (1/2) ||M||_F^2 = (1/2) (||B - J B J||_F^2
-    + sum l_N^2) (see the module docstring); it bounds (1/2) ||X - X*||_F^2
-    for the nearest EDM X*. X is the EDM of its certifying factor
+    that is returned, with theta(y) = (1/2) ||M||_F^2 = n ||c||^2 +
+    (sum c)^2 + (1/2) sum l_N^2, the formula of every dual point (see the
+    module docstring); it bounds (1/2) ||X - X*||_F^2 for the nearest
+    EDM X*. X is the EDM of its certifying factor
     V_N sqrt(-l_N / 2), or, once converged, the zero matrix, whose gap is
     theta(y), when that is no larger or no eigenvalue lies below
     rounding. It is >= 0 up to rounding. c2_residual is the largest
@@ -306,50 +308,49 @@ class _DualPoint(NamedTuple):
     vecs: np.ndarray
 
 
-def _dual_point(a: np.ndarray, norm2: float, y: np.ndarray,
-                vals: np.ndarray, vecs: np.ndarray) -> _DualPoint:
-    """theta and its gradient at y, read off eigenpairs (vals, vecs) of
-    J (A + Diag y) J in O(n k) work for k positive eigenvalues, with
-    ``norm2`` = ||A||_F^2 (see the module docstring).
-
-    Both round relative to ||A + Diag y||_F, which can be far larger
-    than ||Pi_C1(A + Diag y)||_F when most of it is removed.
-    """
-    pos = vals > 0.0
-    w, lam = vecs[:, pos], vals[pos]
-    d = a.diagonal()
-    norm2 += float(y @ (2.0 * d + y))
-    return _DualPoint(y, d + y - (w * w) @ lam,
-                      0.5 * (norm2 - float(lam @ lam)), vals, vecs)
+def _dual_point(a: np.ndarray, y: np.ndarray, vals: np.ndarray,
+                vecs: np.ndarray) -> _DualPoint:
+    """theta and its gradient at y, read off the non-positive part
+    (l_N, V_N) of the ascending eigenpairs (vals, vecs) of J B J,
+    B = A + Diag y, and the row means r of B, in O(n^2) work:
+    c = r - mean(r) / 2, theta = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2
+    and g = 2 c + (V_N o V_N) l_N (see the module docstring)."""
+    k = int(np.searchsorted(vals, 0.0))
+    w, lam = vecs[:, :k], vals[:k]
+    c = a.mean(axis=1) + y / y.size
+    c -= 0.5 * c.mean()
+    theta = y.size * float(c @ c) + float(c.sum())**2 + 0.5 * float(lam @ lam)
+    return _DualPoint(y, 2.0 * c + np.square(w) @ lam, theta, vals, vecs)
 
 
-def _evaluate(a: np.ndarray, norm2: float, y: np.ndarray) -> _DualPoint:
+def _evaluate(a: np.ndarray, y: np.ndarray) -> _DualPoint:
     """theta and its gradient at y: one eigh, of the block of
     J (A + Diag y) J orthogonal to the ones vector."""
-    return _dual_point(a, norm2, y, *_centered_eigh(a, y))
+    return _dual_point(a, y, *_centered_eigh(a, y))
 
 
-def _line_step(pt: _DualPoint, a: np.ndarray, norm2: float) -> _DualPoint:
+def _line_step(pt: _DualPoint, a: np.ndarray) -> _DualPoint:
     """The minimizer of theta along pt.y + t 1, read off pt's eigenpairs.
 
     ``pt`` has the n - 1 ascending eigenpairs (l, V) of J B J,
-    B = A + Diag y, orthogonal to the ones vector, and ``norm2`` is
-    ||A||_F^2. Each l_i moves to l_i + t with the same eigenvector (see
-    the module docstring), so with tr B = tr A + sum y, the slope of
-    theta(y + t 1) is tr B + n t - sum_i max(l_i + t, 0). It is bounded
-    above by the linear tr B + n t - sum_{i <= k} (l_i + t) over the k
-    largest l_i. Each of those n bounds has its root at or below t*, and
-    the one whose k eigenvalues are positive at t* has its root at t*,
-    so t* = max_k (S_k - tr B) / (n - k), with S_k the sum of the k
-    largest l_i, for k = 0, ..., n - 1.
+    B = A + Diag y, orthogonal to the ones vector. Each l_i moves to
+    l_i + t with the same eigenvector (see the module docstring), so with
+    tr B = tr A + sum y, the slope of theta(y + t 1) is
+    tr B + n t - sum_i max(l_i + t, 0). It is bounded above by the linear
+    tr B + n t - sum_{i <= k} (l_i + t) over the k largest l_i. Each of
+    those n bounds has its root at or below t*, and the one whose k
+    eigenvalues are positive at t* has its root at t*, so
+    t* = max_k (S_k - tr B) / (n - k), with S_k the sum of the k largest
+    l_i, for k = 0, ..., n - 1.
 
-    Returns the line point at y + t* 1, eigenvalues l + t*, in O(n^2).
+    Returns the line point at y + t* 1, eigenvalues l + t*, read off by
+    the formula of every dual point, in O(n^2).
     """
     n = pt.y.size
     trace_b = float(np.trace(a)) + float(pt.y.sum())
     sums = np.concatenate(([0.0], np.cumsum(pt.vals[::-1])))
     t = float(np.max((sums - trace_b) / (n - np.arange(n))))
-    return _dual_point(a, norm2, pt.y + t, pt.vals + t, pt.vecs)
+    return _dual_point(a, pt.y + t, pt.vals + t, pt.vecs)
 
 
 def project_edm_cone(
@@ -419,7 +420,7 @@ def _project_from(
     if cfg is None:
         cfg = SolverConfig()
     scale = float(np.linalg.norm(a))
-    norm2, floor = scale * scale, cfg.tol * scale
+    floor = cfg.tol * scale
 
     def arrive(pt: _DualPoint) -> _DualPoint:
         # a start or an accepted step, short of the rule, moves once along
@@ -427,12 +428,12 @@ def _project_from(
         # in the loop, and that evaluation does not move, so a rounding
         # disagreement at the rule cannot make the two alternate
         return (pt if np.linalg.norm(pt.g) <= floor
-                else _line_step(pt, a, norm2))
+                else _line_step(pt, a))
 
     if start is None:
-        last, cycles = _evaluate(a, norm2, np.zeros(a.shape[0])), 1
+        last, cycles = _evaluate(a, np.zeros(a.shape[0])), 1
     else:
-        last, cycles = _dual_point(a, norm2, *start.pop()), 0
+        last, cycles = _dual_point(a, *start.pop()), 0
     # last is the point last evaluated, or the start: the fit closes on it
     pt = arrive(last)
     delta = 0.0
@@ -448,7 +449,7 @@ def _project_from(
         if gnorm <= floor:
             # a line point meets the rule: stop only once evaluated
             y, pt, last = pt.y, None, None
-            pt = last = _evaluate(a, norm2, y)
+            pt = last = _evaluate(a, y)
             cycles += 1
             continue
         rel = gnorm / scale
@@ -464,7 +465,7 @@ def _project_from(
         for _ in range(MAX_BACKTRACKS):
             # trial holds an eigenbasis too: pt's, or a failed step's
             trial = last = None
-            trial = last = _evaluate(a, norm2, pt.y + t * d)
+            trial = last = _evaluate(a, pt.y + t * d)
             cycles += 1
             if (trial.theta <= pt.theta + ARMIJO * t * slope
                     or np.linalg.norm(trial.g) <= 0.5 * gnorm):
@@ -478,8 +479,10 @@ def _project_from(
             stalled = True
             break
 
-    pt = last
-    out, theta, factor = _closing_edm(a, pt)
+    pt, theta = last, last.theta
+    neg = pt.vals < 0.0
+    factor = pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg])
+    out = _distances_from_coords(factor)
     # (1/2) ||X - A||^2 - ((1/2) ||A||^2 - theta), with no n x n temporary
     gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + theta
     # the rest reads no input: let go of it before the certificate's n x n
@@ -513,18 +516,6 @@ def _project_from(
             np.vdot(factor, factor))
         cert_tol = max(cert_tol, 2.0 * e / (-0.5 * float(pt.vals[0])))
     return certify_edm(_built(out), cert_tol, factor), diag, pt, factor
-
-
-def _closing_edm(a: np.ndarray, pt: _DualPoint
-                 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """X, theta(y) and X's factor f at ``pt`` (see the module docstring)."""
-    neg = pt.vals < 0.0
-    lam = pt.vals[neg]
-    factor = pt.vecs[:, neg] * np.sqrt(-0.5 * lam)
-    c = a.mean(axis=1) + pt.y / a.shape[0]
-    c -= 0.5 * c.mean()
-    theta = c.size * float(c @ c) + float(c.sum())**2 + 0.5 * float(lam @ lam)
-    return _distances_from_coords(factor), theta, factor
 
 
 # ---------------------------------------------------------------------------

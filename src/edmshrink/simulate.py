@@ -17,12 +17,12 @@ import numpy as np
 
 from .core import (
     EdmMatrix,
+    Embedding,
     SymHollowMatrix,
     _built,
     _distances_from_coords,
     check_int,
     check_nonnegative,
-    edm_from_coords,
     kruskal_stress,
 )
 from .fileio import dumps_json
@@ -158,9 +158,10 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     start of the shrinkage fit, which is otherwise ``distance_shrinkage``.
     The baseline is scored on the distances of its coordinates, which
     form an EDM by construction, so it needs no certificate. The fit is
-    certified from the eigenpairs its projection ends on, and truth given
-    as coordinates from the k x k spectrum of their Gram matrix, so an
-    experiment makes no n x n ``eigvalsh``.
+    certified from the eigenpairs its projection ends on. The truth is not
+    certified: an experiment reads only its entries, and truth given as
+    coordinates becomes the squared distances of the centered coordinates.
+    So an experiment makes no ``eigvalsh``.
 
     Each replicate runs in a call of its own, and keeps its observation,
     spectrum and fit no longer: once the baseline has read the spectrum,
@@ -169,8 +170,9 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     the truth's entries, not its kernel, the observation, the shrunk
     observation and no eigenbasis but its own.
     """
-    d_true = truth if isinstance(truth, EdmMatrix) else edm_from_coords(truth)
-    d_true = SymHollowMatrix(_built(d_true.entries))  # read-only, shared
+    d_true = SymHollowMatrix(_built(  # read-only, shared
+        truth.entries if isinstance(truth, EdmMatrix) else
+        _distances_from_coords(Embedding.from_points(truth).coords)))
     n = d_true.n
     lam = cfg.penalty(n)
     _check_rank(cfg.rank_r, n)
@@ -198,7 +200,7 @@ def _replicate(d_true: SymHollowMatrix, cfg: SimConfig, lam: float,
     spectrum = _centered_eigh(x.entries)
     mds_coords = _mds_fit(*spectrum, cfg.rank_r).embedding.coords
     mds_stress = kruskal_stress(
-        SymHollowMatrix(_distances_from_coords(mds_coords)), d_true)
+        SymHollowMatrix(_built(_distances_from_coords(mds_coords))), d_true)
     # the path holds the only reference to the spectrum, and lets go of it
     # once the fit's start is built
     path = _walk_path(x, [lam], cfg.solver, spectrum)

@@ -20,12 +20,13 @@ from edmshrink import (
     project_edm_cone,
 )
 from edmshrink import projection
-from edmshrink.projection import (_centered_eigh, _closing_edm, _dual_point,
-                                  _evaluate, _line_step, _newton_system,
-                                  project_c1)
+from edmshrink.core import _distances_from_coords
+from edmshrink.projection import (_centered_eigh, _dual_point, _evaluate,
+                                  _line_step, _newton_system, project_c1)
 from edmshrink.shrinkage import _walk_path, distance_shrinkage
 
-from conftest import centering, eig_counts, random_edm, random_hollow
+from conftest import (centering, eig_counts, random_cloud, random_edm,
+                      random_hollow)
 
 
 def hollow(rows) -> SymHollowMatrix:
@@ -79,17 +80,8 @@ def dykstra_reference(a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def norm2(a: np.ndarray) -> float:
+    """||a||_F^2, so that (1/2) norm2(M) is theta at M = Pi_C1(B)."""
     return float(np.vdot(a, a))
-
-
-def evaluate_at(a: np.ndarray, y: np.ndarray):
-    """The dual point of ``a`` at y, from one eigendecomposition."""
-    return _evaluate(a, norm2(a), y)
-
-
-def line_from(pt, a: np.ndarray):
-    """The line step of the dual point ``pt`` of ``a``."""
-    return _line_step(pt, a, norm2(a))
 
 
 def random_symmetric(rng, n, scale=3.0) -> np.ndarray:
@@ -274,14 +266,14 @@ def dual_point_of_kind(kind: str, rng, n: int):
     x = random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
     y = rng.normal(size=n)
     if kind == "evaluated":
-        return x, evaluate_at(x, y)
+        return x, _evaluate(x, y)
     if kind == "line":
-        return x, line_from(evaluate_at(x, y), x)
+        return x, _line_step(_evaluate(x, y), x)
     a = x - 1.5 * (1.0 - np.eye(n))
     if kind == "warm":
-        pt = evaluate_at(x, y)
-        return a, _dual_point(a, norm2(a), y - 1.5, pt.vals, pt.vecs)
-    return a, _dual_point(a, norm2(a), np.full(n, -1.5), *_centered_eigh(x))
+        pt = _evaluate(x, y)
+        return a, _dual_point(a, y - 1.5, pt.vals, pt.vecs)
+    return a, _dual_point(a, np.full(n, -1.5), *_centered_eigh(x))
 
 
 class TestDualPointFormula:
@@ -298,13 +290,29 @@ class TestDualPointFormula:
         assert abs(pt.theta - 0.5 * scale**2) <= 1e-12 * scale**2
         assert np.abs(pt.g - m.diagonal()).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("big", [1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_rounds_relative_to_m(self, rng, n, big):
+        # a centred PSD kernel that Pi_C1 removes, at big times the EDM
+        # that stays: theta rounds by n eps ||B||_F ||M||_F, where
+        # (1/2) (||B||_F^2 - sum of the positive l^2) rounds by
+        # eps ||B||_F^2
+        p = random_cloud(rng, n, 3)
+        a = big * (p @ p.T) + random_edm(rng, n, 3).entries
+        y = rng.normal(size=n)
+        pt = _evaluate(a, y)
+        b = a + np.diag(y)
+        m = project_c1(b)[0]
+        eps = np.finfo(float).eps
+        bound = 8 * n * eps * np.linalg.norm(b) * np.linalg.norm(m)
+        assert abs(pt.theta - 0.5 * norm2(m)) <= bound
+
 
 class TestClosingEdm:
-    """The close of a fit against the formation it replaced: M =
-    Pi_C1(A + Diag y) from ``project_c1`` and the hollow M - (g 1^T +
-    1 g^T) / 2, g = diag M, which is the EDM of the factor V_N
-    sqrt(-l_N / 2), with theta = (1/2) ||M||_F^2 read off the row means of
-    A + Diag y and l_N."""
+    """An evaluated dual point and the close it gives, against the
+    formation they replace: M = Pi_C1(A + Diag y) from ``project_c1``,
+    theta = (1/2) ||M||_F^2, g = diag M, and the hollow M - (g 1^T +
+    1 g^T) / 2, which is the EDM of the factor V_N sqrt(-l_N / 2)."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -316,7 +324,10 @@ class TestClosingEdm:
         # entries off centre, so the mean of the row means counts
         a = random_symmetric(gen, n, scale) + gen.uniform(-2.0, 2.0) * scale
         y = gen.normal(scale=scale, size=n)
-        x, theta, _ = _closing_edm(a, evaluate_at(a, y))
+        pt = _evaluate(a, y)
+        neg = pt.vals < 0.0
+        x = _distances_from_coords(
+            pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg]))
         m = project_c1(a + np.diag(y))[0]
         g = m.diagonal()
         want = m - (g[:, None] + g) / 2.0
@@ -324,7 +335,8 @@ class TestClosingEdm:
         size = np.linalg.norm(a + np.diag(y))
         tol = 8 * n * np.finfo(float).eps * size
         assert np.abs(x - want).max() <= tol
-        assert abs(theta - 0.5 * norm2(m)) <= tol * size
+        assert abs(pt.theta - 0.5 * norm2(m)) <= tol * size
+        assert np.abs(pt.g - g).max() <= tol
         assert np.array_equal(x, x.T) and not x.diagonal().any()
 
 
@@ -338,10 +350,10 @@ class TestShiftedDualPoint:
     def test_matches_fresh_evaluation(self, rng, n, c):
         a = random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
         y = rng.normal(size=n)
-        pt = evaluate_at(a, y)
+        pt = _evaluate(a, y)
         shifted = a - c * (1.0 - np.eye(n))
-        moved = _dual_point(shifted, norm2(shifted), y - c, pt.vals, pt.vecs)
-        fresh = evaluate_at(shifted, y - c)
+        moved = _dual_point(shifted, y - c, pt.vals, pt.vecs)
+        fresh = _evaluate(shifted, y - c)
         scale = np.linalg.norm(project_c1(shifted + np.diag(y - c))[0])
         assert np.abs(moved.g - fresh.g).max() <= 1e-12 * scale
         assert abs(moved.theta - fresh.theta) <= 1e-12 * scale**2
@@ -369,7 +381,7 @@ def constant_start(a, vals, vecs, offset):
     """The line step from the point of a spectrum: the best constant dual
     point, as a fit from that spectrum reaches it."""
     y = np.full(a.shape[0], -offset)
-    return line_from(_dual_point(a, norm2(a), y, vals, vecs), a)
+    return _line_step(_dual_point(a, y, vals, vecs), a)
 
 
 class TestConstantStart:
@@ -382,16 +394,16 @@ class TestConstantStart:
         for _ in range(3):
             # a nonzero diagonal puts tr A into the slope of theta(c 1)
             a = random_symmetric(rng, n)
-            zero = evaluate_at(a, np.zeros(n))
-            start = line_from(zero, a)
+            zero = _evaluate(a, np.zeros(n))
+            start = _line_step(zero, a)
             c = float(start.y[0])
             width = float(np.linalg.norm(a))
             brute = golden_section_min(
-                lambda t: evaluate_at(a, np.full(n, t)).theta,
+                lambda t: _evaluate(a, np.full(n, t)).theta,
                 c - width, c + width)
             assert abs(brute - c) <= 1e-6 * width
             # the shifted spectrum gives the point a fresh eigh gives
-            fresh = evaluate_at(a, start.y)
+            fresh = _evaluate(a, start.y)
             assert np.abs(start.g - fresh.g).max() <= 1e-12 * width
             assert abs(start.theta - fresh.theta) <= 1e-12 * width**2
             assert np.abs(np.sort(start.vals) - fresh.vals).max() <= (
@@ -413,7 +425,7 @@ class TestConstantStart:
         x = random_hollow(rng, n, scale=2.0).entries
         for eta in (0.0, 0.4, 1.5):
             a = x - eta * (1.0 - np.eye(n))
-            mine = line_from(evaluate_at(a, np.zeros(n)), a)
+            mine = _line_step(_evaluate(a, np.zeros(n)), a)
             shared = constant_start(a, *_centered_eigh(x), eta)
             width = np.linalg.norm(a)
             assert abs(shared.y[0] - mine.y[0]) <= 1e-12 * width
@@ -426,9 +438,9 @@ class TestConstantStart:
         n = int(gen.integers(2, 30))
         a = random_hollow(gen, n, scale=float(gen.uniform(0.1, 10.0))).entries
         a = a - float(gen.uniform(-1.0, 1.0)) * (1.0 - np.eye(n))
-        zero = evaluate_at(a, np.zeros(n))
-        start = line_from(zero, a)
-        assert evaluate_at(a, start.y).theta <= zero.theta
+        zero = _evaluate(a, np.zeros(n))
+        start = _line_step(zero, a)
+        assert _evaluate(a, start.y).theta <= zero.theta
 
     @pytest.mark.parametrize("x", [
         np.zeros((5, 5)),
@@ -474,10 +486,10 @@ class TestLineStep:
             if hollow:
                 np.fill_diagonal(a, 0.0)
             y = rng.normal(size=n)
-            line = line_from(evaluate_at(a, y), a)
+            line = _line_step(_evaluate(a, y), a)
             t = float(line.y[0] - y[0])
             assert np.allclose(line.y - y, t, rtol=0.0, atol=1e-15 * abs(t))
-            fresh = evaluate_at(a, line.y)
+            fresh = _evaluate(a, line.y)
             # both round relative to B = A + Diag y, which can be far
             # larger than M when most of B is removed
             b = np.linalg.norm(a + np.diag(line.y))
@@ -488,11 +500,11 @@ class TestLineStep:
     def test_minimizes_theta_along_ones(self, rng, n):
         for _ in range(3):
             a = random_symmetric(rng, n)
-            line = line_from(evaluate_at(a, rng.normal(size=n)), a)
-            here = evaluate_at(a, line.y).theta
+            line = _line_step(_evaluate(a, rng.normal(size=n)), a)
+            here = _evaluate(a, line.y).theta
             for delta in (1e-3, 1e-1, 1.0):
                 for sign in (-1.0, 1.0):
-                    moved = evaluate_at(a, line.y + sign * delta).theta
+                    moved = _evaluate(a, line.y + sign * delta).theta
                     assert moved >= here * (1.0 - 1e-14)
 
     def test_not_converged_at_a_line_point(self, rng):
@@ -503,12 +515,12 @@ class TestLineStep:
         cfg = SolverConfig(tol=1e-12, max_cycles=2)
         lines, evaluated = [], []
 
-        def line_step(pt, a, a_norm2):
-            lines.append(_line_step(pt, a, a_norm2))
+        def line_step(pt, a):
+            lines.append(_line_step(pt, a))
             return lines[-1]
 
-        def evaluate(a, a_norm2, y):
-            evaluated.append(_evaluate(a, a_norm2, y))
+        def evaluate(a, y):
+            evaluated.append(_evaluate(a, y))
             return evaluated[-1]
 
         with mock.patch.object(projection, "_line_step", line_step), \

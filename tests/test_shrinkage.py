@@ -660,17 +660,15 @@ class TestEigensolverCalls:
     def test_simulate_shares_one_spectrum_per_replicate(self, reps):
         # per replicate: one eigh for the baseline and the fit's start and
         # the fit's evaluations, whose last one certifies it; the truth,
-        # built from coordinates, is certified once per experiment from
-        # the 3 x 3 spectrum of their Gram matrix
+        # built from coordinates, is not certified
         cfg = SimConfig(reps=reps, seed=3, noise=NoiseModel("gaussian", 0.25),
                         sigma=0.5)
         with eig_counts() as calls:
             report = run_experiment(helix_coords(40), cfg)
         cycles = sum(r.cycles for r in report.replicates)
         assert not report.failed
-        assert calls == {"eigh": cycles + reps, "eigvalsh": 1}
-        assert calls.shapes[0] == ("eigvalsh", (3, 3))
-        assert set(calls.shapes[1:]) == {("eigh", (39, 39))}
+        assert calls == {"eigh": cycles + reps, "eigvalsh": 0}
+        assert set(calls.shapes) == {("eigh", (39, 39))}
 
     def test_estimate_invocation_certifies_once(self, rng, tmp_path):
         # one estimate --lambda run: the projection's eighs, which also

@@ -115,10 +115,15 @@ def symmetrize_within(a: np.ndarray, hollow: bool = True) -> np.ndarray:
     """(a + a.T) / 2 of a square array that is symmetric within
     SYMMETRY_RTOL times max|a|, with the diagonal, which must then vanish
     within that bound, zeroed when ``hollow``; larger deviations raise
-    ValueError."""
-    tol = SYMMETRY_RTOL * float(np.abs(a).max(initial=0.0))
-    if np.abs(a - a.T).max(initial=0.0) > tol:
+    ValueError. max|a| is read as max(max a, -min a), and |a - a.T| is
+    taken in place, so at most one n x n temporary is alive beside ``a``."""
+    tol = SYMMETRY_RTOL * max(float(a.max(initial=0.0)),
+                              -float(a.min(initial=0.0)))
+    skew = a - a.T
+    np.abs(skew, out=skew)
+    if skew.max(initial=0.0) > tol:
         raise ValueError(f"asymmetry exceeds tolerance {tol:.3e}")
+    del skew
     a = symmetrize(a)
     if hollow:
         if np.abs(a.diagonal()).max(initial=0.0) > tol:

@@ -14,20 +14,26 @@ exactly; the bytes equal those of ``np.savetxt(fh, a, fmt="%.17g",
 delimiter=",", header=header, comments="")``. The writer formats each
 distinct float64 bit pattern once and streams the file row by row, so a
 symmetric matrix costs about half its entries in float formatting and
-its memory stays a small multiple of the matrix. A square matrix that is
-symmetric bit for bit, as every fitted one is, is deduplicated over its
-upper triangle alone, with int32 indices mirrored to the lower one: its
-transient peaks at about 3.7 times the matrix at n = 1000, against 5.6
-to 6.1 times for deduplicating all n^2 entries. The formatting itself
-runs in numpy: each value is rounded half to even to 17 significant
-digits through an error-free product with a double-double power of ten,
-and laid out by the rules of ``%g``. Zeros, magnitudes outside
-[1e-280, 1e280], and the rare values whose rounding that product cannot
-decide go through Python's ``%`` instead, so every byte is the one
-``%.17g`` writes. Reading parses line by line, rather than with
-``np.loadtxt``, so that errors name the file line and a '#' line below
-the data is rejected. Every input is read as UTF-8, and a leading
-byte-order mark, which spreadsheet CSV exports write, is skipped.
+its memory stays a small multiple of the matrix. The distinct patterns
+come from one argsort, with the runs of equal patterns ranked in int32.
+A square matrix that is symmetric bit for bit, as every fitted one is, is
+deduplicated over its upper triangle alone, with its indices mirrored to
+the lower one. Its traced transient then peaks at about 4.2 times the
+matrix at n = 200, where the format blocks set it and ``np.unique`` would
+peak no higher, and 2.6 times at n = 1000, where the 24-byte text of each
+distinct value sets it and ``np.unique`` with its intp inverse would take
+3.7; deduplicating all n^2 entries of a general matrix takes about 4.6
+times; in RSS an estimate at n = 200 still reads about 0.2 MB less than
+with ``np.unique``. The formatting itself runs in numpy: each value is
+rounded half to even to 17 significant digits through an error-free
+product with a double-double power of ten, and laid out by the rules of
+``%g``. Zeros, magnitudes outside [1e-280, 1e280], and the rare values
+whose rounding that product cannot decide go through Python's ``%``
+instead, so every byte is the one ``%.17g`` writes. Reading parses line
+by line, rather than with ``np.loadtxt``, so that errors name the file
+line and a '#' line below the data is rejected. Every input is read as
+UTF-8, and a leading byte-order mark, which spreadsheet CSV exports
+write, is skipped.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ def load_square_matrix(path, hollow: bool = True) -> np.ndarray:
             f"{path}: expected {n} columns in each of {n} rows, got "
             f"widths {sorted(widths)}")
     a = np.array(rows, dtype=float)
+    del rows
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: non-finite entries")
     try:
@@ -98,10 +105,15 @@ def load_dissimilarity(path) -> SymHollowMatrix:
 # %.17g is at most 24 bytes long: -2.2250738585072014e-308.
 _WIDTH = 24
 # Values formatted per block, which bounds the formatter's temporaries to
-# about 130 bytes per value. At n = 200 (20,100 distinct values) blocks of
-# 8192 format in about 4.5 ms against 5.5 ms in blocks of 4096, and keep
-# the writer's tracemalloc peak at 5.8x a.nbytes for a symmetric matrix.
-_FORMAT_BLOCK = 8192
+# about 114 bytes per value. At n = 200 (20,100 distinct values) the blocks
+# set the writer's peak: 4.2x a.nbytes for a symmetric matrix, against
+# 5.8x in blocks of 8192. The smaller blocks cost CPU time: formatting
+# the nine files of one 3-penalty estimate at n = 200 took a median 29.4
+# ms of CPU time, against 25.8 ms in blocks of 8192 (80 interleaved rounds
+# on a 2-core Xeon), about 3.5 ms more per invocation. Whole writes, set
+# against 8192-value blocks with np.unique, took 73.6 against 66.9 ms of
+# CPU time and 77.1 against 77.9 ms of wall time (60 rounds).
+_FORMAT_BLOCK = 4096
 # Magnitudes formatted in numpy; the rest, and zeros, go through ``%``.
 # Inside these bounds 10**(16 - k) and the products below stay normal.
 _FAST_RANGE = (1e-280, 1e280)
@@ -310,22 +322,51 @@ def _format_17g(values: np.ndarray) -> np.ndarray:
     return table
 
 
+def _ranked(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the 1-D uint64 array ``flat``, ascending, and
+    the index of each entry's value among them: int32 below 2**31
+    distinct values, intp above.
+
+    One argsort gathers the patterns in order; the runs of equal patterns
+    are ranked by a cumulative sum and the ranks scattered back through
+    the sort order. Each temporary goes as soon as it has been used.
+    """
+    order = np.argsort(flat)
+    ordered = flat[order]
+    start = np.empty(flat.size, bool)
+    start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    values = ordered[start]
+    del ordered
+    dtype = np.int32 if values.size < 2**31 else np.intp
+    rank = np.cumsum(start, dtype=dtype)
+    del start
+    rank -= 1
+    index = np.empty(flat.size, dtype)
+    index[order] = rank
+    return values, index
+
+
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the 2-D uint64 array ``bits``, ascending,
     and the index of each entry's value among them, in the shape of
     ``bits``.
 
     A square array that is symmetric bit for bit is deduplicated over its
-    upper triangle alone, and the int32 indices of that triangle are
-    mirrored to the lower one.
+    upper triangle alone, and the indices of that triangle are mirrored to
+    the lower one. Ranked by ``_ranked``, this peaks at about 2.2 times
+    the bytes of ``bits`` for a symmetric array and 3.1 times for others;
+    ``np.unique`` with its intp inverse would take 3.7 and 6.1 times. For
+    a symmetric matrix that sets the writer's peak only from about
+    n = 600; below it the format blocks set it.
     """
     n = bits.shape[0]
     if bits.shape != (n, n) or not np.array_equal(bits, bits.T):
-        values, inverse = np.unique(bits, return_inverse=True)
-        return values, inverse.reshape(bits.shape)
+        values, index = _ranked(bits.ravel())
+        return values, index.reshape(bits.shape)
     upper = np.triu(np.ones((n, n), dtype=bool))
-    values, inverse = np.unique(bits[upper], return_inverse=True)
-    index = np.empty((n, n), np.int32 if values.size < 2**31 else np.intp)
+    values, inverse = _ranked(bits[upper])
+    index = np.empty((n, n), inverse.dtype)
     index[upper] = inverse
     index.T[upper] = inverse
     return values, index
@@ -354,9 +395,11 @@ def save_square_matrix(a, path, header: str = SQUARED_CONVENTION) -> None:
     empty. Each distinct float64 bit pattern is formatted once, and rows
     are written one at a time, so an exactly symmetric matrix formats
     about half of its entries and no whole-file text is built. A matrix
-    symmetric bit for bit is deduplicated over its upper triangle, with
-    int32 indices, which keeps the transient near 3.7 times ``a.nbytes``
-    at n = 1000; other arrays over all entries, up to about 6.1 times.
+    symmetric bit for bit is deduplicated over its upper triangle by an
+    argsort and an int32 rank. The transient is near 4.2 times
+    ``a.nbytes`` at n = 200, set by the format blocks, and 2.6 times at
+    n = 1000, set by the table of formatted values; other arrays are
+    deduplicated over all entries, at about 4.6 to 6.2 times.
     Values are rounded to 17 digits exactly, half to even, in numpy;
     those it cannot decide exactly, and zeros and extreme magnitudes, are
     formatted by ``%.17g`` itself.

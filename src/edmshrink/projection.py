@@ -76,6 +76,7 @@ X by a Weyl bound, with no further eigendecomposition (see ``core``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -562,19 +563,38 @@ def _classify_dim3(s: float, delta: float) -> int:
 
 
 def analyze_dim3(x: SymHollowMatrix) -> Dim3Analysis:
-    """Exact projection dimension and shrinkage thresholds for n = 3."""
+    """Exact projection dimension and shrinkage thresholds for n = 3.
+
+    delta_x squares the differences of the entries, and those squares
+    overflow or underflow wherever the differences are far from 1, even
+    when the entries themselves are not: nearly equal entries near 2**-490
+    differ by about 2**-542, whose square flushes to zero. So the entries
+    are analysed at 2**(2j) times their scale, with the largest |x_ij| in
+    [1/2, 2), and every result is scaled back by two factors of 2**-j.
+    Both steps are exact for normal values. Squares are products, which
+    are correctly rounded, not ``** 2``, whose libm pow misrounds about
+    one square in 1,300, and sqrt commutes with an even power of two; an
+    entry that could round or flush at the new scale is below half an
+    ulp of the largest, where it changes no result. Every field of
+    2**(2k) x is therefore 2**(2k) times that of x while both stay normal.
+    """
     if x.n != 3:
         raise ValueError(f"analysis requires n = 3, got n = {x.n}")
     x12, x13, x23 = (float(x.entries[0, 1]), float(x.entries[0, 2]),
                      float(x.entries[1, 2]))
+    # frexp(0.0) is (0.0, 0), so an all-zero input keeps j = 0
+    j = -(math.frexp(max(abs(x12), abs(x13), abs(x23)))[1] // 2)
+    x12, x13, x23 = (math.ldexp(v, 2 * j) for v in (x12, x13, x23))
+    # two factors of 2**-j, each a double, where 2**(-2j) may not be one
+    back = 2.0**-j
     s = x12 + x13 + x23
-    delta = float(np.sqrt(
-        2.0 * ((x12 - x13) ** 2 + (x12 - x23) ** 2 + (x13 - x23) ** 2)))
+    d12, d13, d23 = x12 - x13, x12 - x23, x13 - x23
+    delta = float(np.sqrt(2.0 * (d12 * d12 + d13 * d13 + d23 * d23)))
     return Dim3Analysis(
-        delta_x=delta,
-        alpha1=(s + delta) / 3.0,
-        alpha2=(s - delta) / 3.0,
+        delta_x=delta * back * back,
+        alpha1=(s + delta) / 3.0 * back * back,
+        alpha2=(s - delta) / 3.0 * back * back,
         dim=_classify_dim3(s, delta),
-        eta_to_dim1=(s - delta) / 3.0,
-        eta_to_dim0=(2.0 * s + delta) / 6.0,
+        eta_to_dim1=(s - delta) / 3.0 * back * back,
+        eta_to_dim0=(2.0 * s + delta) / 6.0 * back * back,
     )

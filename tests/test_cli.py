@@ -314,6 +314,16 @@ class TestOtherCommands:
         assert out["dim"] == 2
         assert out["eta_to_dim0"] == 1.0
 
+    def test_dim3_huge_entry(self, tmp_path, capsys):
+        # (1e200 - 1)**2 overflows; the analysis runs at a power-of-two
+        # scale near 1 and scales its results back
+        path = tmp_path / "x.csv"
+        path.write_text("0,1e200,1\n1e200,0,1\n1,1,0\n")
+        assert main(["dim3", "--input", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["delta_x"] == 2e200
+        assert out["dim"] == 1
+
     def test_dim3_wrong_size(self, noisy_matrix):
         assert main(["dim3", "--input", str(noisy_matrix)]) == 2
 

@@ -2,6 +2,7 @@
 Householder block form), the EDM projection (checked against a Dykstra
 reference), and 3-point analytics."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -756,6 +757,38 @@ class TestDim3Analysis:
                 assert out.embed_dim == want
                 assert out.embed_dim <= prev_dim
                 prev_dim = out.embed_dim
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(u=st.one_of(
+        st.lists(st.integers(-2**24, 2**24), min_size=3, max_size=3),
+        st.lists(st.integers(-8, 8).map(lambda k: 1.0 + k * 2.0**-52),
+                 min_size=3, max_size=3)),
+           a=st.integers(-480, 485), b=st.integers(-480, 485))
+    def test_power_of_two_equivariance(self, u, a, b):
+        # x = 2**(2a) u and 2**(2b) u across the whole double range, for
+        # integers |u_ij| <= 2**24 and for entries within 8 ulps of 1,
+        # whose differences square to about 2**-104 times the scale: every
+        # result scales by exactly 2**(2(b - a)) and the dimension stays
+        def at(k):
+            m = np.zeros((3, 3))
+            m[0, 1], m[0, 2], m[1, 2] = (math.ldexp(v, 2 * k) for v in u)
+            return analyze_dim3(SymHollowMatrix(m + m.T))
+
+        x, y = at(a), at(b)
+        assert y.dim == x.dim
+        for name in ("delta_x", "alpha1", "alpha2", "eta_to_dim1",
+                     "eta_to_dim0"):
+            assert getattr(y, name) == math.ldexp(getattr(x, name),
+                                                  2 * (b - a)), name
+
+    def test_nearly_equal_tiny_entries_keep_delta(self):
+        # (x12 - x13)**2 = 2**-1084 flushes to zero unscaled; near 1 the
+        # same entries give delta_x = 2**-51, so here it is 2**-541
+        m = np.zeros((3, 3))
+        m[0, 1] = m[1, 2] = 2.0**-490
+        m[0, 2] = 2.0**-490 * (1.0 + 2.0**-52)
+        assert analyze_dim3(SymHollowMatrix(m + m.T)).delta_x == 2.0**-541
 
     def test_projection_characterization_of_center(self, rng):
         # sanity on the analytic eigenvalues: -J X J / 2 has spectrum

@@ -101,9 +101,19 @@ def check_int(name: str, value) -> None:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Exactly symmetric part (a + a.T) / 2, in one new array."""
-    s = a + a.T
+    """Exactly symmetric part (a + a.T) / 2, in one new array.
+
+    Where a + a.T overflows from finite entries, both are at least
+    2**970 in magnitude, so their halves are exact and a/2 + a.T/2 is the
+    correctly rounded (a + a.T) / 2, which is finite. Elsewhere the sum
+    is halved, as halving first would round subnormal entries.
+    """
+    with np.errstate(over="ignore"):
+        s = a + a.T
     s /= 2.0
+    if not (np.isfinite(s.max(initial=0.0)) and np.isfinite(s.min(initial=0.0))):
+        half = a / 2.0
+        np.add(half, half.T, out=s, where=np.isinf(s))
     return s
 
 

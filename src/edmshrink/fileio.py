@@ -11,20 +11,16 @@ hollowness are validated on load to 1e-9 of the largest |entry|; within
 that a matrix is symmetrized by averaging, anything worse is rejected.
 Matrices and embeddings are written at ``%.17g``, which reads back
 exactly; the bytes equal those of ``np.savetxt(fh, a, fmt="%.17g",
-delimiter=",", header=header, comments="")``. The writer formats each
-distinct float64 bit pattern once and streams the file row by row, so a
-symmetric matrix costs about half its entries in float formatting and
-its memory stays a small multiple of the matrix. The distinct patterns
-come from one argsort, with the runs of equal patterns ranked in int32.
-A square matrix that is symmetric bit for bit, as every fitted one is, is
-deduplicated over its upper triangle alone, with its indices mirrored to
-the lower one. Its traced transient then peaks at about 4.2 times the
-matrix at n = 200, where the format blocks set it and ``np.unique`` would
-peak no higher, and 2.6 times at n = 1000, where the 24-byte text of each
-distinct value sets it and ``np.unique`` with its intp inverse would take
-3.7; deduplicating all n^2 entries of a general matrix takes about 4.6
-times; in RSS an estimate at n = 200 still reads about 0.2 MB less than
-with ``np.unique``. The formatting itself runs in numpy: each value is
+delimiter=",", header=header, comments="")``. The writer streams the
+file by blocks of rows, each of which formats about 2,048 values, or
+1/32 of the array if that is more, once per distinct float64 bit
+pattern. A matrix that is symmetric bit for bit, as every fitted one is,
+formats only the upper triangle: a block formats its rows from its first
+diagonal entry on, and takes the text of the columns to their left from
+the blocks above, which hand it over transposed and drop it once it is
+written. At most about n^2/4 values of text are kept at a time, so the
+writer's traced transient is about 1.7 times the matrix at n = 200 and
+1.3 times at n = 1000. The formatting itself runs in numpy: each value is
 rounded half to even to 17 significant digits through an error-free
 product with a double-double power of ten, and laid out by the rules of
 ``%g``. Zeros, magnitudes outside [1e-280, 1e280], and the rare values
@@ -38,6 +34,7 @@ write, is skipped.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -104,66 +101,74 @@ def load_dissimilarity(path) -> SymHollowMatrix:
 
 # %.17g is at most 24 bytes long: -2.2250738585072014e-308.
 _WIDTH = 24
-# Values formatted per block, which bounds the formatter's temporaries to
-# about 114 bytes per value. At n = 200 (20,100 distinct values) the blocks
-# set the writer's peak: 4.2x a.nbytes for a symmetric matrix, against
-# 5.8x in blocks of 8192. The smaller blocks cost CPU time: formatting
-# the nine files of one 3-penalty estimate at n = 200 took a median 29.4
-# ms of CPU time, against 25.8 ms in blocks of 8192 (80 interleaved rounds
-# on a 2-core Xeon), about 3.5 ms more per invocation. Whole writes, set
-# against 8192-value blocks with np.unique, took 73.6 against 66.9 ms of
-# CPU time and 77.1 against 77.9 ms of wall time (60 rounds).
-_FORMAT_BLOCK = 4096
+# Values a block of rows formats at least, and rows a block of a symmetric
+# matrix spans at most; see ``_row_blocks``. A block's dedup and format
+# temporaries, about 150 bytes per value, and the text it assembles stay
+# within a fraction of the matrix, while the fixed cost of each format
+# call, about a fifth of the time to format 2,048 values, is paid about
+# 16 times per matrix from n = 256 on.
+_BLOCK_VALUES = 2048
+_BLOCK_ROWS = 64
 # Magnitudes formatted in numpy; the rest, and zeros, go through ``%``.
 # Inside these bounds 10**(16 - k) and the products below stay normal.
 _FAST_RANGE = (1e-280, 1e280)
+# floor(log10 x) + _K0 indexes the power table; it is positive over
+# _FAST_RANGE and one decade beyond it.
+_K0 = 282
 
 
-def _pow10(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """10**e for e = lo..hi as double-doubles head + tail.
+@functools.cache
+def _pow10() -> np.ndarray:
+    """Columns k + _K0 for k = -_K0.._K0: 10**(16 - k) as a double-double
+    head + tail, head's Veltkamp halves, and 1.0 where head + tail is not
+    10**(16 - k) exactly (16 - k outside 0..22), else 0.0.
 
     Built from Python integers, whose true division rounds correctly:
     head is 10**e rounded, tail the rest rounded, so head + tail is within
     about 2**-106 of 10**e relative, and tail is 0 for 0 <= e <= 22.
     """
-    heads, tails = [], []
-    for e in range(lo, hi + 1):
+    table = np.empty((5, 2 * _K0 + 1))
+    for k in range(-_K0, _K0 + 1):
+        e = 16 - k
         num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
         head = num / den
         a, b = head.as_integer_ratio()
-        heads.append(head)
-        tails.append((num * b - a * den) / (b * den))
-    return np.array(heads), np.array(tails)
+        c = 134217729.0 * head  # 2**27 + 1
+        hi = c - (c - head)
+        table[:, k + _K0] = (head, hi, head - hi,
+                             (num * b - a * den) / (b * den),
+                             not 0 <= e <= 22)
+    return table
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split a = hi + lo into halves of at most 26 bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _scale(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x * 10**e as p + t, with p = fl(x * 10**e).
+def _scale(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**(16 - k) as p + t, with p its rounded product, for k
+    offset by _K0.
 
     Dekker's error-free product gives t exactly when 10**e is a double
     (0 <= e <= 22); otherwise t is off by about 1e-14 for products near
     1e16.
     """
-    lo = int(e.min())
-    heads, tails = _pow10(lo, int(e.max()))
-    e = e - lo
-    head = heads[e]
-    p = x * head
-    xh, xl = _split(x)
-    hh, hl = _split(head)
+    head, hh, hl, tail = _pow10()[:4]
+    p = x * head.take(k)
+    # Veltkamp's split of x into xh + xl, 26 bits each
+    xh = 134217729.0 * x  # 2**27 + 1
+    xl = xh - x
+    xh -= xl
+    np.subtract(x, xh, out=xl)
+    hh, hl = hh.take(k), hl.take(k)
     # Dekker's ((xh hh - p) + xh hl + xl hh) + xl hl, in place
     t = xh * hh
     t -= p
-    t += xh * hl
-    t += xl * hh
-    t += xl * hl
-    t += x * tails[e]
+    xh *= hl
+    t += xh
+    hh *= xl
+    t += hh
+    hl *= xl
+    t += hl
+    hl = tail.take(k)
+    hl *= x
+    t += hl
     return p, t
 
 
@@ -181,45 +186,119 @@ def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     decade after one correction of k, and those whose scaled value is
     within 1e-6 of a half-integer when the scaling was not exact.
     Misjudging p + t next to 1e16 or 1e17 by its error yields the same
-    n and k, since both sides round to 10**16 or 10**17 there.
+    n and k, since both sides round to 10**16 or 10**17 there. p is an
+    even integer (p >= 1e16 > 2**53), so rounding t half to even rounds
+    p + t half to even.
     """
-    k = np.floor(np.log10(x)).astype(np.int64)
-    p, t = _scale(x, 16 - k)
-    # log10 can be one off next to a power of ten
-    low, high = _off_decade(p, t)
-    moved = np.flatnonzero(low | high)
-    if moved.size:
-        k[moved] += high[moved].astype(np.int64) - low[moved]
-        p[moved], t[moved] = _scale(x[moved], 16 - k[moved])
+    k = np.log10(x)
+    k += _K0
+    k = k.astype(np.intp)
+    p, t = _scale(x, k)
+    # log10 can be one off next to a power of ten; elsewhere |t| < 20
+    off = None
+    if p.min() < 1e16 + 64.0 or p.max() >= 1e17 - 64.0:
         low, high = _off_decade(p, t)
-    floor = np.floor(t)
-    frac = t - floor
-    n = p.astype(np.int64) + floor.astype(np.int64)
-    n += (frac > 0.5) | ((frac == 0.5) & ((n & 1) == 1))
-    inexact = (k < -6) | (k > 16)
-    undecided = low | high | (inexact & (np.abs(frac - 0.5) < 1e-6))
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    k += carry
+        off = low | high
+        if off.any():
+            moved = np.flatnonzero(off)
+            k[moved] += high[moved].astype(np.intp) - low[moved]
+            p[moved], t[moved] = _scale(x[moved], k[moved])
+            low, high = _off_decade(p, t)
+            off = low | high
+    r = np.rint(t)
+    n = p.astype(np.int64)
+    n += r.astype(np.int64)
+    r -= t
+    r *= _pow10()[4].take(k)
+    undecided = np.abs(r, out=r) > 0.5 - 1e-6
+    if off is not None:
+        undecided |= off
+    k -= _K0
+    if n.max(initial=0) == 10 ** 17:
+        carry = n == 10 ** 17
+        n[carry] = 10 ** 16
+        k += carry
     return n, k, undecided
 
 
-def _digits(n: np.ndarray) -> np.ndarray:
-    """The 17 ASCII digits of each n in [1e16, 1e17), one row each.
+@functools.cache
+def _quads() -> tuple[np.ndarray, np.ndarray]:
+    """The text of 0000 to 9999 as little-endian uint32, and the digits
+    each keeps once trailing zeros are stripped (none for 0000)."""
+    i = np.arange(10000, dtype=np.int32)
+    text = np.empty((10000, 4), np.uint8)
+    kept = np.full(10000, 4, np.int8)
+    for j, p in enumerate((1000, 100, 10, 1)):
+        text[:, j] = i // p % 10 + ord("0")
+        kept -= i % (10 * p) == 0
+    return text.view("<u4").ravel(), kept
 
-    n splits into int32 halves of 9 digits each, the upper one with a
-    leading zero, whose divisions by 10 run side by side.
+
+def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leading ASCII digit of each n in [1e16, 1e17), the text of its
+    other 16 digits as four little-endian uint32 quads, one row each, and
+    the digits left once trailing zeros are stripped. Each quad is looked
+    up in a table of 0000 to 9999.
     """
-    halves = np.empty((n.size, 2), np.int32)
-    halves[:, 0] = n // 10 ** 9
-    halves[:, 1] = n - halves[:, 0].astype(np.int64) * 10 ** 9
-    out = np.empty((n.size, 2, 9), np.uint8)
-    for j in range(8, -1, -1):
-        q = halves // 10
-        out[:, :, j] = halves - q * 10
-        halves = q
-    out += ord("0")
-    return out.reshape(n.size, 18)[:, 1:]
+    text, kept = _quads()
+    lead = n // 10 ** 16
+    halves = np.empty((n.size, 2), np.int64)
+    np.subtract(n, lead * 10 ** 16, out=halves[:, 1])
+    np.floor_divide(halves[:, 1], 10 ** 8, out=halves[:, 0])
+    halves[:, 1] -= halves[:, 0] * 10 ** 8
+    quads = np.empty((n.size, 2, 2), np.int64)
+    np.floor_divide(halves, 10 ** 4, out=quads[:, :, 0])
+    np.subtract(halves, quads[:, :, 0] * 10 ** 4, out=quads[:, :, 1])
+    quads = quads.reshape(n.size, 4)
+    lead += ord("0")
+    # the lead digit, 4 per quad up to the last nonzero one, and its kept
+    sig = kept.take(quads[:, 3])
+    sig += 13
+    rows = np.flatnonzero(sig == 13)
+    for j in (2, 1, 0):
+        if not rows.size:
+            break
+        last = kept.take(quads[rows, j])
+        sig[rows] = last + (1 + 4 * j)
+        rows = rows[last == 0]
+    return lead.astype(np.uint8), text.take(quads), sig
+
+
+# _KEEP[j] keeps the first j bytes of a row of _WIDTH, as uint64 words.
+_KEEP = np.where(np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None], 255,
+                 0).astype(np.uint8).view(np.uint64)
+
+
+@functools.cache
+def _forms() -> tuple[np.ndarray, np.ndarray]:
+    """For a row of ``_layout`` key ``key``: the text before its digits,
+    a sign and the 0.000 of fixed notation below 1, as a row of _WIDTH
+    bytes; and at [18 key + s], the length of its text before any
+    exponent when its digits keep s once trailing zeros are stripped."""
+    prefix = np.zeros((64, _WIDTH), np.uint8)
+    length = np.zeros((64, 18), np.intp)
+    for key in range(64):
+        c, k = divmod(key, 32)
+        k -= 5
+        prefix[key, 0] = ord("-") if c else 0
+        if -4 <= k < 0:
+            prefix[key, c:c + 1 - k] = ord("0")
+            prefix[key, c + 1] = ord(".")
+        for s in range(1, 18):
+            if k < -4 or k > 16:
+                length[key, s] = c + s + (s > 1)  # d.ddd
+            elif k >= 0:
+                length[key, s] = c + (s + 1 if s > k + 1 else k + 1)
+            else:
+                length[key, s] = c + 1 - k + s  # 0.000ddd
+    return prefix, length.ravel()
+
+
+@functools.cache
+def _exponents() -> np.ndarray:
+    """b"e%+03d" % k for k = -330..330, as rows of 5 bytes."""
+    return np.array([b"e%+03d" % k for k in range(-330, 331)],
+                    "S5").view(np.uint8).reshape(-1, 5)
 
 
 def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -229,64 +308,51 @@ def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
     then strips trailing zeros and a bare point. Rows are grouped by sign
     and by k within fixed notation, so that each group lays out its
     digits by slice copies; the writer passes values sorted by bit
-    pattern, which are already grouped.
+    pattern, which are already grouped. Every row starts from the prefix
+    of its group and is cut to its length.
     """
-    m = n.size
-    sign = neg.astype(np.int64)
-    key = (32 * sign + np.clip(k, -5, 17) + 5).astype(np.int8)
+    key = np.maximum(k, -5)
+    np.minimum(key, 17, out=key)
+    key += 5
+    np.add(key, 32, out=key, where=neg)
     order = None
-    if np.any(key[1:] < key[:-1]):
+    if (key[1:] < key[:-1]).any():
         order = np.argsort(key, kind="stable")
-        key, n, k, sign = key[order], n[order], k[order], sign[order]
-    digits = _digits(n)
-    out = np.zeros((m, _WIDTH), np.uint8)
-    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-    for r0, r1 in zip([0] + cuts, cuts + [m]):
-        c, kg = divmod(int(key[r0]), 32)  # sign column, the group's k
+        key, n, k = key[order], n[order], k[order]
+    lead, quads, sig = _digits(n)
+    prefix, lengths = _forms()
+    out = prefix.take(key, axis=0)
+    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+    starts = [0] + cuts.tolist()
+    sci = []
+    for r0, r1, group in zip(starts, starts[1:] + [n.size],
+                             key.take(starts).tolist()):
+        c, kg = divmod(group, 32)  # sign column, the group's k
         kg -= 5
-        rows, d = out[r0:r1], digits[r0:r1]
-        if c:
-            rows[:, 0] = ord("-")
-        if kg < -4 or kg > 16:
-            rows[:, c] = d[:, 0]
-            rows[:, c + 1] = ord(".")
-            rows[:, c + 2:c + 18] = d[:, 1:]
-        elif kg >= 0:
-            rows[:, c:c + kg + 1] = d[:, :kg + 1]
-            if kg < 16:
-                rows[:, c + kg + 1] = ord(".")
-                rows[:, c + kg + 2:c + 18] = d[:, kg + 1:]
-        else:
-            rows[:, c:c + 1 - kg] = ord("0")
-            rows[:, c + 1] = ord(".")
-            rows[:, c + 1 - kg:c + 18 - kg] = d
-    # significant digits left after stripping trailing zeros
-    sig = np.full(m, 17)
-    idx = np.arange(m)
-    for j in range(16, 0, -1):
-        idx = idx[digits[idx, j] == ord("0")]
-        if not idx.size:
-            break
-        sig[idx] = j
-    sci = (k < -4) | (k > 16)
-    short = np.flatnonzero((sig < 17) | sci)
-    sig, k, sign, sci = sig[short], k[short], sign[short], sci[short]
-    length = sign + np.where(
-        sci, 1 + (sig > 1) * sig,
-        np.where(k >= 0, k + 1 + (sig > k + 1) * (sig - k), 1 - k + sig))
-    keep = np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None]
-    out[short] *= keep[length]
-    if sci.any():
-        flat = out.reshape(-1)
-        exp = k[sci]
-        at = short[sci] * _WIDTH + length[sci]
-        flat[at] = ord("e")
-        flat[at + 1] = np.where(exp < 0, ord("-"), ord("+"))
-        exp = np.abs(exp)
-        wide = exp >= 100
-        flat[at + 2] = np.where(wide, exp // 100, exp // 10 % 10) + ord("0")
-        flat[at + 3] = np.where(wide, exp // 10 % 10, exp % 10) + ord("0")
-        flat[at[wide] + 4] = exp[wide] % 10 + ord("0")
+        rows = out[r0:r1]
+        # the 17 digits go in after the prefix, and those after the point
+        # then move right by one
+        at = c + 1 - kg if -4 <= kg < 0 else c
+        rows[:, at] = lead[r0:r1]
+        rows[:, at + 1:at + 17].view("<u4")[:] = quads[r0:r1]
+        if at > c:  # 0.000ddd
+            continue
+        scientific = kg < -4 or kg > 16
+        point = c + 1 if scientific else c + kg + 1
+        if point < c + 17:
+            rows[:, point + 1:c + 18] = rows[:, point:c + 17]
+            rows[:, point] = ord(".")
+        if scientific:
+            sci.append((r0, r1))
+    key *= 18
+    key += sig
+    length = lengths.take(key)
+    words = out.view(np.uint64)
+    words &= _KEEP.take(length, axis=0)
+    for r0, r1 in sci:
+        at = np.arange(r0 * _WIDTH, r1 * _WIDTH, _WIDTH) + length[r0:r1]
+        out.reshape(-1)[at[:, None] + np.arange(5)] = _exponents().take(
+            k[r0:r1] + 330, axis=0)
     text = out.view(f"S{_WIDTH}").ravel()
     if order is None:
         return text
@@ -298,93 +364,130 @@ def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
 def _format_17g(values: np.ndarray) -> np.ndarray:
     """``b"%.17g" % v`` for each float64 v of 1-D ``values``, as an S24 array.
 
-    Magnitudes inside ``_FAST_RANGE`` are rounded and laid out in numpy,
-    in blocks of ``_FORMAT_BLOCK``. Zeros, the rest, and the elements
-    whose rounding ``_round17`` leaves undecided go through ``%`` itself,
-    so the result is exact for every input.
+    Magnitudes inside ``_FAST_RANGE`` are rounded and laid out in numpy.
+    Zeros, the rest, and the elements whose rounding ``_round17`` leaves
+    undecided go through ``%`` itself, so the result is exact for every
+    input.
     """
-    table = np.empty(values.size, dtype=f"S{_WIDTH}")
-    slow = []  # index arrays of the values left to ``%``
-    for start in range(0, values.size, _FORMAT_BLOCK):
-        v = values[start:start + _FORMAT_BLOCK]
-        x = np.abs(v)
-        inside = (x >= _FAST_RANGE[0]) & (x <= _FAST_RANGE[1])
-        slow.append(start + np.flatnonzero(~inside))
-        fast = np.flatnonzero(inside)
-        if not fast.size:
-            continue
-        n, k, undecided = _round17(x[fast])
-        table[start + fast] = _layout(n, k, np.signbit(v[fast]))
-        slow.append(start + fast[undecided])
-    for idx in slow:
-        for i in idx.tolist():
-            table[i] = b"%.17g" % values[i]
-    return table
+    x = np.abs(values)
+    if values.size and _FAST_RANGE[0] <= x.min() and x.max() <= _FAST_RANGE[1]:
+        n, k, undecided = _round17(x)
+        text = _layout(n, k, np.signbit(values))
+        slow = np.flatnonzero(undecided)
+    else:
+        text = np.empty(values.size, f"S{_WIDTH}")
+        fast = x >= _FAST_RANGE[0]
+        fast &= x <= _FAST_RANGE[1]
+        idx = np.flatnonzero(fast)
+        if idx.size:
+            n, k, undecided = _round17(x[idx])
+            text[idx] = _layout(n, k, np.signbit(values[idx]))
+            idx = idx[undecided]
+        slow = np.concatenate([np.flatnonzero(~fast), idx])
+    for i in slow.tolist():
+        text[i] = b"%.17g" % values[i]
+    return text
 
 
-def _ranked(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the 1-D uint64 array ``flat``, ascending, and
-    the index of each entry's value among them: int32 below 2**31
-    distinct values, intp above.
+def _text(bits: np.ndarray, known: list) -> np.ndarray:
+    """The %.17g text of the float64 bit patterns of 2-D ``bits``, as an
+    S24 array of its shape, with each distinct pattern formatted once.
 
     One argsort gathers the patterns in order; the runs of equal patterns
-    are ranked by a cumulative sum and the ranks scattered back through
-    the sort order. Each temporary goes as soon as it has been used.
+    are formatted in that order and their text is scattered back through
+    it. ``known`` holds the distinct patterns of the last block, sorted,
+    and their text if they were few, as in integer-valued matrices; it
+    supplies the text of the patterns this block shares with that one,
+    and is replaced by this block's.
     """
+    flat = bits.ravel()
     order = np.argsort(flat)
     ordered = flat[order]
-    start = np.empty(flat.size, bool)
-    start[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
-    values = ordered[start]
+    del flat
+    new = np.empty(ordered.size, bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
     del ordered
-    dtype = np.int32 if values.size < 2**31 else np.intp
-    rank = np.cumsum(start, dtype=dtype)
-    del start
+    if known:
+        keys, texts = known
+        at = np.searchsorted(keys, distinct)
+        np.minimum(at, keys.size - 1, out=at)
+        hit = keys.take(at) == distinct
+        table = texts.take(at)
+        todo = np.flatnonzero(~hit)
+        table[todo] = _format_17g(distinct.take(todo).view(np.float64))
+    else:
+        table = _format_17g(distinct.view(np.float64))
+    known[:] = (distinct, table) if 4 * distinct.size <= new.size else ()
+    del distinct
+    rank = np.cumsum(new, dtype=np.intp)
+    del new
     rank -= 1
-    index = np.empty(flat.size, dtype)
+    index = np.empty_like(rank)
     index[order] = rank
-    return values, index
+    del order, rank
+    return table.take(index).reshape(bits.shape)
 
 
-def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the 2-D uint64 array ``bits``, ascending,
-    and the index of each entry's value among them, in the shape of
-    ``bits``.
+def _row_blocks(n: int, cols: int, symmetric: bool) -> list[tuple[int, int]]:
+    """Row ranges [r0, r1) that each format about ``_BLOCK_VALUES`` values,
+    or 1/32 of the n x cols array if that is more, at least one row each.
 
-    A square array that is symmetric bit for bit is deduplicated over its
-    upper triangle alone, and the indices of that triangle are mirrored to
-    the lower one. Ranked by ``_ranked``, this peaks at about 2.2 times
-    the bytes of ``bits`` for a symmetric array and 3.1 times for others;
-    ``np.unique`` with its intp inverse would take 3.7 and 6.1 times. For
-    a symmetric matrix that sets the writer's peak only from about
-    n = 600; below it the format blocks set it.
+    A block of a symmetric matrix formats its rows from column r0 on, and
+    spans at most ``_BLOCK_ROWS`` rows, which bounds the text of the
+    columns left of r0 that it takes from the blocks above.
     """
-    n = bits.shape[0]
-    if bits.shape != (n, n) or not np.array_equal(bits, bits.T):
-        values, index = _ranked(bits.ravel())
-        return values, index.reshape(bits.shape)
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    values, inverse = _ranked(bits[upper])
-    index = np.empty((n, n), inverse.dtype)
-    index[upper] = inverse
-    index.T[upper] = inverse
-    return values, index
+    values = max(_BLOCK_VALUES, n * cols // 32)
+    blocks, r0 = [], 0
+    while r0 < n:
+        width = cols - r0 if symmetric else cols
+        rows = values // max(width, 1)
+        if symmetric:
+            rows = min(rows, _BLOCK_ROWS)
+        r1 = min(n, r0 + max(rows, 1))
+        blocks.append((r0, r1))
+        r0 = r1
+    return blocks
 
 
 def _save_csv(a, path, header: str) -> None:
     a = np.ascontiguousarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"{path}: expected a 2-D array, got {a.ndim}-D")
-    # Distinct bit patterns, not values, so that -0.0 stays apart from 0.0.
-    bits, index = _distinct(a.view(np.uint64))
-    table = _format_17g(bits.view(np.float64))
-    del bits
+    # Bit patterns, not values, so that -0.0 stays apart from 0.0.
+    bits = a.view(np.uint64)
+    n, cols = bits.shape
+    symmetric = n == cols and np.array_equal(bits, bits.T)
+    blocks = _row_blocks(n, cols, symmetric)
+    # the text each block takes from the blocks above, one piece each
+    handed: list[list[np.ndarray]] = [[] for _ in blocks]
+    known: list = []
     with open(path, "wb") as fh:
         if header:
             fh.write(header.encode("utf-8") + b"\n")
-        for row in index:
-            fh.write(b",".join(table[row].tolist()) + b"\n")
+        for b, (r0, r1) in enumerate(blocks):
+            if not symmetric:
+                _write_rows(fh, [_text(bits[r0:r1], known)])
+                continue
+            # the rows from column r0 on; the square's lower triangle
+            # repeats its upper one, so it adds no distinct value
+            text = _text(bits[r0:r1, r0:], known)
+            for d in range(b + 1, len(blocks)):
+                s0, s1 = blocks[d]
+                handed[d].append(text[:, s0 - r0:s1 - r0].T.copy())
+            handed[b].append(text)
+            del text
+            _write_rows(fh, handed[b])
+
+
+def _write_rows(fh, parts: list[np.ndarray]) -> None:
+    """Write the rows of the S24 arrays ``parts``, laid side by side, as
+    CSV lines. The list is emptied, so that each part goes once joined."""
+    text = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    parts.clear()
+    for row in text:
+        fh.write(b",".join(row.tolist()) + b"\n")
 
 
 def save_square_matrix(a, path, header: str = SQUARED_CONVENTION) -> None:
@@ -392,17 +495,15 @@ def save_square_matrix(a, path, header: str = SQUARED_CONVENTION) -> None:
 
     The bytes are those of ``np.savetxt`` at ``fmt="%.17g"``,
     ``delimiter=","``, with ``header`` as the first line unless it is
-    empty. Each distinct float64 bit pattern is formatted once, and rows
-    are written one at a time, so an exactly symmetric matrix formats
-    about half of its entries and no whole-file text is built. A matrix
-    symmetric bit for bit is deduplicated over its upper triangle by an
-    argsort and an int32 rank. The transient is near 4.2 times
-    ``a.nbytes`` at n = 200, set by the format blocks, and 2.6 times at
-    n = 1000, set by the table of formatted values; other arrays are
-    deduplicated over all entries, at about 4.6 to 6.2 times.
-    Values are rounded to 17 digits exactly, half to even, in numpy;
-    those it cannot decide exactly, and zeros and extreme magnitudes, are
-    formatted by ``%.17g`` itself.
+    empty. The file is written by blocks of rows, each formatting each of
+    its distinct float64 bit patterns once. A matrix symmetric bit for
+    bit formats only its upper triangle, and hands the text of each block
+    down to the rows below, transposed, until they are written, so that
+    no whole-matrix table is built. The transient is near 1.7 times
+    ``a.nbytes`` at n = 200 and 1.3 times at n = 1000, and a fraction of
+    that for other arrays. Values are rounded to 17 digits exactly, half
+    to even, in numpy; those it cannot decide exactly, and zeros and
+    extreme magnitudes, are formatted by ``%.17g`` itself.
     """
     _save_csv(a, path, header)
 

@@ -324,6 +324,16 @@ class TestOtherCommands:
         assert out["delta_x"] == 2e200
         assert out["dim"] == 1
 
+    def test_dim3_entries_near_the_largest_double(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows; the symmetric part of finite entries is
+        # formed without overflow, so the input is analysed, not rejected
+        path = tmp_path / "x.csv"
+        path.write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
+        assert main(["dim3", "--input", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert all(np.isfinite(v) for v in out.values())
+        assert out["delta_x"] == 0.0 and out["alpha1"] == 1e308
+
     def test_dim3_wrong_size(self, noisy_matrix):
         assert main(["dim3", "--input", str(noisy_matrix)]) == 2
 

@@ -1,5 +1,7 @@
 """Core types, transforms and metrics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from edmshrink import (
     kruskal_stress,
     similarity_to_dissimilarity,
 )
-from edmshrink.core import _lead_positive
+from edmshrink.core import _lead_positive, symmetrize
 from edmshrink.projection import _centered_eigh
 
 from conftest import (
@@ -38,6 +40,34 @@ def hollow(rows) -> SymHollowMatrix:
 
 
 D0_3 = hollow([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+# entries that halve inexactly (subnormals) and pairs whose sum overflows
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestSymmetrize:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_sum_kept_where_finite_and_never_overflows(self, n, data):
+        a = np.array(data.draw(st.lists(EDGE_FLOATS, min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+        with np.errstate(over="ignore"):
+            want = (a + a.T) / 2.0
+        got = symmetrize(a)
+        finite = np.isfinite(want)
+        # bit for bit where (a + a.T) / 2 is finite, -0.0 and subnormals too
+        assert np.array_equal(got[finite].view(np.uint64),
+                              want[finite].view(np.uint64))
+        # elsewhere the exact half-sum, correctly rounded, which is finite
+        for i, j in zip(*np.nonzero(~finite)):
+            half = (Fraction(a[i, j]) + Fraction(a[j, i])) / 2
+            assert got[i, j] == float(half)
+        assert np.isfinite(got).all()
 
 
 class TestTypes:

@@ -214,16 +214,69 @@ class TestWriterMatchesSavetxt:
         fileio.save_embedding(a, path)
         assert path.read_bytes() == savetxt_bytes(a, fileio.EMBEDDING_HEADER)
 
+    @staticmethod
+    def symmetric(n, seed, values=None):
+        """A random n x n matrix, symmetric bit for bit and hollow, drawn
+        from ``values`` if given."""
+        rng = np.random.default_rng(seed)
+        if values is None:
+            a = rng.normal(size=(n, n))
+        else:
+            a = rng.choice(np.asarray(values, dtype=float), size=(n, n))
+        a = np.triu(a, 1)
+        return a + a.T
+
+    @staticmethod
+    def assert_same_bytes(a, path):
+        fileio.save_square_matrix(a, path)
+        assert path.read_bytes() == savetxt_bytes(a, fileio.SQUARED_CONVENTION)
+
+    # the largest n whose symmetric matrix the writer takes in one row block
+    ONE_BLOCK = max(n for n in range(1, 200)
+                    if len(fileio._row_blocks(n, n, True)) == 1)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_same_bytes_at_the_first_block_edge(self, tmp_path, offset):
+        # one block, one exactly full, and a second block of one row
+        n = self.ONE_BLOCK + offset
+        assert len(fileio._row_blocks(n, n, True)) == (2 if offset > 0 else 1)
+        self.assert_same_bytes(self.symmetric(n, n), tmp_path / "m.csv")
+
+    def test_same_bytes_symmetric_by_value_only(self, tmp_path):
+        # 0.0 above the diagonal and -0.0 below it: symmetric by value, not
+        # by bits, so every row is formatted in full, over several blocks
+        a = self.symmetric(150, 150, [0.0, 1.5, 2.0, -1 / 3])
+        lower = np.tril(a == 0.0, -1)
+        a[lower] = -0.0
+        assert len(fileio._row_blocks(150, 150, False)) > 1
+        self.assert_same_bytes(a, tmp_path / "m.csv")
+
+    def test_same_bytes_all_zero(self, tmp_path):
+        self.assert_same_bytes(np.zeros((300, 300)), tmp_path / "m.csv")
+
+    @pytest.mark.parametrize("values", [
+        np.arange(10.0),
+        # a few values each block shares with the last, and many it does not
+        np.concatenate([np.arange(40.0), np.linspace(0.1, 1e-3, 2000)]),
+    ], ids=["ten_integers", "shared_and_new"])
+    def test_same_bytes_with_repeats_across_blocks(self, tmp_path, values):
+        a = self.symmetric(300, 300, values)
+        assert len(fileio._row_blocks(300, 300, True)) > 4
+        self.assert_same_bytes(a, tmp_path / "m.csv")
+
     def test_peak_memory_stays_a_small_multiple(self, tmp_path):
-        # The writer runs six times per estimate-n200 invocation and sets
-        # the invocation's peak. It formats the distinct values of the
-        # upper triangle of this symmetric matrix, 24 bytes each, so its
-        # table alone is 1.5x a.nbytes. At n = 200 the 4,096-value format
-        # blocks add about 1.7x more and the writer peaks at 4.2x; at
-        # n = 1000 it peaks at 2.6x, the table beside the distinct values
-        # and the int32 indices.
+        # The writer runs six times per estimate-n200 invocation. Streaming
+        # by row blocks, it keeps the text of the values right of the
+        # rows written so far until the rows below them take it, at most
+        # about n^2 / 4 values of 24 bytes (0.75x a.nbytes), beside one
+        # block's dedup and formatting of about 2,048 values at n = 200
+        # and n^2 / 32 from n = 256. It peaks at about 1.65x at n = 200
+        # and 1.31x at n = 1000, where its whole-triangle table of
+        # distinct values took 4.2x and 2.6x. The formatter's lookup
+        # tables, built once per process, are built before measuring.
+        fileio.save_square_matrix(np.ones((2, 2)), tmp_path / "m.csv")
         rng = np.random.default_rng(7)
-        for n, bound in ((200, 4.4), (1000, 2.7)):
+        for n, bound in ((200, 1.7), (1000, 1.35)):
             a = rng.normal(size=(n, n))
             a = (a + a.T) / 2.0
             np.fill_diagonal(a, 0.0)

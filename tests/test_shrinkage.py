@@ -1,8 +1,10 @@
 """Shrinkage estimator, rank truncation, classical-scaling baseline, bounds."""
 
 import json
+import tracemalloc
 from collections import deque
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from edmshrink import (
     similarity_to_dissimilarity,
     truncate_rank,
 )
+from edmshrink import shrinkage
 from edmshrink.cli import main
 from edmshrink.core import _lead_positive
 from edmshrink.simulate import SimConfig, run_experiment
@@ -841,3 +844,41 @@ class TestFitWorkingSet:
         fit, array = self.path_of_two(200)
         live = traced_at_eigh(fit)
         assert live and max(live) < 3.5 * array
+
+    def test_estimate_peaks_in_a_fit_not_in_the_writer(self, tmp_path):
+        # One estimate over two penalties at n = 600, traced as a whole, may
+        # peak no higher than its largest fit (_project_from), at about 6.1
+        # n x n arrays. The CSV writer enters with about 4.1 alive (the
+        # input, d_hat, k_hat and the eigenbasis kept for the next start);
+        # streaming by row blocks it adds about 1.3 more, where its
+        # whole-triangle table added 2.7 and peaked at 6.8
+        n = 600
+        d = edm_from_coords(helix_coords(n))
+        path = tmp_path / "x.csv"
+        fileio.save_square_matrix(
+            add_noise(d, NoiseModel("gaussian", 0.25), seed=0).entries, path)
+        lam = float(recommended_lambda(n, 0.5))
+        project = shrinkage._project_from
+        between, fits = [], []
+
+        def traced_fit(*args, **kwargs):
+            between.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return project(*args, **kwargs)
+            finally:
+                fits.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+
+        argv = ["estimate", "--input", str(path), "--lambda-grid",
+                f"{0.5 * lam!r},{lam!r}",
+                "--out", str(tmp_path / "est")]
+        with mock.patch.object(shrinkage, "_project_from", traced_fit):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                between.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(fits) == 2
+        assert max(between) <= max(fits)

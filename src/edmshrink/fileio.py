@@ -20,12 +20,8 @@ diagonal entry on, and takes the text of the columns to their left from
 the blocks above, which hand it over transposed and drop it once it is
 written. At most about n^2/4 values of text are kept at a time, so the
 writer's traced transient is about 1.7 times the matrix at n = 200 and
-1.3 times at n = 1000. The formatting itself runs in numpy: each value is
-rounded half to even to 17 significant digits through an error-free
-product with a double-double power of ten, and laid out by the rules of
-``%g``. Zeros, magnitudes outside [1e-280, 1e280], and the rare values
-whose rounding that product cannot decide go through Python's ``%``
-instead, so every byte is the one ``%.17g`` writes. Reading parses line
+1.3 times at n = 1000. The text itself comes from ``g17``, which formats
+in numpy, exactly as ``%.17g`` does. Reading parses line
 by line, rather than with ``np.loadtxt``, so that errors name the file
 line and a '#' line below the data is rejected. Every input is read as
 UTF-8, and a leading byte-order mark, which spreadsheet CSV exports
@@ -34,12 +30,13 @@ write, is skipped.
 
 from __future__ import annotations
 
-import functools
 import json
 
 import numpy as np
 
 from .core import SymHollowMatrix, _built, symmetrize_within
+# _round17 stays importable here beside the formatter, as tests reach it
+from .g17 import _round17, format_17g as _format_17g  # noqa: F401
 
 SQUARED_CONVENTION = "# squared-distance convention"
 EMBEDDING_HEADER = "# squared-distance convention; centered coordinates"
@@ -99,8 +96,6 @@ def load_dissimilarity(path) -> SymHollowMatrix:
     return SymHollowMatrix(_built(load_square_matrix(path)))
 
 
-# %.17g is at most 24 bytes long: -2.2250738585072014e-308.
-_WIDTH = 24
 # Values a block of rows formats at least, and rows a block of a symmetric
 # matrix spans at most; see ``_row_blocks``. A block's dedup and format
 # temporaries, about 150 bytes per value, and the text it assembles stay
@@ -109,284 +104,6 @@ _WIDTH = 24
 # 16 times per matrix from n = 256 on.
 _BLOCK_VALUES = 2048
 _BLOCK_ROWS = 64
-# Magnitudes formatted in numpy; the rest, and zeros, go through ``%``.
-# Inside these bounds 10**(16 - k) and the products below stay normal.
-_FAST_RANGE = (1e-280, 1e280)
-# floor(log10 x) + _K0 indexes the power table; it is positive over
-# _FAST_RANGE and one decade beyond it.
-_K0 = 282
-
-
-@functools.cache
-def _pow10() -> np.ndarray:
-    """Columns k + _K0 for k = -_K0.._K0: 10**(16 - k) as a double-double
-    head + tail, head's Veltkamp halves, and 1.0 where head + tail is not
-    10**(16 - k) exactly (16 - k outside 0..22), else 0.0.
-
-    Built from Python integers, whose true division rounds correctly:
-    head is 10**e rounded, tail the rest rounded, so head + tail is within
-    about 2**-106 of 10**e relative, and tail is 0 for 0 <= e <= 22.
-    """
-    table = np.empty((5, 2 * _K0 + 1))
-    for k in range(-_K0, _K0 + 1):
-        e = 16 - k
-        num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
-        head = num / den
-        a, b = head.as_integer_ratio()
-        c = 134217729.0 * head  # 2**27 + 1
-        hi = c - (c - head)
-        table[:, k + _K0] = (head, hi, head - hi,
-                             (num * b - a * den) / (b * den),
-                             not 0 <= e <= 22)
-    return table
-
-
-def _scale(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x * 10**(16 - k) as p + t, with p its rounded product, for k
-    offset by _K0.
-
-    Dekker's error-free product gives t exactly when 10**e is a double
-    (0 <= e <= 22); otherwise t is off by about 1e-14 for products near
-    1e16.
-    """
-    head, hh, hl, tail = _pow10()[:4]
-    p = x * head.take(k)
-    # Veltkamp's split of x into xh + xl, 26 bits each
-    xh = 134217729.0 * x  # 2**27 + 1
-    xl = xh - x
-    xh -= xl
-    np.subtract(x, xh, out=xl)
-    hh, hl = hh.take(k), hl.take(k)
-    # Dekker's ((xh hh - p) + xh hl + xl hh) + xl hl, in place
-    t = xh * hh
-    t -= p
-    xh *= hl
-    t += xh
-    hh *= xl
-    t += hh
-    hl *= xl
-    t += hl
-    hl = tail.take(k)
-    hl *= x
-    t += hl
-    return p, t
-
-
-def _off_decade(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether p + t lies below 1e16 or at or above 1e17 (exact doubles)."""
-    return (p - 1e16) + t < 0.0, (p - 1e17) + t >= 0.0
-
-
-def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x rounded half to even to 17 significant digits, as %.17g rounds.
-
-    For positive x inside ``_FAST_RANGE``, returns the digits as an
-    integer n in [1e16, 1e17), the decimal exponent k of n * 10**(k - 16),
-    and a mask of the elements left undecided: those still outside the
-    decade after one correction of k, and those whose scaled value is
-    within 1e-6 of a half-integer when the scaling was not exact.
-    Misjudging p + t next to 1e16 or 1e17 by its error yields the same
-    n and k, since both sides round to 10**16 or 10**17 there. p is an
-    even integer (p >= 1e16 > 2**53), so rounding t half to even rounds
-    p + t half to even.
-    """
-    k = np.log10(x)
-    k += _K0
-    k = k.astype(np.intp)
-    p, t = _scale(x, k)
-    # log10 can be one off next to a power of ten; elsewhere |t| < 20
-    off = None
-    if p.min() < 1e16 + 64.0 or p.max() >= 1e17 - 64.0:
-        low, high = _off_decade(p, t)
-        off = low | high
-        if off.any():
-            moved = np.flatnonzero(off)
-            k[moved] += high[moved].astype(np.intp) - low[moved]
-            p[moved], t[moved] = _scale(x[moved], k[moved])
-            low, high = _off_decade(p, t)
-            off = low | high
-    r = np.rint(t)
-    n = p.astype(np.int64)
-    n += r.astype(np.int64)
-    r -= t
-    r *= _pow10()[4].take(k)
-    undecided = np.abs(r, out=r) > 0.5 - 1e-6
-    if off is not None:
-        undecided |= off
-    k -= _K0
-    if n.max(initial=0) == 10 ** 17:
-        carry = n == 10 ** 17
-        n[carry] = 10 ** 16
-        k += carry
-    return n, k, undecided
-
-
-@functools.cache
-def _quads() -> tuple[np.ndarray, np.ndarray]:
-    """The text of 0000 to 9999 as little-endian uint32, and the digits
-    each keeps once trailing zeros are stripped (none for 0000)."""
-    i = np.arange(10000, dtype=np.int32)
-    text = np.empty((10000, 4), np.uint8)
-    kept = np.full(10000, 4, np.int8)
-    for j, p in enumerate((1000, 100, 10, 1)):
-        text[:, j] = i // p % 10 + ord("0")
-        kept -= i % (10 * p) == 0
-    return text.view("<u4").ravel(), kept
-
-
-def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The leading ASCII digit of each n in [1e16, 1e17), the text of its
-    other 16 digits as four little-endian uint32 quads, one row each, and
-    the digits left once trailing zeros are stripped. Each quad is looked
-    up in a table of 0000 to 9999.
-    """
-    text, kept = _quads()
-    lead = n // 10 ** 16
-    halves = np.empty((n.size, 2), np.int64)
-    np.subtract(n, lead * 10 ** 16, out=halves[:, 1])
-    np.floor_divide(halves[:, 1], 10 ** 8, out=halves[:, 0])
-    halves[:, 1] -= halves[:, 0] * 10 ** 8
-    quads = np.empty((n.size, 2, 2), np.int64)
-    np.floor_divide(halves, 10 ** 4, out=quads[:, :, 0])
-    np.subtract(halves, quads[:, :, 0] * 10 ** 4, out=quads[:, :, 1])
-    quads = quads.reshape(n.size, 4)
-    lead += ord("0")
-    # the lead digit, 4 per quad up to the last nonzero one, and its kept
-    sig = kept.take(quads[:, 3])
-    sig += 13
-    rows = np.flatnonzero(sig == 13)
-    for j in (2, 1, 0):
-        if not rows.size:
-            break
-        last = kept.take(quads[rows, j])
-        sig[rows] = last + (1 + 4 * j)
-        rows = rows[last == 0]
-    return lead.astype(np.uint8), text.take(quads), sig
-
-
-# _KEEP[j] keeps the first j bytes of a row of _WIDTH, as uint64 words.
-_KEEP = np.where(np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None], 255,
-                 0).astype(np.uint8).view(np.uint64)
-
-
-@functools.cache
-def _forms() -> tuple[np.ndarray, np.ndarray]:
-    """For a row of ``_layout`` key ``key``: the text before its digits,
-    a sign and the 0.000 of fixed notation below 1, as a row of _WIDTH
-    bytes; and at [18 key + s], the length of its text before any
-    exponent when its digits keep s once trailing zeros are stripped."""
-    prefix = np.zeros((64, _WIDTH), np.uint8)
-    length = np.zeros((64, 18), np.intp)
-    for key in range(64):
-        c, k = divmod(key, 32)
-        k -= 5
-        prefix[key, 0] = ord("-") if c else 0
-        if -4 <= k < 0:
-            prefix[key, c:c + 1 - k] = ord("0")
-            prefix[key, c + 1] = ord(".")
-        for s in range(1, 18):
-            if k < -4 or k > 16:
-                length[key, s] = c + s + (s > 1)  # d.ddd
-            elif k >= 0:
-                length[key, s] = c + (s + 1 if s > k + 1 else k + 1)
-            else:
-                length[key, s] = c + 1 - k + s  # 0.000ddd
-    return prefix, length.ravel()
-
-
-@functools.cache
-def _exponents() -> np.ndarray:
-    """b"e%+03d" % k for k = -330..330, as rows of 5 bytes."""
-    return np.array([b"e%+03d" % k for k in range(-330, 331)],
-                    "S5").view(np.uint8).reshape(-1, 5)
-
-
-def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """The %.17g text of (-1)**neg * n * 10**(k - 16), as an S24 array.
-
-    %g writes fixed notation for -4 <= k < 17 and d.ddde+XX otherwise,
-    then strips trailing zeros and a bare point. Rows are grouped by sign
-    and by k within fixed notation, so that each group lays out its
-    digits by slice copies; the writer passes values sorted by bit
-    pattern, which are already grouped. Every row starts from the prefix
-    of its group and is cut to its length.
-    """
-    key = np.maximum(k, -5)
-    np.minimum(key, 17, out=key)
-    key += 5
-    np.add(key, 32, out=key, where=neg)
-    order = None
-    if (key[1:] < key[:-1]).any():
-        order = np.argsort(key, kind="stable")
-        key, n, k = key[order], n[order], k[order]
-    lead, quads, sig = _digits(n)
-    prefix, lengths = _forms()
-    out = prefix.take(key, axis=0)
-    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    starts = [0] + cuts.tolist()
-    sci = []
-    for r0, r1, group in zip(starts, starts[1:] + [n.size],
-                             key.take(starts).tolist()):
-        c, kg = divmod(group, 32)  # sign column, the group's k
-        kg -= 5
-        rows = out[r0:r1]
-        # the 17 digits go in after the prefix, and those after the point
-        # then move right by one
-        at = c + 1 - kg if -4 <= kg < 0 else c
-        rows[:, at] = lead[r0:r1]
-        rows[:, at + 1:at + 17].view("<u4")[:] = quads[r0:r1]
-        if at > c:  # 0.000ddd
-            continue
-        scientific = kg < -4 or kg > 16
-        point = c + 1 if scientific else c + kg + 1
-        if point < c + 17:
-            rows[:, point + 1:c + 18] = rows[:, point:c + 17]
-            rows[:, point] = ord(".")
-        if scientific:
-            sci.append((r0, r1))
-    key *= 18
-    key += sig
-    length = lengths.take(key)
-    words = out.view(np.uint64)
-    words &= _KEEP.take(length, axis=0)
-    for r0, r1 in sci:
-        at = np.arange(r0 * _WIDTH, r1 * _WIDTH, _WIDTH) + length[r0:r1]
-        out.reshape(-1)[at[:, None] + np.arange(5)] = _exponents().take(
-            k[r0:r1] + 330, axis=0)
-    text = out.view(f"S{_WIDTH}").ravel()
-    if order is None:
-        return text
-    unsorted = np.empty_like(text)
-    unsorted[order] = text
-    return unsorted
-
-
-def _format_17g(values: np.ndarray) -> np.ndarray:
-    """``b"%.17g" % v`` for each float64 v of 1-D ``values``, as an S24 array.
-
-    Magnitudes inside ``_FAST_RANGE`` are rounded and laid out in numpy.
-    Zeros, the rest, and the elements whose rounding ``_round17`` leaves
-    undecided go through ``%`` itself, so the result is exact for every
-    input.
-    """
-    x = np.abs(values)
-    if values.size and _FAST_RANGE[0] <= x.min() and x.max() <= _FAST_RANGE[1]:
-        n, k, undecided = _round17(x)
-        text = _layout(n, k, np.signbit(values))
-        slow = np.flatnonzero(undecided)
-    else:
-        text = np.empty(values.size, f"S{_WIDTH}")
-        fast = x >= _FAST_RANGE[0]
-        fast &= x <= _FAST_RANGE[1]
-        idx = np.flatnonzero(fast)
-        if idx.size:
-            n, k, undecided = _round17(x[idx])
-            text[idx] = _layout(n, k, np.signbit(values[idx]))
-            idx = idx[undecided]
-        slow = np.concatenate([np.flatnonzero(~fast), idx])
-    for i in slow.tolist():
-        text[i] = b"%.17g" % values[i]
-    return text
 
 
 def _text(bits: np.ndarray, known: list) -> np.ndarray:

@@ -270,13 +270,11 @@ class TestWriterMatchesSavetxt:
         # rows written so far until the rows below them take it, at most
         # about n^2 / 4 values of 24 bytes (0.75x a.nbytes), beside one
         # block's dedup and formatting of about 2,048 values at n = 200
-        # and n^2 / 32 from n = 256. It peaks at about 1.65x at n = 200
-        # and 1.31x at n = 1000, where its whole-triangle table of
-        # distinct values took 4.2x and 2.6x. The formatter's lookup
-        # tables, built once per process, are built before measuring.
-        fileio.save_square_matrix(np.ones((2, 2)), tmp_path / "m.csv")
+        # and n^2 / 32 from n = 256. It peaks at about 1.68x at n = 200
+        # and 1.33x at n = 1000, where its whole-triangle table of
+        # distinct values took 4.2x and 2.6x.
         rng = np.random.default_rng(7)
-        for n, bound in ((200, 1.7), (1000, 1.35)):
+        for n, bound in ((200, 1.75), (1000, 1.4)):
             a = rng.normal(size=(n, n))
             a = (a + a.T) / 2.0
             np.fill_diagonal(a, 0.0)

@@ -111,7 +111,8 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         s = a + a.T
     s /= 2.0
-    if not (np.isfinite(s.max(initial=0.0)) and np.isfinite(s.min(initial=0.0))):
+    if not (np.isfinite(s.max(initial=0.0))
+            and np.isfinite(s.min(initial=0.0))):
         half = a / 2.0
         np.add(half, half.T, out=s, where=np.isinf(s))
     return s

@@ -100,8 +100,8 @@ def load_dissimilarity(path) -> SymHollowMatrix:
 # matrix spans at most; see ``_row_blocks``. A block's dedup and format
 # temporaries, about 150 bytes per value, and the text it assembles stay
 # within a fraction of the matrix, while the fixed cost of each format
-# call, about a fifth of the time to format 2,048 values, is paid about
-# 16 times per matrix from n = 256 on.
+# call, about a third of the time to format 2,048 values, is paid 12 times
+# for a symmetric matrix at n = 200 and about 20 times from n = 256 on.
 _BLOCK_VALUES = 2048
 _BLOCK_ROWS = 64
 

@@ -193,7 +193,7 @@ class TestWriterMatchesSavetxt:
     @pytest.mark.parametrize("kind", ["symmetric_hollow_130", "coords_3000",
                                       "integer_ties_200"])
     def test_same_bytes_across_format_blocks(self, tmp_path, kind):
-        # The property above stays inside one format block; these span
+        # The property above stays inside one row block; these span
         # several: an 8,515-value triangle, 9,000 coordinates, and an
         # integer-valued matrix whose triangle repeats 1,560 values
         rng = np.random.default_rng(130)

@@ -103,21 +103,18 @@ def check_int(name: str, value) -> None:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Exactly symmetric part (a + a.T) / 2, in one new array.
 
-    No sum of entries below 2**1023 in magnitude overflows. Where a + a.T
-    overflows from finite entries, both are at least 2**970 in magnitude,
-    so their halves are exact and a/2 + a.T/2 is the correctly rounded
-    (a + a.T) / 2, which is finite. Elsewhere the sum is halved, as
-    halving first would round subnormal entries.
+    Where a + a.T overflows from finite entries, both are at least
+    2**970 in magnitude, so their halves are exact and a/2 + a.T/2 is the
+    correctly rounded (a + a.T) / 2, which is finite. Elsewhere the sum
+    is halved, as halving first would round subnormal entries.
     """
-    if max(a.max(initial=0.0), -a.min(initial=0.0)) < 2.0**1023:
-        s = a + a.T
-        s /= 2.0
-        return s
     with np.errstate(over="ignore"):
         s = a + a.T
     s /= 2.0
-    half = a / 2.0
-    np.add(half, half.T, out=s, where=np.isinf(s))
+    if not (np.isfinite(s.max(initial=0.0))
+            and np.isfinite(s.min(initial=0.0))):
+        half = a / 2.0
+        np.add(half, half.T, out=s, where=np.isinf(s))
     return s
 
 

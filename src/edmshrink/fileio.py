@@ -35,8 +35,7 @@ import json
 import numpy as np
 
 from .core import SymHollowMatrix, _built, symmetrize_within
-# _round17 stays importable here beside the formatter, as tests reach it
-from .g17 import _round17, format_17g as _format_17g  # noqa: F401
+from .g17 import format_17g as _format_17g
 
 SQUARED_CONVENTION = "# squared-distance convention"
 EMBEDDING_HEADER = "# squared-distance convention; centered coordinates"

@@ -7,7 +7,7 @@ magnitudes outside [1e-280, 1e280], and the rare values whose rounding
 that product cannot decide go through Python's ``%`` instead, so every
 byte is the one ``%.17g`` writes. A call costs about as much as
 formatting a few hundred values, so callers pass values in blocks of a
-few thousand.
+few thousand. The lookup tables are built at import (about 2 ms).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ def _pow10() -> np.ndarray:
     return table
 
 
+_POW10 = _pow10()
 
 
 def _scale(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +143,9 @@ def _quads() -> tuple[np.ndarray, np.ndarray]:
     return text.view("<u4").ravel(), kept
 
 
+_QUADS = _quads()
+
+
 def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The leading ASCII digit of each n in [1e16, 1e17), the text of its
     other 16 digits as four little-endian uint32 quads, one row each, and
@@ -201,31 +205,16 @@ def _forms() -> tuple[np.ndarray, np.ndarray]:
     return prefix, length.ravel()
 
 
+_FORMS = _forms()
+
+
 def _exponents() -> np.ndarray:
     """b"e%+03d" % k for k = -330..330, as rows of 5 bytes."""
     return np.array([b"e%+03d" % k for k in range(-330, 331)],
                     "S5").view(np.uint8).reshape(-1, 5)
 
 
-# The tables are allocated at import, while the heap is small, and filled
-# by the first call, so that a process that formats nothing never builds
-# them (about 2 ms). Allocated by the first call instead, after a fit has
-# freed its arrays, they would stay in the holes it left, and the next fit
-# would grow the heap around them: about 0.2 MB more peak RSS for an
-# estimate at n = 200.
-_POW10 = np.empty((5, 2 * _K0 + 1))
-_QUADS = np.empty(10000, "<u4"), np.empty(10000, np.int8)
-_FORMS = np.empty((64, WIDTH), np.uint8), np.empty(64 * 18, np.intp)
-_EXPONENTS = np.empty((661, 5), np.uint8)
-_tables_filled = False
-
-
-def _fill_tables() -> None:
-    global _tables_filled
-    for table, value in ((_POW10, _pow10()), *zip(_QUADS, _quads()),
-                         *zip(_FORMS, _forms()), (_EXPONENTS, _exponents())):
-        table[...] = value
-    _tables_filled = True
+_EXPONENTS = _exponents()
 
 
 def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -296,8 +285,6 @@ def format_17g(values: np.ndarray) -> np.ndarray:
     undecided go through ``%`` itself, so the result is exact for every
     input.
     """
-    if not _tables_filled:
-        _fill_tables()
     x = np.abs(values)
     if values.size and _FAST_RANGE[0] <= x.min() and x.max() <= _FAST_RANGE[1]:
         n, k, undecided = _round17(x)

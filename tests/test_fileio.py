@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edmshrink import SymHollowMatrix, fileio
+from edmshrink import SymHollowMatrix, fileio, g17
 
 from conftest import traced_peak
 
@@ -325,7 +329,7 @@ class TestFormat17g:
 
     def test_rounding_fixes_the_decade(self):
         # log10 rounds to 17 and to -5 here, one decade off
-        n, k, undecided = fileio._round17(
+        n, k, undecided = g17._round17(
             np.array([99999999999999984.0, 9.9999999999999991e-6]))
         assert n.tolist() == [99999999999999984, 99999999999999991]
         assert k.tolist() == [16, -6]
@@ -336,7 +340,22 @@ class TestFormat17g:
         # (k = -7) and m * 2**-25 (k = -8) for the odd m that make the
         # scaled value m * 5**23 / 2 or m * 5**24 / 2 a 17-digit number.
         ties = [m * 2.0**-24 for m in range(3, 16, 2)] + [2.0**-25, 3 * 2.0**-25]
-        assert fileio._round17(np.array(ties))[2].all()
+        assert g17._round17(np.array(ties))[2].all()
+
+    def test_rounding_before_any_format_call(self):
+        # a fresh interpreter, where nothing has been formatted yet
+        src = str(Path(g17.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import numpy as np; from edmshrink.g17 import _round17; "
+             "n, k, undecided = _round17(np.array("
+             "[99999999999999984.0, 9.9999999999999991e-6])); "
+             "print(n.tolist(), k.tolist(), undecided.tolist())"],
+            capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split("\n")[0] == (
+            "[99999999999999984, 99999999999999991] [16, -6] [False, False]")
 
 
 class TestCoordLoaders:

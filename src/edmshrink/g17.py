@@ -7,7 +7,10 @@ magnitudes outside [1e-280, 1e280], and the rare values whose rounding
 that product cannot decide go through Python's ``%`` instead, so every
 byte is the one ``%.17g`` writes. A call costs about as much as
 formatting a few hundred values, so callers pass values in blocks of a
-few thousand. The lookup tables are built at import (about 2 ms).
+few thousand. The lookup tables are built at import (about 3 ms), from
+Python integers and bytes rather than numpy arithmetic: numpy loops that
+nothing else in a process runs would map about 0.5 MB more of numpy's
+code into its resident memory.
 """
 
 from __future__ import annotations
@@ -34,17 +37,15 @@ def _pow10() -> np.ndarray:
     about 2**-106 of 10**e relative, and tail is 0 for 0 <= e <= 22.
     """
     table = np.empty((5, 2 * _K0 + 1))
-    e = 16 - np.arange(-_K0, _K0 + 1)
-    for i, ei in enumerate(e.tolist()):
-        num, den = (10 ** ei, 1) if ei >= 0 else (1, 10 ** -ei)
+    for i in range(2 * _K0 + 1):
+        e = 16 + _K0 - i
+        num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
         head = num / den
         a, b = head.as_integer_ratio()
-        table[0, i] = head
-        table[3, i] = (num * b - a * den) / (b * den)
-    c = 134217729.0 * table[0]  # 2**27 + 1
-    table[1] = c - (c - table[0])
-    table[2] = table[0] - table[1]
-    table[4] = (e < 0) | (e > 22)
+        c = 134217729.0 * head  # 2**27 + 1
+        high = c - (c - head)
+        table[:, i] = (head, high, head - high,
+                       (num * b - a * den) / (b * den), not 0 <= e <= 22)
     return table
 
 
@@ -134,13 +135,14 @@ def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _quads() -> tuple[np.ndarray, np.ndarray]:
     """The text of 0000 to 9999 as little-endian uint32, and the digits
     each keeps once trailing zeros are stripped (none for 0000)."""
-    i = np.arange(10000, dtype=np.int16)
-    text = np.empty((10000, 4), np.uint8)
-    kept = np.full(10000, 4, np.int8)
-    for j, p in enumerate((1000, 100, 10, 1)):
-        text[:, j] = i // p % 10 + ord("0")
-        kept -= i % (10 * p) == 0
-    return text.view("<u4").ravel(), kept
+    pairs = [b"%02d" % i for i in range(100)]
+    kept = [len(pair.rstrip(b"0")) for pair in pairs]
+    # high + high.join(pairs) is the text of high00 to high99; high00
+    # keeps what high keeps, and the others 2 more than their low pair
+    text = b"".join(high + high.join(pairs) for high in pairs)
+    low = bytes(2 + k for k in kept[1:])
+    kept = b"".join(bytes([h]) + low for h in kept)
+    return np.frombuffer(text, "<u4"), np.frombuffer(kept, np.int8)
 
 
 _QUADS = _quads()

@@ -143,21 +143,21 @@ def _write_text(text: str, out) -> None:
 
 
 def _write_fit(fit, rank: int, prefix: str) -> None:
-    fileio.save_square_matrix(fit.d_hat.entries, f"{prefix}.dhat.csv")
-    fileio.save_square_matrix(
-        fit.k_hat.entries, f"{prefix}.khat.csv",
-        header="# minimum-trace kernel (Gram matrix of centered coordinates)")
-    trunc = truncate_rank(fit, rank)
-    fileio.save_embedding(trunc.embedding.coords, f"{prefix}.embedding.csv")
-    payload = {
+    # all that can reject the set comes first, so that it writes no file
+    coords = truncate_rank(fit, rank).embedding.coords
+    diag = fileio.dumps_json({
         "lambda": fit.lam,
         "eta": fit.eta,
         "embed_dim": fit.d_hat.embed_dim,
         "cert_tol": fit.d_hat.cert_tol,
         **asdict(fit.diagnostics),
-    }
-    with open(f"{prefix}.diag.json", "w", encoding="utf-8") as fh:
-        fh.write(fileio.dumps_json(payload))
+    })
+    fileio.save_square_matrix(fit.d_hat.entries, f"{prefix}.dhat.csv")
+    fileio.save_square_matrix(
+        fit.k_hat.entries, f"{prefix}.khat.csv",
+        header="# minimum-trace kernel (Gram matrix of centered coordinates)")
+    fileio.save_embedding(coords, f"{prefix}.embedding.csv")
+    _write_text(diag, f"{prefix}.diag.json")
 
 
 def _cmd_estimate(args) -> int:

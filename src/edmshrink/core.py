@@ -393,16 +393,21 @@ class EdmMatrix(SymHollowMatrix):
     ``factor``, an n x s array F whose F F^T approximates the kernel, is
     passed to it: the test is then certified from F by a Weyl bound, and
     by ``eigvalsh`` of the kernel only where that bound cannot decide it.
-    ``entries`` is copied or kept as for ``SymHollowMatrix``; the kernel,
-    which the type builds itself, is never copied.
+    The matrix keeps F, read-only, or None when none was given. ``entries``
+    and ``factor`` are copied or kept as ``SymHollowMatrix`` keeps
+    ``entries``; the kernel, which the type builds itself, is never copied.
     """
 
     cert_tol: float = 1e-8
     kernel: MinTraceKernel = field(init=False, repr=False)
-    factor: InitVar[np.ndarray | None] = None
+    factor: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self, factor):
+    def __post_init__(self):
         super().__post_init__()
+        factor = self.factor
+        if factor is not None:
+            factor = _frozen(factor, np.asarray(factor, dtype=float))
+            object.__setattr__(self, "factor", factor)
         check_tol("cert_tol", self.cert_tol)
         # the diagonal is exactly 0, so it decides neither bound
         low = float(self.entries.min())
@@ -462,7 +467,7 @@ def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8,
     ``factor``, an n x s array F with F F^T close to the kernel
     -J m J / 2, the certificate is a Weyl bound from F, and ``eigvalsh``
     of the kernel runs only where that bound cannot decide it (see
-    ``EdmMatrix``).
+    ``EdmMatrix``). The EDM keeps a read-only copy of F as ``factor``.
     """
     return EdmMatrix(m.entries if isinstance(m, SymHollowMatrix) else m, tol,
                      factor)

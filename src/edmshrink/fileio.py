@@ -109,22 +109,14 @@ def _text(bits: np.ndarray, known: list) -> np.ndarray:
     """The %.17g text of the float64 bit patterns of 2-D ``bits``, as an
     S24 array of its shape, with each distinct pattern formatted once.
 
-    One argsort gathers the patterns in order; the runs of equal patterns
-    are formatted in that order and their text is scattered back through
-    it. ``known`` holds the distinct patterns of the last block, sorted,
+    ``np.unique`` finds the distinct patterns, sorted, and the index of
+    each entry's among them, through which their text is taken back.
+    ``known`` holds the distinct patterns of the last block, sorted,
     and their text if they were few, as in integer-valued matrices; it
     supplies the text of the patterns this block shares with that one,
     and is replaced by this block's.
     """
-    flat = bits.ravel()
-    order = np.argsort(flat)
-    ordered = flat[order]
-    del flat
-    new = np.empty(ordered.size, bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    distinct = ordered[new]
-    del ordered
+    distinct, index = np.unique(bits.ravel(), return_inverse=True)
     if known:
         keys, texts = known
         at = np.searchsorted(keys, distinct)
@@ -135,14 +127,7 @@ def _text(bits: np.ndarray, known: list) -> np.ndarray:
         table[todo] = _format_17g(distinct.take(todo).view(np.float64))
     else:
         table = _format_17g(distinct.view(np.float64))
-    known[:] = (distinct, table) if 4 * distinct.size <= new.size else ()
-    del distinct
-    rank = np.cumsum(new, dtype=np.intp)
-    del new
-    rank -= 1
-    index = np.empty_like(rank)
-    index[order] = rank
-    del order, rank
+    known[:] = (distinct, table) if 4 * distinct.size <= index.size else ()
     return table.take(index).reshape(bits.shape)
 
 
@@ -356,48 +341,47 @@ def dumps_json(obj) -> str:
     offers no hook to change that, so this walks the structure itself.
     Only dict/list/str/int/float/bool/None are supported, floats must be
     finite, and key order is preserved, which keeps the output
-    byte-for-byte reproducible.
+    byte-for-byte reproducible. A non-finite float raises ValueError
+    naming the key that holds it.
     """
     out: list[str] = []
     _emit(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _emit(obj, out: list[str], level: int) -> None:
-    pad = "  " * (level + 1)
-    end_pad = "  " * level
+def _emit(obj, out: list[str], level: int, key: str | None = None) -> None:
     if obj is None or isinstance(obj, bool):
         out.append("null" if obj is None else ("true" if obj else "false"))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         v = float(obj)
         if not np.isfinite(v):
-            raise ValueError(f"cannot serialize non-finite float {v}")
+            raise ValueError(
+                f"cannot serialize non-finite float {v}"
+                + (f" in field {key!r}" if key else "")
+                + ": a result lies outside the range of a double")
         out.append(format(v, ".17g"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, list, tuple)):
+        # a list's items go under the key of the list
+        is_dict = isinstance(obj, dict)
+        brackets = "{}" if is_dict else "[]"
         if not obj:
-            out.append("{}")
+            out.append(brackets)
             return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {type(key)}")
-            out.append(pad + json.dumps(key) + ": ")
-            _emit(val, out, level + 1)
+        out.append(brackets[0] + "\n")
+        items = obj.items() if is_dict else ((key, val) for val in obj)
+        for i, (name, val) in enumerate(items):
+            out.append("  " * (level + 1))
+            if is_dict:
+                if not isinstance(name, str):
+                    raise TypeError(
+                        f"JSON keys must be strings, got {type(name)}")
+                out.append(json.dumps(name) + ": ")
+            _emit(val, out, level + 1, name)
             out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad)
-            _emit(val, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end_pad + "]")
+        out.append("  " * level + brackets[1])
     else:
         raise TypeError(f"cannot serialize {type(obj)} to JSON")

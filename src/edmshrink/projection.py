@@ -320,7 +320,9 @@ def _dual_point(a: np.ndarray, y: np.ndarray, vals: np.ndarray,
     w, lam = vecs[:, :k], vals[:k]
     c = a.mean(axis=1) + y / y.size
     c -= 0.5 * c.mean()
-    theta = y.size * float(c @ c) + float(c.sum())**2 + 0.5 * float(lam @ lam)
+    # products, not ** 2, so that overflow gives inf and not OverflowError
+    theta = (y.size * float(c @ c) + float(np.square(c.sum()))
+             + 0.5 * float(lam @ lam))
     return _DualPoint(y, 2.0 * c + np.square(w) @ lam, theta, vals, vecs)
 
 
@@ -360,8 +362,8 @@ def project_edm_cone(
     """Frobenius-nearest Euclidean distance matrix to a symmetric input.
 
     ``a`` is an array or SymHollowMatrix, not necessarily hollow, and
-    ``cfg`` holds the stopping rules. Returns the certified EDM and the
-    projection's diagnostics.
+    ``cfg`` holds the stopping rules. Returns the certified EDM, which
+    keeps its certifying factor, and the projection's diagnostics.
 
     Minimizes the dual theta(y) = (1/2) ||Pi_C1(A + Diag y)||_F^2 by
     semismooth Newton-CG (see the module docstring), from y = 0. Before
@@ -381,7 +383,8 @@ def project_edm_cone(
     cert_tol = max(1e-8, 2 e / mu), for the top eigenvalue mu of f f^T and
     a bound e on the rounding of X's kernel and of the certificate, and
     ``eigvalsh`` runs only where that bound cannot decide the PSD test or
-    the embedding dimension.
+    the embedding dimension. The EDM keeps f, with no column when it is
+    the zero matrix, as ``EdmMatrix.factor``.
     """
     return _project_from(a, cfg)[:2]
 
@@ -389,10 +392,9 @@ def project_edm_cone(
 def _project_from(
     a, cfg: SolverConfig | None = None,
     start: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint, np.ndarray]:
+) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint]:
     """:func:`project_edm_cone` started at the dual point y of this input
-    instead of at y = 0, returning the dual point it closed on and the
-    factor that certified the result too.
+    instead of at y = 0, returning the dual point it closed on too.
 
     ``start`` is a one-element list of (y, vals, vecs), with the n - 1
     ascending eigenpairs of J (A + Diag y) J off the ones vector that the
@@ -403,7 +405,8 @@ def _project_from(
     accepted. A fit closes on the last point it evaluated, or on its start
     if it evaluated none, so that X and the certificate read a computed
     spectrum: the factor V sqrt(-l / 2) of its eigenpairs over its
-    negative eigenvalues l, or no column when the zero matrix is returned.
+    negative eigenvalues l, or no column when the zero matrix is returned,
+    which the EDM keeps without a copy.
 
     One eigenbasis is alive at a time. A point keeps its eigenpairs only
     until its Newton direction is solved, and the start's go with it, and
@@ -461,7 +464,7 @@ def _project_from(
         pt, last = pt._replace(vals=None, vecs=None), None
         slope = float(pt.g @ d)
         if not slope < 0.0:
-            d, slope = -pt.g, -gnorm**2
+            d, slope = -pt.g, -gnorm * gnorm
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             # trial holds an eigenbasis too: pt's, or a failed step's
@@ -497,7 +500,7 @@ def _project_from(
             np.sqrt(2.0 * theta) + 2.0 * psd)):
         # the zero matrix has gap theta at y: no larger than X's, or X is
         # zero but for that rounding
-        out, gap, factor = np.zeros_like(out), theta, factor[:, :0]
+        out, gap, factor = np.zeros_like(out), theta, np.empty((n, 0))
     diag = ProjectionDiagnostics(cycles, delta, gap,
                                  float(np.abs(pt.g).max()), converged)
     if not converged:
@@ -516,7 +519,7 @@ def _project_from(
         e = 2.0 * (n + s + np.sqrt(n) * (s + 8)) * eps * float(
             np.vdot(factor, factor))
         cert_tol = max(cert_tol, 2.0 * e / (-0.5 * float(pt.vals[0])))
-    return certify_edm(_built(out), cert_tol, factor), diag, pt, factor
+    return certify_edm(_built(out), cert_tol, _built(factor)), diag, pt
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,16 @@ the spectrum of J X J that classical MDS reads anyway, so one
 eigendecomposition per replicate serves both methods. The loop keeps a
 start's eigenbasis only until it hands it to the projection, which lets
 go of it, and of each point's, once the Newton step from there is
-solved, so one eigenbasis is alive at each eigendecomposition. A fit
-keeps the factor of its kernel that certified it, principal axes read
-off the eigenpairs its projection closed on, and ``truncate_rank``
+solved, so one eigenbasis is alive at each eigendecomposition. A fit's
+EDM keeps the factor of its kernel that certified it, principal axes
+read off the eigenpairs its projection closed on, and ``truncate_rank``
 takes the coordinates from its leading columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +69,19 @@ class ShrinkageFit:
     """Result of one shrink-and-project fit.
 
     Stores what the fit computed: d_hat, the estimated EDM, the penalty
-    lam, the projection's diagnostics, and factor, the n x s factor
-    V sqrt(mu) of the kernel of d_hat by its descending eigenpairs, read
-    off the projection's last eigendecomposition (see the ``projection``
-    module docstring), with no column when d_hat is zero. A Weyl bound
-    against it certified d_hat, so the fit made no ``eigvalsh``. k_hat,
-    the minimum-trace kernel of d_hat, and eta = lam / (2n), the
-    per-entry shrinkage applied before projection, are read from those.
+    lam and the projection's diagnostics. d_hat keeps, as
+    ``EdmMatrix.factor``, the n x s factor V sqrt(mu) of its kernel by
+    its descending eigenpairs, read off the projection's last
+    eigendecomposition (see the ``projection`` module docstring), with no
+    column when d_hat is zero. A Weyl bound against it certified d_hat,
+    so the fit made no ``eigvalsh``. k_hat, the minimum-trace kernel of
+    d_hat, and eta = lam / (2n), the per-entry shrinkage applied before
+    projection, are read from those.
     """
 
     d_hat: EdmMatrix
     lam: float
     diagnostics: ProjectionDiagnostics
-    factor: np.ndarray = field(repr=False, compare=False)
 
     @property
     def k_hat(self) -> MinTraceKernel:
@@ -200,10 +200,10 @@ def _walk_path(
         # the projection pops its start and lets go of it at its first
         # evaluation, so this fit runs beside no eigenbasis of the one before
         last = None
-        d_hat, diag, last, factor = _project_from(_shrunk(x, eta), cfg, start)
+        d_hat, diag, last = _project_from(_shrunk(x, eta), cfg, start)
         eta_prev = eta
-        yield ShrinkageFit(d_hat, lam, diag, factor)
-        del d_hat, factor
+        yield ShrinkageFit(d_hat, lam, diag)
+        del d_hat
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
@@ -266,11 +266,11 @@ def truncate_rank(fit: ShrinkageFit, r: int) -> RankTruncatedFit:
     Keeps the top r eigenpairs of the fitted kernel and maps back to
     distances; among all EDMs of embedding dimension at most r this
     minimizes ||J (d_hat - M) J||_F. It reads the first r columns of
-    ``ShrinkageFit.factor`` up to ``embed_dim``, zero past it, and makes
-    no eigendecomposition.
+    the certifying factor ``fit.d_hat.factor`` up to ``embed_dim``, zero
+    past it, and makes no eigendecomposition.
     """
     _check_rank(r, fit.d_hat.n)
-    return _top_r_fit(fit.factor[:, :fit.d_hat.embed_dim], r)
+    return _top_r_fit(fit.d_hat.factor[:, :fit.d_hat.embed_dim], r)
 
 
 def classical_mds(x: SymHollowMatrix, r: int) -> RankTruncatedFit:

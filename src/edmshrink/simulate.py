@@ -130,18 +130,6 @@ def helix_coords(
         (radius * np.cos(t), radius * np.sin(t), pitch * t / (2.0 * np.pi)))
 
 
-def _config_echo(cfg: SimConfig) -> dict:
-    return {
-        "reps": cfg.reps,
-        "seed": int(cfg.seed),
-        "noise": asdict(cfg.noise),
-        "rank_r": cfg.rank_r,
-        "lambda": cfg.lam,
-        "sigma": cfg.sigma,
-        "solver": asdict(cfg.solver),
-    }
-
-
 def run_experiment(truth, cfg: SimConfig) -> StressReport:
     """Run ``cfg.reps`` noisy replicates against a true distance matrix.
 
@@ -184,7 +172,8 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
         n=n,
         lam=float(lam),
         eta=float(lam / (2 * n)),
-        config=_config_echo(cfg),
+        config={"lambda" if k == "lam" else k: v
+                for k, v in asdict(cfg).items()},
         shrinkage=_stats([r.shrinkage_stress for r in included]),
         classical_mds=_stats([r.mds_stress for r in included]),
         replicates=tuple(records),

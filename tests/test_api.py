@@ -30,8 +30,8 @@ def test_benchmark_patches_install(make):
 
 
 def test_fit_path_calls_traced_names(rng):
-    # a fit keeps the factor that certified its projection, which
-    # project_edm_cone does not return, so the fit path bypasses it, and
+    # project_edm_cone returns the certifying factor on its EDM, but not
+    # the dual point a path resumes from, so the fit path bypasses it, and
     # the solver reads its dual points off eigenpairs, not project_c1;
     # both are called on their own to see that their patches run
     tracer = tracing.Tracer()

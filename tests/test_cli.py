@@ -289,6 +289,42 @@ class TestOutOrStdout:
         assert capsys.readouterr().out.encode("utf-8") == written
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestResultsOutsideTheDoubleRange:
+    """Finite input whose result is not a double exits 2, raises nothing
+    and leaves no file of the output set it rejects. numpy's overflow
+    warnings on the way are not part of that contract."""
+
+    @pytest.mark.parametrize("scale", [1e153, 1e154])
+    def test_scaled_cloud_writes_no_set(self, tmp_path, capsys, scale):
+        # at 1e153 the gap is inf; at 1e154 the dual's theta overflows
+        cloud = np.random.default_rng(0).normal(size=(8, 3))
+        path = tmp_path / "x.csv"
+        fileio.save_square_matrix(scale * edm_from_coords(cloud).entries, path)
+        assert main(["estimate", "--input", str(path), "--lambda",
+                     repr(0.5 * scale), "--out", str(tmp_path / "fit")]) == 2
+        assert "'gap'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_grid_keeps_the_sets_before_the_rejected_one(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("0,1\n1,0\n")
+        assert main(["estimate", "--input", str(path), "--lambda-grid",
+                     "0,1e300", "--out", str(tmp_path / "fit")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"fit_lam0.0.{ext}"
+            for ext in ("dhat.csv", "diag.json", "embedding.csv", "khat.csv")
+        ] + ["x.csv"]
+
+    def test_dim3_names_the_field(self, tmp_path, capsys):
+        # delta_x is 4e308, above the largest double
+        path = tmp_path / "x.csv"
+        path.write_text("0,1e308,1e308\n1e308,0,-1e308\n1e308,-1e308,0\n")
+        assert main(["dim3", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "'delta_x'" in captured.err and not captured.out
+
+
 class TestOtherCommands:
     def test_mds_outputs(self, noisy_matrix, tmp_path):
         out = tmp_path / "mds"

@@ -716,6 +716,29 @@ class TestFactoredCertificate:
             assert certify_edm(d, 1e-8, factor).embed_dim == 2
         assert calls.shapes[-1] == ("eigvalsh", (8, 8))
 
+    def test_edm_keeps_a_read_only_copy_of_its_factor(self):
+        v = kernel_basis(2)
+        d = edm_of_spectrum([3.0, 1.0], v)
+        factor = v * np.sqrt([3.0, 1.0])
+        got = certify_edm(d, 1e-8, factor=factor)
+        assert np.array_equal(got.factor, factor)
+        assert not got.factor.flags.writeable
+        with pytest.raises(ValueError):
+            got.factor[0, 0] = 1.0
+        kept = got.factor.copy()
+        factor[:] = 0.0
+        assert np.array_equal(got.factor, kept)
+        assert certify_edm(d, 1e-8).factor is None
+
+    def test_fit_keeps_the_factor_that_certified_it(self):
+        # the projection hands its factor over, and truncate_rank reads it
+        x = SymHollowMatrix(edm_of_spectrum([3.0, 1.0, 0.5], kernel_basis(3)))
+        d = distance_shrinkage(x, 0.1).d_hat
+        assert not d.factor.flags.writeable
+        assert d.factor.shape[0] == 8 and d.factor.shape[1] >= d.embed_dim
+        assert np.allclose(d.factor @ d.factor.T, d.kernel.entries,
+                           rtol=0.0, atol=1e-12)
+
     def test_kernel_takes_a_factor(self):
         v = kernel_basis(2)
         k = center_gram(edm_of_spectrum([3.0, 1.0], v))

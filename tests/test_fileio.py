@@ -495,6 +495,22 @@ class TestJsonEmitter:
         with pytest.raises(ValueError):
             fileio.dumps_json({"x": float("nan")})
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"a": 1.0, "gap": float("inf")}, "gap"),
+        ({"m": {"stresses": [0.5, -float("inf")]}}, "stresses"),
+    ])
+    def test_non_finite_names_its_field(self, payload, key):
+        with pytest.raises(ValueError, match=f"in field '{key}'"):
+            fileio.dumps_json(payload)
+
+    def test_layout_is_that_of_indent_two(self):
+        # floats whose repr has at most 17 digits, so that the stdlib
+        # writes them as %.17g does
+        payload = {"empty_list": [], "empty_dict": {}, "f": -0.125,
+                   "list": [1, [2, {"k": None, "t": True}], "s"],
+                   "d": {"x": [0.5], "y": {"z": False}}}
+        assert fileio.dumps_json(payload) == json.dumps(payload, indent=2) + "\n"
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             fileio.dumps_json({"x": object()})

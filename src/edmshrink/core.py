@@ -333,10 +333,6 @@ class MinTraceKernel:
         object.__setattr__(self, "entries", _frozen(self.entries, a))
         object.__setattr__(self, "rank", rank)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
     def trace(self) -> float:
         return float(np.trace(self.entries))
 
@@ -368,10 +364,6 @@ class Embedding:
         if c.ndim != 2:
             raise ValueError(f"coordinates must be 2-D, got shape {c.shape}")
         return cls(_centered(c))
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
 
     @property
     def k(self) -> int:

@@ -111,6 +111,8 @@ def _text(bits: np.ndarray, known: list) -> np.ndarray:
 
     ``np.unique`` finds the distinct patterns, sorted, and the index of
     each entry's among them, through which their text is taken back.
+    ``format_17g`` gets them, or an ascending subset, in that order: it
+    needs values sorted by bit pattern.
     ``known`` holds the distinct patterns of the last block, sorted,
     and their text if they were few, as in integer-valued matrices; it
     supplies the text of the patterns this block shares with that one,

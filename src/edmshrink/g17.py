@@ -7,10 +7,11 @@ magnitudes outside [1e-280, 1e280], and the rare values whose rounding
 that product cannot decide go through Python's ``%`` instead, so every
 byte is the one ``%.17g`` writes. A call costs about as much as
 formatting a few hundred values, so callers pass values in blocks of a
-few thousand. The lookup tables are built at import (about 3 ms), from
-Python integers and bytes rather than numpy arithmetic: numpy loops that
-nothing else in a process runs would map about 0.5 MB more of numpy's
-code into its resident memory.
+few thousand, sorted by float64 bit pattern read as unsigned integers.
+The lookup tables are built at import (about 3 ms), from Python integers
+and bytes rather than numpy arithmetic: numpy loops that nothing else in
+a process runs would map about 0.5 MB more of numpy's code into its
+resident memory.
 """
 
 from __future__ import annotations
@@ -223,20 +224,19 @@ def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """The %.17g text of (-1)**neg * n * 10**(k - 16), as an S24 array.
 
     %g writes fixed notation for -4 <= k < 17 and d.ddde+XX otherwise,
-    then strips trailing zeros and a bare point. Rows are grouped by sign
-    and by k within fixed notation, so that each group lays out its
-    digits by slice copies; the writer passes values sorted by bit
-    pattern, which are already grouped. Every row starts from the prefix
-    of its group and is cut to its length.
+    then strips trailing zeros and a bare point. Each group of rows with
+    one sign, and one k within fixed notation, lays out its digits by
+    slice copies. The rows must come grouped, positive before negative and
+    k ascending within each sign, as values sorted by bit pattern come;
+    ValueError otherwise. Every row starts from the prefix of its group
+    and is cut to its length.
     """
     key = np.maximum(k, -5)
     np.minimum(key, 17, out=key)
     key += 5
     np.add(key, 32, out=key, where=neg)
-    order = None
     if (key[1:] < key[:-1]).any():
-        order = np.argsort(key, kind="stable")
-        key, n, k = key[order], n[order], k[order]
+        raise ValueError("values must be sorted by bit pattern")
     lead, quads, sig = _digits(n)
     prefix, lengths = _FORMS
     out = prefix.take(key, axis=0)
@@ -271,21 +271,19 @@ def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
         at = np.arange(r0 * WIDTH, r1 * WIDTH, WIDTH) + length[r0:r1]
         out.reshape(-1)[at[:, None] + np.arange(5)] = _EXPONENTS.take(
             k[r0:r1] + 330, axis=0)
-    text = out.view(f"S{WIDTH}").ravel()
-    if order is None:
-        return text
-    unsorted = np.empty_like(text)
-    unsorted[order] = text
-    return unsorted
+    return out.view(f"S{WIDTH}").ravel()
 
 
 def format_17g(values: np.ndarray) -> np.ndarray:
     """``b"%.17g" % v`` for each float64 v of 1-D ``values``, as an S24 array.
 
+    ``values`` must be sorted by bit pattern, as unsigned integers: each
+    sign's magnitudes ascending, positive before negative. ValueError is
+    raised where they are not and the sign or decade steps back.
     Magnitudes inside ``_FAST_RANGE`` are rounded and laid out in numpy.
     Zeros, the rest, and the elements whose rounding ``_round17`` leaves
     undecided go through ``%`` itself, so the result is exact for every
-    input.
+    sorted input.
     """
     x = np.abs(values)
     if values.size and _FAST_RANGE[0] <= x.min() and x.max() <= _FAST_RANGE[1]:

@@ -248,6 +248,7 @@ def _newton_system(vals: np.ndarray, vecs: np.ndarray, eps: float):
     """
     n = vecs.shape[0]
     pos = vals > 0.0
+    # the positive side is the smaller where the embedding dimension nears n
     positive_side = 2 * np.count_nonzero(pos) <= n
     side = pos if positive_side else ~pos
     lam_s = vals[side]

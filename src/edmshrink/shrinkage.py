@@ -236,7 +236,8 @@ def risk_bound(n: int, sigma: float, r: int) -> float:
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
     check_nonnegative("sigma", sigma)
-    return 36.0 * n * sigma**2 * (r + 1)
+    # a product, not ** 2, so that overflow gives inf and not OverflowError
+    return 36.0 * n * (sigma * sigma) * (r + 1)
 
 
 def _check_rank(r: int, n: int) -> None:

@@ -299,14 +299,15 @@ class TestFormat17g:
               database=None)
     @given(values=st.lists(FLOATS, max_size=40))
     def test_matches_percent(self, values):
-        x = np.array(values, dtype=float)
+        x = np.sort(np.array(values, dtype=float).view(np.uint64))
+        x = x.view(np.float64)
         assert fileio._format_17g(x).tolist() == percent_17g(x)
 
     def test_random_bit_patterns(self):
-        # every exponent and sign, unsorted, in many blocks
+        # every exponent and sign, sorted by bit pattern, in many blocks
         rng = np.random.default_rng(20241018)
         bits = rng.integers(0, 2**64, size=120_000, dtype=np.uint64)
-        x = bits.view(np.float64)
+        x = np.sort(bits).view(np.float64)
         x = x[np.isfinite(x)]
         assert x.size > 100_000
         assert fileio._format_17g(x).tolist() == percent_17g(x)
@@ -326,6 +327,14 @@ class TestFormat17g:
     def test_named_values(self, value):
         x = np.array([value, -value])
         assert fileio._format_17g(x).tolist() == percent_17g(x)
+
+    @pytest.mark.parametrize("values", [[2.0, 1e-3], [-1.0, 1.0]])
+    def test_layout_rejects_values_out_of_bit_order(self, values):
+        # the decade, then the sign, steps back
+        x = np.array(values)
+        n, k, _ = g17._round17(np.abs(x))
+        with pytest.raises(ValueError, match="sorted by bit pattern"):
+            g17._layout(n, k, np.signbit(x))
 
     def test_rounding_fixes_the_decade(self):
         # log10 rounds to 17 and to -5 here, one decade off

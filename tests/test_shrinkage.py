@@ -474,6 +474,10 @@ class TestPenaltyAndBound:
         diffs = np.diff([risk_bound(10, 1.0, r) for r in range(1, 6)])
         assert np.allclose(diffs, diffs[0])
 
+    def test_bound_overflows_to_inf(self):
+        # a square that overflows gives inf, as everywhere in the package
+        assert risk_bound(10, 1e200, 3) == np.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             recommended_lambda(1, 1.0)
@@ -712,6 +716,27 @@ class TestShrinkagePath:
                 assert fit.d_hat.embed_dim == want
                 assert fit.d_hat.embed_dim <= prev
                 prev = fit.d_hat.embed_dim
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 20),
+           k=st.integers(1, 3), sigma=st.floats(0.0, 1.0))
+    def test_dimension_never_rises_along_the_path(self, seed, n, k, sigma):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(scale=sigma, size=(n, n))
+        noise = (noise + noise.T) / 2.0
+        np.fill_diagonal(noise, 0.0)
+        x = edm_from_coords(random_cloud(rng, n, k)).entries + noise
+        # the fit is zero exactly when n eta I dominates J (Diag(X 1) - X) J
+        # off the ones vector, eta = lambda / (2n): from lambda = 2 top on.
+        # The grid runs to 1.2 times that.
+        j = np.eye(n) - 1.0 / n
+        top = np.linalg.eigvalsh(j @ (np.diag(x.sum(axis=1)) - x) @ j)[-1]
+        grid = np.linspace(0.0, 2.4 * max(top, 0.0), 20).tolist()
+        dims = [fit.d_hat.embed_dim
+                for fit in shrinkage_path(SymHollowMatrix(x), grid)]
+        assert dims[-1] == 0
+        assert all(b <= a for a, b in zip(dims, dims[1:])), dims
 
     def test_penalty_dominates_noise_spectral_norm(self, rng):
         # the recommended penalty exceeds twice the spectral norm of the

@@ -8,14 +8,18 @@ The script writes a fixed set of inputs, runs the same list of
 compares every output file, the exit code and stdout of each. It prints
 each tree's total and code-only line counts of ``src/edmshrink``, the
 latter without docstrings, comments and blank lines, and exits 1 on any
-difference. Everything it writes goes under one temporary directory,
-which it removes; the trees are only read, with bytecode writing off.
+difference. A CSV file that differs is explained by the largest change of
+a parsed value over the largest parent magnitude, and a JSON file by the
+keys whose values differ, list indices written as ``[]``. Everything it
+writes goes under one temporary directory, which it removes; the trees
+are only read, with bytecode writing off.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import json
 import math
 import os
 import subprocess
@@ -125,14 +129,20 @@ def line_counts(src: Path) -> tuple[int, int]:
     return total, code
 
 
+def sweep_args(inputs: Path, out: Path, values: dict):
+    """(name, argv) of each invocation, its placeholders filled in."""
+    for name, argv in SWEEP:
+        yield name, [a.format(**values, **{"in": inputs, "out": out})
+                     for a in argv]
+
+
 def run_sweep(src: Path, inputs: Path, out: Path, values: dict) -> dict:
     """{name: (exit code, stdout)} of every invocation, outputs in ``out``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     results = {}
-    for name, argv in SWEEP:
-        args = [a.format(**values, **{"in": inputs, "out": out}) for a in argv]
+    for name, args in sweep_args(inputs, out, values):
         proc = subprocess.run(
             [sys.executable, "-W", "ignore", "-m", "edmshrink.cli", *args],
             cwd=out, env=env, capture_output=True)
@@ -141,6 +151,72 @@ def run_sweep(src: Path, inputs: Path, out: Path, values: dict) -> dict:
             print(f"  {name}: exit {proc.returncode}: "
                   f"{proc.stderr.decode(errors='replace').strip()}")
     return results
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_difference(old: Path, new: Path) -> str:
+    """The largest |change - parent| over the largest |parent| of the
+    cells that parse as numbers in both files, and how many other cells
+    differ as text; or that the files' shapes differ."""
+    a, b = ([line.split(",") for line in p.read_text("utf-8").splitlines()]
+            for p in (old, new))
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return (f"shapes differ: {len(a)} lines against {len(b)}, "
+                f"or rows of other widths")
+    delta = scale = 0.0
+    text = 0
+    cells = ((c for row in rows for c in row) for rows in (a, b))
+    for x, y in zip(*cells):
+        u, v = _number(x), _number(y)
+        if u is None or v is None:
+            text += x != y
+        else:
+            delta, scale = max(delta, abs(v - u)), max(scale, abs(u))
+    ratio = delta / scale if scale else delta
+    return (f"largest |change - parent| / max |parent| {ratio:.3g}"
+            + (f", {text} text cells differ" if text else ""))
+
+
+def json_keys(a, b, path: str = "") -> list[str]:
+    """The keys, as dotted paths, whose values differ between two parsed
+    JSON documents; a list's items share its key with ``[]`` added."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = []
+        for k in list(a) + [k for k in b if k not in a]:
+            sub = f"{path}.{k}" if path else k
+            keys += (json_keys(a[k], b[k], sub) if k in a and k in b
+                     else [sub])
+        return keys
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [k for x, y in zip(a, b) for k in json_keys(x, y, path + "[]")]
+    return [] if a == b else [path or "the document"]
+
+
+def json_difference(old: Path, new: Path) -> str:
+    keys = list(dict.fromkeys(json_keys(
+        *(json.loads(p.read_text("utf-8")) for p in (old, new)))))
+    if not keys:
+        return "no parsed value differs"
+    more = f" and {len(keys) - 8} more" if len(keys) > 8 else ""
+    return f"keys {', '.join(keys[:8])}{more}"
+
+
+def explain(old: Path, new: Path) -> str:
+    """What differs between two output files that differ in bytes."""
+    try:
+        if old.suffix == ".csv":
+            return "; " + csv_difference(old, new)
+        if old.suffix == ".json":
+            return "; " + json_difference(old, new)
+    except (UnicodeDecodeError, ValueError) as exc:
+        return f"; unreadable: {exc}"
+    return ""
 
 
 def main(argv: list[str]) -> int:
@@ -172,7 +248,8 @@ def main(argv: list[str]) -> int:
             if (old_out / name).read_bytes() == (new_out / name).read_bytes():
                 same += 1
             else:
-                diffs.append(f"{name}: bytes")
+                diffs.append(f"{name}: bytes"
+                             + explain(old_out / name, new_out / name))
     print(f"{len(SWEEP)} invocations, {same} identical output files")
     for line in diffs:
         print(f"DIFFERS {line}")

@@ -495,16 +495,14 @@ def _distances_from_coords(coords: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def average_squared_loss(a: SymHollowMatrix, b: SymHollowMatrix) -> float:
-    """Averaged squared error over pairs: 2/(n(n-1)) * sum_{i<j} (a_ij-b_ij)^2.
+    """Averaged squared error over pairs, ||A - B||_F^2 / (n(n-1)).
 
-    For hollow symmetric inputs this equals ||A - B||_F^2 / (n(n-1)).
+    For hollow symmetric inputs this is 2/(n(n-1)) * sum_{i<j} (a_ij-b_ij)^2.
     """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
-    diff = a.entries - b.entries
-    iu = np.triu_indices(n, k=1)
-    return 2.0 * float(np.sum(diff[iu] ** 2)) / (n * (n - 1))
+    return float(np.sum((a.entries - b.entries) ** 2)) / (n * (n - 1))
 
 
 def kruskal_stress(est: SymHollowMatrix, truth: SymHollowMatrix) -> float:

@@ -1,17 +1,20 @@
 """Exact ``%.17g`` text of float64 arrays, computed in numpy.
 
 Each value is rounded half to even to 17 significant digits through an
-error-free product with a double-double power of ten, and laid out by
-the rules of ``%g`` from a table of the text of 0000 to 9999. Zeros,
-magnitudes outside [1e-280, 1e280], and the rare values whose rounding
-that product cannot decide go through Python's ``%`` instead, so every
-byte is the one ``%.17g`` writes. A call costs about as much as
-formatting a few hundred values, so callers pass values in blocks of a
-few thousand, sorted by float64 bit pattern read as unsigned integers.
-The lookup tables are built at import (about 3 ms), from Python integers
-and bytes rather than numpy arithmetic: numpy loops that nothing else in
-a process runs would map about 0.5 MB more of numpy's code into its
-resident memory.
+error-free product with a double-double power of ten, and its 17 digits
+are laid out in fixed or scientific notation from a table of the text
+of 0000 to 9999. Then ``%g``'s rule is applied as ``%g`` states it:
+numpy's string functions strip the trailing zeros, and then a bare
+point, of the rows that end in 0 and hold a point, before the exponent
+is appended. Zeros, magnitudes outside [1e-280, 1e280], and the rare
+values whose rounding that product cannot decide go through Python's
+``%`` instead, so every byte is the one ``%.17g`` writes. A call costs
+about as much as formatting a few hundred values, so callers pass values
+in blocks of a few thousand, sorted by float64 bit pattern read as
+unsigned integers. Every lookup table is built at import from Python
+integers and bytes, not with numpy arithmetic: numpy loops that nothing
+else in a process runs would map more of numpy's code into its resident
+memory.
 """
 
 from __future__ import annotations
@@ -133,17 +136,12 @@ def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, k, undecided
 
 
-def _quads() -> tuple[np.ndarray, np.ndarray]:
-    """The text of 0000 to 9999 as little-endian uint32, and the digits
-    each keeps once trailing zeros are stripped (none for 0000)."""
+def _quads() -> np.ndarray:
+    """The text of 0000 to 9999 as little-endian uint32."""
     pairs = [b"%02d" % i for i in range(100)]
-    kept = [len(pair.rstrip(b"0")) for pair in pairs]
-    # high + high.join(pairs) is the text of high00 to high99; high00
-    # keeps what high keeps, and the others 2 more than their low pair
+    # high + high.join(pairs) is the text of high00 to high99
     text = b"".join(high + high.join(pairs) for high in pairs)
-    low = bytes(2 + k for k in kept[1:])
-    kept = b"".join(bytes([h]) + low for h in kept)
-    return np.frombuffer(text, "<u4"), np.frombuffer(kept, np.int8)
+    return np.frombuffer(text, "<u4")
 
 
 _QUADS = _quads()
@@ -152,10 +150,9 @@ _QUADS = _quads()
 def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The leading ASCII digit of each n in [1e16, 1e17), the text of its
     other 16 digits as four little-endian uint32 quads, one row each, and
-    the digits left once trailing zeros are stripped. Each quad is looked
-    up in a table of 0000 to 9999.
+    whether its last digit is 0. Each quad is looked up in a table of
+    0000 to 9999.
     """
-    text, kept = _QUADS
     lead = n // 10 ** 16
     halves = np.empty((n.size, 2), np.int64)
     np.subtract(n, lead * 10 ** 16, out=halves[:, 1])
@@ -166,55 +163,29 @@ def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.subtract(halves, quads[:, :, 0] * 10 ** 4, out=quads[:, :, 1])
     quads = quads.reshape(n.size, 4)
     lead += ord("0")
-    # the lead digit, 4 per quad up to the last nonzero one, and its kept
-    sig = kept.take(quads[:, 3])
-    sig += 13
-    rows = np.flatnonzero(sig == 13)
-    for j in (2, 1, 0):
-        if not rows.size:
-            break
-        last = kept.take(quads[rows, j])
-        sig[rows] = last + (1 + 4 * j)
-        rows = rows[last == 0]
-    return lead.astype(np.uint8), text.take(quads), sig
+    text = _QUADS.take(quads)
+    # the last digit is the high byte of the last little-endian quad
+    return lead.astype(np.uint8), text, text[:, 3] >> 24 == ord("0")
 
 
-# _KEEP[j] keeps the first j bytes of a row of WIDTH, as uint64 words.
-_KEEP = np.where(np.arange(WIDTH) < np.arange(WIDTH + 1)[:, None], 255,
-                 0).astype(np.uint8).view(np.uint64)
-
-
-def _forms() -> tuple[np.ndarray, np.ndarray]:
-    """For a row of ``_layout`` key ``key``: the text before its digits,
-    a sign and the 0.000 of fixed notation below 1, as a row of WIDTH
-    bytes; and at [18 key + s], the length of its text before any
-    exponent when its digits keep s once trailing zeros are stripped."""
-    prefix = np.zeros((64, WIDTH), np.uint8)
-    length = np.zeros((64, 18), np.intp)
+def _forms() -> np.ndarray:
+    """For each ``_layout`` key, the text before its digits, a sign and
+    the 0.000 of fixed notation below 1, as a row of WIDTH bytes."""
+    prefix = []
     for key in range(64):
         c, k = divmod(key, 32)
         k -= 5
-        prefix[key, 0] = ord("-") if c else 0
-        if -4 <= k < 0:
-            prefix[key, c:c + 1 - k] = ord("0")
-            prefix[key, c + 1] = ord(".")
-        for s in range(1, 18):
-            if k < -4 or k > 16:
-                length[key, s] = c + s + (s > 1)  # d.ddd
-            elif k >= 0:
-                length[key, s] = c + (s + 1 if s > k + 1 else k + 1)
-            else:
-                length[key, s] = c + 1 - k + s  # 0.000ddd
-    return prefix, length.ravel()
+        below_one = b"0." + b"0" * (-1 - k) if -4 <= k < 0 else b""
+        prefix.append(b"-" * c + below_one)
+    return np.array(prefix, f"S{WIDTH}").view(np.uint8).reshape(64, WIDTH)
 
 
 _FORMS = _forms()
 
 
 def _exponents() -> np.ndarray:
-    """b"e%+03d" % k for k = -330..330, as rows of 5 bytes."""
-    return np.array([b"e%+03d" % k for k in range(-330, 331)],
-                    "S5").view(np.uint8).reshape(-1, 5)
+    """b"e%+03d" % k for k = -330..330, as an S5 array."""
+    return np.array([b"e%+03d" % k for k in range(-330, 331)], "S5")
 
 
 _EXPONENTS = _exponents()
@@ -223,13 +194,14 @@ _EXPONENTS = _exponents()
 def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """The %.17g text of (-1)**neg * n * 10**(k - 16), as an S24 array.
 
-    %g writes fixed notation for -4 <= k < 17 and d.ddde+XX otherwise,
-    then strips trailing zeros and a bare point. Each group of rows with
-    one sign, and one k within fixed notation, lays out its digits by
-    slice copies. The rows must come grouped, positive before negative and
-    k ascending within each sign, as values sorted by bit pattern come;
-    ValueError otherwise. Every row starts from the prefix of its group
-    and is cut to its length.
+    %g writes fixed notation for -4 <= k < 17 and d.ddde+XX otherwise.
+    Each group of rows with one sign, and one k within fixed notation,
+    copies its prefix and lays out its 17 digits and point by slice
+    copies. The rows must come grouped, positive before negative and k
+    ascending within each sign, as values sorted by bit pattern come;
+    ValueError otherwise. Then, as %g does, the rows that end in 0 and
+    hold a point (all but fixed k = 16) lose their trailing zeros and
+    then a bare point, and the scientific rows get their exponent.
     """
     key = np.maximum(k, -5)
     np.minimum(key, 17, out=key)
@@ -237,9 +209,8 @@ def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
     np.add(key, 32, out=key, where=neg)
     if (key[1:] < key[:-1]).any():
         raise ValueError("values must be sorted by bit pattern")
-    lead, quads, sig = _digits(n)
-    prefix, lengths = _FORMS
-    out = prefix.take(key, axis=0)
+    lead, quads, zero = _digits(n)
+    out = _FORMS.take(key, axis=0)
     cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
     starts = [0] + cuts.tolist()
     sci = []
@@ -248,30 +219,32 @@ def _layout(n: np.ndarray, k: np.ndarray, neg: np.ndarray) -> np.ndarray:
         c, kg = divmod(group, 32)  # sign column, the group's k
         kg -= 5
         rows = out[r0:r1]
-        # the 17 digits go in after the prefix, and those after the point
-        # then move right by one
-        at = c + 1 - kg if -4 <= kg < 0 else c
-        rows[:, at] = lead[r0:r1]
-        rows[:, at + 1:at + 17].view("<u4")[:] = quads[r0:r1]
-        if at > c:  # 0.000ddd
-            continue
         scientific = kg < -4 or kg > 16
-        point = c + 1 if scientific else c + kg + 1
-        if point < c + 17:
-            rows[:, point + 1:c + 18] = rows[:, point:c + 17]
+        # the lead digit goes in after the prefix, and the point after the
+        # digits before it; at + 17 where the prefix holds the point
+        # (0.000ddd) or there is none (k = 16)
+        at = c + 1 - kg if -4 <= kg < 0 else c
+        point = c + 1 if scientific else at + 17 if kg < 0 else c + kg + 1
+        rows[:, at] = lead[r0:r1]
+        digits = quads[r0:r1]
+        if point < at + 17:
+            # the other 16 digits go in one column right, those before the
+            # point then one column left
+            rows[:, at + 2:at + 18].view("<u4")[:] = digits
+            rows[:, at + 1:point] = digits.view(np.uint8)[:, :point - at - 1]
             rows[:, point] = ord(".")
+        else:
+            rows[:, at + 1:at + 17].view("<u4")[:] = digits
+            if kg == 16:  # 17 digits and no point, whose zeros stay
+                zero[r0:r1] = False
         if scientific:
             sci.append((r0, r1))
-    key *= 18
-    key += sig
-    length = lengths.take(key)
-    words = out.view(np.uint64)
-    words &= _KEEP.take(length, axis=0)
+    text = out.view(f"S{WIDTH}").ravel()
+    text[zero] = np.char.rstrip(np.char.rstrip(text[zero], b"0"), b".")
     for r0, r1 in sci:
-        at = np.arange(r0 * WIDTH, r1 * WIDTH, WIDTH) + length[r0:r1]
-        out.reshape(-1)[at[:, None] + np.arange(5)] = _EXPONENTS.take(
-            k[r0:r1] + 330, axis=0)
-    return out.view(f"S{WIDTH}").ravel()
+        text[r0:r1] = np.char.add(text[r0:r1],
+                                  _EXPONENTS.take(k[r0:r1] + 330))
+    return text
 
 
 def format_17g(values: np.ndarray) -> np.ndarray:

@@ -52,7 +52,6 @@ from .core import (
     MinTraceKernel,
     SymHollowMatrix,
     _lead_positive,
-    center_gram,
     check_nonnegative,
     edm_from_coords,
 )
@@ -211,7 +210,7 @@ def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
     if m.n != x.n:
         raise ValueError(f"size mismatch: {m.n} vs {x.n}")
     fit = 0.5 * float(np.sum((x.entries - m.entries) ** 2))
-    return fit + lam * float(np.trace(center_gram(m.entries)))
+    return fit + lam * m.kernel.trace()
 
 
 def recommended_lambda(n: int, sigma: float) -> float:

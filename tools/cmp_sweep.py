@@ -1,8 +1,12 @@
 """Compare the CLI outputs of two source trees byte for byte.
 
-Usage: python tools/cmp_sweep.py PARENT_SRC CHANGE_SRC
+Usage: python tools/cmp_sweep.py PARENT CHANGE
 
-Each argument is a checkout of this repository or its ``src`` directory.
+Each argument is a checkout of this repository or its ``src`` directory,
+or, if it is not a directory, a git revision of the repository this
+script is in, whose ``src`` is exported with ``git archive``; so
+``python tools/cmp_sweep.py HEAD .`` compares the working tree with its
+last commit.
 The script writes a fixed set of inputs, runs the same list of
 ``edmshrink`` invocations against each tree in a fresh interpreter, and
 compares every output file, the exit code and stdout of each. It prints
@@ -11,8 +15,8 @@ latter without docstrings, comments and blank lines, and exits 1 on any
 difference. A CSV file that differs is explained by the largest change of
 a parsed value over the largest parent magnitude, and a JSON file by the
 keys whose values differ, list indices written as ``[]``. Everything it
-writes goes under one temporary directory, which it removes; the trees
-are only read, with bytecode writing off.
+writes, exported revisions too, goes under one temporary directory,
+which it removes; the trees are only read, with bytecode writing off.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 import tokenize
 from pathlib import Path
@@ -54,8 +59,28 @@ SWEEP = [
      ["simulate", "--helix", "30", "--noise", "gamma", "--lambda", "2.5",
       "--reps", "3", "--seed", "3", "--out-format", "csv",
       "--out", "{out}/sim.csv"]),
+    ("simulate-input-csv",
+     ["simulate", "--input", "{in}/points.csv", "--sigma2", "0.01",
+      "--sigma", "0.1", "--reps", "2", "--seed", "11",
+      "--out", "{out}/sim_csv.json"]),
+    ("simulate-input-xyz",
+     ["simulate", "--input", "{in}/points.xyz", "--format", "xyz",
+      "--sigma2", "0.01", "--lambda", "0.5", "--reps", "2", "--seed", "12",
+      "--out", "{out}/sim_xyz.json"]),
+    ("simulate-input-bare-xyz",
+     ["simulate", "--input", "{in}/bare.xyz", "--format", "xyz",
+      "--noise", "gamma", "--sigma", "0.2", "--reps", "2", "--seed", "13",
+      "--out-format", "csv", "--out", "{out}/sim_bare.csv"]),
+    ("simulate-input-pdb",
+     ["simulate", "--input", "{in}/models.pdb", "--format", "pdb",
+      "--sigma2", "0.04", "--sigma", "0.2", "--rank", "2", "--reps", "2",
+      "--seed", "14", "--out", "{out}/sim_pdb.json"]),
     ("dim3", ["dim3", "--input", "{in}/three.csv", "--out", "{out}/dim3.json"]),
     ("dim3-stdout", ["dim3", "--input", "{in}/three.csv"]),
+    ("dim3-dim1",
+     ["dim3", "--input", "{in}/three_dim1.csv", "--out", "{out}/dim3_1.json"]),
+    ("dim3-dim0",
+     ["dim3", "--input", "{in}/three_dim0.csv", "--out", "{out}/dim3_0.json"]),
 ]
 
 
@@ -81,6 +106,32 @@ def _noisy(d: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     return d + noise + noise.T
 
 
+def write_coords(folder: Path) -> None:
+    """One irregular 3-D structure of 14 points as points.csv, as a
+    chemical xyz file (count line, comment line, element symbols), as a
+    bare xyz table, and as a pdb file whose ATOM records of model 1 it
+    is, beside a HETATM record and a second model of other points."""
+    rng = np.random.default_rng(17)
+    p = np.round(rng.uniform(-8.0, 8.0, size=(14, 3)), 3)
+    _write_csv(folder / "points.csv", p)
+    rows = [" ".join(format(v, ".17g") for v in row) for row in p]
+    (folder / "points.xyz").write_text(
+        f"{len(p)}\nsweep structure\n"
+        + "".join(f"C {row}\n" for row in rows), encoding="utf-8")
+    (folder / "bare.xyz").write_text(
+        "".join(f"{row}\n" for row in rows), encoding="utf-8")
+    atom = "{:<6}{:5d}  CA  ALA A{:4d}    {:8.3f}{:8.3f}{:8.3f}  1.00  0.00\n"
+    lines = ["MODEL        1\n"]
+    lines += [atom.format("ATOM", i + 1, i + 1, *xyz)
+              for i, xyz in enumerate(p)]
+    lines.append(atom.format("HETATM", 15, 15, 0.5, 0.5, 0.5))
+    lines += ["ENDMDL\n", "MODEL        2\n"]
+    lines += [atom.format("ATOM", i + 1, i + 1, *(xyz + 1.0))
+              for i, xyz in enumerate(p)]
+    lines += ["ENDMDL\n", "END\n"]
+    (folder / "models.pdb").write_text("".join(lines), encoding="utf-8")
+
+
 def write_inputs(folder: Path) -> dict:
     """The sweep's inputs, and the values its argv refers to."""
     _write_csv(folder / "n200.csv", _noisy(_helix_edm(200), 0.5, 0))
@@ -90,6 +141,10 @@ def write_inputs(folder: Path) -> dict:
     _write_csv(folder / "similarity.csv", (s + s.T).astype(float))
     _write_csv(folder / "three.csv",
                np.array([[0.0, 1.5, 2.25], [1.5, 0.0, 0.7], [2.25, 0.7, 0.0]]))
+    _write_csv(folder / "three_dim1.csv",
+               np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 10.0], [1.0, 10.0, 0.0]]))
+    _write_csv(folder / "three_dim0.csv", np.eye(3) - 1.0)
+    write_coords(folder)
     lam = 4.0 * 0.5 * (math.sqrt(200) + 1.0)
     return {"grid": ",".join(repr(f * lam) for f in (0.5, 1.0, 2.0))}
 
@@ -101,6 +156,27 @@ def src_dir(tree: str) -> Path:
     if not (path / "edmshrink").is_dir():
         sys.exit(f"{tree}: no edmshrink package there or under src/")
     return path
+
+
+def tree_src(tree: str, folder: Path) -> tuple[Path, str]:
+    """The ``src`` of ``tree`` and a name for it: ``src_dir`` of a
+    directory, else the ``src`` of the commit it names, exported into
+    ``folder``."""
+    if Path(tree).is_dir():
+        src = src_dir(tree)
+        return src, str(src)
+    repo = Path(__file__).resolve().parent.parent
+    commit = subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", "--verify", "--quiet",
+         f"{tree}^{{commit}}"], capture_output=True, text=True).stdout.strip()
+    if not commit:
+        sys.exit(f"{tree}: neither a directory nor a commit of {repo}")
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", commit, "src"],
+        capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(folder, filter="data")
+    return src_dir(str(folder)), f"{tree} ({commit[:12]})"
 
 
 def line_counts(src: Path) -> tuple[int, int]:
@@ -223,11 +299,13 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    trees = [src_dir(t) for t in argv]
-    for label, src in zip(("parent", "change"), trees):
-        total, code = line_counts(src)
-        print(f"{label}: {src}: {total} lines, {code} code-only")
     with tempfile.TemporaryDirectory(prefix="cmp_sweep_") as tmp:
+        trees = []
+        for label, tree in zip(("parent", "change"), argv):
+            src, name = tree_src(tree, Path(tmp) / f"{label}_tree")
+            total, code = line_counts(src)
+            print(f"{label}: {name}: {total} lines, {code} code-only")
+            trees.append(src)
         inputs = Path(tmp) / "inputs"
         inputs.mkdir()
         values = write_inputs(inputs)

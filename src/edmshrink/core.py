@@ -52,6 +52,19 @@ def _as_square(entries) -> np.ndarray:
     return a
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F, finite wherever it is a double. Where the sum of squares
+    overflows, the entries are scaled by a power of two first, which is
+    exact, so the norm is the same float as numpy's wherever numpy's is
+    finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if norm == np.inf:
+            e = np.frexp(max(float(a.max()), -float(a.min())))[1]
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+    return norm
+
+
 class _Built(np.ndarray):
     """An array that the library built for one of its types to keep, and
     to which it holds no other reference. The type keeps it read-only as
@@ -271,12 +284,12 @@ def _factor_rank(k: np.ndarray, f: np.ndarray, tol: float) -> int | None:
     g = f.T @ f
     resid = f @ f.T
     resid -= k
-    err = float(np.linalg.norm(resid)) + (
+    err = _frobenius(resid) + (
         2 * (n + s) * np.finfo(float).eps * float(np.trace(g)))
     zero = np.zeros(int(s < n))
     mu = g.diagonal()
     rank = _weyl_rank(np.concatenate((mu, zero)),
-                      err + float(np.linalg.norm(g - np.diag(mu))), tol)
+                      err + _frobenius(g - np.diag(mu)), tol)
     if rank is None:
         rank = _weyl_rank(np.concatenate((np.linalg.eigvalsh(g), zero)),
                           err, tol)
@@ -423,11 +436,14 @@ class EdmMatrix(SymHollowMatrix):
 # transforms
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def _distances_from_gram(g: np.ndarray) -> np.ndarray:
     """Squared distances d_ij = g_ii + g_jj - 2 g_ij of a symmetric ``g``,
     hollow, in the buffer of ``g``: a fit's EDM, from f f^T for its
     certifying factor f, whose theta = (1/2) (||B - J B J||_F^2 +
-    sum l_N^2) needs no n x n array either (see ``projection``)."""
+    sum l_N^2) needs no n x n array either (see ``projection``). A
+    distance outside the range of a double is left inf or nan, with no
+    warning, for the type that keeps it to reject as not finite."""
     diag = g.diagonal().copy()
     g *= -2.0
     # (g_ii + g_jj) first, for symmetry; no n x n temporary
@@ -482,9 +498,11 @@ def edm_from_coords(p) -> EdmMatrix:
     return EdmMatrix(_built(_distances_from_coords(coords)), factor=coords)
 
 
+@np.errstate(over="ignore")
 def _distances_from_coords(coords: np.ndarray) -> np.ndarray:
     """Squared pairwise distances of centered (n, k) coordinates, without
-    the certificate of :func:`edm_from_coords`."""
+    the certificate of :func:`edm_from_coords`, not finite where they
+    overflow (see :func:`_distances_from_gram`)."""
     d = _distances_from_gram(coords @ coords.T)
     np.clip(d, 0.0, None, out=d)  # roundoff can leave tiny negatives
     return d

@@ -31,6 +31,18 @@ systems are solved by conjugate gradients on Hessian-vector products of
 O(n^2 k) work, where k is the smaller of the counts of positive and
 non-positive eigenvalues of J (A + Diag y) J.
 
+A penalty is one scalar of this dual. The shrinkage estimator projects
+A = X - eta (11^T - I), the observation X with eta subtracted from every
+off-diagonal entry, and A + Diag y = X + Diag z - eta 11^T for
+z = y + eta 1. J 1 = 0, so J (A + Diag y) J = J (X + Diag z) J: the
+solver runs on X itself, in the variable z, and the eigenpairs of a
+point z are the same at every penalty. A fit starts from the last point
+of a fit of another penalty as it is, and a spectrum of J X J is the
+point z = 0 of every penalty. eta enters in four places only, each
+below: the row means of B, the trace in the line step, the duality gap,
+and ||A||_F, which scales the stopping rule. With no penalty, eta = 0,
+z = y and A = X.
+
 Every eigendecomposition leaves out the ones vector, whose eigenvalue in
 J B J is 0. The reflector H = I - v v^T / (n + sqrt(n)), v = 1 +
 sqrt(n) e_n, sends 1 to -sqrt(n) e_n (Hayden and Wells), so J B J =
@@ -40,10 +52,11 @@ The n - 1 eigenvalues l ascend; the eigenvectors V are orthonormal and
 orthogonal to 1.
 
 Every dual point is read off the non-positive eigenpairs, with no M. At
-B = A + Diag y, J B J has the non-positive part N = V_N diag(l_N) V_N^T,
-and M = Pi_C1(B) = (B - J B J) + N. B - J B J has the entries
-r_i + r_j - mean(r) for the row means r of B and is orthogonal to N, so
-with c = r - mean(r) / 2,
+B = A + Diag y = X + Diag z - eta 11^T, J B J has the non-positive part
+N = V_N diag(l_N) V_N^T, and M = Pi_C1(B) = (B - J B J) + N. B - J B J
+has the entries r_i + r_j - mean(r) for the row means r of B, those of
+X + Diag z less eta, and is orthogonal to N, so with c = r - mean(r) / 2,
+which is r' - mean(r') / 2 - eta / 2 for the row means r' of X + Diag z,
 
   theta(y) = (1/2) (||B - J B J||_F^2 + sum l_N^2)
            = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2,
@@ -56,22 +69,25 @@ eps ||B||_F^2. An evaluation of theta costs one eigendecomposition of C
 and no more.
 
 Moves along the ones vector come free: J V = V, so J (B + t I) J =
-J B J + t J has the eigenpairs (l + t, V) for every t, and theta(y + t 1)
-is a strictly convex, piecewise quadratic function of t alone. Each
-point that the solver arrives at, short of its stopping rule, moves to
-the minimizer along that line before its Newton step, in O(n^2) work. At
-y = 0 that is the best constant dual point, where a cold fit starts. A
-line point's eigenvalues are shifted, not computed, so the solver stops
-only at a point it evaluated or at its start: a line point that meets
-the rule is evaluated once, and that evaluation does not move again.
+J B J + t J has the eigenpairs (l + t, V) for every t, and theta(z + t 1)
+is a strictly convex, piecewise quadratic function of t alone, whose
+slope reads tr B = tr X + sum z - n eta. Each point that the solver
+arrives at, short of its stopping rule, moves to the minimizer along
+that line before its Newton step, in O(n^2) work. A cold fit starts at
+z = eta 1, which is y = 0, and so moves first to the best constant dual
+point. A line point's eigenvalues are shifted, not computed, so the
+solver stops only at a point it evaluated or at its start: a line point
+that meets the rule is evaluated once, and that evaluation does not
+move again.
 
 The solver closes on an exact EDM, that of its certifying factor. At
-the point y it stops at, g = diag M, so X = M - (g 1^T + 1 g^T) / 2 is
-hollow with J X J = N: the EDM of the factor f = V_N sqrt(-l_N / 2),
+the point z it stops at, g = diag M, so D = M - (g 1^T + 1 g^T) / 2 is
+hollow with J D J = N: the EDM of the factor f = V_N sqrt(-l_N / 2),
 built from f with no M. The objective is 1-strongly convex, so the
-nearest EDM X* has (1/2) ||X - X*||_F^2 <= (1/2) ||X - A||_F^2 -
-((1/2) ||A||_F^2 - theta(y)), the duality gap of X at y, and f certifies
-X by a Weyl bound, with no further eigendecomposition (see ``core``).
+nearest EDM D* has (1/2) ||D - D*||_F^2 <= (1/2) ||D - A||_F^2 -
+((1/2) ||A||_F^2 - theta), the duality gap of D at z, in which
+<D, A> = <D, X - eta> as D is hollow, and f certifies D by a Weyl bound,
+with no further eigendecomposition (see ``core``).
 """
 
 from __future__ import annotations
@@ -153,14 +169,14 @@ class ProjectionDiagnostics:
     neither does a start whose eigenpairs the caller holds: the point a
     ``simulate`` replicate reads off the spectrum it shares with
     classical MDS, or the previous fit's last point along a penalty path
-    (``shrinkage_path``). gap is the duality gap (1/2) ||X - A||_F^2 -
-    ((1/2) ||A||_F^2 - theta(y)) at the last dual point y of the matrix X
-    that is returned, with theta(y) = (1/2) ||M||_F^2 = n ||c||^2 +
+    (``shrinkage_path``). gap is the duality gap (1/2) ||D - A||_F^2 -
+    ((1/2) ||A||_F^2 - theta) at the last dual point of the matrix D
+    that is returned, with theta = (1/2) ||M||_F^2 = n ||c||^2 +
     (sum c)^2 + (1/2) sum l_N^2, the formula of every dual point (see the
-    module docstring); it bounds (1/2) ||X - X*||_F^2 for the nearest
-    EDM X*. X is the EDM of its certifying factor
+    module docstring); it bounds (1/2) ||D - D*||_F^2 for the nearest
+    EDM D*. D is the EDM of its certifying factor
     V_N sqrt(-l_N / 2), or, once converged, the zero matrix, whose gap is
-    theta(y), when that is no larger or no eigenvalue lies below
+    theta, when that is no larger or no eigenvalue lies below
     rounding. It is >= 0 up to rounding. c2_residual is the largest
     magnitude max|g| of the diagonal that the closing step removes.
     """
@@ -297,64 +313,65 @@ def _cg(apply, precond: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 
 
 class _DualPoint(NamedTuple):
-    """The dual at y: theta(y), its gradient g = diag Pi_C1(A + Diag y),
-    and the n - 1 ascending eigenpairs (vals, vecs) of J (A + Diag y) J
-    orthogonal to the ones vector that they are read off. A line point's
-    vals are shifted, not computed, and a point whose Newton step is being
-    tried holds neither (None)."""
+    """The dual at z: theta, its gradient g = diag Pi_C1(A + Diag y) at
+    y = z - eta 1, and the n - 1 ascending eigenpairs (vals, vecs) of
+    J (X + Diag z) J orthogonal to the ones vector that they are read off.
+    A line point's vals are shifted, not computed, and a point whose
+    Newton step is being tried holds neither (None)."""
 
-    y: np.ndarray
+    z: np.ndarray
     g: np.ndarray
     theta: float
     vals: np.ndarray
     vecs: np.ndarray
 
 
-def _dual_point(a: np.ndarray, y: np.ndarray, vals: np.ndarray,
+def _dual_point(a: np.ndarray, eta: float, z: np.ndarray, vals: np.ndarray,
                 vecs: np.ndarray) -> _DualPoint:
-    """theta and its gradient at y, read off the non-positive part
-    (l_N, V_N) of the ascending eigenpairs (vals, vecs) of J B J,
-    B = A + Diag y, and the row means r of B, in O(n^2) work:
-    c = r - mean(r) / 2, theta = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2
-    and g = 2 c + (V_N o V_N) l_N (see the module docstring)."""
+    """theta and its gradient at z for the penalty eta, read off the
+    non-positive part (l_N, V_N) of the ascending eigenpairs (vals, vecs)
+    of J (X + Diag z) J, and the row means r of X + Diag z, in O(n^2)
+    work: c = r - mean(r) / 2 - eta / 2, theta = n ||c||^2 + (sum c)^2 +
+    (1/2) sum l_N^2 and g = 2 c + (V_N o V_N) l_N (see the module
+    docstring)."""
     k = int(np.searchsorted(vals, 0.0))
     w, lam = vecs[:, :k], vals[:k]
-    c = a.mean(axis=1) + y / y.size
-    c -= 0.5 * c.mean()
+    c = a.mean(axis=1) + z / z.size
+    c -= 0.5 * (c.mean() + eta)
     # products, not ** 2, so that overflow gives inf and not OverflowError
-    theta = (y.size * float(c @ c) + float(np.square(c.sum()))
+    theta = (z.size * float(c @ c) + float(np.square(c.sum()))
              + 0.5 * float(lam @ lam))
-    return _DualPoint(y, 2.0 * c + np.square(w) @ lam, theta, vals, vecs)
+    return _DualPoint(z, 2.0 * c + np.square(w) @ lam, theta, vals, vecs)
 
 
-def _evaluate(a: np.ndarray, y: np.ndarray) -> _DualPoint:
-    """theta and its gradient at y: one eigh, of the block of
-    J (A + Diag y) J orthogonal to the ones vector."""
-    return _dual_point(a, y, *_centered_eigh(a, y))
+def _evaluate(a: np.ndarray, eta: float, z: np.ndarray) -> _DualPoint:
+    """theta and its gradient at z: one eigh, of the block of
+    J (X + Diag z) J orthogonal to the ones vector."""
+    return _dual_point(a, eta, z, *_centered_eigh(a, z))
 
 
-def _line_step(pt: _DualPoint, a: np.ndarray) -> _DualPoint:
-    """The minimizer of theta along pt.y + t 1, read off pt's eigenpairs.
+def _line_step(pt: _DualPoint, a: np.ndarray, eta: float) -> _DualPoint:
+    """The minimizer of theta along pt.z + t 1, read off pt's eigenpairs.
 
     ``pt`` has the n - 1 ascending eigenpairs (l, V) of J B J,
-    B = A + Diag y, orthogonal to the ones vector. Each l_i moves to
-    l_i + t with the same eigenvector (see the module docstring), so with
-    tr B = tr A + sum y, the slope of theta(y + t 1) is
-    tr B + n t - sum_i max(l_i + t, 0). It is bounded above by the linear
-    tr B + n t - sum_{i <= k} (l_i + t) over the k largest l_i. Each of
-    those n bounds has its root at or below t*, and the one whose k
-    eigenvalues are positive at t* has its root at t*, so
+    B = X + Diag z - eta 11^T, orthogonal to the ones vector. Each l_i
+    moves to l_i + t with the same eigenvector (see the module
+    docstring), so with tr B = tr X + sum z - n eta, the slope of
+    theta(z + t 1) is tr B + n t - sum_i max(l_i + t, 0). It is bounded
+    above by the linear tr B + n t - sum_{i <= k} (l_i + t) over the k
+    largest l_i. Each of those n bounds has its root at or below t*, and
+    the one whose k eigenvalues are positive at t* has its root at t*, so
     t* = max_k (S_k - tr B) / (n - k), with S_k the sum of the k largest
     l_i, for k = 0, ..., n - 1.
 
-    Returns the line point at y + t* 1, eigenvalues l + t*, read off by
+    Returns the line point at z + t* 1, eigenvalues l + t*, read off by
     the formula of every dual point, in O(n^2).
     """
-    n = pt.y.size
-    trace_b = float(np.trace(a)) + float(pt.y.sum())
+    n = pt.z.size
+    trace_b = float(np.trace(a)) + float(pt.z.sum()) - n * eta
     sums = np.concatenate(([0.0], np.cumsum(pt.vals[::-1])))
     t = float(np.max((sums - trace_b) / (n - np.arange(n))))
-    return _dual_point(a, pt.y + t, pt.vals + t, pt.vecs)
+    return _dual_point(a, eta, pt.z + t, pt.vals + t, pt.vecs)
 
 
 def project_edm_cone(
@@ -377,44 +394,58 @@ def project_edm_cone(
     no step along d is accepted. Every test is relative to ||a||_F, so
     projecting c * a gives c times the projection of a for any c > 0.
 
-    The result is the EDM X of the module docstring, built from its
+    The result is the EDM D of the module docstring, built from its
     certifying factor f with any distance that rounding leaves negative
     clipped to zero, or the zero matrix where that is certified as well
-    (see :class:`ProjectionDiagnostics`). f certifies X by a Weyl bound at
+    (see :class:`ProjectionDiagnostics`). f certifies D by a Weyl bound at
     cert_tol = max(1e-8, 2 e / mu), for the top eigenvalue mu of f f^T and
-    a bound e on the rounding of X's kernel and of the certificate, and
+    a bound e on the rounding of D's kernel and of the certificate, and
     ``eigvalsh`` runs only where that bound cannot decide the PSD test or
     the embedding dimension. The EDM keeps f, with no column when it is
     the zero matrix, as ``EdmMatrix.factor``.
     """
-    return _project_from(a, cfg)[:2]
+    return _project_from(a, 0.0, cfg)[:2]
 
 
+@np.errstate(over="ignore")
 def _project_from(
-    a, cfg: SolverConfig | None = None,
+    a, eta: float, cfg: SolverConfig | None = None,
     start: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[EdmMatrix, ProjectionDiagnostics, _DualPoint]:
-    """:func:`project_edm_cone` started at the dual point y of this input
-    instead of at y = 0, returning the dual point it closed on too.
+    """The projection of A = X - eta (11^T - I), the input X with eta
+    subtracted from every off-diagonal entry, solved on X itself in the
+    dual variable z (see the module docstring); with eta = 0 it is
+    :func:`project_edm_cone`. It starts at z = eta 1, which is y = 0, or
+    at ``start``, and returns the dual point it closed on too.
 
-    ``start`` is a one-element list of (y, vals, vecs), with the n - 1
-    ascending eigenpairs of J (A + Diag y) J off the ones vector that the
+    ``start`` is a one-element list of (z, vals, vecs), with the n - 1
+    ascending eigenpairs of J (X + Diag z) J off the ones vector that the
     caller already holds, so it costs no evaluation, and a fit whose start
-    meets the stopping rule makes no eigendecomposition. The fit pops the
+    meets the stopping rule makes no eigendecomposition. Those eigenpairs
+    do not depend on eta, so the last point of a fit, or a spectrum of
+    J X J at z = 0, starts a fit of any penalty as it is. The fit pops the
     start, so a caller that keeps no other reference hands its eigenbasis
     over. A line point that meets the rule is evaluated once before it is
     accepted. A fit closes on the last point it evaluated, or on its start
-    if it evaluated none, so that X and the certificate read a computed
-    spectrum: the factor V sqrt(-l / 2) of its eigenpairs over its
-    negative eigenvalues l, or no column when the zero matrix is returned,
-    which the EDM keeps without a copy.
+    if it evaluated none, so that the EDM and the certificate read a
+    computed spectrum: the factor V sqrt(-l / 2) of its eigenpairs over
+    its negative eigenvalues l, or no column when the zero matrix is
+    returned, which the EDM keeps without a copy.
+
+    ||A||_F, which scales every test, is taken from A, formed once and let
+    go of before the first evaluation. Raises ValueError when X - eta, for
+    eta = 0 the input itself, is not zero but has no entry of magnitude
+    2**-500 or more, where squares of its size underflow. Overflow gives
+    inf, with no warning: a fit whose theta or distances lie outside the
+    range of a double returns an infinite gap, or fails the finiteness
+    check of its EDM, and the caller rejects it there.
 
     One eigenbasis is alive at a time. A point keeps its eigenpairs only
     until its Newton direction is solved, and the start's go with it, and
     a failed trial is let go of before the next is evaluated, so each
-    ``eigh`` runs beside ``a``, the block it reads and what the caller
-    holds. ``a`` is let go of before the certificate, whose kernel, built
-    by ``center_gram``, then sets the fit's peak beside the closing EDM and
+    ``eigh`` runs beside X, the block it reads and what the caller holds.
+    X is let go of before the certificate, whose kernel, built by
+    ``center_gram``, then sets the fit's peak beside the closing EDM and
     the closing eigenbasis, which is returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
@@ -424,7 +455,13 @@ def _project_from(
         a = symmetrize(a)
     if cfg is None:
         cfg = SolverConfig()
-    scale = float(np.linalg.norm(a))
+    # the largest magnitude of X - eta, whose off-diagonal entries are A's
+    top = max(float(a.max()) - eta, eta - float(a.min()))
+    if 0.0 < top < 2.0**-500:
+        raise ValueError(f"input scale {top:.3e} is below 2**-500")
+    # ||A||_F from A itself: expanded in X and eta, its square cancels near
+    # the penalty that collapses the fit
+    scale = float(np.linalg.norm(a - eta * (1.0 - np.eye(len(a)))))
     floor = cfg.tol * scale
 
     def arrive(pt: _DualPoint) -> _DualPoint:
@@ -433,12 +470,12 @@ def _project_from(
         # in the loop, and that evaluation does not move, so a rounding
         # disagreement at the rule cannot make the two alternate
         return (pt if np.linalg.norm(pt.g) <= floor
-                else _line_step(pt, a))
+                else _line_step(pt, a, eta))
 
     if start is None:
-        last, cycles = _evaluate(a, np.zeros(a.shape[0])), 1
+        last, cycles = _evaluate(a, eta, np.full(len(a), eta)), 1
     else:
-        last, cycles = _dual_point(a, *start.pop()), 0
+        last, cycles = _dual_point(a, eta, *start.pop()), 0
     # last is the point last evaluated, or the start: the fit closes on it
     pt = arrive(last)
     delta = 0.0
@@ -453,14 +490,14 @@ def _project_from(
             break
         if gnorm <= floor:
             # a line point meets the rule: stop only once evaluated
-            y, pt, last = pt.y, None, None
-            pt = last = _evaluate(a, y)
+            z, pt, last = pt.z, None, None
+            pt = last = _evaluate(a, eta, z)
             cycles += 1
             continue
         rel = gnorm / scale
         d = _cg(*_newton_system(pt.vals, pt.vecs, min(REG_MAX, rel)), -pt.g,
                 min(CG_RTOL, rel))
-        # the step needs only y, g and theta: let go of the eigenbasis that
+        # the step needs only z, g and theta: let go of the eigenbasis that
         # pt shares with last, so that each evaluation runs beside no other
         pt, last = pt._replace(vals=None, vecs=None), None
         slope = float(pt.g @ d)
@@ -470,7 +507,7 @@ def _project_from(
         for _ in range(MAX_BACKTRACKS):
             # trial holds an eigenbasis too: pt's, or a failed step's
             trial = last = None
-            trial = last = _evaluate(a, pt.y + t * d)
+            trial = last = _evaluate(a, eta, pt.z + t * d)
             cycles += 1
             if (trial.theta <= pt.theta + ARMIJO * t * slope
                     or np.linalg.norm(trial.g) <= 0.5 * gnorm):
@@ -488,8 +525,9 @@ def _project_from(
     neg = pt.vals < 0.0
     factor = pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg])
     out = _distances_from_coords(factor)
-    # (1/2) ||X - A||^2 - ((1/2) ||A||^2 - theta), with no n x n temporary
-    gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a)) + theta
+    # (1/2) ||D - A||^2 - ((1/2) ||A||^2 - theta): D is hollow, so
+    # <D, A> = <D, X - eta>
+    gap = 0.5 * float(np.vdot(out, out)) - float(np.vdot(out, a - eta)) + theta
     # the rest reads no input: let go of it before the certificate's n x n
     # kernel and residual
     n, a = a.shape[0], None
@@ -499,7 +537,7 @@ def _project_from(
     psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
     if converged and (theta <= gap or -pt.vals[0] <= n * eps * (
             np.sqrt(2.0 * theta) + 2.0 * psd)):
-        # the zero matrix has gap theta at y: no larger than X's, or X is
+        # the zero matrix has gap theta at z: no larger than D's, or D is
         # zero but for that rounding
         out, gap, factor = np.zeros_like(out), theta, np.empty((n, 0))
     diag = ProjectionDiagnostics(cycles, delta, gap,
@@ -514,8 +552,8 @@ def _project_from(
     cert_tol = 1e-8
     if factor.size:
         # e bounds the certificate's rounding, 2 (n + s) eps ||f||_F^2, and
-        # X's off the EDM of f: s eps ||f||_F^2 from f f^T, n-fold on its
-        # diagonal, and a few eps ||X||_F <= 4 sqrt(n) eps ||f||_F^2
+        # D's off the EDM of f: s eps ||f||_F^2 from f f^T, n-fold on its
+        # diagonal, and a few eps ||D||_F <= 4 sqrt(n) eps ||f||_F^2
         s = factor.shape[1]
         e = 2.0 * (n + s + np.sqrt(n) * (s + 8)) * eps * float(
             np.vdot(factor, factor))

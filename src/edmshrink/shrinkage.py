@@ -9,34 +9,33 @@ projects the result onto the EDM cone. The outcome solves
 so the trace penalty on the implied kernel is equivalent to uniform
 distance shrinkage: pulling points toward lower-dimensional configurations.
 
-Penalties differ only by the offset -eta (11^T - I), and that offset
-shifts the projection's dual without changing its spectrum: at the dual
-point y of penalty eta, the input of penalty eta + c has
+A penalty is one scalar of the projection's dual, not a shrunk copy of
+X: every fit projects X itself, with eta passed as a number. At the dual
+point y of the shrunk input A = X - eta (11^T - I),
 
-    (A - c (11^T - I)) + Diag(y - c 1) = (A + Diag y) - c 11^T,
+    A + Diag y = X + Diag z - eta 11^T,    z = y + eta 1,
 
-and J 1 = 0, so the eigenpairs of J (A + Diag y) J are those of the
-point y - c 1 of the new input too. ``shrinkage_path`` uses this to fit
-a grid of penalties in ascending order, each started from the last dual
-point of the one before (see the ``projection`` module docstring). Each fit
-still stops and is certified on its own tolerance, so a path fit agrees
-with ``distance_shrinkage`` of the same penalty to within that
-tolerance, not bit for bit; the first fit of a path is the same
-computation as ``distance_shrinkage``.
+and J 1 = 0, so the eigenpairs of J (A + Diag y) J are those of
+J (X + Diag z) J, whatever eta is (see the ``projection`` module
+docstring). ``shrinkage_path`` uses this to fit a grid of penalties in
+ascending order, each started from the last dual point z of the one
+before, as it is. Each fit still stops and is certified on its own
+tolerance, so a path fit agrees with ``distance_shrinkage`` of the same
+penalty to within that tolerance, not bit for bit; the first fit of a
+path is the same computation as ``distance_shrinkage``.
 
-The same fact makes a spectrum of J X J serve every penalty: the input A
-of penalty eta has J (A - eta I) J = J X J, so the eigenpairs of J X J
-are those of the dual point y = -eta 1 of A, with no eigendecomposition.
-Every fit runs in one loop over the penalties, which takes that spectrum
-as an option and then starts its first fit there; ``simulate`` passes
-the spectrum of J X J that classical MDS reads anyway, so one
+The same fact makes a spectrum of J X J serve every penalty: it is the
+dual point z = 0, with no eigendecomposition. Every fit runs in one loop
+over the penalties, which takes such a start as an option; ``simulate``
+passes the spectrum of J X J that classical MDS reads anyway, so one
 eigendecomposition per replicate serves both methods. The loop keeps a
 start's eigenbasis only until it hands it to the projection, which lets
 go of it, and of each point's, once the Newton step from there is
-solved, so one eigenbasis is alive at each eigendecomposition. A fit's
-EDM keeps the factor of its kernel that certified it, principal axes
-read off the eigenpairs its projection closed on, and ``truncate_rank``
-takes the coordinates from its leading columns.
+solved, so one eigenbasis, beside X and the block that ``eigh`` reads,
+is alive at each eigendecomposition. A fit's EDM keeps the factor of its
+kernel that certified it, principal axes read off the eigenpairs its
+projection closed on, and ``truncate_rank`` takes the coordinates from
+its leading columns.
 """
 
 from __future__ import annotations
@@ -118,13 +117,6 @@ class RankTruncatedFit:
         return d
 
 
-def _shrunk(x: SymHollowMatrix, eta: float) -> np.ndarray:
-    """The observations with eta subtracted from every off-diagonal entry."""
-    a = x.entries - eta
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
 def distance_shrinkage(
     x: SymHollowMatrix, lam: float, cfg: SolverConfig | None = None
 ) -> ShrinkageFit:
@@ -166,43 +158,34 @@ def shrinkage_path(
 
 def _walk_path(
     x: SymHollowMatrix, lams: list[float], cfg: SolverConfig | None,
-    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+    start: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> Iterator[ShrinkageFit]:
     """The fits of the checked, ascending penalties ``lams``.
 
-    Each fit after the first starts from the last dual point of the one
-    before, moved to its own input: (y - (eta - eta_prev) 1, vals, vecs).
-    The first starts cold, or, given ``spectrum``, the eigenpairs
-    (vals, vecs) of J X J from ``_centered_eigh``, at the dual point
-    y = -eta 1 of its input, whose eigenpairs they are. Neither start
-    needs an eigendecomposition, and the projection moves either along
-    the ones vector, to the best constant dual point, before its first
-    Newton step.
+    Each fit projects X itself, its penalty eta = lam / (2n) one scalar of
+    the projection's dual, whose variable z keeps the eigenpairs of
+    J (X + Diag z) J at every penalty (see the module docstring). So each
+    fit after the first starts from the last dual point of the one before,
+    as it is. The first starts cold, at z = eta 1, or at ``start``, a
+    one-element list [(z, vals, vecs)] with the eigenpairs of a point that
+    the caller holds: ``simulate`` passes those of J X J, from
+    ``_centered_eigh``, as the point z = 0. No start needs an
+    eigendecomposition, and the projection moves each along the ones
+    vector, to the best constant dual point, before its first Newton step.
 
     The walk keeps between fits only the last dual point, with its
-    eigenbasis, and the fit it yielded until it is resumed. It lets go of
-    ``spectrum`` once the first start is built and of the last point
-    before each fit, handing either over to the projection, which drops it
-    at its first evaluation (``projection._project_from``): a caller that
-    keeps neither the spectrum nor a yielded fit runs each fit beside no
+    eigenbasis, and the fit it yielded until it is resumed. It hands each
+    start over to the projection, which pops it and lets go of it at its
+    first evaluation (``projection._project_from``): a caller that keeps
+    neither the start it passed nor a yielded fit runs each fit beside no
     eigenbasis but its own.
     """
-    last, eta_prev = None, 0.0
     for lam in lams:
-        eta = lam / (2 * x.n)
-        if last is not None:
-            start = [(last.y - (eta - eta_prev), last.vals, last.vecs)]
-        elif spectrum is not None:
-            start, spectrum = [(np.full(x.n, -eta), *spectrum)], None
-        else:
-            start = None
-        # the projection pops its start and lets go of it at its first
-        # evaluation, so this fit runs beside no eigenbasis of the one before
-        last = None
-        d_hat, diag, last = _project_from(_shrunk(x, eta), cfg, start)
-        eta_prev = eta
+        d_hat, diag, last = _project_from(x, lam / (2 * x.n), cfg, start)
+        start = [(last.z, last.vals, last.vecs)]
         yield ShrinkageFit(d_hat, lam, diag)
-        del d_hat
+        # the next fit runs beside no eigenbasis of this one but its start
+        del d_hat, last
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:

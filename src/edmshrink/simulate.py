@@ -155,8 +155,8 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
     spectrum and fit no longer: once the baseline has read the spectrum,
     the fit takes it over and drops it at its first evaluation, and the
     fit is let go of once scored. So every eigendecomposition runs beside
-    the truth's entries, not its kernel, the observation, the shrunk
-    observation and no eigenbasis but its own.
+    the truth's entries, not its kernel, the observation, with no shrunk
+    copy of it, and no eigenbasis but its own.
     """
     d_true = SymHollowMatrix(_built(  # read-only, shared
         truth.entries if isinstance(truth, EdmMatrix) else
@@ -190,16 +190,16 @@ def _replicate(d_true: SymHollowMatrix, cfg: SimConfig, lam: float,
     mds_coords = _mds_fit(*spectrum, cfg.rank_r).embedding.coords
     mds_stress = kruskal_stress(
         SymHollowMatrix(_built(_distances_from_coords(mds_coords))), d_true)
-    # the path holds the only reference to the spectrum, and lets go of it
-    # once the fit's start is built
-    path = _walk_path(x, [lam], cfg.solver, spectrum)
+    # the spectrum of J X J is the dual point z = 0 of every penalty; the
+    # start holds the only reference to it, and the fit pops it
+    start = [(np.zeros(x.n), *spectrum)]
     del spectrum
     try:
-        fit = next(path)
+        # the path dies with this call, and with it its last dual point
+        fit = next(_walk_path(x, [lam], cfg.solver, start))
     except NotConvergedError as exc:
         stress, cycles = None, exc.diagnostics.cycles
     else:
-        del path
         stress = kruskal_stress(fit.d_hat, d_true)
         cycles = fit.diagnostics.cycles
     return ReplicateRecord(

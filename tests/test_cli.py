@@ -325,6 +325,80 @@ class TestResultsOutsideTheDoubleRange:
         assert "'delta_x'" in captured.err and not captured.out
 
 
+class TestExtremeScales:
+    """Input at the edges of the double range, with every warning an error
+    (the suite's default): each command exits with its documented code and
+    writes no file of a set it rejects, and numpy warns of no overflow."""
+
+    # squared distances of three points on a line, at 0, 1 and 2
+    LINE = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]
+    # squared distances of a triangle with sides 1, sqrt(2) and sqrt(1.5)
+    TRIANGLE = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]
+
+    def test_tiny_edm_is_rejected_not_fitted_as_zero(self, tmp_path,
+                                                     capsys):
+        # at 1e-310 every square underflows, and the fit read the zero
+        # matrix, certified, with exit 0
+        path = tmp_path / "x.csv"
+        fileio.save_square_matrix(1e-310 * np.array(self.LINE), path)
+        assert main(["estimate", "--input", str(path), "--lambda", "0",
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert "2**-500" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_cloud_at_1e_minus_150_fits(self, tmp_path):
+        cloud = np.random.default_rng(0).normal(size=(8, 3))
+        d = edm_from_coords(cloud)
+        fits = []
+        for c in (1.0, 1e-150):
+            path = tmp_path / f"x{c!r}.csv"
+            fileio.save_square_matrix(c * d.entries, path)
+            out = tmp_path / f"fit{c!r}"
+            assert main(["estimate", "--input", str(path), "--lambda",
+                         repr(0.5 * c), "--out", str(out)]) == 0
+            fits.append(fileio.load_square_matrix(f"{out}.dhat.csv") / c)
+        assert fits[0].any()
+        assert np.abs(fits[1] - fits[0]).max() <= 1e-12 * fits[0].max()
+
+    def test_mds_near_the_largest_double(self, tmp_path):
+        # the factored certificate's residual norm is taken at a power of
+        # two scale where its squares would overflow
+        path = tmp_path / "x.csv"
+        fileio.save_square_matrix(1e300 * np.array(self.TRIANGLE), path)
+        out = tmp_path / "mds"
+        assert main(["mds", "--input", str(path), "--out", str(out)]) == 0
+        d = fileio.load_square_matrix(f"{out}.dhat_r.csv")
+        want = 1e300 * np.array(self.TRIANGLE)
+        assert np.abs(d - want).max() <= 1e-12 * want.max()
+        assert (tmp_path / "mds.embedding.csv").exists()
+
+    def test_estimate_near_the_largest_double(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        fileio.save_square_matrix(1e300 * np.array(self.TRIANGLE), path)
+        assert main(["estimate", "--input", str(path), "--lambda", "0",
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert "'gap'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_convert_similarities_near_the_largest_double(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "s.csv"
+        fileio.save_square_matrix(
+            1e308 * np.array([[1.0, -1, 1], [-1, 1, -1], [1, -1, 1]]), path)
+        assert main(["convert", "--input", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_simulate_helix_of_huge_radius(self, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--helix", "10", "--helix-radius", "1e200",
+                     "--sigma2", "1", "--lambda", "1", "--reps", "1",
+                     "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOtherCommands:
     def test_mds_outputs(self, noisy_matrix, tmp_path):
         out = tmp_path / "mds"

@@ -261,20 +261,24 @@ class TestNewtonSystem:
 
 
 def dual_point_of_kind(kind: str, rng, n: int):
-    """An input A and a dual point of it, of each kind the solver visits:
-    evaluated, a warm start shifted from another penalty, the start read
-    off a spectrum of J X J, and a line point."""
+    """An input X at the penalty eta = 1.5, a dual point z of it of each
+    kind the solver visits, and that point as y = z - eta 1 of the shrunk
+    A = X - eta (11^T - I), whose C1 projection it describes: evaluated, a
+    warm start from the last point of another penalty, the start read off
+    a spectrum of J X J, and a line point."""
     x = random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
-    y = rng.normal(size=n)
+    eta = 1.5
+    z = rng.normal(size=n)
     if kind == "evaluated":
-        return x, _evaluate(x, y)
-    if kind == "line":
-        return x, _line_step(_evaluate(x, y), x)
-    a = x - 1.5 * (1.0 - np.eye(n))
-    if kind == "warm":
-        pt = _evaluate(x, y)
-        return a, _dual_point(a, y - 1.5, pt.vals, pt.vecs)
-    return a, _dual_point(a, np.full(n, -1.5), *_centered_eigh(x))
+        pt = _evaluate(x, eta, z)
+    elif kind == "line":
+        pt = _line_step(_evaluate(x, eta, z), x, eta)
+    elif kind == "warm":
+        other = _evaluate(x, 0.0, z)
+        pt = _dual_point(x, eta, z, other.vals, other.vecs)
+    else:
+        pt = _dual_point(x, eta, np.zeros(n), *_centered_eigh(x))
+    return x - eta * (1.0 - np.eye(n)), pt.z - eta, pt
 
 
 class TestDualPointFormula:
@@ -285,8 +289,8 @@ class TestDualPointFormula:
     @pytest.mark.parametrize("kind", ["evaluated", "warm", "spectrum", "line"])
     @pytest.mark.parametrize("n", [3, 12, 30])
     def test_matches_project_c1(self, rng, n, kind):
-        a, pt = dual_point_of_kind(kind, rng, n)
-        m = project_c1(a + np.diag(pt.y))[0]
+        a, y, pt = dual_point_of_kind(kind, rng, n)
+        m = project_c1(a + np.diag(y))[0]
         scale = np.linalg.norm(m)
         assert abs(pt.theta - 0.5 * scale**2) <= 1e-12 * scale**2
         assert np.abs(pt.g - m.diagonal()).max() <= 1e-12 * scale
@@ -301,7 +305,7 @@ class TestDualPointFormula:
         p = random_cloud(rng, n, 3)
         a = big * (p @ p.T) + random_edm(rng, n, 3).entries
         y = rng.normal(size=n)
-        pt = _evaluate(a, y)
+        pt = _evaluate(a, 0.0, y)
         b = a + np.diag(y)
         m = project_c1(b)[0]
         eps = np.finfo(float).eps
@@ -325,7 +329,7 @@ class TestClosingEdm:
         # entries off centre, so the mean of the row means counts
         a = random_symmetric(gen, n, scale) + gen.uniform(-2.0, 2.0) * scale
         y = gen.normal(scale=scale, size=n)
-        pt = _evaluate(a, y)
+        pt = _evaluate(a, 0.0, y)
         neg = pt.vals < 0.0
         x = _distances_from_coords(
             pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg]))
@@ -342,20 +346,21 @@ class TestClosingEdm:
 
 
 class TestShiftedDualPoint:
-    """The warm start of a penalty path: the eigenpairs of the dual point
-    of A at y are those of the point y - c 1 of A - c (11^T - I), so it
-    needs no eigendecomposition."""
+    """The penalty as one scalar of the dual: the point z of X at the
+    penalty c is the point z - c 1 of the shrunk X - c (11^T - I), with
+    the eigenpairs of the point z of X at any other penalty, so a fit
+    starts from another's last point with no eigendecomposition."""
 
     @pytest.mark.parametrize("c", [-2.5, 0.1, 3.0])
     @pytest.mark.parametrize("n", [3, 12, 30])
     def test_matches_fresh_evaluation(self, rng, n, c):
         a = random_edm(rng, n, 3).entries + random_symmetric(rng, n, 0.3)
-        y = rng.normal(size=n)
-        pt = _evaluate(a, y)
+        z = rng.normal(size=n)
+        pt = _evaluate(a, 0.0, z)
         shifted = a - c * (1.0 - np.eye(n))
-        moved = _dual_point(shifted, y - c, pt.vals, pt.vecs)
-        fresh = _evaluate(shifted, y - c)
-        scale = np.linalg.norm(project_c1(shifted + np.diag(y - c))[0])
+        moved = _dual_point(a, c, z, pt.vals, pt.vecs)
+        fresh = _evaluate(shifted, 0.0, z - c)
+        scale = np.linalg.norm(project_c1(shifted + np.diag(z - c))[0])
         assert np.abs(moved.g - fresh.g).max() <= 1e-12 * scale
         assert abs(moved.theta - fresh.theta) <= 1e-12 * scale**2
         assert np.abs(moved.vals - fresh.vals).max() <= 1e-12 * scale
@@ -378,11 +383,12 @@ def golden_section_min(f, lo: float, hi: float, iters: int = 120) -> float:
     return (lo + hi) / 2.0
 
 
-def constant_start(a, vals, vecs, offset):
-    """The line step from the point of a spectrum: the best constant dual
-    point, as a fit from that spectrum reaches it."""
-    y = np.full(a.shape[0], -offset)
-    return _line_step(_dual_point(a, y, vals, vecs), a)
+def constant_start(x, eta, vals, vecs):
+    """The line step from the point z = 0 of a spectrum of J X J: the best
+    constant dual point at the penalty eta, as a fit from that spectrum
+    reaches it."""
+    z = np.zeros(x.shape[0])
+    return _line_step(_dual_point(x, eta, z, vals, vecs), x, eta)
 
 
 class TestConstantStart:
@@ -395,16 +401,16 @@ class TestConstantStart:
         for _ in range(3):
             # a nonzero diagonal puts tr A into the slope of theta(c 1)
             a = random_symmetric(rng, n)
-            zero = _evaluate(a, np.zeros(n))
-            start = _line_step(zero, a)
-            c = float(start.y[0])
+            zero = _evaluate(a, 0.0, np.zeros(n))
+            start = _line_step(zero, a, 0.0)
+            c = float(start.z[0])
             width = float(np.linalg.norm(a))
             brute = golden_section_min(
-                lambda t: _evaluate(a, np.full(n, t)).theta,
+                lambda t: _evaluate(a, 0.0, np.full(n, t)).theta,
                 c - width, c + width)
             assert abs(brute - c) <= 1e-6 * width
             # the shifted spectrum gives the point a fresh eigh gives
-            fresh = _evaluate(a, start.y)
+            fresh = _evaluate(a, 0.0, start.z)
             assert np.abs(start.g - fresh.g).max() <= 1e-12 * width
             assert abs(start.theta - fresh.theta) <= 1e-12 * width**2
             assert np.abs(np.sort(start.vals) - fresh.vals).max() <= (
@@ -422,14 +428,15 @@ class TestConstantStart:
 
     @pytest.mark.parametrize("n", [3, 12, 30])
     def test_spectrum_of_unshrunk_input(self, rng, n):
-        # the spectrum of J X J serves X shrunk by eta, with offset eta
+        # the spectrum of J X J serves X at every penalty eta, as the point
+        # z = 0, which is y = -eta 1 of X shrunk by eta
         x = random_hollow(rng, n, scale=2.0).entries
         for eta in (0.0, 0.4, 1.5):
             a = x - eta * (1.0 - np.eye(n))
-            mine = _line_step(_evaluate(a, np.zeros(n)), a)
-            shared = constant_start(a, *_centered_eigh(x), eta)
+            mine = _line_step(_evaluate(a, 0.0, np.zeros(n)), a, 0.0)
+            shared = constant_start(x, eta, *_centered_eigh(x))
             width = np.linalg.norm(a)
-            assert abs(shared.y[0] - mine.y[0]) <= 1e-12 * width
+            assert abs(shared.z[0] - eta - mine.z[0]) <= 1e-12 * width
             assert np.abs(shared.g - mine.g).max() <= 1e-12 * width
             assert abs(shared.theta - mine.theta) <= 1e-12 * width**2
 
@@ -439,9 +446,9 @@ class TestConstantStart:
         n = int(gen.integers(2, 30))
         a = random_hollow(gen, n, scale=float(gen.uniform(0.1, 10.0))).entries
         a = a - float(gen.uniform(-1.0, 1.0)) * (1.0 - np.eye(n))
-        zero = _evaluate(a, np.zeros(n))
-        start = _line_step(zero, a)
-        assert _evaluate(a, start.y).theta <= zero.theta
+        zero = _evaluate(a, 0.0, np.zeros(n))
+        start = _line_step(zero, a, 0.0)
+        assert _evaluate(a, 0.0, start.z).theta <= zero.theta
 
     @pytest.mark.parametrize("x", [
         np.zeros((5, 5)),
@@ -459,7 +466,8 @@ class TestConstantStart:
         vals, vecs = _centered_eigh(x.entries)
         assert np.abs(vecs.sum(axis=0)).max() <= 1e-14 * x.n
         with eig_counts() as calls:
-            fit = next(_walk_path(x, [lam], None, (vals, vecs)))
+            fit = next(_walk_path(x, [lam], None,
+                                   [(np.zeros(x.n), vals, vecs)]))
         cold = distance_shrinkage(x, lam)
         assert fit.diagnostics.converged
         cycles = {5: 1, 6: 3, 9: 3}[x.n] if lam else 0
@@ -487,13 +495,13 @@ class TestLineStep:
             if hollow:
                 np.fill_diagonal(a, 0.0)
             y = rng.normal(size=n)
-            line = _line_step(_evaluate(a, y), a)
-            t = float(line.y[0] - y[0])
-            assert np.allclose(line.y - y, t, rtol=0.0, atol=1e-15 * abs(t))
-            fresh = _evaluate(a, line.y)
+            line = _line_step(_evaluate(a, 0.0, y), a, 0.0)
+            t = float(line.z[0] - y[0])
+            assert np.allclose(line.z - y, t, rtol=0.0, atol=1e-15 * abs(t))
+            fresh = _evaluate(a, 0.0, line.z)
             # both round relative to B = A + Diag y, which can be far
             # larger than M when most of B is removed
-            b = np.linalg.norm(a + np.diag(line.y))
+            b = np.linalg.norm(a + np.diag(line.z))
             assert abs(line.theta - fresh.theta) <= 1e-12 * 0.5 * b**2
             assert np.abs(line.g - fresh.g).max() <= 1e-12 * b
 
@@ -501,11 +509,11 @@ class TestLineStep:
     def test_minimizes_theta_along_ones(self, rng, n):
         for _ in range(3):
             a = random_symmetric(rng, n)
-            line = _line_step(_evaluate(a, rng.normal(size=n)), a)
-            here = _evaluate(a, line.y).theta
+            line = _line_step(_evaluate(a, 0.0, rng.normal(size=n)), a, 0.0)
+            here = _evaluate(a, 0.0, line.z).theta
             for delta in (1e-3, 1e-1, 1.0):
                 for sign in (-1.0, 1.0):
-                    moved = _evaluate(a, line.y + sign * delta).theta
+                    moved = _evaluate(a, 0.0, line.z + sign * delta).theta
                     assert moved >= here * (1.0 - 1e-14)
 
     def test_not_converged_at_a_line_point(self, rng):
@@ -516,12 +524,12 @@ class TestLineStep:
         cfg = SolverConfig(tol=1e-12, max_cycles=2)
         lines, evaluated = [], []
 
-        def line_step(pt, a):
-            lines.append(_line_step(pt, a))
+        def line_step(pt, a, eta):
+            lines.append(_line_step(pt, a, eta))
             return lines[-1]
 
-        def evaluate(a, y):
-            evaluated.append(_evaluate(a, y))
+        def evaluate(a, eta, z):
+            evaluated.append(_evaluate(a, eta, z))
             return evaluated[-1]
 
         with mock.patch.object(projection, "_line_step", line_step), \

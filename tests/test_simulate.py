@@ -152,18 +152,18 @@ class TestRunExperiment:
 class TestWorkingSet:
     def test_one_eigenbasis_alive_at_each_eigh(self):
         # at every eigendecomposition, shared or the fit's, only the truth's
-        # entries, the observation, the shrunk observation and the block
-        # that eigh reads are alive, about 4.2 n x n arrays at n = 100;
-        # keeping the truth's kernel reads about 5.2, and the previous
-        # replicate's spectrum and fit, or the start's eigenbasis held
-        # through the fit, about 9.4
+        # entries, the observation and the block that eigh reads are alive,
+        # about 3.2 n x n arrays at n = 100: the fit holds no shrunk copy of
+        # the observation, which read 4.2; keeping the truth's kernel, or
+        # the start's eigenbasis through the fit, reads about 4.2, and the
+        # previous replicate's observation and spectrum about 5.1
         n = 100
         cfg = SimConfig(reps=4, seed=1, noise=NoiseModel("gaussian", 0.25),
                         sigma=0.5)
         coords = helix_coords(n)
         run_experiment(coords, cfg)  # imports what it loads lazily
         live = traced_at_eigh(lambda: run_experiment(coords, cfg))
-        assert live and max(live) < 4.6 * 8 * n * n
+        assert live and max(live) < 3.6 * 8 * n * n
 
 
 class TestRigidMotion:

@@ -44,6 +44,11 @@ SWEEP = [
     ("estimate-sigma-n37-3e17",
      ["estimate", "--input", "{in}/n37_3e17.csv", "--sigma", "3e16",
       "--rank", "2", "--out", "{out}/sig"]),
+    # every Newton step of these fits solves on the positive side of the
+    # spectrum, the smaller one where the embedding dimension (36) nears n
+    ("estimate-grid-n40-dim36",
+     ["estimate", "--input", "{in}/n40_dim39.csv", "--lambda-grid", "0,1,5",
+      "--out", "{out}/pos"]),
     ("mds-n200",
      ["mds", "--input", "{in}/n200.csv", "--rank", "3", "--out", "{out}/mds"]),
     ("convert-integer",
@@ -136,6 +141,9 @@ def write_inputs(folder: Path) -> dict:
     """The sweep's inputs, and the values its argv refers to."""
     _write_csv(folder / "n200.csv", _noisy(_helix_edm(200), 0.5, 0))
     _write_csv(folder / "n37_3e17.csv", 3e17 * _noisy(_helix_edm(37), 0.5, 1))
+    p = np.random.default_rng(3).normal(size=(40, 39))
+    _write_csv(folder / "n40_dim39.csv",
+               _noisy(((p[:, None] - p[None]) ** 2).sum(axis=-1), 1.0, 3))
     rng = np.random.default_rng(5)
     s = rng.integers(-20, 60, size=(120, 120))
     _write_csv(folder / "similarity.csv", (s + s.T).astype(float))

@@ -218,8 +218,6 @@ def _cmd_mds(args) -> int:
 
 def _cmd_dim3(args) -> int:
     x = fileio.load_dissimilarity(args.input)
-    if x.n != 3:
-        raise ValueError(f"dim3 needs a 3x3 matrix, got {x.n}x{x.n}")
     _write_text(fileio.dumps_json(asdict(analyze_dim3(x))), args.out)
     return EXIT_OK
 

@@ -143,7 +143,8 @@ def symmetrize_within(a: np.ndarray, hollow: bool = True) -> np.ndarray:
     taken in place, so at most one n x n temporary is alive beside ``a``."""
     tol = SYMMETRY_RTOL * max(float(a.max(initial=0.0)),
                               -float(a.min(initial=0.0)))
-    skew = a - a.T
+    with np.errstate(over="ignore"):  # an infinite skew is rejected below
+        skew = a - a.T
     np.abs(skew, out=skew)
     if skew.max(initial=0.0) > tol:
         raise ValueError(f"asymmetry exceeds tolerance {tol:.3e}")

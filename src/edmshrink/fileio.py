@@ -5,10 +5,13 @@ all matrix files hold SQUARED Euclidean distances (or dissimilarities
 interpreted as such), and coordinate files hold plain coordinates in
 distance units.
 
-Square-matrix CSV: n data rows of n comma-separated floats, with an
-optional single leading header line that starts with '#'. Symmetry and
-hollowness are validated on load to 1e-9 of the largest |entry|; within
-that a matrix is symmetrized by averaging, anything worse is rejected.
+Square-matrix CSV: n data rows of n comma-separated floats. Lines
+that start with '#' may stand above the data, any number of them, and
+nowhere else; blank lines are skipped anywhere. A token that is not a
+float, or a '#' line below a data row, is rejected with the file and
+line, ``path:line``. Symmetry and hollowness are validated on load to
+1e-9 of the largest |entry|; within that a matrix is symmetrized by
+averaging, anything worse is rejected.
 Matrices and embeddings are written at ``%.17g``, which reads back
 exactly; the bytes equal those of ``np.savetxt(fh, a, fmt="%.17g",
 delimiter=",", header=header, comments="")``. The writer streams the
@@ -23,14 +26,17 @@ writer's traced transient is about 1.7 times the matrix at n = 200 and
 1.3 times at n = 1000. The text itself comes from ``g17``, which formats
 in numpy, exactly as ``%.17g`` does. Reading parses line
 by line, rather than with ``np.loadtxt``, so that errors name the file
-line and a '#' line below the data is rejected. Every input is read as
-UTF-8, and a leading byte-order mark, which spreadsheet CSV exports
-write, is skipped.
+line and a '#' line below the data is rejected. Every input, matrix or
+coordinates, is read through ``_lines``: as UTF-8 text with the line
+endings of text mode, a leading byte-order mark, which spreadsheet CSV
+exports write, skipped, and the first byte that is not UTF-8 named by
+``path:line``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -45,22 +51,39 @@ EMBEDDING_HEADER = "# squared-distance convention; centered coordinates"
 # square matrices
 # ---------------------------------------------------------------------------
 
+def _lines(path):
+    """(number, text) of each line of the file ``path``, numbered from 1.
+
+    The file is read as UTF-8 text in text mode, so that a line ends at
+    CR LF, CR or LF, and a leading byte-order mark is skipped. A byte
+    that is not UTF-8 raises ValueError naming its line: it is decoded
+    to a lone surrogate, which no UTF-8 text holds, and only a line that
+    is not ASCII is searched for one.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            bad = not line.isascii() and re.search("[\udc80-\udcff]", line)
+            if bad:
+                raise ValueError(f"{path}:{lineno}: byte "
+                                 f"0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
+            yield lineno, line
+
+
 def _read_rows(path) -> list[np.ndarray]:
     rows = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if rows:
-                    raise ValueError(
-                        f"{path}:{lineno}: header line allowed only at the top")
-                continue
-            try:
-                rows.append(np.array(text.split(","), dtype=float))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in _lines(path):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            if rows:
+                raise ValueError(
+                    f"{path}:{lineno}: header line allowed only at the top")
+            continue
+        try:
+            rows.append(np.array(text.split(","), dtype=float))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
@@ -229,11 +252,6 @@ def _finish_coords(points: list, path) -> np.ndarray:
     return np.array(points, dtype=float)
 
 
-def _load_coords_csv(path) -> np.ndarray:
-    rows = _read_rows(path)
-    return _finish_coords(rows, path)
-
-
 def _parse_xyz_record(lineno, text, path) -> list[float]:
     toks = text.split()
     try:
@@ -248,12 +266,10 @@ def _parse_xyz_record(lineno, text, path) -> list[float]:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
-def _load_coords_xyz(path) -> np.ndarray:
+def _load_coords_xyz(path) -> list[list[float]]:
     """XYZ file: either the chemical format (count line, comment line,
     then 'element x y z' records) or a bare whitespace-separated table."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
-    records = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
+    records = [(no, line.strip()) for no, line in _lines(path)]
     nonblank = [(no, text) for no, text in records if text]
     if not nonblank:
         raise ValueError(f"{path}: empty file")
@@ -275,11 +291,10 @@ def _load_coords_xyz(path) -> np.ndarray:
         body = body[:count]
     else:
         body = nonblank
-    points = [_parse_xyz_record(no, text, path) for no, text in body]
-    return _finish_coords(points, path)
+    return [_parse_xyz_record(no, text, path) for no, text in body]
 
 
-def _load_coords_pdb(path) -> np.ndarray:
+def _load_coords_pdb(path) -> list[list[float]]:
     """ATOM records of model 1, coordinates from fixed columns 31-54.
 
     HETATM records and any model beyond the first are ignored; atoms keep
@@ -287,31 +302,30 @@ def _load_coords_pdb(path) -> np.ndarray:
     """
     points = []
     model = 1
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("MODEL"):
-                try:
-                    model = int(line.split()[1])
-                except (IndexError, ValueError):
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed MODEL record") from None
-                continue
-            if line.startswith("ENDMDL"):
-                model += 1
-                continue
-            if not line.startswith("ATOM") or model != 1:
-                continue
+    for lineno, line in _lines(path):
+        if line.startswith("MODEL"):
             try:
-                points.append([float(line[30:38]), float(line[38:46]),
-                               float(line[46:54])])
-            except (ValueError, IndexError):
+                model = int(line.split()[1])
+            except (IndexError, ValueError):
                 raise ValueError(
-                    f"{path}:{lineno}: malformed ATOM coordinates") from None
-    return _finish_coords(points, path)
+                    f"{path}:{lineno}: malformed MODEL record") from None
+            continue
+        if line.startswith("ENDMDL"):
+            model += 1
+            continue
+        if not line.startswith("ATOM") or model != 1:
+            continue
+        try:
+            points.append([float(line[30:38]), float(line[38:46]),
+                           float(line[46:54])])
+        except (ValueError, IndexError):
+            raise ValueError(
+                f"{path}:{lineno}: malformed ATOM coordinates") from None
+    return points
 
 
 _COORD_LOADERS = {
-    "csv": _load_coords_csv,
+    "csv": _read_rows,
     "xyz": _load_coords_xyz,
     "pdb": _load_coords_pdb,
 }
@@ -329,7 +343,7 @@ def load_coords(path, fmt: str = "csv") -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown coordinate format {fmt!r}; "
                          f"expected one of {sorted(_COORD_LOADERS)}") from None
-    return loader(path)
+    return _finish_coords(loader(path), path)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,7 @@ def project_c1(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a - (w * vals[pos]) @ w.T, vals, vecs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _centered_eigh(a: np.ndarray, y: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The n - 1 ascending eigenpairs of J B J, B = a + Diag y, that leave
@@ -219,6 +220,8 @@ def _centered_eigh(a: np.ndarray, y: np.ndarray | None = None
     H B H = B - v w^T - w v^T with u = B v, c = 1 / (n + sqrt(n)) and
     w = c u - (c^2 / 2) (v . u) v, and v is 1 on C. An eigenvector q of C
     lifts to H [q; 0] = [q - c s 1; -s / sqrt(n)] with s = 1 . q.
+    Raises ValueError where C is not finite: u sums rows, which overflow
+    for finite entries within a factor of about n of the largest double.
     """
     n = a.shape[0]
     y = np.zeros(n) if y is None else y
@@ -231,6 +234,8 @@ def _centered_eigh(a: np.ndarray, y: np.ndarray | None = None
     block = a[:-1, :-1] - w
     block -= w[:, None]
     block.flat[::n] += y[:-1]
+    if not np.isfinite(block).all():
+        raise ValueError("entries too large: centering overflows a double")
     vals, q = np.linalg.eigh(block)
     s = q.sum(axis=0)
     vecs = np.empty((n, n - 1))

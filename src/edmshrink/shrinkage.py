@@ -100,21 +100,15 @@ class RankTruncatedFit:
     writes nothing else) never pays for the n x n matrix. Its certificate
     reads the coordinates, not an n x n spectrum: they are principal
     axes, so the diagonal of their r x r Gram matrix bounds it with no
-    eigensolver (see ``core``).
+    eigensolver (see ``core``). The certificate's factor is those r
+    columns, so its embedding dimension is at most r.
     """
 
     embedding: Embedding
 
     @property
-    def r(self) -> int:
-        return self.embedding.k
-
-    @property
     def d_hat_r(self) -> EdmMatrix:
-        d = edm_from_coords(self.embedding)
-        if d.embed_dim > self.r:
-            raise ValueError("truncated EDM exceeds the requested rank")
-        return d
+        return edm_from_coords(self.embedding)
 
 
 def distance_shrinkage(

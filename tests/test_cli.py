@@ -1,9 +1,15 @@
 """Command line surface: subcommands, outputs, exit codes."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edmshrink import (
     NoiseModel,
@@ -444,8 +450,20 @@ class TestOtherCommands:
         assert all(np.isfinite(v) for v in out.values())
         assert out["delta_x"] == 0.0 and out["alpha1"] == 1e308
 
-    def test_dim3_wrong_size(self, noisy_matrix):
+    def test_dim3_wrong_size(self, noisy_matrix, capsys):
+        # analyze_dim3 alone checks the size
         assert main(["dim3", "--input", str(noisy_matrix)]) == 2
+        assert capsys.readouterr().err == (
+            "error: analysis requires n = 3, got n = 8\n")
+
+    def test_dim3_reads_crlf_line_endings(self, tmp_path, capsys):
+        # spreadsheet exports end lines with \r\n
+        text = "# squared distances\n0,1,4\n1,0,1\n4,1,0\n"
+        for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
+            (tmp_path / name).write_bytes(text.replace("\n", end).encode())
+            assert main(["dim3", "--input", str(tmp_path / name)]) == 0
+        lf, crlf = capsys.readouterr().out.split("}\n", 1)
+        assert lf + "}\n" == crlf
 
     def test_convert(self, tmp_path):
         spath = tmp_path / "s.csv"
@@ -454,3 +472,174 @@ class TestOtherCommands:
         assert main(["convert", "--input", str(spath), "--out", str(out)]) == 0
         x = fileio.load_square_matrix(out)
         assert x[0, 1] == 4.0
+
+
+ATOM = "{:<6}{:5d}  CA  ALA A{:4d}    {:8.3f}{:8.3f}{:8.3f}  1.00  0.00\n"
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 exits 2 naming its file and line, and
+    writes no file."""
+
+    CASES = {
+        # name: (file suffix, text with the byte on ``line``, line, argv)
+        "estimate": (
+            "csv", "# header\n0,1,4\n1,0,\xff1\n4,1,0\n", 3,
+            ["estimate", "--lambda", "1", "--out", "{out}"]),
+        "simulate-csv": (
+            "csv", "0,0,0\n1,0,0\n\n0,\xff1,0\n", 4,
+            ["simulate", "--format", "csv", "--sigma2", "0.05",
+             "--sigma", "0.2", "--reps", "1", "--out", "{out}"]),
+        "simulate-xyz": (
+            "xyz", "3\nthree atoms \xff\nC 0 0 0\nC 1 0 0\nC 0 1 0\n", 2,
+            ["simulate", "--format", "xyz", "--sigma2", "0.05",
+             "--sigma", "0.2", "--reps", "1", "--out", "{out}"]),
+        "simulate-pdb": (
+            "pdb", ATOM.format("ATOM", 1, 1, 0, 0, 0)
+            + ATOM.format("ATOM", 2, 2, 1, 0, 0)
+            + ATOM.format("ATOM", 3, 3, 0, 1, 0).replace("ALA", "AL\xff"), 3,
+            ["simulate", "--format", "pdb", "--sigma2", "0.05",
+             "--sigma", "0.2", "--reps", "1", "--out", "{out}"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_names_file_and_line(self, tmp_path, capsys, case):
+        suffix, text, line, argv = self.CASES[case]
+        path = tmp_path / f"in.{suffix}"
+        path.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "out" / "fit"
+        out.parent.mkdir()
+        argv = [a.format(out=out) for a in argv] + ["--input", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: byte 0xff is not UTF-8\n")
+        assert not any(out.parent.iterdir())
+
+
+# Matrix-CSV tokens: finite doubles over the whole range, and one token
+# in 16 a non-finite value, a value past the range or a word no float
+# parses; ``RARELY`` is true one time in five.
+WORDS = ["abc", "1.2.3", "e5", "--1", ""]
+TOKENS = st.integers(0, 15).flatmap(
+    lambda k: st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400",
+                               *WORDS]) if k == 0 else
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+RARELY = st.integers(0, 4).map(lambda k: k == 0)
+
+
+def first_line_at_fault(lines: list[str], bad: int | None) -> int | None:
+    """The line the reader must name: the first that holds a byte that is
+    not UTF-8, a word among its tokens, or a '#' below a data row; None
+    where no line is at fault."""
+    seen_row = False
+    for no, line in enumerate(lines, start=1):
+        if no - 1 == bad:
+            return no
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            if seen_row:
+                return no
+        elif any(token in WORDS for token in text.split(",")):
+            return no
+        else:
+            seen_row = True
+    return None
+
+
+@st.composite
+def matrix_csv(draw):
+    """(file bytes, line the reader must name or None) of a matrix CSV:
+    n rows of drawn tokens, mostly symmetric and hollow, rarely made
+    ragged, among blank lines and '#' lines above and, rarely, below,
+    with LF, CRLF or CR endings, a byte-order mark or not, and rarely a
+    byte that is not UTF-8."""
+    n = draw(st.integers(1, 4) if draw(RARELY) else st.integers(2, 4))
+    cells = [[draw(TOKENS) for _ in range(n)] for _ in range(n)]
+    if not draw(RARELY):
+        for i in range(n):
+            cells[i][i] = "0"
+            for j in range(i):
+                cells[i][j] = cells[j][i]
+    for _ in range(draw(st.integers(1, 2)) if draw(RARELY) else 0):
+        row = cells[draw(st.integers(0, n - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(TOKENS))
+    lines = ["# above"] * draw(st.integers(0, 2))
+    for row in cells:
+        lines += [" "] * draw(st.integers(0, 1)) + [",".join(row)]
+    lines += [""] * draw(st.integers(0, 1))
+    if draw(RARELY):
+        lines.append("# below")
+    encoded = [line.encode() for line in lines]
+    bad = None
+    if draw(RARELY):
+        bad = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(encoded[bad])))
+        byte = draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3"]))
+        encoded[bad] = encoded[bad][:at] + byte + encoded[bad][at:]
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    data = end.join(encoded) + draw(st.sampled_from([end, b""]))
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data, first_line_at_fault(lines, bad)
+
+
+COMMAND_ARGS = {
+    "estimate": ["--lambda", "1", "--out", "{out}/fit"],
+    "mds": ["--rank", "2", "--out", "{out}/fit"],
+    "convert": ["--out", "{out}/fit.csv"],
+    "dim3": ["--out", "{out}/fit.json"],
+}
+
+
+OVERFLOWING_ROWS = b"0,0,0,0\n0,0,0,0\n0,0,0,6e307\n0,0,6e307,0\n"
+
+
+class TestExitContract:
+    """Whatever the matrix CSV, each reader exits 0, 2 or, for estimate,
+    3, with no uncaught exception and warnings raised as errors; exit 2
+    says ``error:``, names the line at fault, if one is, and leaves no
+    file; exit 0 writes only finite values."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(case=matrix_csv(), command=st.sampled_from(sorted(COMMAND_ARGS)))
+    # rows that sum past the largest double; their centered eigenproblem
+    # overflowed into nan, with an invalid-value warning
+    @example(case=(OVERFLOWING_ROWS, None), command="estimate")
+    @example(case=(OVERFLOWING_ROWS, None), command="mds")
+    # a - a.T past the largest double, with an overflow warning
+    @example(case=(b"0,1.7976931348623157e+308\n-1e292,0\n", None),
+             command="convert")
+    def test_matrix_csv(self, case, command):
+        data, line = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "in.csv", Path(tmp) / "out"
+            path.write_bytes(data)
+            out.mkdir()
+            argv = [command, "--input", str(path)] + [
+                a.format(out=out) for a in COMMAND_ARGS[command]]
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(argv)
+            written = sorted(out.iterdir())
+            assert code in ((0, 2, 3) if command == "estimate" else (0, 2))
+            if line is not None:
+                assert code == 2
+                assert err.getvalue().startswith(f"error: {path}:{line}: ")
+            if code == 2:
+                assert err.getvalue().startswith("error:")
+                assert not written
+            if code == 0:
+                assert written
+                for file in written:
+                    if file.suffix == ".csv":
+                        values = [float(token)
+                                  for text in file.read_text().splitlines()
+                                  if not text.startswith("#")
+                                  for token in text.split(",")]
+                        assert np.all(np.isfinite(values))

@@ -136,6 +136,22 @@ class TestSquareMatrixCsv:
         with pytest.raises(ValueError, match="header"):
             fileio.load_square_matrix(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_names_the_line_of_a_byte_past_the_first_read(self, tmp_path,
+                                                          end):
+        # text mode decodes thousands of bytes ahead of the line it
+        # returns; the line named is the one that holds the byte, at
+        # every line ending
+        rows = ["0,1", "1,0"] * 2000
+        rows[3000] = "1,\xff0"
+        path = tmp_path / "m.csv"
+        path.write_bytes(end.join(rows).encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            fileio.load_square_matrix(path)
+        assert str(info.value) == (
+            f"{path}:3001: byte 0xff is not UTF-8")
+
 
 # extremes of %.17g: the longest output, the smallest subnormal, the
 # largest magnitudes, and both zeros, which only their bits tell apart

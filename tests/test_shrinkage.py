@@ -604,6 +604,33 @@ class TestClassicalMds:
             classical_mds(random_hollow(rng, 5), 5)
 
 
+class TestRankBound:
+    """d_hat_r is certified against its r columns as the factor, so its
+    embedding dimension is at most r with no check of its own."""
+
+    @staticmethod
+    def observation(rng, kind: str) -> SymHollowMatrix:
+        # a random cloud of n - 1 dimensions, whose fits the truncation
+        # cuts at every r
+        n = 9
+        if kind == "random":
+            return random_edm(rng, n, n - 1)
+        if kind == "rank-1":
+            return random_edm(rng, n, 1)
+        return SymHollowMatrix(np.zeros((n, n)))
+
+    @pytest.mark.parametrize("kind", ["random", "rank-1", "all-zero"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_embed_dim_at_most_r(self, rng, kind, r):
+        x = self.observation(rng, kind)
+        for fit in (classical_mds(x, r),
+                    truncate_rank(distance_shrinkage(x, 0.1), r)):
+            assert fit.embedding.k == r
+            assert fit.d_hat_r.embed_dim <= r
+            if kind == "random":
+                assert fit.d_hat_r.embed_dim == r
+
+
 class TestEigensolverCalls:
     """One eigh per evaluation of the projection's dual, and no n x n
     spectrum for a certification: a fit is certified from the eigenpairs

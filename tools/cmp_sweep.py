@@ -14,7 +14,8 @@ each tree's total and code-only line counts of ``src/edmshrink``, the
 latter without docstrings, comments and blank lines, and exits 1 on any
 difference. A CSV file that differs is explained by the largest change of
 a parsed value over the largest parent magnitude, and a JSON file by the
-keys whose values differ, list indices written as ``[]``. Everything it
+keys whose values differ, list indices written as ``[]``, each key that
+holds numbers with that same ratio over its values. Everything it
 writes, exported revisions too, goes under one temporary directory,
 which it removes; the trees are only read, with bytecode writing off.
 """
@@ -267,24 +268,44 @@ def csv_difference(old: Path, new: Path) -> str:
             + (f", {text} text cells differ" if text else ""))
 
 
-def json_keys(a, b, path: str = "") -> list[str]:
-    """The keys, as dotted paths, whose values differ between two parsed
-    JSON documents; a list's items share its key with ``[]`` added."""
+def json_changes(a, b, path: str = "", out: dict | None = None) -> dict:
+    """{key: (largest |change - parent|, largest |parent|)} over the
+    numbers of each key, as a dotted path, of two parsed JSON documents,
+    or {key: None} where they differ otherwise; a list's items share its
+    key with ``[]`` added."""
+    out = {} if out is None else out
     if isinstance(a, dict) and isinstance(b, dict):
-        keys = []
         for k in list(a) + [k for k in b if k not in a]:
             sub = f"{path}.{k}" if path else k
-            keys += (json_keys(a[k], b[k], sub) if k in a and k in b
-                     else [sub])
-        return keys
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [k for x, y in zip(a, b) for k in json_keys(x, y, path + "[]")]
-    return [] if a == b else [path or "the document"]
+            if k in a and k in b:
+                json_changes(a[k], b[k], sub, out)
+            else:
+                out[sub] = None
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            json_changes(x, y, path + "[]", out)
+    elif _numeric(a) and _numeric(b):
+        if out.setdefault(path, (0, 0)) is not None:
+            delta, scale = out[path]
+            out[path] = max(delta, abs(b - a)), max(scale, abs(a))
+    elif a != b:
+        out[path or "the document"] = None
+    return out
+
+
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def json_difference(old: Path, new: Path) -> str:
-    keys = list(dict.fromkeys(json_keys(
-        *(json.loads(p.read_text("utf-8")) for p in (old, new)))))
+    """The keys whose values differ, each number key with its largest
+    |change - parent| over its largest |parent|."""
+    changes = json_changes(*(json.loads(p.read_text("utf-8"))
+                             for p in (old, new)))
+    keys = [key if change is None else
+            f"{key} {change[0] / change[1] if change[1] else change[0]:.3g}"
+            for key, change in changes.items()
+            if change is None or change[0]]
     if not keys:
         return "no parsed value differs"
     more = f" and {len(keys) - 8} more" if len(keys) > 8 else ""

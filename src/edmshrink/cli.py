@@ -218,7 +218,11 @@ def _cmd_mds(args) -> int:
 
 def _cmd_dim3(args) -> int:
     x = fileio.load_dissimilarity(args.input)
-    _write_text(fileio.dumps_json(asdict(analyze_dim3(x))), args.out)
+    try:
+        result = analyze_dim3(x)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
+    _write_text(fileio.dumps_json(asdict(result)), args.out)
     return EXIT_OK
 
 

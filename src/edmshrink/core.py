@@ -174,14 +174,6 @@ def center_gram(d: np.ndarray) -> np.ndarray:
     return symmetrize(b)
 
 
-def _centered(c: np.ndarray) -> np.ndarray:
-    """Coordinates ``c`` less their column means, taken twice: points
-    offset by s keep a mean of about n ulp(s) after one pass, which the
-    second removes."""
-    c = c - c.mean(axis=0)
-    return c - c.mean(axis=0)
-
-
 def _lead_positive(vecs: np.ndarray) -> np.ndarray:
     """Columns with a reproducible sign: a copy of ``vecs`` with each
     column's first component of magnitude > 1e-12 times the column's norm
@@ -355,7 +347,8 @@ class MinTraceKernel:
 class Embedding:
     """Centered point coordinates, n rows by k columns, in distance units.
 
-    ``coords`` is a read-only copy of the array given."""
+    ``coords`` is read-only: a copy of the array given, or the centered
+    array that ``from_points`` builds for it, kept as is."""
 
     coords: np.ndarray
 
@@ -373,11 +366,24 @@ class Embedding:
 
     @classmethod
     def from_points(cls, points) -> "Embedding":
-        """Center arbitrary point coordinates (distances are unaffected)."""
-        c = np.asarray(points, dtype=float)
-        if c.ndim != 2:
-            raise ValueError(f"coordinates must be 2-D, got shape {c.shape}")
-        return cls(_centered(c))
+        """The embedding of arbitrary (n, k) point coordinates, centered
+        (distances are unaffected): the one reader of raw coordinates.
+
+        The column means are taken off twice: points offset by s keep a
+        mean of about n ulp(s) after one pass, which the second removes.
+        The passes run with no floating-point warning, and the centered
+        array is kept without a copy. A point that is not finite raises
+        ValueError ("coordinates must be finite"), and so do finite points
+        whose column sums or centered values overflow a double.
+        """
+        p = np.asarray(points, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = p - p.mean(axis=0)
+            c -= c.mean(axis=0)
+        if not np.isfinite(c).all() and np.isfinite(p).all():
+            raise ValueError("coordinates too large: centering overflows "
+                             "a double")
+        return cls(_built(c))
 
     @property
     def k(self) -> int:
@@ -485,17 +491,14 @@ def certify_edm(m: SymHollowMatrix | np.ndarray, tol: float = 1e-8,
 def edm_from_coords(p) -> EdmMatrix:
     """Squared pairwise distances of a point configuration, as an EDM.
 
-    Accepts an Embedding or a plain (n, k) coordinate array, which is
-    centered first, in two passes: the Gram product rounds relative to
-    the coordinates' magnitude, not their spread. The kernel of the
-    result is P P^T for the centered coordinates P, which certify it from
-    the k x k spectrum of P^T P instead of an n x n one.
+    Accepts an Embedding or a plain (n, k) coordinate array, which goes
+    through ``Embedding.from_points`` and is centered there: the Gram
+    product rounds relative to the coordinates' magnitude, not their
+    spread. The kernel of the result is P P^T for the centered
+    coordinates P, which certify it from the k x k spectrum of P^T P
+    instead of an n x n one.
     """
-    coords = p.coords if isinstance(p, Embedding) else np.asarray(p, dtype=float)
-    if coords.ndim != 2:
-        raise ValueError(f"coordinates must be 2-D, got shape {coords.shape}")
-    if not isinstance(p, Embedding):
-        coords = _centered(coords)
+    coords = (p if isinstance(p, Embedding) else Embedding.from_points(p)).coords
     return EdmMatrix(_built(_distances_from_coords(coords)), factor=coords)
 
 
@@ -525,10 +528,11 @@ def average_squared_loss(a: SymHollowMatrix, b: SymHollowMatrix) -> float:
 
 
 def kruskal_stress(est: SymHollowMatrix, truth: SymHollowMatrix) -> float:
-    """Relative Frobenius error ||est - truth||_F / ||truth||_F."""
+    """Relative Frobenius error ||est - truth||_F / ||truth||_F, with
+    norms that do not overflow where they are doubles (``_frobenius``)."""
     if est.n != truth.n:
         raise ValueError(f"size mismatch: {est.n} vs {truth.n}")
-    denom = float(np.linalg.norm(truth.entries))
+    denom = _frobenius(truth.entries)
     if denom == 0.0:
         raise ZeroDivisionError("reference matrix is all zeros")
-    return float(np.linalg.norm(est.entries - truth.entries)) / denom
+    return _frobenius(est.entries - truth.entries) / denom

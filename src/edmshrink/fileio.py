@@ -5,7 +5,7 @@ all matrix files hold SQUARED Euclidean distances (or dissimilarities
 interpreted as such), and coordinate files hold plain coordinates in
 distance units.
 
-Square-matrix CSV: n data rows of n comma-separated floats. Lines
+Square-matrix CSV: n >= 2 data rows of n comma-separated floats. Lines
 that start with '#' may stand above the data, any number of them, and
 nowhere else; blank lines are skipped anywhere. A token that is not a
 float, or a '#' line below a data row, is rejected with the file and
@@ -88,16 +88,17 @@ def _read_rows(path) -> list[np.ndarray]:
 
 
 def load_square_matrix(path, hollow: bool = True) -> np.ndarray:
-    """Read a square float matrix from CSV, validating shape and symmetry.
+    """Read a square float matrix of at least 2 rows from CSV, validating
+    shape and symmetry; every error names the file.
 
     With ``hollow=True`` the diagonal must vanish within the symmetry
     tolerance (see the module docstring) and is zeroed; similarity
     matrices are loaded with ``hollow=False``.
     """
     rows = _read_rows(path)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     n = len(rows)
+    if n < 2:
+        raise ValueError(f"{path}: need at least 2 rows, got {n}")
     widths = {len(r) for r in rows}
     if widths != {n}:
         raise ValueError(
@@ -249,7 +250,10 @@ def _finish_coords(points: list, path) -> np.ndarray:
     widths = {len(p) for p in points}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
-    return np.array(points, dtype=float)
+    coords = np.array(points, dtype=float)
+    if not np.all(np.isfinite(coords)):
+        raise ValueError(f"{path}: coordinates must be finite")
+    return coords
 
 
 def _parse_xyz_record(lineno, text, path) -> list[float]:
@@ -332,11 +336,14 @@ _COORD_LOADERS = {
 
 
 def load_coords(path, fmt: str = "csv") -> np.ndarray:
-    """Point coordinates from a csv, xyz or pdb file, as an (n, k) array.
+    """Point coordinates from a csv, xyz or pdb file, as an (n, k) array
+    of at least 2 finite points; fewer points, ragged rows or a point
+    that is not finite raise ValueError naming the file.
 
-    The result is not centered: ``edm_from_coords`` and
-    ``Embedding.from_points`` center it before any Gram product, which
-    would otherwise round relative to the coordinates' offset.
+    The result is not centered: ``Embedding.from_points``, which
+    ``edm_from_coords`` and ``run_experiment`` read coordinates through,
+    centers it before any Gram product, which would otherwise round
+    relative to the coordinates' offset.
     """
     try:
         loader = _COORD_LOADERS[fmt]

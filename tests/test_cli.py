@@ -451,10 +451,10 @@ class TestOtherCommands:
         assert out["delta_x"] == 0.0 and out["alpha1"] == 1e308
 
     def test_dim3_wrong_size(self, noisy_matrix, capsys):
-        # analyze_dim3 alone checks the size
+        # analyze_dim3 alone checks the size; the CLI names the file
         assert main(["dim3", "--input", str(noisy_matrix)]) == 2
         assert capsys.readouterr().err == (
-            "error: analysis requires n = 3, got n = 8\n")
+            f"error: {noisy_matrix}: analysis requires n = 3, got n = 8\n")
 
     def test_dim3_reads_crlf_line_endings(self, tmp_path, capsys):
         # spreadsheet exports end lines with \r\n
@@ -550,7 +550,7 @@ def first_line_at_fault(lines: list[str], bad: int | None) -> int | None:
 
 @st.composite
 def matrix_csv(draw):
-    """(file bytes, line the reader must name or None) of a matrix CSV:
+    """(file bytes, line the reader must name or None, n) of a matrix CSV:
     n rows of drawn tokens, mostly symmetric and hollow, rarely made
     ragged, among blank lines and '#' lines above and, rarely, below,
     with LF, CRLF or CR endings, a byte-order mark or not, and rarely a
@@ -585,7 +585,7 @@ def matrix_csv(draw):
     data = end.join(encoded) + draw(st.sampled_from([end, b""]))
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data
-    return data, first_line_at_fault(lines, bad)
+    return data, first_line_at_fault(lines, bad), n
 
 
 COMMAND_ARGS = {
@@ -599,24 +599,139 @@ COMMAND_ARGS = {
 OVERFLOWING_ROWS = b"0,0,0,0\n0,0,0,0\n0,0,0,6e307\n0,0,6e307,0\n"
 
 
+def assert_certified_edm(dhat_csv: Path, diag_json: Path) -> None:
+    """The Schoenberg test that ``estimate`` certifies, recomputed with
+    numpy alone from the files it wrote: -J D J / 2 has no eigenvalue
+    below -cert_tol times its largest. D is first scaled by a power of
+    two, which is exact and leaves the test as it is, so that the
+    products stay inside the range of a double."""
+    d = np.loadtxt(dhat_csv, delimiter=",", comments="#", ndmin=2)
+    cert_tol = json.loads(diag_json.read_text())["cert_tol"]
+    top = np.abs(d).max()
+    if top > 0.0:
+        d = np.ldexp(d, -np.frexp(top)[1])
+    j = np.eye(len(d)) - 1.0 / len(d)
+    vals = np.linalg.eigvalsh(-0.5 * (j @ d @ j))
+    assert vals[0] >= -cert_tol * max(vals[-1], 0.0)
+
+
+def read_points(fmt: str, lines: list[str]) -> list[list[float]] | None:
+    """The points of a coordinate file's lines as its documented format
+    reads them, or None where a line cannot be read: csv rows of
+    comma-separated floats; xyz records of whitespace-separated floats
+    after an optional element symbol, below a count line and a comment
+    line where the first line holds one token; pdb ATOM records of model
+    1, x, y and z in columns 31-38, 39-46 and 47-54."""
+    points = []
+    try:
+        if fmt == "csv":
+            points = [[float(t) for t in line.split(",")]
+                      for line in lines if line.strip()]
+        elif fmt == "xyz":
+            records = [line.split() for line in lines]
+            body = [r for r in records if r]
+            if len(body[0]) == 1:
+                count = int(body[0][0])
+                start = records.index(body[0]) + 2
+                body = [r for r in records[start:] if r]
+                if count < 1 or len(body) < count:
+                    return None
+                body = body[:count]
+            for toks in body:
+                try:
+                    float(toks[0])
+                except ValueError:
+                    toks = toks[1:]  # an element symbol
+                if not toks:
+                    return None
+                points.append([float(t) for t in toks])
+        else:
+            model = 1
+            for line in lines:
+                if line.startswith("MODEL"):
+                    model = int(line.split()[1])
+                elif line.startswith("ENDMDL"):
+                    model += 1
+                elif line.startswith("ATOM") and model == 1:
+                    points.append([float(line[c:c + 8])
+                                   for c in (30, 38, 46)])
+    except (ValueError, IndexError):
+        return None
+    return points
+
+
+# coordinates as pdb files write them, %8.3f
+PDB_FIELDS = st.floats(-9999.0, 9999.0).map(lambda v: f"{v:.3f}")
+
+
+def pdb_atom(tokens: list[str]) -> str:
+    """An ATOM record with the coordinate text ``tokens``, each right
+    aligned in its 8 columns, or spilling past them where it is longer."""
+    return ("ATOM      1  CA  GLY A   1    " + "".join(t.rjust(8) for t in tokens)
+            + "  1.00  0.00           C")
+
+
+@st.composite
+def coords_file(draw):
+    """(format option, file text, whether the reader must reject the text)
+    of a ``simulate --input`` file: n points of k drawn tokens (for pdb
+    also coordinates that fit their 8 columns), rarely fewer than 2
+    points or a ragged row, as csv, as xyz with a count line (rarely
+    wrong) and element symbols or as a bare table, or as pdb ATOM
+    records, rarely inside MODEL records beside a second model and a
+    HETATM record of other tokens, which the reader skips."""
+    fmt = draw(st.sampled_from(["csv", "xyz", "bare", "pdb"]))
+    n = draw(st.integers(0, 1) if draw(RARELY) else st.integers(2, 5))
+    k = 3 if fmt == "pdb" else draw(st.integers(1, 3))
+    tokens = st.one_of(TOKENS, PDB_FIELDS) if fmt == "pdb" else TOKENS
+    points = [[draw(tokens) for _ in range(k)] for _ in range(n)]
+    if points and draw(RARELY):
+        row = points[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(TOKENS))
+    if fmt == "csv":
+        lines = [",".join(p) for p in points]
+    elif fmt == "bare":
+        lines = [" ".join(p) for p in points]
+    elif fmt == "xyz":
+        count = n + (draw(st.integers(-1, 1)) if draw(RARELY) else 0)
+        lines = [str(count), draw(st.sampled_from(["comment", ""]))] + [
+            " ".join(["C", *p]) for p in points]
+    else:
+        lines = [pdb_atom(p) for p in points]
+        if draw(RARELY):
+            other = [draw(TOKENS) for _ in range(3)]
+            lines = (["MODEL        1", *lines, "HETATM" + pdb_atom(other)[6:],
+                      "ENDMDL", "MODEL        2", pdb_atom(other), "ENDMDL"])
+    found = read_points("xyz" if fmt == "bare" else fmt, lines)
+    rejected = (found is None or len(found) < 2
+                or len({len(p) for p in found}) != 1
+                or not np.all(np.isfinite(found)))
+    return ("xyz" if fmt == "bare" else fmt,
+            "\n".join(lines) + "\n", rejected)
+
+
 class TestExitContract:
-    """Whatever the matrix CSV, each reader exits 0, 2 or, for estimate,
-    3, with no uncaught exception and warnings raised as errors; exit 2
-    says ``error:``, names the line at fault, if one is, and leaves no
-    file; exit 0 writes only finite values."""
+    """Whatever the matrix CSV or coordinate file, each reader exits 0,
+    2 or, for estimate, 3, with no uncaught exception and warnings raised
+    as errors; exit 2 says ``error:``, names the file and the line at
+    fault, if one is, and leaves no file; exit 0 writes only finite
+    values, and estimate's dhat passes the EDM test it certifies."""
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     @given(case=matrix_csv(), command=st.sampled_from(sorted(COMMAND_ARGS)))
     # rows that sum past the largest double; their centered eigenproblem
     # overflowed into nan, with an invalid-value warning
-    @example(case=(OVERFLOWING_ROWS, None), command="estimate")
-    @example(case=(OVERFLOWING_ROWS, None), command="mds")
+    @example(case=(OVERFLOWING_ROWS, None, 4), command="estimate")
+    @example(case=(OVERFLOWING_ROWS, None, 4), command="mds")
     # a - a.T past the largest double, with an overflow warning
-    @example(case=(b"0,1.7976931348623157e+308\n-1e292,0\n", None),
+    @example(case=(b"0,1.7976931348623157e+308\n-1e292,0\n", None, 2),
              command="convert")
     def test_matrix_csv(self, case, command):
-        data, line = case
+        data, line, n = case
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "in.csv", Path(tmp) / "out"
             path.write_bytes(data)
@@ -631,6 +746,9 @@ class TestExitContract:
             if line is not None:
                 assert code == 2
                 assert err.getvalue().startswith(f"error: {path}:{line}: ")
+            if n < 2:  # one row at most
+                assert code == 2
+                assert err.getvalue().startswith(f"error: {path}")
             if code == 2:
                 assert err.getvalue().startswith("error:")
                 assert not written
@@ -643,3 +761,36 @@ class TestExitContract:
                                   if not text.startswith("#")
                                   for token in text.split(",")]
                         assert np.all(np.isfinite(values))
+                if command == "estimate":
+                    assert_certified_edm(out / "fit.dhat.csv",
+                                         out / "fit.diag.json")
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(case=coords_file())
+    # a point at inf centered into inf - inf, and two points at 1e308
+    # whose column sum overflows: each warned, a traceback under -W error
+    @example(case=("csv", "0,0,0\n1,inf,0\n", True))
+    @example(case=("csv", "1e308,0\n1e308,1\n", False))
+    # distances near 1e154, whose stress norms squared past the largest
+    # double, with an overflow warning
+    @example(case=("csv", "0.0\n9.736915275439742e+76\n", False))
+    def test_coordinate_file(self, case):
+        fmt, text, rejected = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path, report = Path(tmp) / "in.txt", Path(tmp) / "report.json"
+            path.write_text(text)
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(["simulate", "--input", str(path), "--format",
+                             fmt, "--sigma2", "0.01", "--sigma", "0.1",
+                             "--reps", "1", "--out", str(report)])
+            assert code in (0, 2)
+            if rejected:
+                assert code == 2
+                assert err.getvalue().startswith(f"error: {path}")
+            if code == 2:
+                assert err.getvalue().startswith("error:")
+                assert not report.exists()
+            else:
+                assert json.loads(report.read_text())["replicates"]

@@ -418,6 +418,22 @@ class TestEdmFromCoords:
             d = edm_from_coords(random_cloud(rng, 10, k))
             assert d.embed_dim <= k
 
+    @pytest.mark.parametrize("points, message", [
+        ([[0.0, 0.0], [np.inf, 1.0]], "coordinates must be finite"),
+        ([[0.0, 0.0], [np.nan, 1.0]], "coordinates must be finite"),
+        # the column sum, then a centered value, past the largest double
+        ([[1e308], [1e308]], "centering overflows a double"),
+        ([[1.7e308], [-1.7e308], [-1.7e308]], "centering overflows a double"),
+    ])
+    def test_points_out_of_range_raise_without_warning(self, points,
+                                                       message):
+        # the suite raises warnings as errors, so a RuntimeWarning of the
+        # centering would fail this before ValueError
+        with pytest.raises(ValueError, match=message):
+            edm_from_coords(points)
+        with pytest.raises(ValueError, match=message):
+            Embedding.from_points(np.array(points))
+
 
 class TestMetrics:
     def test_loss_zero_on_equal(self, rng):
@@ -445,6 +461,15 @@ class TestMetrics:
         zero = SymHollowMatrix(np.zeros((6, 6)))
         assert kruskal_stress(t, t) == 0.0
         assert kruskal_stress(zero, t) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e154, 1e300])
+    def test_stress_where_the_sum_of_squares_overflows(self, scale):
+        # ||truth||_F of entries past 1e154 squares past the largest
+        # double; the stress is still the ratio of two doubles
+        truth = hollow([[0, scale], [scale, 0]])
+        est = hollow([[0, 2 * scale], [2 * scale, 0]])
+        assert kruskal_stress(est, truth) == 1.0
+        assert kruskal_stress(hollow(np.zeros((2, 2))), truth) == 1.0
 
     def test_stress_rejects_zero_reference(self):
         zero = hollow(np.zeros((3, 3)))

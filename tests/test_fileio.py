@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,14 @@ class TestSquareMatrixCsv:
             fileio.load_square_matrix(path, hollow=True)
         loaded = fileio.load_square_matrix(path, hollow=False)
         assert loaded[0, 0] == 1.0
+
+    @pytest.mark.parametrize("text", ["", "# header only\n", "0\n", "0,1,2\n"])
+    def test_names_the_file_below_two_rows(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           "need at least 2 rows, got [01]$"):
+            fileio.load_square_matrix(path)
 
     def test_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -209,6 +218,26 @@ class TestWriterMatchesSavetxt:
         assert path.read_bytes() == want
         fileio.save_embedding(a, path)
         assert path.read_bytes() == savetxt_bytes(a, fileio.EMBEDDING_HEADER)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_row_blocks_tile_the_rows_within_their_bounds(self, symmetric):
+        # each block formats at most _BLOCK_VALUES values, or 1/32 of
+        # the array, unless it is one row, and a block of a symmetric
+        # matrix, whose rows are formatted from its first diagonal entry
+        # on, spans at most _BLOCK_ROWS rows
+        for n in range(1, 1001, 9):
+            for cols in ({n} if symmetric else {n, 3}):
+                values = max(fileio._BLOCK_VALUES, n * cols // 32)
+                blocks = fileio._row_blocks(n, cols, symmetric)
+                assert [r0 for r0, _ in blocks] == [0] + [
+                    r1 for _, r1 in blocks[:-1]]
+                assert blocks[-1][1] == n
+                for r0, r1 in blocks:
+                    width = cols - r0 if symmetric else cols
+                    assert r1 > r0
+                    assert r1 - r0 == 1 or (r1 - r0) * width <= values
+                    if symmetric:
+                        assert r1 - r0 <= fileio._BLOCK_ROWS
 
     @pytest.mark.parametrize("kind", ["symmetric_hollow_130", "coords_3000",
                                       "integer_ties_200"])
@@ -397,6 +426,21 @@ class TestCoordLoaders:
         path.write_text("0,0,0\n")
         with pytest.raises(ValueError, match="at least 2"):
             fileio.load_coords(path, "csv")
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "0,0,0\n1,inf,0\n"),
+        ("xyz", "2\ncomment\nC 0 0 0\nC nan 0 0\n"),
+        ("xyz", "0 0\n1 1e400\n"),
+        ("pdb", "".join(f"{'ATOM      1  C   GLY A   1':30}{x:>8}"
+                        f"{0:8.3f}{0:8.3f}\n" for x in ("0.0", "-inf"))),
+    ])
+    def test_rejects_non_finite_points(self, tmp_path, fmt, text):
+        path = tmp_path / f"p.{fmt}"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: coordinates "
+                                 "must be finite$"):
+            fileio.load_coords(path, fmt)
 
     def test_xyz_chemical_format(self, tmp_path):
         path = tmp_path / "p.xyz"

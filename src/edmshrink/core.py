@@ -374,9 +374,12 @@ class Embedding:
         The passes run with no floating-point warning, and the centered
         array is kept without a copy. A point that is not finite raises
         ValueError ("coordinates must be finite"), and so do finite points
-        whose column sums or centered values overflow a double.
+        whose column sums or centered values overflow a double. An array
+        with no entries has nothing to center.
         """
         p = np.asarray(points, dtype=float)
+        if not p.size:  # np.mean of no values warns
+            return cls(p)
         with np.errstate(over="ignore", invalid="ignore"):
             c = p - p.mean(axis=0)
             c -= c.mean(axis=0)

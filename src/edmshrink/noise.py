@@ -73,7 +73,10 @@ def add_noise(
     true_vals = d.entries[iu]
     rng = pair_stream(seed, replicate)
     if model.kind == "gaussian":
-        vals = true_vals + rng.normal(0.0, np.sqrt(model.sigma2), size=true_vals.size)
+        # abs: -0.0 is a valid variance, whose square root numpy rejects
+        # as a scale
+        vals = true_vals + rng.normal(0.0, np.sqrt(abs(model.sigma2)),
+                                      size=true_vals.size)
     else:
         if np.any(true_vals <= 0.0):
             raise ValueError(

@@ -75,10 +75,10 @@ slope reads tr B = tr X + sum z - n eta. Each point that the solver
 arrives at, short of its stopping rule, moves to the minimizer along
 that line before its Newton step, in O(n^2) work. A cold fit starts at
 z = eta 1, which is y = 0, and so moves first to the best constant dual
-point. A line point's eigenvalues are shifted, not computed, so the
-solver stops only at a point it evaluated or at its start: a line point
-that meets the rule is evaluated once, and that evaluation does not
-move again.
+point. A line point's eigenvalues are shifted, not computed, but they
+are those of J B J up to rounding, so the solver stops at the first
+point that meets its rule, evaluated or reached along the line, and
+closes on it.
 
 The solver closes on an exact EDM, that of its certifying factor. At
 the point z it stops at, g = diag M, so D = M - (g 1^T + 1 g^T) / 2 is
@@ -165,19 +165,20 @@ class ProjectionDiagnostics:
     cycles counts the evaluations of the dual function that this
     projection made, one eigendecomposition each, and delta_last is the
     Euclidean norm of its last Newton step (0 if it took none). A move
-    along the ones vector costs nothing (see the module docstring), and
-    neither does a start whose eigenpairs the caller holds: the point a
-    ``simulate`` replicate reads off the spectrum it shares with
-    classical MDS, or the previous fit's last point along a penalty path
-    (``shrinkage_path``). gap is the duality gap (1/2) ||D - A||_F^2 -
-    ((1/2) ||A||_F^2 - theta) at the last dual point of the matrix D
-    that is returned, with theta = (1/2) ||M||_F^2 = n ||c||^2 +
-    (sum c)^2 + (1/2) sum l_N^2, the formula of every dual point (see the
-    module docstring); it bounds (1/2) ||D - D*||_F^2 for the nearest
-    EDM D*. D is the EDM of its certifying factor
+    along the ones vector costs nothing (see the module docstring), so a
+    line point that meets the rule closes the fit with no evaluation of
+    its own. A start whose eigenpairs the caller holds costs nothing
+    either: the point a ``simulate`` replicate reads off the spectrum it
+    shares with classical MDS, or the previous fit's last point along a
+    penalty path (``shrinkage_path``). gap is the duality gap
+    (1/2) ||D - A||_F^2 - ((1/2) ||A||_F^2 - theta) at the closing dual
+    point of the matrix D that is returned, with theta = (1/2) ||M||_F^2
+    = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2, the formula of every dual
+    point (see the module docstring); it bounds (1/2) ||D - D*||_F^2 for
+    the nearest EDM D*. D is the EDM of its certifying factor
     V_N sqrt(-l_N / 2), or, once converged, the zero matrix, whose gap is
-    theta, when that is no larger or no eigenvalue lies below
-    rounding. It is >= 0 up to rounding. c2_residual is the largest
+    theta, when that is no larger or no eigenvalue lies below rounding.
+    It is >= 0 up to rounding. c2_residual is the largest
     magnitude max|g| of the diagonal that the closing step removes.
     """
 
@@ -321,8 +322,9 @@ class _DualPoint(NamedTuple):
     """The dual at z: theta, its gradient g = diag Pi_C1(A + Diag y) at
     y = z - eta 1, and the n - 1 ascending eigenpairs (vals, vecs) of
     J (X + Diag z) J orthogonal to the ones vector that they are read off.
-    A line point's vals are shifted, not computed, and a point whose
-    Newton step is being tried holds neither (None)."""
+    A line point's vals are shifted, not computed, and close a fit as
+    computed ones do; a point whose Newton step is being tried holds
+    neither (None)."""
 
     z: np.ndarray
     g: np.ndarray
@@ -394,10 +396,11 @@ def project_edm_cone(
     minimizer of theta along the ones vector. The step solves
     (H + eps I) d = -g by conjugate gradients, with g = grad theta and H
     a generalized Hessian, then backtracks along d. Iteration stops at
-    an evaluated point with |g| <= tol * ||a||_F, or raises
-    :class:`NotConvergedError` at max_cycles evaluations of theta or when
-    no step along d is accepted. Every test is relative to ||a||_F, so
-    projecting c * a gives c times the projection of a for any c > 0.
+    the first point, evaluated or moved along the ones vector, with
+    |g| <= tol * ||a||_F, or raises :class:`NotConvergedError` at
+    max_cycles evaluations of theta or when no step along d is accepted.
+    Every test is relative to ||a||_F, so projecting c * a gives c times
+    the projection of a for any c > 0.
 
     The result is the EDM D of the module docstring, built from its
     certifying factor f with any distance that rounding leaves negative
@@ -430,12 +433,13 @@ def _project_from(
     do not depend on eta, so the last point of a fit, or a spectrum of
     J X J at z = 0, starts a fit of any penalty as it is. The fit pops the
     start, so a caller that keeps no other reference hands its eigenbasis
-    over. A line point that meets the rule is evaluated once before it is
-    accepted. A fit closes on the last point it evaluated, or on its start
-    if it evaluated none, so that the EDM and the certificate read a
-    computed spectrum: the factor V sqrt(-l / 2) of its eigenpairs over
-    its negative eigenvalues l, or no column when the zero matrix is
-    returned, which the EDM keeps without a copy.
+    over. A fit closes on the first point that meets the rule, evaluated
+    or line-stepped, and one that does not converge on the last point it
+    evaluated, or on its start if it evaluated none, so that its
+    diagnostics read a computed spectrum. The EDM and the certificate
+    read the closing point's factor V sqrt(-l / 2) over its negative
+    eigenvalues l, or no column when the zero matrix is returned, which
+    the EDM keeps without a copy.
 
     ||A||_F, which scales every test, is taken from A, formed once and let
     go of before the first evaluation. Raises ValueError when X - eta, for
@@ -471,9 +475,8 @@ def _project_from(
 
     def arrive(pt: _DualPoint) -> _DualPoint:
         # a start or an accepted step, short of the rule, moves once along
-        # the ones vector; a line point that meets the rule is evaluated
-        # in the loop, and that evaluation does not move, so a rounding
-        # disagreement at the rule cannot make the two alternate
+        # the ones vector, and the loop stops there if the line point
+        # meets the rule
         return (pt if np.linalg.norm(pt.g) <= floor
                 else _line_step(pt, a, eta))
 
@@ -481,24 +484,15 @@ def _project_from(
         last, cycles = _evaluate(a, eta, np.full(len(a), eta)), 1
     else:
         last, cycles = _dual_point(a, eta, *start.pop()), 0
-    # last is the point last evaluated, or the start: the fit closes on it
+    # last is the point last evaluated, or the start: a fit that does not
+    # converge closes on it
     pt = arrive(last)
     delta = 0.0
-    converged = stalled = False
 
     while True:
         gnorm = float(np.linalg.norm(pt.g))
-        if gnorm <= floor and pt is last:
-            converged = True
+        if gnorm <= floor or cycles >= cfg.max_cycles:
             break
-        if cycles >= cfg.max_cycles:
-            break
-        if gnorm <= floor:
-            # a line point meets the rule: stop only once evaluated
-            z, pt, last = pt.z, None, None
-            pt = last = _evaluate(a, eta, z)
-            cycles += 1
-            continue
         rel = gnorm / scale
         d = _cg(*_newton_system(pt.vals, pt.vecs, min(REG_MAX, rel)), -pt.g,
                 min(CG_RTOL, rel))
@@ -523,10 +517,12 @@ def _project_from(
                 break
             t *= BACKTRACK
         else:
-            stalled = True
             break
 
-    pt, theta = last, last.theta
+    converged = gnorm <= floor
+    if not converged:
+        pt = last
+    theta = pt.theta
     neg = pt.vals < 0.0
     factor = pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg])
     out = _distances_from_coords(factor)
@@ -548,7 +544,7 @@ def _project_from(
     diag = ProjectionDiagnostics(cycles, delta, gap,
                                  float(np.abs(pt.g).max()), converged)
     if not converged:
-        reason = ("no accepted step" if stalled
+        reason = ("no accepted step" if cycles < cfg.max_cycles
                   else f"no convergence in {cfg.max_cycles} cycles")
         raise NotConvergedError(
             f"{reason} (gradient {float(np.linalg.norm(pt.g)):.3e}, "

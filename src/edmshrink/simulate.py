@@ -121,13 +121,19 @@ def helix_coords(
     file is at hand; the resulting EDM has embedding dimension 3. The
     default scale keeps squared distances small relative to the noise
     levels used in the bundled experiments, the regime where shrinkage
-    pays off most clearly.
+    pays off most clearly. Raises ValueError where a coordinate is not
+    finite: a parameter is not, or the angles or heights overflow.
     """
     if n < 2:
         raise ValueError("need at least 2 points")
-    t = np.linspace(0.0, 2.0 * np.pi * turns, n)
-    return np.column_stack(
-        (radius * np.cos(t), radius * np.sin(t), pitch * t / (2.0 * np.pi)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(0.0, 2.0 * np.pi * turns, n)
+        coords = np.column_stack((radius * np.cos(t), radius * np.sin(t),
+                                  pitch * t / (2.0 * np.pi)))
+    if not np.isfinite(coords).all():
+        raise ValueError(f"helix coordinates must be finite, got turns "
+                         f"{turns!r}, radius {radius!r}, pitch {pitch!r}")
+    return coords
 
 
 def run_experiment(truth, cfg: SimConfig) -> StressReport:

@@ -713,12 +713,117 @@ def coords_file(draw):
             "\n".join(lines) + "\n", rejected)
 
 
+# Option values as text: one in five a double from the whole range, nan
+# and inf included, one in five a special value, and the rest an ordinary
+# value, so that many draws, each of several options, fit and exit 0.
+# Hypothesis draws the ends of a range, and the ends of a list, more often
+# than the rest, so the rarer choices sit in the middle.
+FLOAT_TEXT = st.integers(0, 4).flatmap(
+    lambda k: st.floats().map(repr) if k == 1 else
+    st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e400",
+                     "-1e400", "1e-400"]) if k == 2 else
+    st.floats(1e-3, 10.0).map(repr))
+# integers: one in four 0, negative or huge, the rest from 1 to 6
+INT_TEXT = st.integers(0, 3).flatmap(
+    lambda k: st.sampled_from([0, -1, -3, 2**31, 2**63, 10**30, -(10**30)])
+    if k == 1 else st.integers(1, 6)).map(str)
+ONE_IN_FIVE = st.integers(0, 4).map(lambda k: k == 2)
+ESTIMATE_PENALTIES = [("lambda",), ("sigma",), ("lambda-grid",), (),
+                      ("lambda", "lambda-grid"), ("lambda",), ("sigma",),
+                      ("lambda-grid",)]
+# a noisy 5-point observation, which every estimate and mds draw reads
+VALID_5X5 = add_noise(
+    edm_from_coords(np.random.default_rng(4).normal(size=(5, 3))),
+    NoiseModel(kind="gaussian", sigma2=0.1), seed=5).entries
+
+
+@st.composite
+def option_argv(draw):
+    """(command, argv) of estimate or mds on ``{tmp}/in.csv``, or of
+    simulate --helix N for N in 0..12, writing under ``{tmp}/out``, with
+    drawn option values passed as --opt=value, so that a leading minus
+    reads as a value. A grid is drawn as text with empty tokens, repeats
+    and any float text. Where --tol is below 1e-12, --max-cycles is at
+    most 50, so that no draw runs thousands of evaluations."""
+    command = draw(st.sampled_from(["estimate", "mds", "simulate"]))
+    argv = [command]
+
+    def option(opt, values, absent=st.booleans()):
+        if not draw(absent):
+            argv.append(f"--{opt}={draw(values)}")
+
+    option("rank", INT_TEXT)
+    if command == "mds":
+        return command, argv + ["--input={tmp}/in.csv",
+                                "--out={tmp}/out/fit"]
+    if command == "estimate":
+        argv += ["--input={tmp}/in.csv", "--out={tmp}/out/fit"]
+        penalties = draw(st.sampled_from(ESTIMATE_PENALTIES))
+    else:
+        fmt = draw(st.sampled_from(["json", "csv"]))
+        helix = draw(st.sampled_from([*range(2, 8), 0, 1, *range(8, 13)]))
+        argv += [f"--helix={helix}",
+                 f"--reps={draw(st.sampled_from([1, 2, 0, -1, 3]))}",
+                 f"--out-format={fmt}", f"--out={{tmp}}/out/report.{fmt}"]
+        for opt in ("helix-turns", "helix-radius", "helix-pitch"):
+            option(opt, FLOAT_TEXT)
+        if draw(ONE_IN_FIVE):
+            argv.append("--noise=gamma")
+        option("sigma2", FLOAT_TEXT, ONE_IN_FIVE)
+        option("seed", INT_TEXT)
+        penalties = draw(st.sampled_from([("lambda",), ("sigma",)]))
+    for opt in penalties:
+        if opt == "lambda-grid":
+            tokens = draw(st.lists(FLOAT_TEXT, min_size=1, max_size=4))
+            if draw(ONE_IN_FIVE):
+                tokens.insert(draw(st.integers(0, len(tokens))), "")
+            if draw(ONE_IN_FIVE):
+                tokens.append(draw(st.sampled_from(tokens)))
+            argv.append(f"--lambda-grid={','.join(tokens)}")
+        else:
+            option(opt, FLOAT_TEXT, st.just(False))
+    tol = None if draw(st.booleans()) else draw(FLOAT_TEXT)
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    if tol is not None and float(tol) < 1e-12:
+        argv.append(f"--max-cycles={draw(st.integers(-3, 50))}")
+    else:
+        option("max-cycles", INT_TEXT)
+    return command, argv
+
+
+def assert_finite_output(file: Path) -> None:
+    """Every number that a command wrote to ``file`` is finite: a JSON
+    diagnostics file or report, a simulate CSV report, whose failed
+    shrinkage replicates carry stress nan as documented, or a numeric CSV
+    below its ``#`` header."""
+    text = file.read_text()
+    if file.suffix == ".json":
+        def floats(v):  # an int, such as a huge seed, is finite
+            if isinstance(v, dict):
+                v = list(v.values())
+            if isinstance(v, list):
+                return [x for item in v for x in floats(item)]
+            return [v] if isinstance(v, float) else []
+        assert np.all(np.isfinite(floats(json.loads(text))))
+    elif text.startswith("method,"):
+        for row in text.splitlines()[1:]:
+            _, _, stress, cycles, converged = row.split(",")
+            assert np.isfinite(float(stress)) or converged == "false"
+            assert int(cycles) >= 0
+    else:
+        values = [float(token) for line in text.splitlines()
+                  if not line.startswith("#") for token in line.split(",")]
+        assert values and np.all(np.isfinite(values))
+
+
 class TestExitContract:
-    """Whatever the matrix CSV or coordinate file, each reader exits 0,
-    2 or, for estimate, 3, with no uncaught exception and warnings raised
-    as errors; exit 2 says ``error:``, names the file and the line at
-    fault, if one is, and leaves no file; exit 0 writes only finite
-    values, and estimate's dhat passes the EDM test it certifies."""
+    """Whatever the matrix CSV, coordinate file or option values, each
+    command exits 0, 2 or, for estimate, 3, with no uncaught exception
+    and warnings raised as errors; exit 2 says ``error:``, names the file
+    and the line at fault, if one is, and leaves no file; exit 0 writes
+    only finite values, and estimate's dhat passes the EDM test it
+    certifies."""
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -794,3 +899,35 @@ class TestExitContract:
                 assert not report.exists()
             else:
                 assert json.loads(report.read_text())["replicates"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(case=option_argv())
+    # an infinite radius times sin 0, with an invalid-value warning
+    @example(case=("simulate", ["simulate", "--helix=2", "--reps=1",
+                                "--out={tmp}/out/report.json",
+                                "--helix-radius=inf", "--sigma2=1",
+                                "--lambda=1"]))
+    def test_option_values(self, case):
+        command, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            fileio.save_square_matrix(VALID_5X5, tmp / "in.csv")
+            out = tmp / "out"
+            out.mkdir()
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main([a.format(tmp=tmp) for a in argv])
+            written = sorted(out.iterdir())
+            assert code in ((0, 2, 3) if command == "estimate" else (0, 2))
+            if code != 0:
+                assert err.getvalue().startswith("error:")
+            if code == 2:
+                assert not written
+            if code == 0:
+                assert written
+                for file in written:
+                    assert_finite_output(file)
+                    if file.name.endswith(".dhat.csv"):
+                        assert_certified_edm(file, file.with_name(
+                            file.name.replace(".dhat.csv", ".diag.json")))

@@ -434,6 +434,13 @@ class TestEdmFromCoords:
         with pytest.raises(ValueError, match=message):
             Embedding.from_points(np.array(points))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 0), (1, 2)])
+    def test_fewer_than_two_points_raise_without_warning(self, shape):
+        # the mean of no rows warns "Mean of empty slice", which the suite
+        # raises as an error before ValueError
+        with pytest.raises(ValueError, match="need at least 2 objects"):
+            edm_from_coords(np.zeros(shape))
+
 
 class TestMetrics:
     def test_loss_zero_on_equal(self, rng):

@@ -39,6 +39,13 @@ class TestGaussian:
         x = add_noise(d, NoiseModel("gaussian", 0.0), seed=1)
         assert np.array_equal(x.entries, d.entries)
 
+    def test_negative_zero_variance_adds_no_noise(self, rng):
+        # -0.0 passes the check sigma2 >= 0; its square root, -0.0, is a
+        # scale numpy's normal rejects with "scale < 0"
+        d = random_edm(rng, 8, 3)
+        x = add_noise(d, NoiseModel("gaussian", -0.0), seed=1)
+        assert np.array_equal(x.entries, d.entries)
+
     def test_sample_moments(self):
         # n = 460 gives 105570 pairs
         n, sigma2 = 460, 0.7

@@ -419,10 +419,11 @@ class TestConstantStart:
     def test_start_meeting_the_rule_is_decomposed_once(self, rng):
         # the nearest EDM to D - 2 I is D, at the constant dual point
         # y = 2 * ones: the fit evaluates y = 0, moves to that point for
-        # free, and evaluates it once before the certificate reads it
+        # free, and closes there, on the shifted spectrum
         d = random_edm(rng, 10, 3)
-        out, diag = project_edm_cone(d.entries - 2.0 * np.eye(10))
-        assert diag.cycles == 2 and diag.delta_last == 0.0
+        with eig_counts() as calls:
+            out, diag = project_edm_cone(d.entries - 2.0 * np.eye(10))
+        assert calls["eigh"] == diag.cycles == 1 and diag.delta_last == 0.0
         assert np.abs(out.entries - d.entries).max() <= 1e-12 * np.abs(
             d.entries).max()
 
@@ -461,7 +462,8 @@ class TestConstantStart:
         # leaves out the ones vector, so the fit line-steps from it as from
         # any other start: X is an EDM, so at lam = 0 the start meets the
         # rule, and at lam = 3 the zero matrix, six points at 0..5 and
-        # nine at sqrt(k) take 1, 3 and 3 evaluations (a cold fit 2, 4, 4)
+        # nine at sqrt(k) take 0, 3 and 3 evaluations (a cold fit 1, 4, 4):
+        # the zero matrix's line point meets the rule and closes the fit
         x = SymHollowMatrix(x)
         vals, vecs = _centered_eigh(x.entries)
         assert np.abs(vecs.sum(axis=0)).max() <= 1e-14 * x.n
@@ -470,9 +472,9 @@ class TestConstantStart:
                                    [(np.zeros(x.n), vals, vecs)]))
         cold = distance_shrinkage(x, lam)
         assert fit.diagnostics.converged
-        cycles = {5: 1, 6: 3, 9: 3}[x.n] if lam else 0
+        cycles = {5: 0, 6: 3, 9: 3}[x.n] if lam else 0
         assert calls["eigh"] == fit.diagnostics.cycles == cycles
-        assert cold.diagnostics.cycles == ({5: 2, 6: 4, 9: 4}[x.n]
+        assert cold.diagnostics.cycles == ({5: 1, 6: 4, 9: 4}[x.n]
                                            if lam else 1)
         want = dykstra_reference(x.entries - lam / (2 * x.n)
                                  * (1.0 - np.eye(x.n)), 1e-12)
@@ -481,6 +483,27 @@ class TestConstantStart:
         assert np.linalg.norm(fit.d_hat.entries - cold.d_hat.entries) <= tol
         if lam == 0.0:
             assert np.linalg.norm(fit.d_hat.entries - x.entries) <= tol
+
+    @pytest.mark.parametrize("a", [
+        *(np.array(rows) for rows in (
+            [[0.0, -3.0], [-3.0, 0.0]], [[0.0, 3.0], [3.0, 0.0]],
+            [[5.0, 1.0], [1.0, 5.0]], [[5.0, -1.0], [-1.0, 5.0]])),
+        *(random_edm(np.random.default_rng(5), 10, 3).entries
+          - c * np.eye(10) for c in (0.5, 2.0, 10.0)),
+    ], ids=["two_collapse", "two_edm", "two_diagonal", "two_diagonal_collapse",
+            "edm_less_0.5", "edm_less_2", "edm_less_10"])
+    def test_line_point_meeting_the_rule_closes_the_fit(self, a):
+        # two points with equal diagonal entries, and D - c I, are fitted
+        # at a constant dual point: a cold fit evaluates y = 0, moves along
+        # the ones vector to the optimum for free, and closes there on the
+        # shifted spectrum, or at y = 0 itself where that meets the rule
+        with eig_counts() as calls:
+            out, diag = project_edm_cone(a)
+        assert calls["eigh"] == diag.cycles == 1
+        assert diag.converged and diag.delta_last == 0.0
+        want = dykstra_reference(a, 1e-12)
+        tol = 1e-8 * max(np.linalg.norm(a), 1.0)
+        assert np.linalg.norm(out.entries - want) <= tol
 
 
 class TestLineStep:
@@ -601,6 +624,35 @@ class TestProjectEdmCone:
         # the closing EDM is feasible at any dual point: weak duality
         half = 0.5 * np.linalg.norm(x.entries) ** 2
         assert -1e-12 * half <= exc.value.diagnostics.gap < half
+
+    def test_no_accepted_step_says_so(self, rng):
+        # every trial lies above the point it steps from, in theta and in
+        # |g|, which is at most ||M||_F = sqrt(2 theta) <= sqrt(2 theta_0)
+        # at any point the fit holds: backtracking runs out with cycles to
+        # spare, and the fit closes on its last trial
+        x = random_hollow(rng, 8, scale=4.0)
+        cfg = SolverConfig()
+        evaluated = []
+
+        def evaluate(a, eta, z):
+            pt = _evaluate(a, eta, z)
+            if evaluated:
+                first = evaluated[0]
+                pt = pt._replace(theta=first.theta + 1.0, g=np.full(
+                    pt.g.size, np.sqrt(2.0 * first.theta) + 1.0))
+            evaluated.append(pt)
+            return pt
+
+        with mock.patch.object(projection, "_evaluate", evaluate), \
+                pytest.raises(NotConvergedError,
+                              match="no accepted step") as exc:
+            project_edm_cone(x, cfg)
+        diag = exc.value.diagnostics
+        assert len(evaluated) == diag.cycles == 1 + projection.MAX_BACKTRACKS
+        assert diag.cycles < cfg.max_cycles
+        assert not diag.converged and diag.delta_last == 0.0
+        assert np.all(np.isfinite([diag.gap, diag.c2_residual]))
+        assert diag.c2_residual == np.abs(evaluated[-1].g).max()
 
     @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])

@@ -78,6 +78,17 @@ class TestHelix:
         with pytest.raises(ValueError):
             helix_coords(1)
 
+    @pytest.mark.parametrize("geometry", [
+        {"turns": np.inf}, {"turns": np.nan}, {"radius": -np.inf},
+        {"pitch": np.nan}, {"turns": 1e308}, {"pitch": 1e308},
+    ])
+    def test_coordinates_out_of_range_raise_without_warning(self, geometry):
+        # a parameter that is not finite, or angles or heights past the
+        # largest double, warned under the suite's -W error before
+        with pytest.raises(ValueError, match="helix coordinates must be "
+                                             "finite"):
+            helix_coords(10, **geometry)
+
 
 class TestRunExperiment:
     def test_noiseless_smoke(self, truth):

@@ -71,6 +71,24 @@ MUTANTS = [
     Mutant("g17: no k = 16 exclusion", G17,
            "if kg == 16:  # 17 digits", "if False:  # 17 digits",
            ("tests/test_fileio.py::TestFormat17g",)),
+    # g17: %g drops a point left bare by the strip of trailing zeros
+    Mutant("g17: no bare-point strip", G17,
+           'np.char.rstrip(np.char.rstrip(text[zero], b"0"), b".")',
+           'np.char.rstrip(text[zero], b"0")',
+           ("tests/test_fileio.py::TestFormat17g",)),
+    # g17: the zeros are those of the digits, not of the exponent
+    Mutant("g17: strip after the exponent is appended", G17,
+           '    text[zero] = np.char.rstrip(np.char.rstrip(text[zero], b"0"),'
+           ' b".")\n'
+           "    for r0, r1 in sci:\n"
+           "        text[r0:r1] = np.char.add(text[r0:r1],\n"
+           "                                  _EXPONENTS.take(k[r0:r1] + 330))\n",
+           "    for r0, r1 in sci:\n"
+           "        text[r0:r1] = np.char.add(text[r0:r1],\n"
+           "                                  _EXPONENTS.take(k[r0:r1] + 330))\n"
+           '    text[zero] = np.char.rstrip(np.char.rstrip(text[zero], b"0"),'
+           ' b".")\n',
+           ("tests/test_fileio.py::TestFormat17g",)),
     # symmetrize: the half-sum where a + a.T overflows
     Mutant("symmetrize: no overflow branch", CORE,
            "np.add(half, half.T, out=s, where=np.isinf(s))", "pass",
@@ -90,6 +108,33 @@ MUTANTS = [
     Mutant("_lead_positive: sign rule reversed", CORE,
            "np.where(lead < 0, -vecs, vecs)", "np.where(lead > 0, -vecs, vecs)",
            ("tests/test_core.py::TestEighContract",)),
+    # _project_from: one stop rule, at the first point that meets it
+    Mutant("_project_from: a line point meeting the rule is evaluated",
+           PROJECTION,
+           "        if gnorm <= floor or cycles >= cfg.max_cycles:\n"
+           "            break\n",
+           "        if (gnorm <= floor and pt is last\n"
+           "                or cycles >= cfg.max_cycles):\n"
+           "            break\n"
+           "        if gnorm <= floor:\n"
+           "            pt = last = _evaluate(a, eta, pt.z)\n"
+           "            cycles += 1\n"
+           "            continue\n",
+           ("tests/test_projection.py::TestConstantStart::"
+            "test_start_meeting_the_rule_is_decomposed_once",
+            "tests/test_projection.py::TestConstantStart::"
+            "test_line_point_meeting_the_rule_closes_the_fit")),
+    Mutant("_project_from: no convergence closes on the line point",
+           PROJECTION,
+           "    if not converged:\n        pt = last\n",
+           "    if not converged and pt.vals is None:\n        pt = last\n",
+           ("tests/test_projection.py::TestLineStep::"
+            "test_not_converged_at_a_line_point",)),
+    Mutant("_project_from: failure reason not read from cycles", PROJECTION,
+           '"no accepted step" if cycles < cfg.max_cycles',
+           '"no accepted step" if False',
+           ("tests/test_projection.py::TestProjectEdmCone::"
+            "test_no_accepted_step_says_so",)),
     # _dual_point: the row means of X + Diag z in c
     Mutant("_dual_point: no row-means term", PROJECTION,
            "c = a.mean(axis=1) + z / z.size", "c = z / z.size",

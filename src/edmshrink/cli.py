@@ -16,6 +16,7 @@ All matrix inputs and outputs use the squared-distance convention.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -31,6 +32,8 @@ from .simulate import (SimConfig, helix_coords, report_csv, report_json,
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
+# the errors that exit 2, each with no output file left
+_INPUT_ERRORS = (ValueError, OSError, ZeroDivisionError)
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -70,13 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "<out>_lam<value>")
     est.add_argument("--lambda-grid",
                      help="comma-separated distinct penalties, fitted in "
-                          "ascending order along one path, each fit started "
-                          "from the last; writes one output set per value, "
+                          "ascending order along one path, each started from "
+                          "the last fit, so that it agrees with the --lambda "
+                          "fit of its value to within the solver tolerance "
+                          "(the smallest exactly); writes each value's set, "
                           "suffixed _lam<value> in Python's shortest "
-                          "round-trip form, as soon as it is fitted. A grid "
-                          "fit agrees with the --lambda fit of its value to "
-                          "within the solver tolerance, not bit for bit; "
-                          "the smallest value's fit is the same")
+                          "round-trip form, once fitted. A fit that does not "
+                          "converge (exit 3) ends the grid and keeps the sets "
+                          "before it; exit 2 leaves none")
     _add_penalty_args(est, required=False)
     _add_solver_args(est)
 
@@ -142,7 +146,8 @@ def _write_text(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _write_fit(fit, rank: int, prefix: str) -> None:
+def _write_fit(fit, rank: int, prefix: str) -> list[str]:
+    """Write the output set of ``fit`` under ``prefix``; its paths."""
     # all that can reject the set comes first, so that it writes no file
     coords = truncate_rank(fit, rank).embedding.coords
     diag = fileio.dumps_json({
@@ -152,12 +157,15 @@ def _write_fit(fit, rank: int, prefix: str) -> None:
         "cert_tol": fit.d_hat.cert_tol,
         **asdict(fit.diagnostics),
     })
-    fileio.save_square_matrix(fit.d_hat.entries, f"{prefix}.dhat.csv")
+    paths = [f"{prefix}.{name}" for name in
+             ("dhat.csv", "khat.csv", "embedding.csv", "diag.json")]
+    fileio.save_square_matrix(fit.d_hat.entries, paths[0])
     fileio.save_square_matrix(
-        fit.k_hat.entries, f"{prefix}.khat.csv",
+        fit.k_hat.entries, paths[1],
         header="# minimum-trace kernel (Gram matrix of centered coordinates)")
-    fileio.save_embedding(coords, f"{prefix}.embedding.csv")
-    _write_text(diag, f"{prefix}.diag.json")
+    fileio.save_embedding(coords, paths[2])
+    _write_text(diag, paths[3])
+    return paths
 
 
 def _cmd_estimate(args) -> int:
@@ -179,11 +187,18 @@ def _cmd_estimate(args) -> int:
     else:
         penalties = [recommended_lambda(x.n, args.sigma)]
     # shrinkage_path checks every penalty before the first fit, so a
-    # rejected grid writes no files
-    for fit in shrinkage_path(x, penalties, cfg):
-        _write_fit(fit, rank, args.out if args.lambda_grid is None
-                   else f"{args.out}_lam{fit.lam!r}")
-        del fit  # the next fit runs without this one's arrays
+    # rejected grid writes no files; a set rejected later removes those
+    # of the fits before it, and a fit that does not converge keeps them
+    written = []
+    try:
+        for fit in shrinkage_path(x, penalties, cfg):
+            written += _write_fit(fit, rank, args.out if args.lambda_grid
+                                  is None else f"{args.out}_lam{fit.lam!r}")
+            del fit  # the next fit runs without this one's arrays
+    except _INPUT_ERRORS:
+        for path in written:
+            os.remove(path)
+        raise
     return EXIT_OK
 
 
@@ -253,7 +268,7 @@ def main(argv=None) -> int:
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

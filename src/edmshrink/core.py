@@ -388,10 +388,6 @@ class Embedding:
                              "a double")
         return cls(_built(c))
 
-    @property
-    def k(self) -> int:
-        return self.coords.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class EdmMatrix(SymHollowMatrix):
@@ -519,15 +515,25 @@ def _distances_from_coords(coords: np.ndarray) -> np.ndarray:
 # error metrics
 # ---------------------------------------------------------------------------
 
+def _squared_error(a: np.ndarray, b: np.ndarray, k: int) -> float:
+    """||a - b||_F^2 / k, finite wherever it is a double, with no warning:
+    numpy's sum of squares over k, or, where that sum overflows, the norm
+    of ``_frobenius`` divided by sqrt(k) before it is squared."""
+    with np.errstate(over="ignore"):
+        d = a - b
+        q = float(np.sum(d ** 2)) / k
+        return q if q < np.inf else float((_frobenius(d) / np.sqrt(k)) ** 2)
+
+
 def average_squared_loss(a: SymHollowMatrix, b: SymHollowMatrix) -> float:
     """Averaged squared error over pairs, ||A - B||_F^2 / (n(n-1)).
 
     For hollow symmetric inputs this is 2/(n(n-1)) * sum_{i<j} (a_ij-b_ij)^2.
+    It is finite wherever it is a double (``_squared_error``).
     """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    n = a.n
-    return float(np.sum((a.entries - b.entries) ** 2)) / (n * (n - 1))
+    return _squared_error(a.entries, b.entries, a.n * (a.n - 1))
 
 
 def kruskal_stress(est: SymHollowMatrix, truth: SymHollowMatrix) -> float:

@@ -120,40 +120,27 @@ def load_dissimilarity(path) -> SymHollowMatrix:
 
 
 # Values a block of rows formats at least, and rows a block of a symmetric
-# matrix spans at most; see ``_row_blocks``. A block's dedup and format
-# temporaries, about 150 bytes per value, and the text it assembles stay
-# within a fraction of the matrix, while the fixed cost of each format
-# call, about a third of the time to format 2,048 values, is paid 12 times
-# for a symmetric matrix at n = 200 and about 20 times from n = 256 on.
+# matrix spans at most; see ``_row_blocks``. Each block formats each of its
+# own distinct values, whatever the blocks before it formatted. A block's
+# dedup and format temporaries, about 150 bytes per value, and the text it
+# assembles stay within a fraction of the matrix, while the fixed cost of
+# each format call, about a third of the time to format 2,048 values, is
+# paid 12 times for a symmetric matrix at n = 200 and about 20 times from
+# n = 256 on.
 _BLOCK_VALUES = 2048
 _BLOCK_ROWS = 64
 
 
-def _text(bits: np.ndarray, known: list) -> np.ndarray:
+def _text(bits: np.ndarray) -> np.ndarray:
     """The %.17g text of the float64 bit patterns of 2-D ``bits``, as an
     S24 array of its shape, with each distinct pattern formatted once.
 
-    ``np.unique`` finds the distinct patterns, sorted, and the index of
-    each entry's among them, through which their text is taken back.
-    ``format_17g`` gets them, or an ascending subset, in that order: it
-    needs values sorted by bit pattern.
-    ``known`` holds the distinct patterns of the last block, sorted,
-    and their text if they were few, as in integer-valued matrices; it
-    supplies the text of the patterns this block shares with that one,
-    and is replaced by this block's.
+    ``np.unique`` finds the distinct patterns, sorted, as ``format_17g``
+    needs them, and the index of each entry's among them, through which
+    their text is taken back.
     """
     distinct, index = np.unique(bits.ravel(), return_inverse=True)
-    if known:
-        keys, texts = known
-        at = np.searchsorted(keys, distinct)
-        np.minimum(at, keys.size - 1, out=at)
-        hit = keys.take(at) == distinct
-        table = texts.take(at)
-        todo = np.flatnonzero(~hit)
-        table[todo] = _format_17g(distinct.take(todo).view(np.float64))
-    else:
-        table = _format_17g(distinct.view(np.float64))
-    known[:] = (distinct, table) if 4 * distinct.size <= index.size else ()
+    table = _format_17g(distinct.view(np.float64))
     return table.take(index).reshape(bits.shape)
 
 
@@ -179,6 +166,10 @@ def _row_blocks(n: int, cols: int, symmetric: bool) -> list[tuple[int, int]]:
 
 
 def _save_csv(a, path, header: str) -> None:
+    """Write the 2-D ``a`` at %.17g under ``header``, block by block of
+    ``_row_blocks``; the text of a block is a function of its values
+    alone, and only the pieces handed down to the blocks below outlive
+    its write."""
     a = np.ascontiguousarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"{path}: expected a 2-D array, got {a.ndim}-D")
@@ -189,17 +180,16 @@ def _save_csv(a, path, header: str) -> None:
     blocks = _row_blocks(n, cols, symmetric)
     # the text each block takes from the blocks above, one piece each
     handed: list[list[np.ndarray]] = [[] for _ in blocks]
-    known: list = []
     with open(path, "wb") as fh:
         if header:
             fh.write(header.encode("utf-8") + b"\n")
         for b, (r0, r1) in enumerate(blocks):
             if not symmetric:
-                _write_rows(fh, [_text(bits[r0:r1], known)])
+                _write_rows(fh, [_text(bits[r0:r1])])
                 continue
             # the rows from column r0 on; the square's lower triangle
             # repeats its upper one, so it adds no distinct value
-            text = _text(bits[r0:r1, r0:], known)
+            text = _text(bits[r0:r1, r0:])
             for d in range(b + 1, len(blocks)):
                 s0, s1 = blocks[d]
                 handed[d].append(text[:, s0 - r0:s1 - r0].T.copy())

@@ -25,12 +25,13 @@ penalty to within that tolerance, not bit for bit; the first fit of a
 path is the same computation as ``distance_shrinkage``.
 
 The same fact makes a spectrum of J X J serve every penalty: it is the
-dual point z = 0, with no eigendecomposition. Every fit runs in one loop
-over the penalties, which takes such a start as an option; ``simulate``
-passes the spectrum of J X J that classical MDS reads anyway, so one
-eigendecomposition per replicate serves both methods. The loop keeps a
-start's eigenbasis only until it hands it to the projection, which lets
-go of it, and of each point's, once the Newton step from there is
+dual point z = 0, with no eigendecomposition. Every fit of this module
+runs in one loop over the penalties, whose first fit starts cold;
+``simulate`` makes the loop's call to the projection itself, started
+from the spectrum of J X J that classical MDS reads anyway, so one
+eigendecomposition per replicate serves both methods. A start's
+eigenbasis is kept only until it is handed to the projection, which
+lets go of it, and of each point's, once the Newton step from there is
 solved, so one eigenbasis, beside X and the block that ``eigh`` reads,
 is alive at each eigendecomposition. A fit's EDM keeps the factor of its
 kernel that certified it, principal axes read off the eigenpairs its
@@ -51,6 +52,7 @@ from .core import (
     MinTraceKernel,
     SymHollowMatrix,
     _lead_positive,
+    _squared_error,
     check_nonnegative,
     edm_from_coords,
 )
@@ -151,19 +153,15 @@ def shrinkage_path(
 
 
 def _walk_path(
-    x: SymHollowMatrix, lams: list[float], cfg: SolverConfig | None,
-    start: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    x: SymHollowMatrix, lams: list[float], cfg: SolverConfig | None
 ) -> Iterator[ShrinkageFit]:
     """The fits of the checked, ascending penalties ``lams``.
 
     Each fit projects X itself, its penalty eta = lam / (2n) one scalar of
     the projection's dual, whose variable z keeps the eigenpairs of
-    J (X + Diag z) J at every penalty (see the module docstring). So each
-    fit after the first starts from the last dual point of the one before,
-    as it is. The first starts cold, at z = eta 1, or at ``start``, a
-    one-element list [(z, vals, vecs)] with the eigenpairs of a point that
-    the caller holds: ``simulate`` passes those of J X J, from
-    ``_centered_eigh``, as the point z = 0. No start needs an
+    J (X + Diag z) J at every penalty (see the module docstring). So the
+    first fit starts cold, at z = eta 1, and each fit after it from the
+    last dual point of the one before, as it is. No start needs an
     eigendecomposition, and the projection moves each along the ones
     vector, to the best constant dual point, before its first Newton step.
 
@@ -171,9 +169,9 @@ def _walk_path(
     eigenbasis, and the fit it yielded until it is resumed. It hands each
     start over to the projection, which pops it and lets go of it at its
     first evaluation (``projection._project_from``): a caller that keeps
-    neither the start it passed nor a yielded fit runs each fit beside no
-    eigenbasis but its own.
+    no yielded fit runs each fit beside no eigenbasis but its own.
     """
+    start = None
     for lam in lams:
         d_hat, diag, last = _project_from(x, lam / (2 * x.n), cfg, start)
         start = [(last.z, last.vals, last.vecs)]
@@ -183,11 +181,13 @@ def _walk_path(
 
 
 def objective_value(m: EdmMatrix, x: SymHollowMatrix, lam: float) -> float:
-    """Penalized least-squares objective (1/2)||X - M||_F^2 + lam tr(-JMJ/2)."""
+    """Penalized least-squares objective (1/2)||X - M||_F^2 + lam tr(-JMJ/2).
+
+    The first term is finite wherever it is a double
+    (``core._squared_error``)."""
     if m.n != x.n:
         raise ValueError(f"size mismatch: {m.n} vs {x.n}")
-    fit = 0.5 * float(np.sum((x.entries - m.entries) ** 2))
-    return fit + lam * m.kernel.trace()
+    return _squared_error(x.entries, m.entries, 2) + lam * m.kernel.trace()
 
 
 def recommended_lambda(n: int, sigma: float) -> float:

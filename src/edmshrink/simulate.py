@@ -27,13 +27,9 @@ from .core import (
 )
 from .fileio import dumps_json
 from .noise import NoiseModel, add_noise
-from .projection import NotConvergedError, SolverConfig, _centered_eigh
-from .shrinkage import (
-    _check_rank,
-    _mds_fit,
-    _walk_path,
-    recommended_lambda,
-)
+from .projection import (NotConvergedError, SolverConfig, _centered_eigh,
+                         _project_from)
+from .shrinkage import _check_rank, _mds_fit, recommended_lambda
 
 
 @dataclass(frozen=True)
@@ -149,20 +145,23 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
 
     One eigendecomposition of J X J per replicate gives both the
     baseline's coordinates, as ``classical_mds`` computes them, and the
-    start of the shrinkage fit, which is otherwise ``distance_shrinkage``.
-    The baseline is scored on the distances of its coordinates, which
-    form an EDM by construction, so it needs no certificate. The fit is
-    certified from the eigenpairs its projection ends on. The truth is not
-    certified: an experiment reads only its entries, and truth given as
-    coordinates becomes the squared distances of the centered coordinates.
-    So an experiment makes no ``eigvalsh``.
+    start of the shrinkage fit: the replicate makes the projection call
+    of ``distance_shrinkage`` itself, started from that spectrum, the
+    dual point z = 0 of every penalty, where ``distance_shrinkage``
+    starts cold. The baseline is scored on the distances of its
+    coordinates, which form an EDM by construction, so it needs no
+    certificate. The fit is certified from the eigenpairs its projection
+    ends on. The truth is not certified: an experiment reads only its
+    entries, and truth given as coordinates becomes the squared distances
+    of the centered coordinates. So an experiment makes no ``eigvalsh``.
 
     Each replicate runs in a call of its own, and keeps its observation,
     spectrum and fit no longer: once the baseline has read the spectrum,
-    the fit takes it over and drops it at its first evaluation, and the
-    fit is let go of once scored. So every eigendecomposition runs beside
-    the truth's entries, not its kernel, the observation, with no shrunk
-    copy of it, and no eigenbasis but its own.
+    the fit takes it over and drops it at its first evaluation, the dual
+    point the fit closed on is let go of as it is returned, and the fit
+    once scored. So every eigendecomposition runs beside the truth's
+    entries, not its kernel, the observation, with no shrunk copy of it,
+    and no eigenbasis but its own.
     """
     d_true = SymHollowMatrix(_built(  # read-only, shared
         truth.entries if isinstance(truth, EdmMatrix) else
@@ -201,13 +200,13 @@ def _replicate(d_true: SymHollowMatrix, cfg: SimConfig, lam: float,
     start = [(np.zeros(x.n), *spectrum)]
     del spectrum
     try:
-        # the path dies with this call, and with it its last dual point
-        fit = next(_walk_path(x, [lam], cfg.solver, start))
+        # the closing dual point is let go of as it is returned
+        d_hat, diag = _project_from(x, lam / (2 * x.n), cfg.solver, start)[:2]
     except NotConvergedError as exc:
         stress, cycles = None, exc.diagnostics.cycles
     else:
-        stress = kruskal_stress(fit.d_hat, d_true)
-        cycles = fit.diagnostics.cycles
+        stress = kruskal_stress(d_hat, d_true)
+        cycles = diag.cycles
     return ReplicateRecord(
         index=rep, shrinkage_stress=stress, mds_stress=mds_stress,
         cycles=cycles, converged=stress is not None)

@@ -298,8 +298,9 @@ class TestOutOrStdout:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestResultsOutsideTheDoubleRange:
     """Finite input whose result is not a double exits 2, raises nothing
-    and leaves no file of the output set it rejects. numpy's overflow
-    warnings on the way are not part of that contract."""
+    and leaves no file of the output set it rejects, nor of a grid's sets
+    written before it. numpy's overflow warnings on the way are not part
+    of that contract."""
 
     @pytest.mark.parametrize("scale", [1e153, 1e154])
     def test_scaled_cloud_writes_no_set(self, tmp_path, capsys, scale):
@@ -312,15 +313,13 @@ class TestResultsOutsideTheDoubleRange:
         assert "'gap'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
-    def test_grid_keeps_the_sets_before_the_rejected_one(self, tmp_path):
+    def test_grid_removes_the_sets_before_the_rejected_one(self, tmp_path):
+        # the set of lambda 0 is written before lambda 1e300 is rejected
         path = tmp_path / "x.csv"
         path.write_text("0,1\n1,0\n")
         assert main(["estimate", "--input", str(path), "--lambda-grid",
                      "0,1e300", "--out", str(tmp_path / "fit")]) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            f"fit_lam0.0.{ext}"
-            for ext in ("dhat.csv", "diag.json", "embedding.csv", "khat.csv")
-        ] + ["x.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     def test_dim3_names_the_field(self, tmp_path, capsys):
         # delta_x is 4e308, above the largest double
@@ -908,6 +907,13 @@ class TestExitContract:
                                 "--out={tmp}/out/report.json",
                                 "--helix-radius=inf", "--sigma2=1",
                                 "--lambda=1"]))
+    # a grid whose largest penalty overflows the fit's gap, rejected after
+    # the set of the smaller one was written
+    @example(case=("estimate", ["estimate", "--input={tmp}/in.csv",
+                                "--out={tmp}/out/fit",
+                                "--lambda-grid=1.2919518136489e+300,"
+                                "1.3874022173941887",
+                                "--tol=5.215957153541516", "--max-cycles=5"]))
     def test_option_values(self, case):
         command, argv = case
         with tempfile.TemporaryDirectory() as tmp:

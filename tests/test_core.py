@@ -459,6 +459,16 @@ class TestMetrics:
             want = np.linalg.norm(a.entries - b.entries) ** 2 / (n * (n - 1))
             assert average_squared_loss(a, b) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_loss_where_the_sum_of_squares_overflows(self):
+        # twelve squares of 1e154 sum past the largest double, but their
+        # mean, 1e308, is a double; a mean of squares of 1e160 is not
+        zero = hollow(np.zeros((4, 4)))
+        a = hollow(1e154 * (1.0 - np.eye(4)))
+        assert average_squared_loss(a, zero) == pytest.approx(1e308, rel=1e-15)
+        assert average_squared_loss(hollow(1e160 * (1.0 - np.eye(4))),
+                                    zero) == np.inf
+
     def test_loss_size_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             average_squared_loss(random_hollow(rng, 3), random_hollow(rng, 4))

@@ -23,8 +23,9 @@ from edmshrink import (
 from edmshrink import projection
 from edmshrink.core import _distances_from_coords
 from edmshrink.projection import (_centered_eigh, _dual_point, _evaluate,
-                                  _line_step, _newton_system, project_c1)
-from edmshrink.shrinkage import _walk_path, distance_shrinkage
+                                  _line_step, _newton_system, _project_from,
+                                  project_c1)
+from edmshrink.shrinkage import distance_shrinkage
 
 from conftest import (centering, eig_counts, random_cloud, random_edm,
                       random_hollow)
@@ -468,21 +469,21 @@ class TestConstantStart:
         vals, vecs = _centered_eigh(x.entries)
         assert np.abs(vecs.sum(axis=0)).max() <= 1e-14 * x.n
         with eig_counts() as calls:
-            fit = next(_walk_path(x, [lam], None,
-                                   [(np.zeros(x.n), vals, vecs)]))
+            d_hat, diag, _ = _project_from(x, lam / (2 * x.n), None,
+                                           [(np.zeros(x.n), vals, vecs)])
         cold = distance_shrinkage(x, lam)
-        assert fit.diagnostics.converged
+        assert diag.converged
         cycles = {5: 0, 6: 3, 9: 3}[x.n] if lam else 0
-        assert calls["eigh"] == fit.diagnostics.cycles == cycles
+        assert calls["eigh"] == diag.cycles == cycles
         assert cold.diagnostics.cycles == ({5: 1, 6: 4, 9: 4}[x.n]
                                            if lam else 1)
         want = dykstra_reference(x.entries - lam / (2 * x.n)
                                  * (1.0 - np.eye(x.n)), 1e-12)
         tol = 1e-8 * max(np.linalg.norm(x.entries), 1.0)
-        assert np.linalg.norm(fit.d_hat.entries - want) <= tol
-        assert np.linalg.norm(fit.d_hat.entries - cold.d_hat.entries) <= tol
+        assert np.linalg.norm(d_hat.entries - want) <= tol
+        assert np.linalg.norm(d_hat.entries - cold.d_hat.entries) <= tol
         if lam == 0.0:
-            assert np.linalg.norm(fit.d_hat.entries - x.entries) <= tol
+            assert np.linalg.norm(d_hat.entries - x.entries) <= tol
 
     @pytest.mark.parametrize("a", [
         *(np.array(rows) for rows in (

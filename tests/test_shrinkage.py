@@ -414,6 +414,17 @@ class TestObjective:
         want = 0.5 * np.linalg.norm(x.entries) ** 2
         assert objective_value(zero, x, 3.0) == pytest.approx(want)
 
+    @pytest.mark.filterwarnings("error")
+    def test_where_the_sum_of_squares_overflows(self):
+        # two squares of 1.2e154 sum past the largest double, but half
+        # their sum, 1.44e308, is a double; half of two of 1e160 is not
+        zero = certify_edm(SymHollowMatrix(np.zeros((2, 2))))
+        x = SymHollowMatrix(-1.2e154 * (1.0 - np.eye(2)))
+        assert objective_value(zero, x, 1.0) == pytest.approx(1.44e308,
+                                                              rel=1e-15)
+        x = SymHollowMatrix(1e160 * (1.0 - np.eye(2)))
+        assert objective_value(zero, x, 1.0) == np.inf
+
     def test_trace_term_nonnegative_for_edms(self, rng):
         for _ in range(10):
             d = random_edm(rng, 6, 3)
@@ -521,7 +532,7 @@ class TestTruncateRank:
             scale = max(np.abs(tr.d_hat_r.entries).max(), 1e-12)
             assert np.abs(back.entries - tr.d_hat_r.entries).max() <= 1e-10 * scale
             assert tr.d_hat_r.embed_dim <= 3
-            assert tr.embedding.k == 3
+            assert tr.embedding.coords.shape[1] == 3
 
     def test_minimizes_centered_error(self, rng):
         # Eckart-Young in the doubly-centered metric
@@ -625,7 +636,7 @@ class TestRankBound:
         x = self.observation(rng, kind)
         for fit in (classical_mds(x, r),
                     truncate_rank(distance_shrinkage(x, 0.1), r)):
-            assert fit.embedding.k == r
+            assert fit.embedding.coords.shape[1] == r
             assert fit.d_hat_r.embed_dim <= r
             if kind == "random":
                 assert fit.d_hat_r.embed_dim == r

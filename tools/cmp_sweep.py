@@ -167,13 +167,10 @@ def src_dir(tree: str) -> Path:
     return path
 
 
-def tree_src(tree: str, folder: Path) -> tuple[Path, str]:
-    """The ``src`` of ``tree`` and a name for it: ``src_dir`` of a
-    directory, else the ``src`` of the commit it names, exported into
-    ``folder``."""
-    if Path(tree).is_dir():
-        src = src_dir(tree)
-        return src, str(src)
+def export(tree: str, folder: Path, parts) -> str:
+    """Extract ``parts`` of the commit that the revision ``tree`` of this
+    repository names into ``folder``, with ``git archive``; a name for
+    it. Exits where ``tree`` names no commit."""
     repo = Path(__file__).resolve().parent.parent
     commit = subprocess.run(
         ["git", "-C", str(repo), "rev-parse", "--verify", "--quiet",
@@ -181,11 +178,22 @@ def tree_src(tree: str, folder: Path) -> tuple[Path, str]:
     if not commit:
         sys.exit(f"{tree}: neither a directory nor a commit of {repo}")
     archive = subprocess.run(
-        ["git", "-C", str(repo), "archive", commit, "src"],
+        ["git", "-C", str(repo), "archive", commit, *parts],
         capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(folder, filter="data")
-    return src_dir(str(folder)), f"{tree} ({commit[:12]})"
+    return f"{tree} ({commit[:12]})"
+
+
+def tree_src(tree: str, folder: Path) -> tuple[Path, str]:
+    """The ``src`` of ``tree`` and a name for it: ``src_dir`` of a
+    directory, else the ``src`` of the commit it names, exported into
+    ``folder``."""
+    if Path(tree).is_dir():
+        src = src_dir(tree)
+        return src, str(src)
+    name = export(tree, folder, ["src"])
+    return src_dir(str(folder)), name
 
 
 def line_counts(src: Path) -> tuple[int, int]:

@@ -5,9 +5,9 @@ Usage: python tools/mutate.py [TREE]
 TREE is a checkout of this repository, by default the one this script is
 in, or, if it is not a directory, a git revision of this repository,
 whose ``src``, ``tests`` and ``pyproject.toml`` are exported with
-``git archive``, as ``tools/cmp_sweep.py`` exports ``src``. Everything
-is copied into one temporary directory, which the script removes; the
-tree itself is only read.
+``git archive`` by ``cmp_sweep.export``, which exports ``src`` for
+``tools/cmp_sweep.py``. Everything is copied into one temporary
+directory, which the script removes; the tree itself is only read.
 
 Each mutant in ``MUTANTS`` is an exact edit of one file, ``old`` to
 ``new``, where ``old`` must occur exactly once, and the test ids that
@@ -21,17 +21,19 @@ found once or the unmutated copy fails.
 
 from __future__ import annotations
 
-import io
 import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import cmp_sweep  # noqa: E402
+
 PARTS = ("src", "tests", "pyproject.toml")
 TIMEOUT_S = 300
 
@@ -48,6 +50,7 @@ CORE = "src/edmshrink/core.py"
 PROJECTION = "src/edmshrink/projection.py"
 FILEIO = "src/edmshrink/fileio.py"
 G17 = "src/edmshrink/g17.py"
+SIMULATE = "src/edmshrink/simulate.py"
 
 MUTANTS = [
     # Embedding.from_points, the one reader of raw coordinates
@@ -98,6 +101,17 @@ MUTANTS = [
            "rows = min(rows, _BLOCK_ROWS)", "rows = min(rows, _BLOCK_ROWS + 1)",
            ("tests/test_fileio.py::TestWriterMatchesSavetxt::"
             "test_row_blocks_tile_the_rows_within_their_bounds",)),
+    # _text: each entry takes the text of its own distinct value
+    Mutant("_text: text taken by a shifted index", FILEIO,
+           "table.take(index)", "table.take(index - 1)",
+           ("tests/test_fileio.py::TestWriterMatchesSavetxt",)),
+    # _replicate: the fit starts from the spectrum the baseline read
+    Mutant("_replicate: the fit starts cold", SIMULATE,
+           "cfg.solver, start)[:2]", "cfg.solver, None)[:2]",
+           ("tests/test_simulate.py::TestRunExperiment::"
+            "test_noiseless_unpenalized_fit_needs_no_evaluation",
+            "tests/test_simulate.py::TestRunExperiment::"
+            "test_matches_the_separate_methods")),
     # kruskal_stress: a norm whose sum of squares overflows
     Mutant("kruskal_stress: numpy's norm of the reference", CORE,
            "denom = _frobenius(truth.entries)",
@@ -159,17 +173,8 @@ def export(tree: str, folder: Path) -> Path:
                     "__pycache__", ".hypothesis", ".pytest_cache"))
             else:
                 shutil.copy2(source, folder / part)
-        return folder
-    commit = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
-         f"{tree}^{{commit}}"], capture_output=True, text=True).stdout.strip()
-    if not commit:
-        sys.exit(f"{tree}: neither a directory nor a commit of {ROOT}")
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", commit, *PARTS],
-        capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(folder, filter="data")
+    else:
+        cmp_sweep.export(tree, folder, PARTS)
     return folder
 
 

@@ -9,7 +9,8 @@ Subcommands:
   dim3       closed-form three-point projection analysis
   convert    similarity matrix to squared dissimilarities
 
-Exit codes: 0 success, 2 input error, 3 non-convergence in estimate mode.
+Exit codes: 0 success, 2 input error or out of memory, 3 non-convergence
+in estimate mode.
 All matrix inputs and outputs use the squared-distance convention.
 """
 
@@ -33,7 +34,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 # the errors that exit 2, each with no output file left
-_INPUT_ERRORS = (ValueError, OSError, ZeroDivisionError)
+_INPUT_ERRORS = (ValueError, OSError, ZeroDivisionError, MemoryError)
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -269,7 +270,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError raised by Python itself has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

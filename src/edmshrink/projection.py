@@ -71,23 +71,30 @@ and no more.
 Moves along the ones vector come free: J V = V, so J (B + t I) J =
 J B J + t J has the eigenpairs (l + t, V) for every t, and theta(z + t 1)
 is a strictly convex, piecewise quadratic function of t alone, whose
-slope reads tr B = tr X + sum z - n eta. Each point that the solver
-arrives at, short of its stopping rule, moves to the minimizer along
-that line before its Newton step, in O(n^2) work. A cold fit starts at
-z = eta 1, which is y = 0, and so moves first to the best constant dual
-point. A line point's eigenvalues are shifted, not computed, but they
-are those of J B J up to rounding, so the solver stops at the first
-point that meets its rule, evaluated or reached along the line, and
-closes on it.
+slope reads tr B = tr X + sum z - n eta. The iteration is one stream of
+the dual points that the solver arrives at: the start, then its line
+point, the minimizer along that line, then for each accepted Newton
+step the trial and its line point. A line point costs O(n^2) work and
+is computed only when the point before it falls short of the stopping
+rule. A cold fit starts at z = eta 1, which is y = 0, and so moves first
+to the best constant dual point. A line point's eigenvalues are shifted,
+not computed, but they are those of J B J up to rounding, so a fit reads
+the stream up to the first point that meets its rule, evaluated or
+reached along the line, and closes on it. A stream that runs out of
+evaluations, or whose backtracking accepts no step, ends on the last
+point it evaluated, where the fit closes without converging.
 
-The solver closes on an exact EDM, that of its certifying factor. At
-the point z it stops at, g = diag M, so D = M - (g 1^T + 1 g^T) / 2 is
+The close is apart from the iteration and reads only the point it is
+handed. It returns an exact EDM, that of its certifying factor. At the
+point z it closes on, g = diag M, so D = M - (g 1^T + 1 g^T) / 2 is
 hollow with J D J = N: the EDM of the factor f = V_N sqrt(-l_N / 2),
 built from f with no M. The objective is 1-strongly convex, so the
 nearest EDM D* has (1/2) ||D - D*||_F^2 <= (1/2) ||D - A||_F^2 -
 ((1/2) ||A||_F^2 - theta), the duality gap of D at z, in which
 <D, A> = <D, X - eta> as D is hollow, and f certifies D by a Weyl bound,
-with no further eigendecomposition (see ``core``).
+with no further eigendecomposition (see ``core``). A converged fit whose
+gap is not a double, where the squares of its size overflow, is an
+error, not a result.
 """
 
 from __future__ import annotations
@@ -164,13 +171,16 @@ class ProjectionDiagnostics:
 
     cycles counts the evaluations of the dual function that this
     projection made, one eigendecomposition each, and delta_last is the
-    Euclidean norm of its last Newton step (0 if it took none). A move
-    along the ones vector costs nothing (see the module docstring), so a
-    line point that meets the rule closes the fit with no evaluation of
-    its own. A start whose eigenpairs the caller holds costs nothing
-    either: the point a ``simulate`` replicate reads off the spectrum it
-    shares with classical MDS, or the previous fit's last point along a
-    penalty path (``shrinkage_path``). gap is the duality gap
+    Euclidean norm of its last Newton step (0 if it took none). A fit
+    closes on the first dual point that meets the rule, evaluated or
+    moved along the ones vector. A move along that vector costs nothing
+    (see the module docstring), so a line point that meets the rule
+    closes the fit with no evaluation of its own. A fit that does not
+    converge closes on the last point it evaluated, or on its start if it
+    evaluated none. A start whose eigenpairs the caller holds costs
+    nothing either: the point a ``simulate`` replicate reads off the
+    spectrum it shares with classical MDS, or the previous fit's last
+    point along a penalty path (``shrinkage_path``). gap is the duality gap
     (1/2) ||D - A||_F^2 - ((1/2) ||A||_F^2 - theta) at the closing dual
     point of the matrix D that is returned, with theta = (1/2) ||M||_F^2
     = n ||c||^2 + (sum c)^2 + (1/2) sum l_N^2, the formula of every dual
@@ -178,7 +188,8 @@ class ProjectionDiagnostics:
     the nearest EDM D*. D is the EDM of its certifying factor
     V_N sqrt(-l_N / 2), or, once converged, the zero matrix, whose gap is
     theta, when that is no larger or no eigenvalue lies below rounding.
-    It is >= 0 up to rounding. c2_residual is the largest
+    It is >= 0 up to rounding, and finite: a converged fit whose gap is
+    not raises ValueError instead. c2_residual is the largest
     magnitude max|g| of the diagonal that the closing step removes.
     """
 
@@ -400,7 +411,8 @@ def project_edm_cone(
     |g| <= tol * ||a||_F, or raises :class:`NotConvergedError` at
     max_cycles evaluations of theta or when no step along d is accepted.
     Every test is relative to ||a||_F, so projecting c * a gives c times
-    the projection of a for any c > 0.
+    the projection of a for any c > 0. Raises ValueError where a
+    converged fit's duality gap overflows a double.
 
     The result is the EDM D of the module docstring, built from its
     certifying factor f with any distance that rounding leaves negative
@@ -413,6 +425,69 @@ def project_edm_cone(
     the zero matrix, as ``EdmMatrix.factor``.
     """
     return _project_from(a, 0.0, cfg)[:2]
+
+
+def _points(a: np.ndarray, eta: float, scale: float, max_cycles: int, start):
+    """The dual points that semismooth Newton-CG arrives at for the penalty
+    eta, as (point, cycles, delta, final), with the evaluations of theta
+    made so far and the norm of the last accepted Newton step (0 before
+    the first).
+
+    It yields the start, the point z = eta 1 that it evaluates or the one
+    that it pops from ``start`` (see :func:`_project_from`), then its line
+    point, the minimizer of theta along the ones vector, and for each
+    accepted Newton step the trial and its line point. A line point is
+    computed only when the item after its point is asked for, so a caller
+    that stops at a point pays nothing for its line. After ``max_cycles``
+    evaluations, or when backtracking accepts no step, it yields the last
+    point it evaluated, or the start if it evaluated none, once more with
+    ``final`` set, so that a fit that does not converge reads a computed
+    spectrum. Backtracking tries at most MAX_BACKTRACKS steps, and no more
+    than the evaluations left. ``scale`` = ||A||_F makes the Newton
+    system's forcing terms relative.
+
+    A point keeps its eigenpairs only until its Newton direction is
+    solved, and a failed trial is let go of before the next is evaluated,
+    so the generator holds no eigenbasis at an evaluation: a caller that
+    keeps none of the points it was handed runs each ``eigh`` beside no
+    eigenbasis of the fit.
+    """
+    if start is None:
+        pt, cycles = _evaluate(a, eta, np.full(len(a), eta)), 1
+    else:
+        pt, cycles = _dual_point(a, eta, *start.pop()), 0
+    last, delta = pt, 0.0
+    while True:
+        yield pt, cycles, delta, False
+        pt = _line_step(pt, a, eta)
+        yield pt, cycles, delta, False
+        if cycles >= max_cycles:
+            break
+        gnorm = float(np.linalg.norm(pt.g))
+        rel = gnorm / scale
+        d = _cg(*_newton_system(pt.vals, pt.vecs, min(REG_MAX, rel)), -pt.g,
+                min(CG_RTOL, rel))
+        # the step needs only z, g and theta: let go of the eigenbasis that
+        # pt shares with last, so that each evaluation runs beside no other
+        pt, last = pt._replace(vals=None, vecs=None), None
+        slope = float(pt.g @ d)
+        if not slope < 0.0:
+            d, slope = -pt.g, -gnorm * gnorm
+        t = 1.0
+        for _ in range(min(MAX_BACKTRACKS, max_cycles - cycles)):
+            # trial holds an eigenbasis too: the last accepted step's, or a
+            # failed step's
+            trial = last = None
+            trial = last = _evaluate(a, eta, pt.z + t * d)
+            cycles += 1
+            if (trial.theta <= pt.theta + ARMIJO * t * slope
+                    or np.linalg.norm(trial.g) <= 0.5 * gnorm):
+                break
+            t *= BACKTRACK
+        else:
+            break
+        pt, delta = trial, t * float(np.linalg.norm(d))
+    yield last, cycles, delta, True
 
 
 @np.errstate(over="ignore")
@@ -431,31 +506,32 @@ def _project_from(
     caller already holds, so it costs no evaluation, and a fit whose start
     meets the stopping rule makes no eigendecomposition. Those eigenpairs
     do not depend on eta, so the last point of a fit, or a spectrum of
-    J X J at z = 0, starts a fit of any penalty as it is. The fit pops the
-    start, so a caller that keeps no other reference hands its eigenbasis
-    over. A fit closes on the first point that meets the rule, evaluated
-    or line-stepped, and one that does not converge on the last point it
-    evaluated, or on its start if it evaluated none, so that its
-    diagnostics read a computed spectrum. The EDM and the certificate
-    read the closing point's factor V sqrt(-l / 2) over its negative
-    eigenvalues l, or no column when the zero matrix is returned, which
-    the EDM keeps without a copy.
+    J X J at z = 0, starts a fit of any penalty as it is. The point stream
+    (:func:`_points`) pops the start, so a caller that keeps no other
+    reference hands its eigenbasis over.
+
+    The fit reads the stream and closes on the first point that meets the
+    rule |g| <= tol * ||A||_F, evaluated or line-stepped, or on the final
+    one, which does not converge. The close alone reads eigenpairs: the
+    EDM and the certificate read the closing point's factor
+    V sqrt(-l / 2) over its negative eigenvalues l, or no column when the
+    zero matrix is returned, which the EDM keeps without a copy.
 
     ||A||_F, which scales every test, is taken from A, formed once and let
     go of before the first evaluation. Raises ValueError when X - eta, for
     eta = 0 the input itself, is not zero but has no entry of magnitude
-    2**-500 or more, where squares of its size underflow. Overflow gives
-    inf, with no warning: a fit whose theta or distances lie outside the
-    range of a double returns an infinite gap, or fails the finiteness
-    check of its EDM, and the caller rejects it there.
+    2**-500 or more, where squares of its size underflow, and when the
+    gap of a converged fit is not finite, where squares of its size
+    overflow a double; overflow on the way gives no warning.
+    :class:`NotConvergedError` comes first, so a fit that does not
+    converge raises that.
 
-    One eigenbasis is alive at a time. A point keeps its eigenpairs only
-    until its Newton direction is solved, and the start's go with it, and
-    a failed trial is let go of before the next is evaluated, so each
-    ``eigh`` runs beside X, the block it reads and what the caller holds.
-    X is let go of before the certificate, whose kernel, built by
-    ``center_gram``, then sets the fit's peak beside the closing EDM and
-    the closing eigenbasis, which is returned.
+    One eigenbasis is alive at a time: the loop lets go of each point it
+    does not close on before it asks for the next, so each ``eigh`` runs
+    beside X, the block it reads and what the caller holds. X is let go
+    of before the certificate, whose kernel, built by ``center_gram``,
+    then sets the fit's peak beside the closing EDM and the closing
+    eigenbasis, which is returned.
     """
     a = _as_square(a.entries if isinstance(a, SymHollowMatrix) else a)
     if a.shape[0] < 2:
@@ -472,56 +548,14 @@ def _project_from(
     # the penalty that collapses the fit
     scale = float(np.linalg.norm(a - eta * (1.0 - np.eye(len(a)))))
     floor = cfg.tol * scale
-
-    def arrive(pt: _DualPoint) -> _DualPoint:
-        # a start or an accepted step, short of the rule, moves once along
-        # the ones vector, and the loop stops there if the line point
-        # meets the rule
-        return (pt if np.linalg.norm(pt.g) <= floor
-                else _line_step(pt, a, eta))
-
-    if start is None:
-        last, cycles = _evaluate(a, eta, np.full(len(a), eta)), 1
-    else:
-        last, cycles = _dual_point(a, eta, *start.pop()), 0
-    # last is the point last evaluated, or the start: a fit that does not
-    # converge closes on it
-    pt = arrive(last)
-    delta = 0.0
-
-    while True:
-        gnorm = float(np.linalg.norm(pt.g))
-        if gnorm <= floor or cycles >= cfg.max_cycles:
+    for pt, cycles, delta, final in _points(a, eta, scale, cfg.max_cycles,
+                                            start):
+        if final or np.linalg.norm(pt.g) <= floor:
             break
-        rel = gnorm / scale
-        d = _cg(*_newton_system(pt.vals, pt.vecs, min(REG_MAX, rel)), -pt.g,
-                min(CG_RTOL, rel))
-        # the step needs only z, g and theta: let go of the eigenbasis that
-        # pt shares with last, so that each evaluation runs beside no other
-        pt, last = pt._replace(vals=None, vecs=None), None
-        slope = float(pt.g @ d)
-        if not slope < 0.0:
-            d, slope = -pt.g, -gnorm * gnorm
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            # trial holds an eigenbasis too: pt's, or a failed step's
-            trial = last = None
-            trial = last = _evaluate(a, eta, pt.z + t * d)
-            cycles += 1
-            if (trial.theta <= pt.theta + ARMIJO * t * slope
-                    or np.linalg.norm(trial.g) <= 0.5 * gnorm):
-                pt = arrive(trial)
-                delta = t * float(np.linalg.norm(d))
-                break
-            if cycles >= cfg.max_cycles:
-                break
-            t *= BACKTRACK
-        else:
-            break
+        # the stream keeps its own points: this one must not live on
+        # through the next evaluation
+        del pt
 
-    converged = gnorm <= floor
-    if not converged:
-        pt = last
     theta = pt.theta
     neg = pt.vals < 0.0
     factor = pt.vecs[:, neg] * np.sqrt(-0.5 * pt.vals[neg])
@@ -536,19 +570,22 @@ def _project_from(
     # n eps (||B||_F + ||P||_F) <= n eps (||M||_F + 2 ||P||_F)
     eps = np.finfo(float).eps
     psd = float(np.linalg.norm(np.maximum(pt.vals, 0.0)))
-    if converged and (theta <= gap or -pt.vals[0] <= n * eps * (
+    if not final and (theta <= gap or -pt.vals[0] <= n * eps * (
             np.sqrt(2.0 * theta) + 2.0 * psd)):
         # the zero matrix has gap theta at z: no larger than D's, or D is
         # zero but for that rounding
         out, gap, factor = np.zeros_like(out), theta, np.empty((n, 0))
     diag = ProjectionDiagnostics(cycles, delta, gap,
-                                 float(np.abs(pt.g).max()), converged)
-    if not converged:
+                                 float(np.abs(pt.g).max()), not final)
+    if final:
         reason = ("no accepted step" if cycles < cfg.max_cycles
                   else f"no convergence in {cfg.max_cycles} cycles")
         raise NotConvergedError(
             f"{reason} (gradient {float(np.linalg.norm(pt.g)):.3e}, "
             f"bound tol * ||A||_F = {floor:.3e})", diag)
+    if not math.isfinite(gap):
+        raise ValueError(f"the fit's duality gap 'gap' is {gap!r}: squares "
+                         "of the shrunk input's size overflow a double")
 
     cert_tol = 1e-8
     if factor.size:

@@ -123,8 +123,9 @@ def distance_shrinkage(
     is projected onto the EDM cone. The fit minimizes
     (1/2)||X - M||_F^2 + lam * trace(-J M J / 2) over EDMs M.
 
-    Raises ValueError for a penalty that is negative or not finite, and
-    NotConvergedError if the projection does not converge.
+    Raises ValueError for a penalty that is negative or not finite, or
+    where the fit's duality gap overflows a double, and NotConvergedError
+    if the projection does not converge.
     """
     return next(shrinkage_path(x, [lam], cfg))
 
@@ -167,8 +168,9 @@ def _walk_path(
 
     The walk keeps between fits only the last dual point, with its
     eigenbasis, and the fit it yielded until it is resumed. It hands each
-    start over to the projection, which pops it and lets go of it at its
-    first evaluation (``projection._project_from``): a caller that keeps
+    start over to the projection, whose stream of dual points pops it and
+    lets go of it once the Newton step from it is solved, before the
+    fit's first evaluation (``projection._points``): a caller that keeps
     no yielded fit runs each fit beside no eigenbasis but its own.
     """
     start = None

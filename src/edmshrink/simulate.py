@@ -157,9 +157,10 @@ def run_experiment(truth, cfg: SimConfig) -> StressReport:
 
     Each replicate runs in a call of its own, and keeps its observation,
     spectrum and fit no longer: once the baseline has read the spectrum,
-    the fit takes it over and drops it at its first evaluation, the dual
-    point the fit closed on is let go of as it is returned, and the fit
-    once scored. So every eigendecomposition runs beside the truth's
+    the fit's stream of dual points takes it over and drops it before the
+    fit's first evaluation (``projection._points``), the dual point the
+    fit closed on is let go of as it is returned, and the fit once
+    scored. So every eigendecomposition runs beside the truth's
     entries, not its kernel, the observation, with no shrunk copy of it,
     and no eigenbasis but its own.
     """
@@ -196,7 +197,7 @@ def _replicate(d_true: SymHollowMatrix, cfg: SimConfig, lam: float,
     mds_stress = kruskal_stress(
         SymHollowMatrix(_built(_distances_from_coords(mds_coords))), d_true)
     # the spectrum of J X J is the dual point z = 0 of every penalty; the
-    # start holds the only reference to it, and the fit pops it
+    # start holds the only reference to it, and the fit's stream pops it
     start = [(np.zeros(x.n), *spectrum)]
     del spectrum
     try:

@@ -5,6 +5,7 @@ import json
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,6 +191,34 @@ class TestEstimate:
                      "--lambda", "3.0", "--tol", "1e-15", "--max-cycles", "2",
                      "--out", str(tmp_path / "f")])
         assert code == 3
+
+    def test_memory_error_exits_2_and_removes_the_grid(self, tmp_path,
+                                                       capsys):
+        # eigh runs out of memory in the fit of lambda 10, once the sets of
+        # lambda 0.1 and 1 are written, with no message, as Python's own
+        # MemoryError has none. No allocation really fails
+        d = edm_from_coords(np.random.default_rng(0).normal(size=(12, 3)))
+        path = tmp_path / "x.csv"
+        fileio.save_square_matrix(
+            add_noise(d, NoiseModel("gaussian", 0.25), seed=0).entries, path)
+        eigh = np.linalg.eigh
+
+        def short_of_memory(*args, **kwargs):
+            if saved.call_count == 4:
+                raise MemoryError
+            return eigh(*args, **kwargs)
+
+        with mock.patch.object(fileio, "save_square_matrix",
+                               wraps=fileio.save_square_matrix) as saved, \
+                mock.patch.object(np.linalg, "eigh", short_of_memory):
+            code = main(["estimate", "--input", str(path), "--lambda-grid",
+                         "0.1,1,10", "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert [Path(c.args[1]).name for c in saved.call_args_list] == [
+            f"f_lam{lam}.{name}.csv" for lam in ("0.1", "1.0")
+            for name in ("dhat", "khat")]
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 @pytest.mark.parametrize("argv", [

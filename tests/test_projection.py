@@ -626,15 +626,12 @@ class TestProjectEdmCone:
         half = 0.5 * np.linalg.norm(x.entries) ** 2
         assert -1e-12 * half <= exc.value.diagnostics.gap < half
 
-    def test_no_accepted_step_says_so(self, rng):
-        # every trial lies above the point it steps from, in theta and in
-        # |g|, which is at most ||M||_F = sqrt(2 theta) <= sqrt(2 theta_0)
-        # at any point the fit holds: backtracking runs out with cycles to
-        # spare, and the fit closes on its last trial
-        x = random_hollow(rng, 8, scale=4.0)
-        cfg = SolverConfig()
-        evaluated = []
-
+    @staticmethod
+    def rejecting_every_trial(evaluated):
+        """``_evaluate``, with every point after the first lying above the
+        point it steps from, in theta and in |g|, which is at most
+        ||M||_F = sqrt(2 theta) <= sqrt(2 theta_0) at any point the fit
+        holds; each point goes into ``evaluated``."""
         def evaluate(a, eta, z):
             pt = _evaluate(a, eta, z)
             if evaluated:
@@ -644,7 +641,16 @@ class TestProjectEdmCone:
             evaluated.append(pt)
             return pt
 
-        with mock.patch.object(projection, "_evaluate", evaluate), \
+        return evaluate
+
+    def test_no_accepted_step_says_so(self, rng):
+        # every trial is rejected: backtracking runs out with cycles to
+        # spare, and the fit closes on its last trial
+        x = random_hollow(rng, 8, scale=4.0)
+        cfg = SolverConfig()
+        evaluated = []
+        with mock.patch.object(projection, "_evaluate",
+                               self.rejecting_every_trial(evaluated)), \
                 pytest.raises(NotConvergedError,
                               match="no accepted step") as exc:
             project_edm_cone(x, cfg)
@@ -653,6 +659,23 @@ class TestProjectEdmCone:
         assert diag.cycles < cfg.max_cycles
         assert not diag.converged and diag.delta_last == 0.0
         assert np.all(np.isfinite([diag.gap, diag.c2_residual]))
+        assert diag.c2_residual == np.abs(evaluated[-1].g).max()
+
+    def test_backtracking_stops_at_max_cycles(self, rng):
+        # every trial is rejected, and the evaluations run out before
+        # backtracking does: the fit stops at max_cycles, not after
+        # MAX_BACKTRACKS trials, and closes on its last trial
+        x = random_hollow(rng, 8, scale=4.0)
+        cfg = SolverConfig(max_cycles=5)
+        evaluated = []
+        with mock.patch.object(projection, "_evaluate",
+                               self.rejecting_every_trial(evaluated)), \
+                pytest.raises(NotConvergedError,
+                              match="no convergence in 5 cycles") as exc:
+            project_edm_cone(x, cfg)
+        diag = exc.value.diagnostics
+        assert len(evaluated) == diag.cycles == 5 < projection.MAX_BACKTRACKS
+        assert not diag.converged and diag.delta_last == 0.0
         assert diag.c2_residual == np.abs(evaluated[-1].g).max()
 
     @pytest.mark.parametrize("field", ["tol"])

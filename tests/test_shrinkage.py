@@ -229,6 +229,18 @@ class TestScaleEquivariance:
         scaled = self.assert_equivariant(x, 0.0, c)
         assert scaled.d_hat.embed_dim == info.dim
 
+    @pytest.mark.parametrize("x, lam", [
+        (hollow([[0, 1], [1, 0]]), 1e300),
+        (SymHollowMatrix(1e153 * edm_from_coords(
+            np.random.default_rng(0).normal(size=(8, 3))).entries), 0.5e153),
+    ], ids=["two_points_at_1e300", "cloud_at_1e153"])
+    def test_fit_whose_gap_overflows_raises(self, x, lam):
+        # each converges on the zero matrix at gap inf, as the squares of
+        # its size overflow, so no fit is returned: the cloud fits with
+        # embedding dimension 3 at scale 1
+        with pytest.raises(ValueError, match="'gap' is inf"):
+            distance_shrinkage(x, lam)
+
 
 def mostly_positive_hollow(seed: int, n: int) -> SymHollowMatrix:
     """Random symmetric hollow matrix whose entries are mostly positive, so

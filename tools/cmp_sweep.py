@@ -57,6 +57,11 @@ SWEEP = [
     ("estimate-converted",
      ["estimate", "--input", "{out}/conv.csv", "--lambda", "40",
       "--out", "{out}/conv"]),
+    # the fit of 1e300 is rejected, its gap not a double, and the exit 2
+    # removes the set of lambda 0 written before it
+    ("estimate-grid-rejected",
+     ["estimate", "--input", "{in}/two.csv", "--lambda-grid", "0,1e300",
+      "--out", "{out}/rej"]),
     ("simulate-gaussian-json",
      ["simulate", "--helix", "40", "--noise", "gaussian", "--sigma2", "0.25",
       "--sigma", "0.5", "--reps", "3", "--seed", "7",
@@ -153,6 +158,7 @@ def write_inputs(folder: Path) -> dict:
     _write_csv(folder / "three_dim1.csv",
                np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 10.0], [1.0, 10.0, 0.0]]))
     _write_csv(folder / "three_dim0.csv", np.eye(3) - 1.0)
+    _write_csv(folder / "two.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
     write_coords(folder)
     lam = 4.0 * 0.5 * (math.sqrt(200) + 1.0)
     return {"grid": ",".join(repr(f * lam) for f in (0.5, 1.0, 2.0))}

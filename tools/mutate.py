@@ -123,25 +123,23 @@ MUTANTS = [
            "np.where(lead < 0, -vecs, vecs)", "np.where(lead > 0, -vecs, vecs)",
            ("tests/test_core.py::TestEighContract",)),
     # _project_from: one stop rule, at the first point that meets it
-    Mutant("_project_from: a line point meeting the rule is evaluated",
+    Mutant("_project_from: the point meeting the rule is evaluated",
            PROJECTION,
-           "        if gnorm <= floor or cycles >= cfg.max_cycles:\n"
+           "        if final or np.linalg.norm(pt.g) <= floor:\n"
            "            break\n",
-           "        if (gnorm <= floor and pt is last\n"
-           "                or cycles >= cfg.max_cycles):\n"
-           "            break\n"
-           "        if gnorm <= floor:\n"
-           "            pt = last = _evaluate(a, eta, pt.z)\n"
-           "            cycles += 1\n"
-           "            continue\n",
+           "        if final or np.linalg.norm(pt.g) <= floor:\n"
+           "            if not final:\n"
+           "                pt, cycles = _evaluate(a, eta, pt.z), cycles + 1\n"
+           "            break\n",
            ("tests/test_projection.py::TestConstantStart::"
             "test_start_meeting_the_rule_is_decomposed_once",
             "tests/test_projection.py::TestConstantStart::"
             "test_line_point_meeting_the_rule_closes_the_fit")),
-    Mutant("_project_from: no convergence closes on the line point",
-           PROJECTION,
-           "    if not converged:\n        pt = last\n",
-           "    if not converged and pt.vals is None:\n        pt = last\n",
+    # _points: a fit that does not converge closes on a computed spectrum
+    Mutant("_points: no convergence closes on the line point", PROJECTION,
+           "    yield last, cycles, delta, True\n",
+           "    yield (pt if pt.vals is not None else last), cycles, delta,"
+           " True\n",
            ("tests/test_projection.py::TestLineStep::"
             "test_not_converged_at_a_line_point",)),
     Mutant("_project_from: failure reason not read from cycles", PROJECTION,
@@ -149,6 +147,19 @@ MUTANTS = [
            '"no accepted step" if False',
            ("tests/test_projection.py::TestProjectEdmCone::"
             "test_no_accepted_step_says_so",)),
+    # _project_from: one eigenbasis alive at each eigh
+    Mutant("_project_from: the loop keeps the point it does not close on",
+           PROJECTION, "        del pt\n", "",
+           ("tests/test_shrinkage.py::TestFitWorkingSet::"
+            "test_one_eigenbasis_alive_at_each_eigh",
+            "tests/test_simulate.py::TestWorkingSet::"
+            "test_one_eigenbasis_alive_at_each_eigh")),
+    # _points: backtracking spends no more than the evaluations left
+    Mutant("_points: backtracking unbounded by max_cycles", PROJECTION,
+           "range(min(MAX_BACKTRACKS, max_cycles - cycles))",
+           "range(MAX_BACKTRACKS)",
+           ("tests/test_projection.py::TestProjectEdmCone::"
+            "test_backtracking_stops_at_max_cycles",)),
     # _dual_point: the row means of X + Diag z in c
     Mutant("_dual_point: no row-means term", PROJECTION,
            "c = a.mean(axis=1) + z / z.size", "c = z / z.size",
